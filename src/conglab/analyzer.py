@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .domains import (
     DEFAULT_FACTOR_CAP,
     Ideal,
+    InternalCheckError,
     _factor_int,
     condition_L,
     factor_ideal,
@@ -42,10 +43,6 @@ from .quotients import (
     largest_ideal_inside,
     local_decompose,
 )
-
-
-class InternalCheckError(RuntimeError):
-    """A structural identity that is guaranteed for frames failed."""
 
 
 @dataclass(frozen=True)

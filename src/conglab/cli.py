@@ -78,11 +78,11 @@ def _parse_caps(args):
                 group = value
             else:
                 factor = value
-    if getattr(args, "ring_cap", None):
+    if getattr(args, "ring_cap", None) is not None:
         ring = args.ring_cap
-    if getattr(args, "group_cap", None):
+    if getattr(args, "group_cap", None) is not None:
         group = args.group_cap
-    if getattr(args, "factor_cap", None):
+    if getattr(args, "factor_cap", None) is not None:
         factor = args.factor_cap
     if ring <= 0 or group <= 0 or factor <= 0:
         raise ParseError("caps must be positive")
@@ -221,6 +221,8 @@ def _run_suite_job(job):
 
 def cmd_verify_suite(config):
     args = config.args
+    if args.jobs < 1:
+        raise ParseError("--jobs must be at least 1")
     if args.suite:
         names = [args.suite]
     else:

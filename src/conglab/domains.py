@@ -30,6 +30,10 @@ class ParseError(ValueError):
     """Malformed domain, element, or ideal text."""
 
 
+class InternalCheckError(RuntimeError):
+    """A structural identity that is guaranteed for frames failed."""
+
+
 class CapExceeded(RuntimeError):
     """A configured size cap would be exceeded."""
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .domains import CapExceeded, factor_ideal, ideal_arith, residue_norm
+from .domains import CapExceeded, InternalCheckError, factor_ideal, ideal_arith, residue_norm
 from .quotients import build_quotient, ideal_image
 
 DEFAULT_GROUP_CAP = 5 * 10 ** 6
@@ -65,11 +65,6 @@ class _MatOps:
         a, b, c, d = self.decode(x)
         neg = self.neg_t
         return self.encode(neg[a], neg[b], neg[c], neg[d])
-
-    def det(self, x):
-        a, b, c, d = self.decode(x)
-        R = self.ring
-        return R.sub(R.mul(a, d), R.mul(b, c))
 
 
 def _ops(ring):
@@ -304,7 +299,8 @@ def full_sl2(ring, cap=DEFAULT_GROUP_CAP):
         gens.append(make_generator("T", ring, g))
         gens.append(make_generator("S", ring, g))
     grp = FinMatGroup.from_generators(ring, gens, cap=expected + 1)
-    assert grp.order == expected, "SL2 closure does not match the order formula"
+    if grp.order != expected:
+        raise InternalCheckError("SL2 closure does not match the order formula")
     ring._full_sl2 = grp
     return grp
 
@@ -366,7 +362,8 @@ def principal_congruence_image(ring, a, cap=DEFAULT_GROUP_CAP):
     a2 = ideal_arith("product", a, a)
     if a.contains_ideal(ring.modulus) and ring.modulus.contains_ideal(a2):
         expected = (residue_norm(ring.modulus) // residue_norm(a)) ** 3
-        assert grp.order == expected, "congruence image violates the cube law"
+        if grp.order != expected:
+            raise InternalCheckError("congruence image violates the cube law")
     return grp
 
 
@@ -396,10 +393,6 @@ class CosetSpace:
             g: [label[mmul(r, g)] for r in reps] for g in ambient.gens
         }
 
-    def act(self, code, coset_idx):
-        ops = _ops(self.ambient.ring)
-        return self.coset_of[ops.mmul(self.reps[coset_idx], code)]
-
     def __len__(self):
         return len(self.reps)
 
@@ -423,7 +416,8 @@ def core_of(subgroup, ambient):
         if all(label[mmul(r, h)] == i for i, r in enumerate(reps))
     ]
     grp = FinMatGroup.from_elements(subgroup.ring, core)
-    assert grp.is_normal_in(ambient), "core is not normal in the ambient group"
+    if not grp.is_normal_in(ambient):
+        raise InternalCheckError("core is not normal in the ambient group")
     subgroup._core = grp
     return grp
 
@@ -484,7 +478,7 @@ def _double_coset_data(G, H, B):
                     assigned[z] = x
                     stack.append(z)
     if len(assigned) != G.order:
-        raise AssertionError("double cosets do not cover the group")
+        raise InternalCheckError("double cosets do not cover the group")
     return reps, assigned
 
 

@@ -11,15 +11,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd, lcm
 
-from .domains import CapExceeded, ParseError
-from .matgroups import DEFAULT_GROUP_CAP
-
-_S_MAT = (0, -1, 1, 0)
-_T_MAT = (1, 1, 0, 1)
+from .domains import CapExceeded, IntegerDomain, ParseError
+from .matgroups import DEFAULT_GROUP_CAP, _ops, full_sl2, sl2_order_formula
+from .quotients import build_quotient
+from .subgroups import DenseGroup
 
 DEFAULT_ENUM_CAP = 12
+
+_Z = IntegerDomain()
 
 
 def perm_mul(p, q):
@@ -147,61 +149,41 @@ def larcher_check(split):
 
 
 # ---------------------------------------------------------------------------
-# PSL2(Z/n)
+# SL2(Z/n) and PSL2(Z/n) on the packed-code layer
 
 
-class ProjectiveGroup:
-    """PSL2(Z/n): matrices mod n up to sign, enumerated by BFS from S, T."""
-
-    def __init__(self, n, cap=DEFAULT_GROUP_CAP):
-        self.n = n
-        identity = self._canon((1, 0, 0, 1))
-        elements = [identity]
-        index = {identity: 0}
-        s = self._canon(_S_MAT)
-        t = self._canon(_T_MAT)
-        qi = 0
-        while qi < len(elements):
-            e = elements[qi]
-            qi += 1
-            for m in (s, t):
-                prod = self._canon(self._matmul(e, m))
-                if prod not in index:
-                    if len(elements) >= cap:
-                        raise CapExceeded(f"PSL2(Z/{n}) exceeds cap {cap}")
-                    index[prod] = len(elements)
-                    elements.append(prod)
-        self.elements = elements
-        self.index = index
-        self.size = len(elements)
-        self.identity = 0
-        self.S = index[s]
-        self.T = index[t]
-        self.right_S = [index[self._canon(self._matmul(e, s))] for e in elements]
-        self.right_T = [index[self._canon(self._matmul(e, t))] for e in elements]
-
-    def _canon(self, m):
-        n = self.n
-        m = (m[0] % n, m[1] % n, m[2] % n, m[3] % n)
-        neg = ((-m[0]) % n, (-m[1]) % n, (-m[2]) % n, (-m[3]) % n)
-        return min(m, neg)
-
-    def _matmul(self, x, y):
-        a, b, c, d = x
-        e, f, g, h = y
-        return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-    def mul(self, i, j):
-        return self.index[self._canon(self._matmul(self.elements[i], self.elements[j]))]
-
-    def inv(self, i):
-        a, b, c, d = self.elements[i]
-        return self.index[self._canon((d, -b, -c, a))]
+def _sl2_mod(n):
+    """The matrix ops of Z/(n) and the packed codes of S and T."""
+    ring = build_quotient(_Z, _Z.principal_ideal(n))
+    ops = _ops(ring)
+    r = ring.reduce
+    return ops, ops.encode(r(0), r(-1), r(1), r(0)), ops.encode(r(1), r(1), r(0), r(1))
 
 
 def projective_group_order(n, cap=DEFAULT_GROUP_CAP):
-    """|PSL2(Z) : level-n kernel| by enumeration (halved for n > 2)."""
-    return ProjectiveGroup(n, cap).size
+    """|PSL2(Z) : level-n kernel| = |SL2(Z/n)|, halved for n > 2."""
+    order = sl2_order_formula(_Z.principal_ideal(n))
+    if n > 2:
+        order //= 2
+    if order > cap:
+        raise CapExceeded(f"PSL2(Z/{n}) of order {order} exceeds cap {cap}")
+    return order
+
+
+def psl2_group(n, cap=DEFAULT_GROUP_CAP):
+    """PSL2(Z/n) on generators S, T; each label is the smaller code of +-x."""
+    projective_group_order(n, cap)
+    ops, s, t = _sl2_mod(n)
+    mmul, mneg = ops.mmul, ops.mneg
+
+    def label(x):
+        return min(x, mneg(x))
+
+    # |SL2(Z/n)| <= 2 |PSL2(Z/n)|, which the order check bounded by cap
+    labels = sorted({label(x) for x in full_sl2(ops.ring, 2 * cap).elements})
+    return DenseGroup(
+        labels, lambda x, y: label(mmul(x, y)), label(ops.identity), [label(s), label(t)]
+    )
 
 
 @dataclass(frozen=True)
@@ -231,48 +213,54 @@ class CongruenceVerdict:
 def exact_congruence_test(rep, level_override=None, cap=DEFAULT_GROUP_CAP):
     """Whether the subgroup contains the full level-n0 kernel.
 
-    Builds the coset table of the kernel (the projective group of its
-    level), extracts a Schreier transversal by BFS, and checks that every
-    Schreier generator fixes the base point of the given action.
+    Walks SL2(Z/n0) from the identity by right multiplication with S and
+    T, giving each new element e the point phi[e] that its walk word sends
+    the base point to, and stops at the first edge the action contradicts.
+    -I = S^2 acts trivially (PermRep checks S^2 = 1), so this decides the
+    same question as the walk over PSL2(Z/n0).
     """
     split = cusp_split(rep)
     n0 = level_override if level_override is not None else split.level
-    G = ProjectiveGroup(n0, cap)
-    # phi[e] = image of the base point under the transversal word of e
-    phi = [None] * G.size
-    phi[G.identity] = 0
-    order = [G.identity]
-    actions = ((G.right_S, rep.S), (G.right_T, rep.T))
+    projective_group_order(n0, cap)
+    ops, s, t = _sl2_mod(n0)
+    mmul = ops.mmul
+    phi = {ops.identity: 0}
+    order = [ops.identity]
+    actions = ((s, rep.S), (t, rep.T))
     qi = 0
     while qi < len(order):
         e = order[qi]
         qi += 1
-        for right, sigma in actions:
-            img = right[e]
-            if phi[img] is None:
-                phi[img] = sigma[phi[e]]
+        here = phi[e]
+        for g, sigma in actions:
+            img = mmul(e, g)
+            reached = phi.get(img)
+            if reached is None:
+                phi[img] = sigma[here]
                 order.append(img)
-    for e in range(G.size):
-        for right, sigma in actions:
-            if sigma[phi[e]] != phi[right[e]]:
+            elif reached != sigma[here]:
                 return CongruenceVerdict(False, split.level)
     return CongruenceVerdict(True, split.level)
 
 
 def coset_permrep(G, subgroup_indices):
-    """The action of S and T on the right cosets of a subgroup of G."""
+    """The action of G's generators S, T on the right cosets of a subgroup.
+
+    The subgroup's own coset is point 0, the base point.
+    """
+    S, T = G.gens
     label = {}
     reps = []
     sub = sorted(subgroup_indices)
-    for e in range(G.size):
+    for e in chain((G.identity,), range(G.size)):
         if e in label:
             continue
         c = len(reps)
         reps.append(e)
         for h in sub:
             label[G.mul(h, e)] = c
-    sperm = tuple(label[G.right_S[reps[c]]] for c in range(len(reps)))
-    tperm = tuple(label[G.right_T[reps[c]]] for c in range(len(reps)))
+    sperm = tuple(label[G.mul(r, S)] for r in reps)
+    tperm = tuple(label[G.mul(r, T)] for r in reps)
     return PermRep(len(reps), sperm, tperm)
 
 

@@ -47,15 +47,6 @@ class DenseGroup:
             [ops.identity]
         )
 
-    @classmethod
-    def from_projective(cls, pgroup):
-        return cls(
-            range(pgroup.size),
-            pgroup.mul,
-            pgroup.identity,
-            [pgroup.S, pgroup.T],
-        )
-
     def mul(self, i, j):
         return self.table[i * self.size + j]
 

@@ -48,13 +48,13 @@ from .matgroups import (
     projective_center_is_trivial,
 )
 from .modular import (
-    ProjectiveGroup,
     coset_permrep,
     cusp_split,
     exact_congruence_test,
     index_level_checks,
     larcher_check,
     low_index_enumerate,
+    psl2_group,
 )
 from .quotients import build_quotient, ideal_image
 from .subgroups import DenseGroup, all_subgroups, subgroup_classes
@@ -622,11 +622,16 @@ _PSL_SUBGROUP_CACHE = {}
 
 def psl_subgroups(n, caps=DEFAULT_CAPS):
     if n not in _PSL_SUBGROUP_CACHE:
-        P = ProjectiveGroup(n, cap=caps.group)
-        dense = DenseGroup.from_projective(P)
-        reps, seen = subgroup_classes(dense)
+        P = psl2_group(n, cap=caps.group)
+        reps, seen = subgroup_classes(P)
         _PSL_SUBGROUP_CACHE[n] = (P, reps, seen)
     return _PSL_SUBGROUP_CACHE[n]
+
+
+def _sl2_preimage(P, mneg, elems):
+    """The SL2 codes +-x of a set of PSL2 labels."""
+    labels = [P.labels[e] for e in elems]
+    return set(labels) | {mneg(x) for x in labels}
 
 
 def suite_exact_soundness(caps, seed, families=None, levels=(2, 3, 4, 5, 6, 8)):
@@ -636,17 +641,12 @@ def suite_exact_soundness(caps, seed, families=None, levels=(2, 3, 4, 5, 6, 8)):
         P, reps, seen = psl_subgroups(n, caps)
         q0 = Z.principal_ideal(n)
         ring = build_quotient(Z, q0, ring_cap=caps.ring)
-        ops = _ops(ring)
+        mneg = _ops(ring).mneg
         for subgroup in all_subgroups(seen):
             rep = coset_permrep(P, subgroup)
             verdict = exact_congruence_test(rep, cap=caps.group)
             res.check(verdict.congruence, f"PSL(Z/{n}) subgroup tests non-congruence")
-            codes = set()
-            for e in subgroup:
-                a, b, c, d = P.elements[e]
-                codes.add(ops.encode(*(ring.reduce(v) for v in (a, b, c, d))))
-                codes.add(ops.encode(*(ring.reduce(-v) for v in (a, b, c, d))))
-            grp = FinMatGroup.from_elements(ring, codes)
+            grp = FinMatGroup.from_elements(ring, _sl2_preimage(P, mneg, subgroup))
             frame = frame_from_group(Z, q0, grp, caps)
             lvl = level(frame)
             res.check(
@@ -660,12 +660,7 @@ def suite_exact_soundness(caps, seed, families=None, levels=(2, 3, 4, 5, 6, 8)):
         # widths against T-cycles, per conjugacy class representative
         for elems, _ in reps:
             rep = coset_permrep(P, elems)
-            codes = set()
-            for e in elems:
-                a, b, c, d = P.elements[e]
-                codes.add(ops.encode(*(ring.reduce(v) for v in (a, b, c, d))))
-                codes.add(ops.encode(*(ring.reduce(-v) for v in (a, b, c, d))))
-            grp = FinMatGroup.from_elements(ring, codes)
+            grp = FinMatGroup.from_elements(ring, _sl2_preimage(P, mneg, elems))
             frame = frame_from_group(Z, q0, grp, caps)
             widths = sorted(c.width for c in cusps(frame))
             res.check(

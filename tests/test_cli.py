@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from conglab.cli import (
     EXIT_CAP,
     EXIT_OK,
@@ -174,3 +176,28 @@ def test_verify_suite_seeded_byte_identical(capsys):
     _, out1, _ = run_cli(["verify-suite", "--suite", "crt", "--seed", "7"], capsys)
     _, out2, _ = run_cli(["verify-suite", "--suite", "crt", "--seed", "7"], capsys)
     assert out1 == out2
+
+
+@pytest.mark.parametrize("flag", ["--ring-cap", "--group-cap", "--factor-cap"])
+def test_zero_cap_flag_is_rejected(capsys, flag):
+    code, _, err = run_cli([flag, "0", "analyze", "--example", "ex2_13"], capsys)
+    assert code == EXIT_PARSE
+    assert "caps must be positive" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_verify_suite_rejects_jobs_below_one(capsys, jobs):
+    code, out, err = run_cli(["verify-suite", "--suite", "lemma4_5", "--jobs", jobs], capsys)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert "--jobs" in err
+
+
+def test_screen_perm_group_cap_exit_code(capsys, tmp_path):
+    # one T-cycle of length 7: level 7, kernel index 168
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps({"n": 7, "S": [0, 1, 3, 2, 4, 6, 5], "T": [1, 2, 4, 0, 5, 6, 3]}))
+    code, out, err = run_cli(["--group-cap", "10", "screen-perm", "--permrep", str(path)], capsys)
+    assert code == EXIT_CAP
+    assert out == ""
+    assert "cap" in err

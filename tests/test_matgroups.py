@@ -3,6 +3,9 @@ import random
 
 import pytest
 
+import conglab
+from conglab import matgroups
+from conglab.analyzer import InternalCheckError
 from conglab.domains import factor_ideal, ideal_pow, parse_domain
 from conglab.matgroups import (
     CosetSpace,
@@ -361,3 +364,12 @@ def test_core_equals_conjugate_intersection():
         gi = ops6.minv(g)
         inter &= {ops6.mmul(ops6.mmul(gi, h), g) for h in H.elements}
     assert core_of(H, G6).elements == inter
+
+
+def test_full_sl2_order_check_raises_internal_check(monkeypatch):
+    # the verifier must survive python -O and map to exit 4, not be an assert
+    assert conglab.InternalCheckError is InternalCheckError
+    ring = build_quotient(Z, Z.parse_ideal("(2)"))
+    monkeypatch.setattr(matgroups, "sl2_order_formula", lambda modulus: 7)
+    with pytest.raises(InternalCheckError):
+        full_sl2(ring)

@@ -1,12 +1,12 @@
+import functools
 import itertools
 
 import pytest
 
-from conglab.domains import ParseError
+from conglab.domains import CapExceeded, ParseError
 from conglab.modular import (
     CuspSplit,
     PermRep,
-    ProjectiveGroup,
     _rebased_minimum,
     _standardize_xy,
     coset_permrep,
@@ -19,6 +19,7 @@ from conglab.modular import (
     perm_inv,
     perm_mul,
     projective_group_order,
+    psl2_group,
     screen_permrep,
 )
 
@@ -49,8 +50,9 @@ def test_parse_permrep_rejects_bad_relations():
 
 def gamma0_2_rep():
     # cosets of the upper-triangular subgroup of PSL2(Z/2)
-    G = ProjectiveGroup(2)
-    sub = [G.identity, G.T]
+    G = psl2_group(2)
+    _, T = G.gens
+    sub = [G.identity, T]
     return coset_permrep(G, sub)
 
 
@@ -71,7 +73,7 @@ def test_cusp_split_examples():
 
 def test_cusp_split_gamma_2():
     # the level-2 kernel itself on 6 cosets: three cusps of width 2
-    G = ProjectiveGroup(2)
+    G = psl2_group(2)
     rep = coset_permrep(G, [G.identity])
     assert rep.n == 6
     assert cusp_split(rep) == CuspSplit((2, 2, 2), 2)
@@ -108,6 +110,84 @@ def test_projective_orders(n, expected):
     assert projective_group_order(n) == expected
 
 
+# ---------------------------------------------------------------------------
+# oracle: PSL2(Z/n) as 4-tuples mod n up to sign, and the two-phase exact
+# test that walks it (first label every element, then check every edge)
+
+
+def _matmul(x, y):
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_psl2(n):
+    """(elements, right_S, right_T) of PSL2(Z/n), by BFS from S and T."""
+
+    def canon(m):
+        m = tuple(v % n for v in m)
+        return min(m, tuple(-v % n for v in m))
+
+    s = canon((0, -1, 1, 0))
+    t = canon((1, 1, 0, 1))
+    elements = [canon((1, 0, 0, 1))]
+    index = {elements[0]: 0}
+    qi = 0
+    while qi < len(elements):
+        e = elements[qi]
+        qi += 1
+        for m in (s, t):
+            prod = canon(_matmul(e, m))
+            if prod not in index:
+                index[prod] = len(elements)
+                elements.append(prod)
+    right_S = [index[canon(_matmul(e, s))] for e in elements]
+    right_T = [index[canon(_matmul(e, t))] for e in elements]
+    return elements, right_S, right_T
+
+
+def oracle_exact_test(rep, n0):
+    elements, right_S, right_T = oracle_psl2(n0)
+    phi = [None] * len(elements)
+    phi[0] = 0
+    order = [0]
+    actions = ((right_S, rep.S), (right_T, rep.T))
+    qi = 0
+    while qi < len(order):
+        e = order[qi]
+        qi += 1
+        for right, sigma in actions:
+            if phi[right[e]] is None:
+                phi[right[e]] = sigma[phi[e]]
+                order.append(right[e])
+    return all(
+        sigma[phi[e]] == phi[right[e]]
+        for e in range(len(elements))
+        for right, sigma in actions
+    )
+
+
+def test_projective_order_matches_oracle_group():
+    for n in range(1, 31):
+        assert projective_group_order(n) == len(oracle_psl2(n)[0])
+
+
+def test_psl2_group_matches_oracle_group():
+    for n in (1, 2, 3, 4, 6, 8):
+        G = psl2_group(n)
+        assert G.size == len(oracle_psl2(n)[0])
+        assert G.closure(G.gens) == frozenset(range(G.size))
+
+
+def test_exact_test_matches_oracle():
+    for rep in low_index_enumerate(9):
+        v = exact_congruence_test(rep)
+        assert v.congruence == oracle_exact_test(rep, v.level)
+        v2 = exact_congruence_test(rep, level_override=2 * v.level)
+        assert v2.congruence == oracle_exact_test(rep, 2 * v.level)
+
+
 def test_index_level_examples():
     # a split (3,4) subgroup of index 7 fails the index >= level screen
     for rep in low_index_enumerate(7):
@@ -139,7 +219,7 @@ def test_exact_test_examples():
 def test_exact_test_on_small_kernel_cosets():
     # every subgroup realized inside PSL2(Z/n) must test as congruence
     for n in (2, 3):
-        G = ProjectiveGroup(n)
+        G = psl2_group(n)
         # subgroups generated by one element
         seen = set()
         for g in range(G.size):
@@ -241,6 +321,14 @@ def test_screen_short_circuits_on_larcher():
     assert "exact" not in out["screens"]
     out_all = screen_permrep(rep, run_all=True)
     assert "exact" in out_all["screens"]
+
+
+@pytest.mark.parametrize("run_all", [False, True])
+def test_screen_cap_below_kernel_index(run_all):
+    rep = gamma0_2_rep()  # level 2, kernel index 6
+    assert screen_permrep(rep, run_all=run_all, cap=6)["verdict"] == "congruence, level 2"
+    with pytest.raises(CapExceeded):
+        screen_permrep(rep, run_all=run_all, cap=5)
 
 
 def test_screen_congruence_verdict():

@@ -2,7 +2,7 @@ import itertools
 
 from conglab.domains import parse_domain
 from conglab.matgroups import full_sl2
-from conglab.modular import ProjectiveGroup
+from conglab.modular import psl2_group
 from conglab.quotients import build_quotient
 from conglab.subgroups import DenseGroup, all_subgroups, subgroup_classes
 
@@ -67,8 +67,7 @@ def test_subgroups_of_sl2_f3_vs_triple_closure_oracle():
 
 
 def test_subgroup_classes_of_projective_group():
-    P = ProjectiveGroup(2)  # isomorphic to S3
-    G = DenseGroup.from_projective(P)
+    G = psl2_group(2)  # isomorphic to S3
     reps, seen = subgroup_classes(G)
     assert len(seen) == 6
     assert len(reps) == 4

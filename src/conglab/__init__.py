@@ -45,14 +45,12 @@ from .domains import (
     residue_norm,
 )
 from .matgroups import (
-    CosetSpace,
     FinMatGroup,
     Mat2,
     borel_and_unipotent,
     closure_codes,
     core_of,
     cube_law_check,
-    double_cosets,
     full_sl2,
     make_generator,
     normal_closure,

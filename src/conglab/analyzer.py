@@ -183,7 +183,7 @@ def cusps(frame):
     ring = frame.ring
     ops = _ops(ring)
     mmul = ops.mmul
-    reps, _ = _double_coset_data(frame.ambient, frame.group, frame.borel)
+    reps = _double_coset_data(frame.ambient, frame.group, frame.borel)
     uni = frame.unipotent.elements
     out = []
     for code in reps:

@@ -796,7 +796,8 @@ class QuadraticDomain(Domain):
         squares = sorted({self.mul(u, u) for u in self.units})
         for x in squares:
             for y in squares:
-                assert self.mul(x, y) in squares, "unit squares not closed"
+                if self.mul(x, y) not in squares:
+                    raise InternalCheckError("unit squares not closed")
         self.unit_squares = tuple(squares)
 
     def zero(self):
@@ -1039,7 +1040,8 @@ def ideal_arith(mode, I, J):
         if D.kind == "polynomials":
             g = D.gcd(I.data, J.data)
             quo, rem = D.divmod(D.mul(I.data, J.data), g)
-            assert rem == ()
+            if rem != ():
+                raise InternalCheckError("gcd does not divide the product")
             return Ideal(D, D.monic(quo))
         rows = _quad_pair_rows(I, J)
         piv = _row_hnf(rows, 4)
@@ -1065,18 +1067,22 @@ def ideal_bezout(I, J):
         raise ValueError("ideals are not coprime")
     if D.kind == "integers":
         g, s, t = _ext_gcd(I.data, J.data)
-        assert g == 1
+        if g != 1:
+            raise InternalCheckError("coprime ideals with gcd other than 1")
         return (s * I.data, t * J.data)
     if D.kind == "polynomials":
         g, s, t = D.ext_gcd(I.data, J.data)
-        assert g == D.one()
+        if g != D.one():
+            raise InternalCheckError("coprime ideals with gcd other than 1")
         return (D.mul(s, I.data), D.mul(t, J.data))
     piv = _row_hnf(_quad_pair_rows(I, J), 4)
     lead = [r for r in piv if r[0] != 0]
-    assert lead and lead[0][0] == 1 and lead[0][1] == 0
+    if not (lead and lead[0][0] == 1 and lead[0][1] == 0):
+        raise InternalCheckError("coprime ideal sum has no unit pivot")
     x = (lead[0][2], lead[0][3])
     y = D.sub(D.one(), x)
-    assert I.contains(x) and J.contains(y)
+    if not (I.contains(x) and J.contains(y)):
+        raise InternalCheckError("Bezout pair lies outside the ideals")
     return (x, y)
 
 
@@ -1120,7 +1126,8 @@ def factor_ideal(I, cap=DEFAULT_FACTOR_CAP):
     pf = PrimeFactorization(tuple(pairs))
     if not I.is_unit_ideal():
         product = pf.product()
-        assert product is not None and product.data == I.data, "factorization mismatch"
+        if product is None or product.data != I.data:
+            raise InternalCheckError("factorization mismatch")
     return pf
 
 
@@ -1232,7 +1239,8 @@ def crt_select(factors):
             if not pe1.contains(cand):
                 x = cand
                 break
-        assert x is not None, "prime power equals its successor"
+        if x is None:
+            raise InternalCheckError("prime power equals its successor")
         picks.append(x)
         uppers.append(pe1)
     if len(factors) == 1:
@@ -1248,7 +1256,8 @@ def crt_select(factors):
             _, ui = ideal_bezout(Ai, Bi)  # ui = 1 mod Ai, ui in Bi
             d = D.add(d, D.mul(x, ui))
     for (p, e), Ai in zip(factors, uppers):
-        assert ideal_pow(p, e).contains(d) and not Ai.contains(d)
+        if not ideal_pow(p, e).contains(d) or Ai.contains(d):
+            raise InternalCheckError("CRT element has the wrong valuation")
     return d
 
 

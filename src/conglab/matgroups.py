@@ -367,34 +367,26 @@ def principal_congruence_image(ring, a, cap=DEFAULT_GROUP_CAP):
     return grp
 
 
-class CosetSpace:
-    """Right cosets B\\G with canonical labels and generator action maps."""
+def coset_labels(elements, sub, mul):
+    """Label the cosets {mul(h, x) : h in sub}, first seen first.
 
-    def __init__(self, ambient, subgroup):
-        self.ambient = ambient
-        self.subgroup = subgroup
-        ops = _ops(ambient.ring)
-        mmul = ops.mmul
-        label = {}
-        reps = []
-        belems = subgroup.elements
-        for x in ambient.sorted_elements():
-            if x in label:
-                continue
-            idx = len(reps)
-            reps.append(x)
-            for h in belems:
-                label[mmul(h, x)] = idx
-        if len(reps) * subgroup.order != ambient.order:
-            raise ValueError("subgroup does not partition the ambient group")
-        self.reps = reps
-        self.coset_of = label
-        self.gen_actions = {
-            g: [label[mmul(r, g)] for r in reps] for g in ambient.gens
-        }
-
-    def __len__(self):
-        return len(self.reps)
+    Returns the representatives (the first element of each coset in the
+    order of `elements`) and the map from each covered element to the
+    index of its coset. Raises InternalCheckError when two cosets overlap,
+    which the cosets of a subgroup never do.
+    """
+    label = {}
+    reps = []
+    for x in elements:
+        if x in label:
+            continue
+        c = len(reps)
+        reps.append(x)
+        for h in sub:
+            label[mul(h, x)] = c
+    if len(label) != len(reps) * len(sub):
+        raise InternalCheckError("cosets overlap: not the cosets of a subgroup")
+    return reps, label
 
 
 def core_of(subgroup, ambient):
@@ -405,11 +397,8 @@ def core_of(subgroup, ambient):
     """
     if subgroup._core is not None:
         return subgroup._core
-    cs = CosetSpace(ambient, subgroup)
-    ops = _ops(subgroup.ring)
-    mmul = ops.mmul
-    label = cs.coset_of
-    reps = cs.reps
+    mmul = _ops(subgroup.ring).mmul
+    reps, label = coset_labels(ambient.sorted_elements(), subgroup.elements, mmul)
     core = [
         h
         for h in subgroup.sorted_elements()
@@ -453,39 +442,31 @@ def borel_and_unipotent(ring):
 
 
 def _double_coset_data(G, H, B):
-    ops = _ops(G.ring)
-    mmul, minv = ops.mmul, ops.minv
-    hgens = list(H.gens) + [minv(g) for g in H.gens]
-    bgens = list(B.gens) + [minv(g) for g in B.gens]
-    assigned = {}
+    """One representative per H\\G/B class: its minimum packed code.
+
+    The left cosets xB are labelled once over G in sorted order, so each
+    coset's representative is its minimum; the double cosets are then the
+    orbits of H's generators on those |G/B| points.
+    """
+    mmul = _ops(G.ring).mmul
+    points, label = coset_labels(G.sorted_elements(), B.elements, lambda b, x: mmul(x, b))
+    seen = [False] * len(points)
     reps = []
-    for x in G.sorted_elements():
-        if x in assigned:
+    for i, x in enumerate(points):
+        if seen[i]:
             continue
+        # points are in increasing order, so an orbit's first point is its minimum
         reps.append(x)
-        assigned[x] = x
+        seen[i] = True
         stack = [x]
         while stack:
             y = stack.pop()
-            for h in hgens:
-                z = mmul(h, y)
-                if z not in assigned:
-                    assigned[z] = x
-                    stack.append(z)
-            for b in bgens:
-                z = mmul(y, b)
-                if z not in assigned:
-                    assigned[z] = x
-                    stack.append(z)
-    if len(assigned) != G.order:
-        raise InternalCheckError("double cosets do not cover the group")
-    return reps, assigned
-
-
-def double_cosets(G, H, B):
-    """One representative per H\\G/B class (the minimum packed encoding)."""
-    reps, _ = _double_coset_data(G, H, B)
-    return [Mat2.from_code(G.ring, r) for r in reps]
+            for h in H.gens:
+                j = label[mmul(h, y)]
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append(points[j])
+    return reps
 
 
 def cube_law_check(domain, q, q_sub, ring_cap=None, group_cap=DEFAULT_GROUP_CAP):

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
 
 from .domains import CapExceeded, IntegerDomain, ParseError
-from .matgroups import DEFAULT_GROUP_CAP, _ops, full_sl2, sl2_order_formula
+from .matgroups import DEFAULT_GROUP_CAP, _ops, coset_labels, full_sl2, sl2_order_formula
 from .quotients import build_quotient
 from .subgroups import DenseGroup
 
@@ -152,8 +153,12 @@ def larcher_check(split):
 # SL2(Z/n) and PSL2(Z/n) on the packed-code layer
 
 
+@lru_cache(maxsize=None)
 def _sl2_mod(n):
-    """The matrix ops of Z/(n) and the packed codes of S and T."""
+    """The matrix ops of Z/(n) and the packed codes of S and T, one ring per n.
+
+    Callers bound n through `projective_group_order` first.
+    """
     ring = build_quotient(_Z, _Z.principal_ideal(n))
     ops = _ops(ring)
     r = ring.reduce
@@ -249,16 +254,9 @@ def coset_permrep(G, subgroup_indices):
     The subgroup's own coset is point 0, the base point.
     """
     S, T = G.gens
-    label = {}
-    reps = []
-    sub = sorted(subgroup_indices)
-    for e in chain((G.identity,), range(G.size)):
-        if e in label:
-            continue
-        c = len(reps)
-        reps.append(e)
-        for h in sub:
-            label[G.mul(h, e)] = c
+    reps, label = coset_labels(
+        chain((G.identity,), range(G.size)), sorted(subgroup_indices), G.mul
+    )
     sperm = tuple(label[G.mul(r, S)] for r in reps)
     tperm = tuple(label[G.mul(r, T)] for r in reps)
     return PermRep(len(reps), sperm, tperm)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .domains import CapExceeded, Ideal, ideal_arith, residue_norm
+from .domains import CapExceeded, Ideal, InternalCheckError, ideal_arith, residue_norm
 
 DEFAULT_RING_CAP = 2 ** 16
 _TABLE_LIMIT = 2048
@@ -71,7 +71,7 @@ class QuotientRing:
             if self.mul(i, j) == self.one_idx:
                 self._inv_cache[i] = j
                 return j
-        raise AssertionError("unit without inverse")
+        raise InternalCheckError("unit without inverse")
 
     def ensure_tables(self):
         """Build flat add/mul tables (required by the matrix-group layer)."""
@@ -345,11 +345,13 @@ def local_decompose(ring, rng_seed=20577):
     for i in range(ring.size):
         section[tuple(f.projection[i] for f in factors)] = i
     dec = LocalDecomposition(ring, factors, section)
-    assert len(section) == ring.size, "CRT tuple map is not injective"
+    if len(section) != ring.size:
+        raise InternalCheckError("CRT tuple map is not injective")
     sizes = 1
     for f in factors:
         sizes *= f.ring.size
-    assert sizes == ring.size, "CRT factor sizes do not multiply up"
+    if sizes != ring.size:
+        raise InternalCheckError("CRT factor sizes do not multiply up")
     n = ring.size
     if n * n <= 4096 * 4:
         pairs = [(i, j) for i in range(n) for j in range(n)]
@@ -360,6 +362,9 @@ def local_decompose(ring, rng_seed=20577):
         s = ring.add(i, j)
         p = ring.mul(i, j)
         for f in factors:
-            assert f.projection[s] == f.ring.add(f.projection[i], f.projection[j])
-            assert f.projection[p] == f.ring.mul(f.projection[i], f.projection[j])
+            if (
+                f.projection[s] != f.ring.add(f.projection[i], f.projection[j])
+                or f.projection[p] != f.ring.mul(f.projection[i], f.projection[j])
+            ):
+                raise InternalCheckError("CRT projection is not a ring map")
     return dec

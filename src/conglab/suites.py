@@ -79,7 +79,7 @@ class SuiteResult:
         self.checks += 1
         try:
             fn()
-        except (InternalCheckError, AssertionError) as exc:
+        except InternalCheckError as exc:
             self.failures.append(f"{message}: {exc}")
 
 
@@ -103,7 +103,8 @@ _frame_cache = {}
 
 def exhaustive_frames(family, caps=DEFAULT_CAPS):
     """All subgroup-conjugacy-class frames over one built-in quotient."""
-    if family not in _frame_cache:
+    key = (family, caps)
+    if key not in _frame_cache:
         spec, text = FAMILY_SPECS[family]
         D = parse_domain(spec)
         q0 = D.parse_ideal(text)
@@ -117,8 +118,8 @@ def exhaustive_frames(family, caps=DEFAULT_CAPS):
             gcodes = tuple(dense.labels[i] for i in gens)
             grp = FinMatGroup(ring, gcodes, codes)
             frames.append(frame_from_group(D, q0, grp, caps))
-        _frame_cache[family] = frames
-    return _frame_cache[family]
+        _frame_cache[key] = frames
+    return _frame_cache[key]
 
 
 def _pick_families(families):
@@ -621,11 +622,12 @@ _PSL_SUBGROUP_CACHE = {}
 
 
 def psl_subgroups(n, caps=DEFAULT_CAPS):
-    if n not in _PSL_SUBGROUP_CACHE:
+    key = (n, caps)
+    if key not in _PSL_SUBGROUP_CACHE:
         P = psl2_group(n, cap=caps.group)
         reps, seen = subgroup_classes(P)
-        _PSL_SUBGROUP_CACHE[n] = (P, reps, seen)
-    return _PSL_SUBGROUP_CACHE[n]
+        _PSL_SUBGROUP_CACHE[key] = (P, reps, seen)
+    return _PSL_SUBGROUP_CACHE[key]
 
 
 def _sl2_preimage(P, mneg, elems):

@@ -8,15 +8,15 @@ from conglab import matgroups
 from conglab.analyzer import InternalCheckError
 from conglab.domains import factor_ideal, ideal_pow, parse_domain
 from conglab.matgroups import (
-    CosetSpace,
     FinMatGroup,
     Mat2,
+    _double_coset_data,
     _ops,
     borel_and_unipotent,
     closure_codes,
     core_of,
+    coset_labels,
     cube_law_check,
-    double_cosets,
     full_sl2,
     make_generator,
     normal_closure,
@@ -25,6 +25,7 @@ from conglab.matgroups import (
     sl2_order_formula,
 )
 from conglab.quotients import build_quotient
+from conglab.suites import exhaustive_frames
 
 Z = parse_domain("Z")
 F3T = parse_domain("Fq[t] q=3")
@@ -222,15 +223,27 @@ def test_core_examples():
     assert core_of(N, G4) == N
 
 
-def test_coset_space_counts():
+def test_coset_labels_partition_by_minimum():
     R, B = borel_of_sl2_f3()
     G = full_sl2(R)
-    cs = CosetSpace(G, B)
-    assert len(cs) * B.order == G.order
-    # canonical labels are the minimal code of each coset
-    for i, rep in enumerate(cs.reps):
-        coset = [x for x in G.sorted_elements() if cs.coset_of[x] == i]
-        assert min(coset) == rep
+    mmul = _ops(R).mmul
+    for mul in (mmul, lambda b, x: mmul(x, b)):
+        reps, label = coset_labels(G.sorted_elements(), B.elements, mul)
+        assert len(reps) * B.order == G.order
+        assert set(label) == G.elements
+        # over sorted elements each representative is its coset's minimum
+        for i, rep in enumerate(reps):
+            coset = {mul(b, rep) for b in B.elements}
+            assert {x for x in G.elements if label[x] == i} == coset
+            assert min(coset) == rep
+
+
+def test_coset_labels_rejects_a_non_subgroup():
+    R = ring_of(F3T, "(t)")
+    G = full_sl2(R)
+    t = make_generator("T", R, R.one_idx).code  # order 3
+    with pytest.raises(InternalCheckError):
+        coset_labels(G.sorted_elements(), [_ops(R).identity, t], _ops(R).mmul)
 
 
 # ---------------------------------------------------------------------------
@@ -252,20 +265,58 @@ def test_borel_sizes():
     assert B13.order == 18 and U13.order == 9
 
 
+def double_cosets_by_bfs(G, H, B):
+    """Oracle: H\\G/B by a BFS over all of G under both generator sets."""
+    ops = _ops(G.ring)
+    mmul, minv = ops.mmul, ops.minv
+    hgens = list(H.gens) + [minv(g) for g in H.gens]
+    bgens = list(B.gens) + [minv(g) for g in B.gens]
+    assigned = {}
+    reps = []
+    for x in G.sorted_elements():
+        if x in assigned:
+            continue
+        reps.append(x)
+        assigned[x] = x
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            for z in [mmul(h, y) for h in hgens] + [mmul(y, b) for b in bgens]:
+                if z not in assigned:
+                    assigned[z] = x
+                    stack.append(z)
+    assert len(assigned) == G.order
+    return reps
+
+
 def test_double_cosets_examples():
     R, B = borel_of_sl2_f3()
     G = full_sl2(R)
-    assert len(double_cosets(G, G, B)) == 1
-    bruhat = double_cosets(G, B, B)
-    assert len(bruhat) == 2
+    assert len(_double_coset_data(G, G, B)) == 1
+    # Bruhat: B\G/B has the classes of 1 and of the Weyl element
+    assert len(_double_coset_data(G, B, B)) == 2
 
-    from conglab.matgroups import _double_coset_data
 
-    reps, assigned = _double_coset_data(G, B, B)
-    sizes = {}
-    for x, r in assigned.items():
-        sizes[r] = sizes.get(r, 0) + 1
-    assert sum(sizes.values()) == G.order
+@pytest.mark.parametrize("family", ["Z/4", "Z/6", "Z/8", "F3[t]/(t^2)"])
+def test_double_cosets_match_oracle_on_every_frame(family):
+    for frame in exhaustive_frames(family):
+        G, H, B = frame.ambient, frame.group, frame.borel
+        assert _double_coset_data(G, H, B) == double_cosets_by_bfs(G, H, B)
+
+
+@pytest.mark.parametrize(
+    "spec, modulus", [("Z", "(20)"), ("Q(sqrt(-7)) maximal", "(4)")]
+)
+def test_double_cosets_match_oracle_on_random_frames(spec, modulus):
+    R = ring_of(parse_domain(spec), modulus)
+    G = full_sl2(R)
+    B, _ = borel_and_unipotent(R)
+    codes, bcodes = G.sorted_elements(), B.sorted_elements()
+    rng = random.Random(f"double-cosets:{spec}")
+    # two random elements mostly generate all of G; a Borel one keeps H small
+    for _ in range(6):
+        H = FinMatGroup.from_generators(R, [rng.choice(bcodes), rng.choice(codes)])
+        assert _double_coset_data(G, H, B) == double_cosets_by_bfs(G, H, B)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,13 @@ import itertools
 
 import pytest
 
+from conglab import modular
 from conglab.domains import CapExceeded, ParseError
 from conglab.modular import (
     CuspSplit,
     PermRep,
     _rebased_minimum,
+    _sl2_mod,
     _standardize_xy,
     coset_permrep,
     cusp_split,
@@ -214,6 +216,21 @@ def test_exact_test_examples():
     rep = gamma0_2_rep()
     v = exact_congruence_test(rep)
     assert v.congruence and v.level == 2
+
+
+def test_exact_tests_at_one_level_build_one_ring(monkeypatch):
+    rep = gamma0_2_rep()
+    calls = []
+    real = modular.build_quotient
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(modular, "build_quotient", counting)
+    _sl2_mod.cache_clear()
+    assert exact_congruence_test(rep) == exact_congruence_test(rep)
+    assert len(calls) == 1
 
 
 def test_exact_test_on_small_kernel_cosets():

@@ -111,12 +111,7 @@ def frame_subgroup(domain, modulus, gens, caps=DEFAULT_CAPS, info=None):
     """Frame the subgroup generated by gens together with the level-q0 kernel."""
     ring = build_quotient(domain, modulus, ring_cap=caps.ring)
     ambient = full_sl2(ring, cap=caps.group)
-    codes = [g.code if isinstance(g, Mat2) else g for g in gens]
-    for code in codes:
-        Mat2.from_code(ring, code)
-    group = FinMatGroup.from_generators(ring, codes, cap=caps.group) if codes else (
-        FinMatGroup(ring, (), frozenset({_ops(ring).identity}))
-    )
+    group = FinMatGroup.from_generators(ring, gens, cap=caps.group)
     if not group.elements <= ambient.elements:
         raise InternalCheckError("frame image leaves SL2(R)")
     borel, unipotent = borel_and_unipotent(ring)
@@ -184,13 +179,15 @@ def cusps(frame):
     ops = _ops(ring)
     mmul = ops.mmul
     reps = _double_coset_data(frame.ambient, frame.group, frame.borel)
+    H = frame.group.elements
     uni = frame.unipotent.elements
     out = []
     for code in reps:
         quasi = quasi_amplitude_at(frame, code)
         amp = largest_ideal_inside(quasi)
-        conj = frame.group.conjugated_by(code)
-        stab = conj.elements & frame.borel.elements
+        # the stabiliser of the cusp: B intersected with code^-1 H code
+        cinv = ops.minv(code)
+        stab = {b for b in frame.borel.elements if mmul(mmul(code, b), cinv) in H}
         width = frame.borel.order // len(stab)
         uprod = {mmul(u, x) for u in uni for x in stab}
         m = frame.borel.order // len(uprod)

@@ -149,32 +149,14 @@ def make_generator(kind, ring, *params):
 
 
 def closure_codes(ring, gen_codes, cap=DEFAULT_GROUP_CAP):
-    """BFS closure of the generated subgroup, deterministic insertion order."""
+    """The subgroup generated by gen_codes, one generator at a time."""
     ops = _ops(ring)
-    gset = []
-    seen_g = set()
+    elems = {ops.identity}
+    gens = []
     for g in gen_codes:
-        for h in (g, ops.minv(g)):
-            if h not in seen_g:
-                seen_g.add(h)
-                gset.append(h)
-    identity = ops.identity
-    elems = {identity}
-    order = [identity]
-    mmul = ops.mmul
-    qi = 0
-    while qi < len(order):
-        x = order[qi]
-        qi += 1
-        for g in gset:
-            y = mmul(x, g)
-            if y not in elems:
-                if len(elems) >= cap:
-                    raise CapExceeded(
-                        f"group closure exceeded cap {cap}", partial=len(elems)
-                    )
-                elems.add(y)
-                order.append(y)
+        if g not in elems:
+            elems = extend_closure(elems, gens, g, ops.mmul, cap)
+            gens.append(g)
     return elems
 
 
@@ -223,20 +205,27 @@ class FinMatGroup:
 
     @classmethod
     def from_elements(cls, ring, codes, gens=None):
-        """Wrap a closed element set; generators found greedily if not given."""
+        """Wrap a closed element set; generators found greedily if not given.
+
+        The greedy generators are the elements, in increasing order, that
+        the group generated by the earlier ones does not yet contain.
+        """
         elems = frozenset(codes)
         ops = _ops(ring)
         if ops.identity not in elems:
             raise ValueError("element set lacks the identity")
-        if gens is None:
-            gens = _greedy_generators(ring, elems)
+        closed = {ops.identity}
+        found = []
         try:
-            closed = closure_codes(ring, gens, cap=len(elems))
+            for x in sorted(elems) if gens is None else gens:
+                if x not in closed:
+                    closed = extend_closure(closed, found, x, ops.mmul, cap=len(elems))
+                    found.append(x)
         except CapExceeded:
             raise ValueError("element set is not multiplicatively closed")
         if closed != elems:
             raise ValueError("element set is not multiplicatively closed")
-        return cls(ring, gens, elems)
+        return cls(ring, found if gens is None else gens, elems)
 
     def conjugated_by(self, code):
         """The subgroup code^-1 * self * code."""
@@ -261,21 +250,6 @@ class FinMatGroup:
         if self._normal_in_full is None:
             self._normal_in_full = self.is_normal_in(full_sl2(self.ring))
         return self._normal_in_full
-
-
-def _greedy_generators(ring, elements):
-    gens = []
-    closed = {_ops(ring).identity}
-    for x in sorted(elements):
-        if x not in closed:
-            gens.append(x)
-            try:
-                closed = closure_codes(ring, gens, cap=len(elements) + 1)
-            except CapExceeded:
-                raise ValueError("element set is not multiplicatively closed")
-            if len(closed) > len(elements):
-                raise ValueError("element set is not multiplicatively closed")
-    return gens
 
 
 def sl2_order_formula(modulus):
@@ -306,29 +280,23 @@ def full_sl2(ring, cap=DEFAULT_GROUP_CAP):
 
 
 def normal_closure(ring, gen_codes, ambient, cap=DEFAULT_GROUP_CAP):
-    """Smallest ambient-normal subgroup containing the generators."""
+    """Smallest ambient-normal subgroup containing the generators.
+
+    Each generator's conjugates by the ambient generators are queued, and
+    the group is extended by those it does not yet contain; the result is
+    then mapped into itself by every ambient generator, hence normal.
+    """
     ops = _ops(ring)
     mmul, minv = ops.mmul, ops.minv
-    gset = []
-    seen = set()
-    for g in gen_codes:
-        code = g.code if isinstance(g, Mat2) else g
-        if code not in seen:
-            seen.add(code)
-            gset.append(code)
-    agens = list(ambient.gens) + [minv(g) for g in ambient.gens]
-    while True:
-        grp = closure_codes(ring, gset, cap)
-        new = []
-        for s in gset:
-            for g in agens:
-                c = mmul(mmul(minv(g), s), g)
-                if c not in grp and c not in seen:
-                    seen.add(c)
-                    new.append(c)
-        if not new:
-            return FinMatGroup(ring, gset, grp)
-        gset.extend(new)
+    grp = {ops.identity}
+    gens = []
+    queue = [g.code if isinstance(g, Mat2) else g for g in gen_codes]
+    for s in queue:
+        if s not in grp:
+            grp = extend_closure(grp, gens, s, mmul, cap)
+            gens.append(s)
+            queue.extend(mmul(mmul(minv(a), s), a) for a in ambient.gens)
+    return FinMatGroup(ring, gens, grp)
 
 
 def principal_congruence_image(ring, a, cap=DEFAULT_GROUP_CAP):
@@ -365,6 +333,37 @@ def principal_congruence_image(ring, a, cap=DEFAULT_GROUP_CAP):
         if grp.order != expected:
             raise InternalCheckError("congruence image violates the cube law")
     return grp
+
+
+def extend_closure(group, gens, g, mul, cap=DEFAULT_GROUP_CAP):
+    """The set <group, g>, where group is a closed group generated by gens.
+
+    Dimino's coset extension: the new group is a union of right cosets
+    group*r. Starting from group*g, each representative r is multiplied by
+    every generator s, and r*s opens a new coset when it is not yet
+    covered. Right multiplication by the generators suffices in a finite
+    group, so no inverses are taken. Raises CapExceeded, with partial ==
+    cap, exactly when the new group has more than cap elements.
+    """
+    elems = set(group)
+    reps = []
+
+    def add_coset(r):
+        for h in group:
+            if len(elems) >= cap:
+                raise CapExceeded(f"group closure exceeded cap {cap}", partial=len(elems))
+            elems.add(mul(h, r))
+        reps.append(r)
+
+    if g not in elems:
+        add_coset(g)
+    step = [*gens, g]
+    for r in reps:  # reps grows as cosets are found
+        for s in step:
+            y = mul(r, s)
+            if y not in elems:
+                add_coset(y)
+    return elems
 
 
 def coset_labels(elements, sub, mul):

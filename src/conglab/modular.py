@@ -275,6 +275,8 @@ def low_index_enumerate(max_index, cap=DEFAULT_ENUM_CAP, up_to_conjugacy=True):
     subgroup appears exactly once; conjugates are then deduplicated by
     rebasing (pass up_to_conjugacy=False for the raw subgroup list).
     """
+    if max_index < 1:
+        raise ValueError(f"max index must be at least 1, got {max_index}")
     if max_index > cap:
         raise CapExceeded(f"enumeration index {max_index} above cap {cap}")
     tables = []

@@ -10,6 +10,7 @@ new class is expanded into its full conjugation orbit for deduplication.
 from __future__ import annotations
 
 from .domains import _factor_int
+from .matgroups import extend_closure
 
 
 class DenseGroup:
@@ -53,14 +54,6 @@ class DenseGroup:
     def conj(self, x, g):
         return self.mul(self.mul(self.inv[g], x), g)
 
-    def order_of(self, g):
-        order = 1
-        acc = g
-        while acc != self.identity:
-            acc = self.mul(acc, g)
-            order += 1
-        return order
-
     def cyclic(self, g):
         out = {self.identity}
         acc = g
@@ -68,28 +61,6 @@ class DenseGroup:
             out.add(acc)
             acc = self.mul(acc, g)
         return frozenset(out)
-
-    def closure(self, gens):
-        table = self.table
-        n = self.size
-        gset = []
-        for g in gens:
-            for h in (g, self.inv[g]):
-                if h not in gset:
-                    gset.append(h)
-        seen = bytearray(n)
-        seen[self.identity] = 1
-        order = [self.identity]
-        qi = 0
-        while qi < len(order):
-            base = order[qi] * n
-            qi += 1
-            for g in gset:
-                y = table[base + g]
-                if not seen[y]:
-                    seen[y] = 1
-                    order.append(y)
-        return frozenset(order)
 
 
 def _is_prime_power(n):
@@ -105,10 +76,8 @@ def subgroup_classes(G):
     """
     cyclics = {}
     for g in range(G.size):
-        if not _is_prime_power(G.order_of(g)):
-            continue
         c = G.cyclic(g)
-        if c not in cyclics:
+        if c not in cyclics and _is_prime_power(len(c)):
             cyclics[c] = g
     cyclic_items = sorted(cyclics.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
     seen = {}
@@ -141,8 +110,8 @@ def subgroup_classes(G):
         for cyc, cg in cyclic_items:
             if cg in elems:
                 continue
-            joined = G.closure(list(gens) + [cg])
-            register(joined, tuple(gens) + (cg,))
+            joined = frozenset(extend_closure(elems, gens, cg, G.mul))
+            register(joined, gens + (cg,))
     return reps, seen
 
 

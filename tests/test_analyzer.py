@@ -25,6 +25,7 @@ from conglab.analyzer import (
 from conglab.domains import ideal_arith, parse_domain, residue_norm
 from conglab.matgroups import Mat2, _ops, full_sl2, make_generator
 from conglab.quotients import build_quotient, ideal_image
+from conglab.suites import exhaustive_frames
 
 Z = parse_domain("Z")
 F3T = parse_domain("Fq[t] q=3")
@@ -191,6 +192,18 @@ def test_cusp_term_equals_width_everywhere():
         for c in cusps(F):
             assert c.term == c.width
         assert cusp_split_check(F)
+
+
+@pytest.mark.parametrize("family", ["Z/6", "F3[t]/(t^2)"])
+def test_cusp_stabiliser_matches_conjugate_intersection(family):
+    # oracle: the stabiliser as B intersected with the full conjugate of H
+    for F in exhaustive_frames(family):
+        B, U = F.borel.elements, F.unipotent.elements
+        mmul = _ops(F.ring).mmul
+        for c in cusps(F):
+            stab = F.group.conjugated_by(c.rep.code).elements & B
+            assert c.width == len(B) // len(stab)
+            assert c.m_factor == len(B) // len({mmul(u, x) for u in U for x in stab})
 
 
 def test_widths_sum_to_index():

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import conglab
 from conglab.cli import (
     EXIT_CAP,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PARSE,
     main,
@@ -124,6 +130,14 @@ def test_enumerate_modular(capsys):
     assert all(sum(r["cusp_split"]) == r["n"] for r in report["reps"])
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_enumerate_modular_rejects_max_index_below_one(capsys, value):
+    code, out, err = run_cli(["enumerate-modular", "--max-index", value], capsys)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert "max index" in err
+
+
 def test_verify_suite_single(capsys):
     code, out, _ = run_cli(["verify-suite", "--suite", "lemma4_5"], capsys)
     assert code == EXIT_OK
@@ -201,3 +215,27 @@ def test_screen_perm_group_cap_exit_code(capsys, tmp_path):
     assert code == EXIT_CAP
     assert out == ""
     assert "cap" in err
+
+
+def run_python(*args):
+    src = str(Path(conglab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=300)
+
+
+PATCHED_ORDER_FORMULA = """
+import sys
+from conglab import cli, matgroups
+matgroups.sl2_order_formula = lambda modulus: 7
+sys.exit(cli.main(["analyze", "--domain", "Z", "--modulus", "(2)"]))
+"""
+
+
+def test_output_and_checks_survive_python_O():
+    plain = run_python("-m", "conglab", "analyze", "--example", "ex2_13")
+    optimised = run_python("-O", "-m", "conglab", "analyze", "--example", "ex2_13")
+    assert plain.returncode == optimised.returncode == EXIT_OK
+    assert optimised.stdout == plain.stdout
+    broken = run_python("-O", "-c", PATCHED_ORDER_FORMULA)
+    assert broken.returncode == EXIT_INTERNAL
+    assert b"internal-check" in broken.stderr

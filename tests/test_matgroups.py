@@ -1,7 +1,10 @@
+import functools
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conglab
 from conglab import matgroups
@@ -17,6 +20,7 @@ from conglab.matgroups import (
     core_of,
     coset_labels,
     cube_law_check,
+    extend_closure,
     full_sl2,
     make_generator,
     normal_closure,
@@ -25,7 +29,10 @@ from conglab.matgroups import (
     sl2_order_formula,
 )
 from conglab.quotients import build_quotient
-from conglab.suites import exhaustive_frames
+from conglab.subgroups import DenseGroup
+from conglab.suites import _RANDOM_DOMAINS, exhaustive_frames
+
+from test_subgroups import dense_closure_by_bfs
 
 Z = parse_domain("Z")
 F3T = parse_domain("Fq[t] q=3")
@@ -100,6 +107,53 @@ def test_full_sl2_order_vs_brute_force(D, text, expected):
     G = full_sl2(R)
     assert G.elements == frozenset(oracle)
     assert sl2_order_formula(R.modulus) == expected
+
+
+def closure_codes_by_bfs(ring, gen_codes):
+    """Oracle: BFS closure under the generators and their inverses."""
+    ops = _ops(ring)
+    step = list(gen_codes) + [ops.minv(g) for g in gen_codes]
+    elems = {ops.identity}
+    queue = [ops.identity]
+    for x in queue:
+        for g in step:
+            y = ops.mmul(x, g)
+            if y not in elems:
+                elems.add(y)
+                queue.append(y)
+    return elems
+
+
+# one small quotient of each random-suite domain: a composite modulus, a
+# prime power, a prime, and a ramified and a split prime of an order
+SMALL_MODULI = ("(6)", "(t^2)", "(t)", "(2)", "(3)")
+
+
+@functools.lru_cache(maxsize=None)
+def small_sl2(i):
+    R = ring_of(parse_domain(_RANDOM_DOMAINS[i]), SMALL_MODULI[i])
+    G = full_sl2(R)
+    return R, G, DenseGroup.from_matgroup(G)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, len(SMALL_MODULI) - 1),
+    st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=3),
+)
+def test_closures_match_bfs_oracles(i, picks):
+    R, G, dense = small_sl2(i)
+    codes = G.sorted_elements()
+    gens = [codes[p % len(codes)] for p in picks]
+    closed = closure_codes(R, gens)
+    assert closed == closure_codes_by_bfs(R, gens)
+    H = FinMatGroup.from_elements(R, closed)
+    assert closure_codes_by_bfs(R, H.gens) == closed
+    idx = [dense.index[g] for g in gens]
+    base = dense_closure_by_bfs(dense, idx[:-1])
+    joined = extend_closure(base, idx[:-1], idx[-1], dense.mul)
+    assert joined == dense_closure_by_bfs(dense, idx)
+    assert {dense.labels[k] for k in joined} == closed
 
 
 def test_closure_examples():

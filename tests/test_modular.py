@@ -25,6 +25,8 @@ from conglab.modular import (
     screen_permrep,
 )
 
+from test_subgroups import dense_closure_by_bfs
+
 FULL = PermRep(1, (0,), (0,))
 
 
@@ -179,7 +181,7 @@ def test_psl2_group_matches_oracle_group():
     for n in (1, 2, 3, 4, 6, 8):
         G = psl2_group(n)
         assert G.size == len(oracle_psl2(n)[0])
-        assert G.closure(G.gens) == frozenset(range(G.size))
+        assert dense_closure_by_bfs(G, G.gens) == frozenset(range(G.size))
 
 
 def test_exact_test_matches_oracle():

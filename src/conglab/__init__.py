@@ -49,7 +49,6 @@ from .matgroups import (
     Mat2,
     borel_and_unipotent,
     closure_codes,
-    core_of,
     cube_law_check,
     full_sl2,
     make_generator,

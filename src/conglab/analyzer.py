@@ -26,13 +26,16 @@ from .matgroups import (
     DEFAULT_GROUP_CAP,
     FinMatGroup,
     Mat2,
-    _double_coset_data,
     _ops,
     borel_and_unipotent,
-    core_of,
+    cusp_representatives,
     full_sl2,
     make_generator,
     principal_congruence_image,
+    sl2_order,
+    sl2_order_formula,
+    standard_generators,
+    translations_in_core,
 )
 from .quotients import (
     DEFAULT_RING_CAP,
@@ -62,44 +65,34 @@ DEFAULT_CAPS = Caps()
 class FramedSubgroup:
     """A congruence subgroup encoded by its modulus and image in SL2(D/q0)."""
 
-    def __init__(self, domain, modulus, ring, group, ambient, borel, unipotent, info=None):
+    def __init__(self, domain, modulus, ring, group, info=None):
         self.domain = domain
         self.modulus = modulus
         self.ring = ring
         self.group = group
-        self.ambient = ambient
-        self.borel = borel
-        self.unipotent = unipotent
+        self.borel, self.unipotent = borel_and_unipotent(ring)
         self.info = dict(info or {})
-        self._core = None
-        self._normal = None
-
-    @property
-    def index(self):
-        return self.ambient.order // self.group.order
-
-    @property
-    def core(self):
-        if self._core is None:
-            self._core = core_of(self.group, self.ambient)
-        return self._core
+        self.index = sl2_order_formula(ring.modulus) // group.order
+        self._cusps = None
 
     @property
     def is_normal(self):
-        return self.group.is_normal_in_full()
+        """Whether conjugating by the standard generators keeps the group."""
+        ops = _ops(self.ring)
+        return all(
+            ops.mmul(ops.mmul(ops.minv(g), s), g) in self.group.elements
+            for g in standard_generators(self.ring)
+            for s in self.group.gens
+        )
 
     def conjugated_by(self, code):
-        frame = FramedSubgroup(
+        return FramedSubgroup(
             self.domain,
             self.modulus,
             self.ring,
             self.group.conjugated_by(code),
-            self.ambient,
-            self.borel,
-            self.unipotent,
             info=self.info,
         )
-        return frame
 
     def __repr__(self):
         return (
@@ -110,22 +103,20 @@ class FramedSubgroup:
 def frame_subgroup(domain, modulus, gens, caps=DEFAULT_CAPS, info=None):
     """Frame the subgroup generated by gens together with the level-q0 kernel."""
     ring = build_quotient(domain, modulus, ring_cap=caps.ring)
-    ambient = full_sl2(ring, cap=caps.group)
+    sl2_order(ring, cap=caps.group)
+    # from_generators checks det 1 on each generator, so H lies in SL2(R)
     group = FinMatGroup.from_generators(ring, gens, cap=caps.group)
-    if not group.elements <= ambient.elements:
-        raise InternalCheckError("frame image leaves SL2(R)")
-    borel, unipotent = borel_and_unipotent(ring)
-    return FramedSubgroup(domain, modulus, ring, group, ambient, borel, unipotent, info)
+    return FramedSubgroup(domain, modulus, ring, group, info)
 
 
 def frame_from_group(domain, modulus, group, caps=DEFAULT_CAPS, info=None):
     """Frame a prebuilt FinMatGroup (element set already closed)."""
     ring = group.ring
-    ambient = full_sl2(ring, cap=caps.group)
-    if not group.elements <= ambient.elements:
-        raise InternalCheckError("frame image leaves SL2(R)")
-    borel, unipotent = borel_and_unipotent(ring)
-    return FramedSubgroup(domain, modulus, ring, group, ambient, borel, unipotent, info)
+    sl2_order(ring, cap=caps.group)
+    for a, b, c, d in map(_ops(ring).decode, group.elements):
+        if ring.mul(a, d) != ring.add(ring.one_idx, ring.mul(b, c)):
+            raise InternalCheckError("frame image leaves SL2(R)")
+    return FramedSubgroup(domain, modulus, ring, group, info)
 
 
 # ---------------------------------------------------------------------------
@@ -157,15 +148,9 @@ def quasi_amplitude_at(frame, g, group=None):
     """The additive group {x in R : g T(x) g^-1 in H} at an arbitrary g."""
     ring = frame.ring
     ops = _ops(ring)
-    code = g.code if isinstance(g, Mat2) else g
-    ginv = ops.minv(code)
+    a, _, c, _ = ops.decode(g.code if isinstance(g, Mat2) else g)
     elems = group.elements if group is not None else frame.group.elements
-    hits = []
-    one, zero = ring.one_idx, ring.zero_idx
-    for x in range(ring.size):
-        t = ops.encode(one, x, zero, one)
-        if ops.mmul(ops.mmul(code, t), ginv) in elems:
-            hits.append(x)
+    hits = [x for x in range(ring.size) if ops.conj_translation(a, c, x) in elems]
     return additive_closure(hits, ring)
 
 
@@ -175,14 +160,15 @@ def amplitude_at(frame, g):
 
 def cusps(frame):
     """One CuspData per double coset of the frame against the Borel image."""
+    if frame._cusps is not None:
+        return list(frame._cusps)
     ring = frame.ring
     ops = _ops(ring)
     mmul = ops.mmul
-    reps = _double_coset_data(frame.ambient, frame.group, frame.borel)
     H = frame.group.elements
     uni = frame.unipotent.elements
     out = []
-    for code in reps:
+    for code in cusp_representatives(frame.group):
         quasi = quasi_amplitude_at(frame, code)
         amp = largest_ideal_inside(quasi)
         # the stabiliser of the cusp: B intersected with code^-1 H code
@@ -196,7 +182,8 @@ def cusps(frame):
             raise InternalCheckError("cusp width does not factor as m * |D:b|")
         orbit = _squared_unit_orbit(ring, quasi)
         out.append(CuspData(Mat2.from_code(ring, code), quasi, amp, m, width, term, orbit))
-    return out
+    frame._cusps = out
+    return list(out)
 
 
 def _squared_unit_orbit(ring, quasi):
@@ -214,8 +201,13 @@ def _squared_unit_orbit(ring, quasi):
 
 
 def quasi_level(frame):
-    """Translations landing in every conjugate: the core's quasi-amplitude."""
-    return quasi_amplitude_at(frame, _ops(frame.ring).identity, group=frame.core)
+    """Translations landing in every conjugate of the frame: the quasi-amplitude
+    at g depends only on HgU, so this is the intersection of the cusps' orbits."""
+    inter = set(range(frame.ring.size))
+    for c in cusps(frame):
+        for member in c.orbit:
+            inter &= member.elements
+    return additive_closure(inter, frame.ring)
 
 
 def level(frame):
@@ -246,6 +238,8 @@ def order_ideal(frame):
 def level_chain(frame):
     """(level, quasi-level, order ideal); enforces l <= ql <= o elementwise."""
     ql = quasi_level(frame)
+    if not translations_in_core(frame.group, ql.generators):
+        raise InternalCheckError("a quasi-level translation leaves a conjugate of the frame")
     lvl = largest_ideal_inside(ql)
     o = order_ideal(frame)
     ring = frame.ring
@@ -512,7 +506,7 @@ def analyze(frame):
     lvl, ql, o_ideal = level_chain(frame)
     if extrema.c_min != lvl:
         raise InternalCheckError(
-            "amplitude intersection differs from the core-based level"
+            "amplitude intersection differs from the level"
         )
     condition = condition_L(lvl)
     quasi_verdict = quasi_level_ideal_check(frame, lvl, ql)

@@ -66,6 +66,15 @@ class _MatOps:
         neg = self.neg_t
         return self.encode(neg[a], neg[b], neg[c], neg[d])
 
+    def conj_translation(self, a, c, x):
+        """g T(x) g^-1 for any g with first column (a, c): [[1-xac, xa^2], [-xc^2, 1+xac]]."""
+        n, add, mul, neg = self.n, self.ring.add_t, self.ring.mul_t, self.neg_t
+        one = self.ring.one_idx
+        xa = mul[x * n + a]
+        xac = mul[xa * n + c]
+        xc2 = mul[mul[x * n + c] * n + c]
+        return self.encode(add[one * n + neg[xac]], mul[xa * n + a], neg[xc2], add[one * n + xac])
+
 
 def _ops(ring):
     ops = getattr(ring, "_matops", None)
@@ -99,12 +108,6 @@ class Mat2:
     def from_code(cls, ring, code):
         a, b, c, d = _ops(ring).decode(code)
         return cls(ring, a, b, c, d)
-
-    def __mul__(self, other):
-        return Mat2.from_code(self.ring, _ops(self.ring).mmul(self.code, other.code))
-
-    def inverse(self):
-        return Mat2.from_code(self.ring, _ops(self.ring).minv(self.code))
 
     def __str__(self):
         e = self.ring.element_str
@@ -168,8 +171,6 @@ class FinMatGroup:
         self.gens = tuple(gens)
         self.elements = frozenset(elements)
         self._sorted = None
-        self._core = None
-        self._normal_in_full = None
 
     @property
     def order(self):
@@ -236,21 +237,6 @@ class FinMatGroup:
         gens = tuple(mmul(mmul(inv, g), code) for g in self.gens)
         return FinMatGroup(self.ring, gens, elems)
 
-    def is_normal_in(self, ambient):
-        ops = _ops(self.ring)
-        mmul, minv = ops.mmul, ops.minv
-        for g in ambient.gens:
-            gi = minv(g)
-            for s in self.gens:
-                if mmul(mmul(gi, s), g) not in self.elements:
-                    return False
-        return True
-
-    def is_normal_in_full(self):
-        if self._normal_in_full is None:
-            self._normal_in_full = self.is_normal_in(full_sl2(self.ring))
-        return self._normal_in_full
-
 
 def sl2_order_formula(modulus):
     """|SL2(D/q)| from the factorization of q."""
@@ -261,18 +247,25 @@ def sl2_order_formula(modulus):
     return total
 
 
-def full_sl2(ring, cap=DEFAULT_GROUP_CAP):
-    """SL2(R), generated by elementary matrices over an additive basis of R."""
-    if ring._full_sl2 is not None:
-        return ring._full_sl2
+def sl2_order(ring, cap=DEFAULT_GROUP_CAP):
+    """|SL2(R)| by the order formula; CapExceeded when it is above cap."""
     expected = sl2_order_formula(ring.modulus)
     if expected > cap:
         raise CapExceeded(f"|SL2(R)| = {expected} exceeds cap {cap}")
-    gens = []
-    for g in ring.additive_generators:
-        gens.append(make_generator("T", ring, g))
-        gens.append(make_generator("S", ring, g))
-    grp = FinMatGroup.from_generators(ring, gens, cap=expected + 1)
+    return expected
+
+
+def standard_generators(ring):
+    """Codes of T(g) and S(g) over an additive basis of R; they generate SL2(R)."""
+    return [make_generator(k, ring, g).code for g in ring.additive_generators for k in "TS"]
+
+
+def full_sl2(ring, cap=DEFAULT_GROUP_CAP):
+    """SL2(R), generated by the standard generators."""
+    if ring._full_sl2 is not None:
+        return ring._full_sl2
+    expected = sl2_order(ring, cap)
+    grp = FinMatGroup.from_generators(ring, standard_generators(ring), cap=expected + 1)
     if grp.order != expected:
         raise InternalCheckError("SL2 closure does not match the order formula")
     ring._full_sl2 = grp
@@ -388,28 +381,6 @@ def coset_labels(elements, sub, mul):
     return reps, label
 
 
-def core_of(subgroup, ambient):
-    """Largest ambient-normal subgroup inside the subgroup.
-
-    Computed as the kernel of the right-coset action, which equals the
-    intersection of all conjugates.
-    """
-    if subgroup._core is not None:
-        return subgroup._core
-    mmul = _ops(subgroup.ring).mmul
-    reps, label = coset_labels(ambient.sorted_elements(), subgroup.elements, mmul)
-    core = [
-        h
-        for h in subgroup.sorted_elements()
-        if all(label[mmul(r, h)] == i for i, r in enumerate(reps))
-    ]
-    grp = FinMatGroup.from_elements(subgroup.ring, core)
-    if not grp.is_normal_in(ambient):
-        raise InternalCheckError("core is not normal in the ambient group")
-    subgroup._core = grp
-    return grp
-
-
 def borel_and_unipotent(ring):
     """Images of the upper-triangular and translation subgroups of SL2(D).
 
@@ -440,32 +411,68 @@ def borel_and_unipotent(ring):
     return borel, unipotent
 
 
-def _double_coset_data(G, H, B):
+def unimodular_columns(ring):
+    """Map each first column (a, c) of SL2(R), that is each coset gU, to the
+    minimum code in it; a BFS from e1 under the standard generators."""
+    if getattr(ring, "_columns", None) is not None:
+        return ring._columns
+    ops = _ops(ring)
+    n = ring.size
+    add, mul = ring.add_t, ring.mul_t
+    gens = standard_generators(ring)
+    columns = {}
+    queue = [ops.identity]
+    for x in queue:  # queue grows as columns are found
+        a, b, c, d = ops.decode(x)
+        if (a, c) not in columns:
+            # the matrices with this column are x T(r) = (a, b+ar, c, d+cr)
+            b, d = min((add[b * n + mul[a * n + r]], add[d * n + mul[c * n + r]]) for r in range(n))
+            columns[(a, c)] = ops.encode(a, b, c, d)
+            queue.extend(ops.mmul(s, x) for s in gens)
+    if len(columns) * n != sl2_order_formula(ring.modulus):
+        raise InternalCheckError("unimodular columns do not match the order formula")
+    ring._columns = columns
+    return columns
+
+
+def cusp_representatives(group):
     """One representative per H\\G/B class: its minimum packed code.
 
-    The left cosets xB are labelled once over G in sorted order, so each
-    coset's representative is its minimum; the double cosets are then the
-    orbits of H's generators on those |G/B| points.
+    gB is the column of g up to scaling by the domain's unit images, so the
+    double cosets are the orbits on the |G/U| unimodular columns of H's
+    generators together with those scalars.
     """
-    mmul = _ops(G.ring).mmul
-    points, label = coset_labels(G.sorted_elements(), B.elements, lambda b, x: mmul(x, b))
-    seen = [False] * len(points)
+    ring = group.ring
+    columns = unimodular_columns(ring)
+    n, add, mul, zero = ring.size, ring.add_t, ring.mul_t, ring.zero_idx
+    # each action is a matrix [[p, q], [r, s]], its entries stored times n
+    acts = [_ops(ring).decode(h) for h in group.gens]
+    acts += [(u, zero, zero, u) for u in ring.domain_unit_image]
+    acts = [tuple(e * n for e in m) for m in acts]
+    seen = set()
     reps = []
-    for i, x in enumerate(points):
-        if seen[i]:
+    for start in sorted(columns, key=columns.get):
+        if start in seen:
             continue
-        # points are in increasing order, so an orbit's first point is its minimum
-        reps.append(x)
-        seen[i] = True
-        stack = [x]
-        while stack:
-            y = stack.pop()
-            for h in H.gens:
-                j = label[mmul(h, y)]
-                if not seen[j]:
-                    seen[j] = True
-                    stack.append(points[j])
+        reps.append(columns[start])  # columns run in increasing order: start is its orbit's minimum
+        seen.add(start)
+        orbit = [start]
+        for a, c in orbit:  # orbit grows as columns are found
+            for p, q, r, s in acts:
+                y = (add[mul[p + a] * n + mul[q + c]], add[mul[r + a] * n + mul[s + c]])
+                if y not in seen:
+                    seen.add(y)
+                    orbit.append(y)
     return reps
+
+
+def translations_in_core(group, xs):
+    """Whether g T(x) g^-1 lies in the group for every g in SL2(R), x in xs;
+    it depends on g only through its first column."""
+    conj = _ops(group.ring).conj_translation
+    return all(
+        conj(a, c, x) in group.elements for a, c in unimodular_columns(group.ring) for x in xs
+    )
 
 
 def cube_law_check(domain, q, q_sub, ring_cap=None, group_cap=DEFAULT_GROUP_CAP):

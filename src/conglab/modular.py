@@ -30,13 +30,6 @@ def perm_mul(p, q):
     return tuple(q[i] for i in p)
 
 
-def perm_inv(p):
-    out = [0] * len(p)
-    for i, j in enumerate(p):
-        out[j] = i
-    return tuple(out)
-
-
 def _perm_order_divides(p, k):
     acc = tuple(range(len(p)))
     for _ in range(k):

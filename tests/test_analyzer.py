@@ -1,8 +1,14 @@
+import hashlib
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conglab import analyzer, matgroups
 from conglab.analyzer import (
+    InternalCheckError,
     quasi_level,
     TranslationSubspace,
     amplitude_at,
@@ -12,6 +18,7 @@ from conglab.analyzer import (
     build_example,
     cusp_split_check,
     cusps,
+    frame_from_group,
     frame_subgroup,
     level,
     level_chain,
@@ -23,9 +30,19 @@ from conglab.analyzer import (
     unit_square_closure_check,
 )
 from conglab.domains import ideal_arith, parse_domain, residue_norm
-from conglab.matgroups import Mat2, _ops, full_sl2, make_generator
-from conglab.quotients import build_quotient, ideal_image
+from conglab.matgroups import (
+    FinMatGroup,
+    Mat2,
+    _ops,
+    borel_and_unipotent,
+    cusp_representatives,
+    full_sl2,
+    make_generator,
+)
+from conglab.quotients import additive_closure, build_quotient, ideal_image
 from conglab.suites import exhaustive_frames
+
+from test_matgroups import SMALL_MODULI, core_of, double_cosets_by_bfs, small_sl2
 
 Z = parse_domain("Z")
 F3T = parse_domain("Fq[t] q=3")
@@ -451,7 +468,7 @@ def test_coprime_level_splitting_on_kernel_frame():
 
 
 def test_square_coordinate_quasi_level_is_the_square_set():
-    # the quasi-level computed through the core must equal the set of
+    # the quasi-level computed from the cusps must equal the set of
     # squares of the ramified prime's image, found independently here
     from conglab.domains import factor_ideal
     from conglab.quotients import ideal_image as _ideal_image
@@ -463,3 +480,82 @@ def test_square_coordinate_quasi_level_is_the_square_set():
     ql = quasi_level(F)
     assert ql.elements == frozenset(squares)
     assert len(ql) == 2
+
+
+# ---------------------------------------------------------------------------
+# the column walk against the core and G/B oracles
+
+
+def assert_quasi_level_is_the_core_quasi_amplitude(F):
+    G = full_sl2(F.ring)
+    oracle = quasi_amplitude_at(F, _ops(F.ring).identity, group=core_of(F.group, G))
+    ql = quasi_level(F)
+    assert ql == oracle
+    assert ql.generators == oracle.generators  # the JSON prints the generators
+
+
+@pytest.mark.parametrize("family", ["Z/4", "Z/6", "Z/8", "Z/9", "F3[t]/(t^2)"])
+def test_quasi_level_matches_core_oracle_on_every_frame(family):
+    for F in exhaustive_frames(family):
+        assert_quasi_level_is_the_core_quasi_amplitude(F)
+
+
+def test_quasi_level_matches_core_oracle_on_examples():
+    for name in analyzer.EXAMPLE_NAMES:
+        assert_quasi_level_is_the_core_quasi_amplitude(build_example(name))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, len(SMALL_MODULI) - 1),
+    st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=3),
+)
+def test_column_walk_matches_oracles_on_random_frames(i, picks):
+    # the first generator is upper triangular, which keeps many frames small
+    R, G, _ = small_sl2(i)
+    B, _ = borel_and_unipotent(R)
+    codes, bcodes = G.sorted_elements(), B.sorted_elements()
+    gens = [bcodes[picks[0] % len(bcodes)]] + [codes[p % len(codes)] for p in picks[1:]]
+    F = frame_from_group(R.domain, R.modulus, FinMatGroup.from_generators(R, gens))
+    assert_quasi_level_is_the_core_quasi_amplitude(F)
+    assert cusp_representatives(F.group) == double_cosets_by_bfs(G, F.group, B)
+    level_chain(F)  # the column check passes on the true quasi-level
+
+
+def z30_frame():
+    ring = build_quotient(Z, Z.parse_ideal("(30)"))
+    gens = [
+        make_generator("T", ring, ring.one_idx),
+        make_generator("S", ring, ring.reduce(6)),
+        make_generator("Tdiag", ring, ring.reduce(7), ring.zero_idx),
+    ]
+    return frame_subgroup(Z, ring.modulus, gens)
+
+
+def test_frames_never_build_sl2(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("SL2(R) enumerated")
+
+    for module in (matgroups, analyzer):
+        monkeypatch.setattr(module, "full_sl2", refuse)
+    monkeypatch.setattr(matgroups, "coset_labels", refuse)
+    # digests of the reports before frames stopped building SL2(R)
+    ex2_13 = "3063c24b4d67dc577fec5473c02aa0b8bad70bb299a208ca2b92ea620e7b50b2"
+    z30 = "c6c0dbab8a44171fd3c828c76800af26dee03ec1226b086a7d26229dc3d5a220"
+    F = z30_frame()
+    for frame, digest in (
+        (build_example("ex2_13"), ex2_13),
+        (F, z30),
+        (frame_from_group(Z, F.modulus, F.group), z30),
+    ):
+        report = json.dumps(analyze(frame).to_json(), sort_keys=True).encode()
+        assert hashlib.sha256(report).hexdigest() == digest
+
+
+def test_column_check_catches_a_wrong_quasi_level(monkeypatch):
+    F = z30_frame()
+    true_ql = quasi_level(F)
+    wrong = additive_closure(set(true_ql.elements) | {F.ring.reduce(3)}, F.ring)
+    monkeypatch.setattr(analyzer, "quasi_level", lambda frame: wrong)
+    with pytest.raises(InternalCheckError, match="quasi-level translation"):
+        analyze(F)

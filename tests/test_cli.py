@@ -89,6 +89,18 @@ def test_analyze_cap_exceeded_exit_code(capsys):
     assert "cap" in err
 
 
+def test_analyze_group_cap_is_checked_against_the_order_formula(capsys):
+    # |SL2(Z/6)| = 144: the frame is refused below that without building SL2
+    argv = ["analyze", "--domain", "Z", "--modulus", "(6)"]
+    code, out, err = run_cli(["--group-cap", "143", *argv], capsys)
+    assert code == EXIT_CAP
+    assert out == ""
+    assert "cap" in err
+    code, out, _ = run_cli(["--group-cap", "144", *argv], capsys)
+    assert code == EXIT_OK
+    assert json.loads(out)["index"] == 144
+
+
 def test_byte_identical_output(capsys):
     _, out1, _ = run_cli(["analyze", "--example", "ex3_5"], capsys)
     _, out2, _ = run_cli(["analyze", "--example", "ex3_5"], capsys)

@@ -13,13 +13,12 @@ from conglab.domains import factor_ideal, ideal_pow, parse_domain
 from conglab.matgroups import (
     FinMatGroup,
     Mat2,
-    _double_coset_data,
     _ops,
     borel_and_unipotent,
     closure_codes,
-    core_of,
     coset_labels,
     cube_law_check,
+    cusp_representatives,
     extend_closure,
     full_sl2,
     make_generator,
@@ -27,6 +26,8 @@ from conglab.matgroups import (
     principal_congruence_image,
     projective_center_is_trivial,
     sl2_order_formula,
+    translations_in_core,
+    unimodular_columns,
 )
 from conglab.quotients import build_quotient
 from conglab.subgroups import DenseGroup
@@ -263,6 +264,19 @@ def borel_of_sl2_f3():
     return R, FinMatGroup.from_generators(R, gens)
 
 
+def core_of(subgroup, ambient):
+    """Oracle: the largest ambient-normal subgroup inside the subgroup, as the
+    kernel of the right-coset action (the intersection of all conjugates)."""
+    mmul = _ops(subgroup.ring).mmul
+    reps, label = coset_labels(ambient.sorted_elements(), subgroup.elements, mmul)
+    core = [
+        h
+        for h in subgroup.sorted_elements()
+        if all(label[mmul(r, h)] == i for i, r in enumerate(reps))
+    ]
+    return FinMatGroup.from_elements(subgroup.ring, core)
+
+
 def test_core_examples():
     R, B = borel_of_sl2_f3()
     G = full_sl2(R)
@@ -343,19 +357,47 @@ def double_cosets_by_bfs(G, H, B):
     return reps
 
 
+@pytest.mark.parametrize("i", range(len(SMALL_MODULI)))
+def test_unimodular_columns_hold_each_coset_minimum(i):
+    # oracle: group all of SL2(R) by first column, in increasing code order
+    R, G, _ = small_sl2(i)
+    ops = _ops(R)
+    oracle = {}
+    for x in G.sorted_elements():
+        oracle.setdefault(ops.decode(x)[::2], x)
+    assert unimodular_columns(R) == oracle
+
+
+def test_translations_in_core_matches_the_core_oracle():
+    for frame in exhaustive_frames("Z/6") + exhaustive_frames("F3[t]/(t^2)"):
+        R, H = frame.ring, frame.group
+        core = core_of(H, full_sl2(R))
+        for x in range(R.size):
+            t = make_generator("T", R, x).code
+            assert translations_in_core(H, [x]) == (t in core)
+        assert frame.is_normal == (core == H)
+
+
+def test_unimodular_columns_order_check_raises_internal_check(monkeypatch):
+    ring = build_quotient(Z, Z.parse_ideal("(6)"))
+    monkeypatch.setattr(matgroups, "sl2_order_formula", lambda modulus: 7)
+    with pytest.raises(InternalCheckError, match="unimodular columns"):
+        unimodular_columns(ring)
+
+
 def test_double_cosets_examples():
     R, B = borel_of_sl2_f3()
     G = full_sl2(R)
-    assert len(_double_coset_data(G, G, B)) == 1
+    assert len(cusp_representatives(G)) == 1
     # Bruhat: B\G/B has the classes of 1 and of the Weyl element
-    assert len(_double_coset_data(G, B, B)) == 2
+    assert len(cusp_representatives(B)) == 2
 
 
 @pytest.mark.parametrize("family", ["Z/4", "Z/6", "Z/8", "F3[t]/(t^2)"])
 def test_double_cosets_match_oracle_on_every_frame(family):
     for frame in exhaustive_frames(family):
-        G, H, B = frame.ambient, frame.group, frame.borel
-        assert _double_coset_data(G, H, B) == double_cosets_by_bfs(G, H, B)
+        G, H, B = full_sl2(frame.ring), frame.group, frame.borel
+        assert cusp_representatives(H) == double_cosets_by_bfs(G, H, B)
 
 
 @pytest.mark.parametrize(
@@ -370,7 +412,7 @@ def test_double_cosets_match_oracle_on_random_frames(spec, modulus):
     # two random elements mostly generate all of G; a Borel one keeps H small
     for _ in range(6):
         H = FinMatGroup.from_generators(R, [rng.choice(bcodes), rng.choice(codes)])
-        assert _double_coset_data(G, H, B) == double_cosets_by_bfs(G, H, B)
+        assert cusp_representatives(H) == double_cosets_by_bfs(G, H, B)
 
 
 # ---------------------------------------------------------------------------

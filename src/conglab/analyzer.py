@@ -166,7 +166,6 @@ def cusps(frame):
     ops = _ops(ring)
     mmul = ops.mmul
     H = frame.group.elements
-    uni = frame.unipotent.elements
     out = []
     for code in cusp_representatives(frame.group):
         quasi = quasi_amplitude_at(frame, code)
@@ -175,8 +174,8 @@ def cusps(frame):
         cinv = ops.minv(code)
         stab = {b for b in frame.borel.elements if mmul(mmul(code, b), cinv) in H}
         width = frame.borel.order // len(stab)
-        uprod = {mmul(u, x) for u in uni for x in stab}
-        m = frame.borel.order // len(uprod)
+        # U = T(R) moves only the (1,2) entry, so |U * stab| = |R| * #{(1,1) entries}
+        m = frame.borel.order // (ring.size * len({b // ops.n3 for b in stab}))
         term = m * (ring.size // len(quasi))
         if term != width:
             raise InternalCheckError("cusp width does not factor as m * |D:b|")

@@ -25,7 +25,7 @@ class _MatOps:
         self.n = n
         self.n2 = n * n
         self.n3 = n * n * n
-        self.neg_t = [ring.neg(i) for i in range(n)]
+        self.neg_t = ring.neg_t
         self.identity = self.encode(ring.one_idx, ring.zero_idx, ring.zero_idx, ring.one_idx)
 
     def encode(self, a, b, c, d):

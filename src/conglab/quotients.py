@@ -26,6 +26,7 @@ class QuotientRing:
         self.size = size
         self.add_t = None
         self.mul_t = None
+        self.neg_t = None
         self._inv_cache = {}
         self._full_sl2 = None
 
@@ -50,6 +51,8 @@ class QuotientRing:
         return self.reduce(self.domain.mul(self.lift(i), self.lift(j)))
 
     def neg(self, i):
+        if self.neg_t is not None:
+            return self.neg_t[i]
         return self.reduce(self.domain.neg(self.lift(i)))
 
     def sub(self, i, j):
@@ -74,7 +77,7 @@ class QuotientRing:
         raise InternalCheckError("unit without inverse")
 
     def ensure_tables(self):
-        """Build flat add/mul tables (required by the matrix-group layer)."""
+        """Build flat add/mul/neg tables (required by the matrix-group layer)."""
         if self.mul_t is not None:
             return
         n = self.size
@@ -94,6 +97,7 @@ class QuotientRing:
                 add_t[j * n + i] = s
                 mul_t[row + j] = p
                 mul_t[j * n + i] = p
+        self.neg_t = [self.reduce(D.neg(x)) for x in lifts]
         self.add_t = add_t
         self.mul_t = mul_t
 

@@ -213,7 +213,8 @@ def test_cusp_term_equals_width_everywhere():
 
 @pytest.mark.parametrize("family", ["Z/6", "F3[t]/(t^2)"])
 def test_cusp_stabiliser_matches_conjugate_intersection(family):
-    # oracle: the stabiliser as B intersected with the full conjugate of H
+    # oracles: the stabiliser as B intersected with the full conjugate of H,
+    # and m from the product set U * stab, which cusps() only counts
     for F in exhaustive_frames(family):
         B, U = F.borel.elements, F.unipotent.elements
         mmul = _ops(F.ring).mmul

@@ -251,3 +251,10 @@ def test_output_and_checks_survive_python_O():
     broken = run_python("-O", "-c", PATCHED_ORDER_FORMULA)
     assert broken.returncode == EXIT_INTERNAL
     assert b"internal-check" in broken.stderr
+
+
+def test_survey_gate_passes_under_python_O():
+    result = run_python("-O", "-m", "conglab", "verify-suite", "--suite", "amplitude_extrema")
+    assert result.returncode == EXIT_OK
+    (suite,) = json.loads(result.stdout)["suites"]
+    assert (suite["name"], suite["checks"], suite["passed"]) == ("amplitude_extrema", 531, 531)

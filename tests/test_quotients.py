@@ -85,7 +85,9 @@ def test_arith_tables_agree_with_domain_ops():
     R.ensure_tables()
     D = F9T
     for i in range(R.size):
+        assert R.neg(i) == R.reduce(D.neg(R.lift(i)))
         for j in range(R.size):
+            assert R.sub(i, j) == R.reduce(D.sub(R.lift(i), R.lift(j)))
             assert R.add(i, j) == R.reduce(D.add(R.lift(i), R.lift(j)))
             assert R.mul(i, j) == R.reduce(D.mul(R.lift(i), R.lift(j)))
 

@@ -1,13 +1,60 @@
 import itertools
 
-from conglab.domains import parse_domain
-from conglab.matgroups import full_sl2
-from conglab.modular import psl2_group
+import pytest
+
+from conglab import subgroups
+from conglab.domains import _factor_int, parse_domain
+from conglab.matgroups import _ops, extend_closure, full_sl2
+from conglab.modular import _sl2_mod, psl2_group
 from conglab.quotients import build_quotient
 from conglab.subgroups import DenseGroup, all_subgroups, subgroup_classes
 
 Z = parse_domain("Z")
 F3T = parse_domain("Fq[t] q=3")
+
+
+def subgroup_classes_by_join(G):
+    """Oracle: join every class representative with every cyclic subgroup of
+    prime-power order; every subgroup of a finite group is such a join."""
+    cyclics = {}
+    for g in range(G.size):
+        c = frozenset(G.powers(g))
+        if c not in cyclics and len(_factor_int(len(c))) == 1:
+            cyclics[c] = g
+    cyclic_items = sorted(cyclics.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+    seen = {}
+    reps = []
+    queue = []
+
+    def register(elems, gens):
+        if elems in seen:
+            return
+        cid = len(reps)
+        orbit = {elems}
+        stack = [elems]
+        while stack:
+            current = stack.pop()
+            for g in G.gens:
+                conj = frozenset(G.conj(x, g) for x in current)
+                if conj not in orbit:
+                    orbit.add(conj)
+                    stack.append(conj)
+        for member in orbit:
+            seen[member] = cid
+        reps.append((elems, tuple(gens)))
+        queue.append((elems, tuple(gens)))
+
+    register(frozenset({G.identity}), ())
+    qi = 0
+    while qi < len(queue):
+        elems, gens = queue[qi]
+        qi += 1
+        for cyc, cg in cyclic_items:
+            if cg in elems:
+                continue
+            joined = frozenset(extend_closure(elems, gens, cg, G.mul))
+            register(joined, gens + (cg,))
+    return reps, seen
 
 
 def dense_closure_by_bfs(G, gens):
@@ -93,3 +140,60 @@ def test_all_subgroups_deterministic_order():
     listed = all_subgroups(seen)
     assert listed == sorted(listed, key=lambda s: (len(s), sorted(s)))
     assert len(listed) == len(seen)
+
+
+def partition(seen):
+    classes = {}
+    for members, cid in seen.items():
+        classes.setdefault(cid, set()).add(members)
+    return {frozenset(c) for c in classes.values()}
+
+
+ORACLE_GROUPS = {
+    **{f"SL2(Z/{n})": (lambda n=n: dense_sl2(Z, f"({n})")) for n in (4, 5, 6, 8)},
+    "SL2(F3[t]/(t^2))": lambda: dense_sl2(F3T, "(t^2)"),
+    **{f"PSL2(Z/{n})": (lambda n=n: psl2_group(n)) for n in range(2, 9)},
+}
+NOT_SOLVABLE = {"SL2(Z/5)", "PSL2(Z/5)", "PSL2(Z/7)"}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GROUPS))
+def test_cyclic_extension_matches_join_oracle(name, monkeypatch):
+    G = ORACLE_GROUPS[name]()
+    fallbacks = []
+    joins = subgroups._prime_power_joins
+    monkeypatch.setattr(subgroups, "_prime_power_joins", lambda G: fallbacks.append(G) or joins(G))
+    reps, seen = subgroup_classes(G)
+    # cyclic extension alone reaches every subgroup of a solvable group
+    assert len(fallbacks) == (name in NOT_SOLVABLE)
+    _, oracle_seen = subgroup_classes_by_join(G)
+    assert set(seen) == set(oracle_seen)
+    classes = partition(seen)
+    assert classes == partition(oracle_seen)
+    # one rep per class, its least member, sorted by (order, sorted elements)
+    least = sorted((min(c, key=sorted) for c in classes), key=lambda s: (len(s), sorted(s)))
+    assert [elems for elems, _ in reps] == least
+    for cid, (elems, gens) in enumerate(reps):
+        assert seen[elems] == cid
+        assert dense_closure_by_bfs(G, gens or [G.identity]) == elems
+
+
+def lazy_table_cases():
+    ops = _ops(build_quotient(Z, Z.parse_ideal("(4)")))
+    yield dense_sl2(Z, "(4)"), ops.mmul, ops.minv
+    ops, _, _ = _sl2_mod(6)
+
+    def label(x):
+        return min(x, ops.mneg(x))
+
+    yield psl2_group(6), lambda x, y: label(ops.mmul(x, y)), lambda x: label(ops.minv(x))
+
+
+def test_lazy_table_agrees_with_label_arithmetic():
+    for G, mul_label, inv_label in lazy_table_cases():
+        assert -1 in G.table  # entries are filled on first use
+        for i, x in enumerate(G.labels):
+            assert G.labels[G.inv[i]] == inv_label(x)
+            for j, y in enumerate(G.labels):
+                assert G.labels[G.mul(i, j)] == mul_label(x, y)
+        assert -1 not in G.table

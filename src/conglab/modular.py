@@ -146,16 +146,44 @@ def larcher_check(split):
 # SL2(Z/n) and PSL2(Z/n) on the packed-code layer
 
 
+class _LevelWalk:
+    """The matrix ops of Z/(n), the codes s, t of S and T, and the Cayley
+    graph of PSL2(Z/n) under right multiplication by S and T.
+
+    Nodes are the labels min(x, -x), numbered breadth-first from the
+    identity in `codes`; edges[2i + k] is the number of codes[i] * (S, T)[k].
+    The graph grows one edge per `grow`, only as far as some walk reads it.
+    """
+
+    def __init__(self, n):
+        ring = build_quotient(_Z, _Z.principal_ideal(n))
+        self.ops = ops = _ops(ring)
+        r = ring.reduce
+        self.s = ops.encode(r(0), r(-1), r(1), r(0))
+        self.t = ops.encode(r(1), r(1), r(0), r(1))
+        self.codes = [self.label(ops.identity)]
+        self.number = {self.codes[0]: 0}
+        self.edges = []
+
+    def label(self, x):
+        return min(x, self.ops.mneg(x))
+
+    def grow(self):
+        i, k = divmod(len(self.edges), 2)
+        x = self.label(self.ops.mmul(self.codes[i], (self.s, self.t)[k]))
+        num = self.number.setdefault(x, len(self.codes))
+        if num == len(self.codes):
+            self.codes.append(x)
+        self.edges.append(num)
+
+
 @lru_cache(maxsize=None)
 def _sl2_mod(n):
-    """The matrix ops of Z/(n) and the packed codes of S and T, one ring per n.
+    """The shared walk of level n, one ring per n.
 
     Callers bound n through `projective_group_order` first.
     """
-    ring = build_quotient(_Z, _Z.principal_ideal(n))
-    ops = _ops(ring)
-    r = ring.reduce
-    return ops, ops.encode(r(0), r(-1), r(1), r(0)), ops.encode(r(1), r(1), r(0), r(1))
+    return _LevelWalk(n)
 
 
 def projective_group_order(n, cap=DEFAULT_GROUP_CAP):
@@ -171,16 +199,12 @@ def projective_group_order(n, cap=DEFAULT_GROUP_CAP):
 def psl2_group(n, cap=DEFAULT_GROUP_CAP):
     """PSL2(Z/n) on generators S, T; each label is the smaller code of +-x."""
     projective_group_order(n, cap)
-    ops, s, t = _sl2_mod(n)
-    mmul, mneg = ops.mmul, ops.mneg
-
-    def label(x):
-        return min(x, mneg(x))
-
+    walk = _sl2_mod(n)
+    label, mmul = walk.label, walk.ops.mmul
     # |SL2(Z/n)| <= 2 |PSL2(Z/n)|, which the order check bounded by cap
-    labels = sorted({label(x) for x in full_sl2(ops.ring, 2 * cap).elements})
+    labels = sorted({label(x) for x in full_sl2(walk.ops.ring, 2 * cap).elements})
     return DenseGroup(
-        labels, lambda x, y: label(mmul(x, y)), label(ops.identity), [label(s), label(t)]
+        labels, lambda x, y: label(mmul(x, y)), walk.codes[0], [label(walk.s), label(walk.t)]
     )
 
 
@@ -211,33 +235,31 @@ class CongruenceVerdict:
 def exact_congruence_test(rep, level_override=None, cap=DEFAULT_GROUP_CAP):
     """Whether the subgroup contains the full level-n0 kernel.
 
-    Walks SL2(Z/n0) from the identity by right multiplication with S and
-    T, giving each new element e the point phi[e] that its walk word sends
-    the base point to, and stops at the first edge the action contradicts.
-    -I = S^2 acts trivially (PermRep checks S^2 = 1), so this decides the
-    same question as the walk over PSL2(Z/n0).
+    Walks the level's shared Cayley graph of PSL2(Z/n0) (see `_LevelWalk`)
+    in its breadth-first order, giving each new node the point phi[i] that
+    its walk word sends the base point to, and stops at the first edge the
+    action contradicts.  -I = S^2 acts trivially (PermRep checks S^2 = 1),
+    so this decides the same question as the walk over SL2(Z/n0).  Edges
+    read once are kept for later tests at the same level.
     """
     split = cusp_split(rep)
     n0 = level_override if level_override is not None else split.level
     projective_group_order(n0, cap)
-    ops, s, t = _sl2_mod(n0)
-    mmul = ops.mmul
-    phi = {ops.identity: 0}
-    order = [ops.identity]
-    actions = ((s, rep.S), (t, rep.T))
-    qi = 0
-    while qi < len(order):
-        e = order[qi]
-        qi += 1
-        here = phi[e]
-        for g, sigma in actions:
-            img = mmul(e, g)
-            reached = phi.get(img)
-            if reached is None:
-                phi[img] = sigma[here]
-                order.append(img)
-            elif reached != sigma[here]:
-                return CongruenceVerdict(False, split.level)
+    walk = _sl2_mod(n0)
+    edges = walk.edges
+    actions = (rep.S, rep.T)
+    phi = [0]
+    j = 0
+    while j < 2 * len(phi):
+        if j == len(edges):
+            walk.grow()
+        target = edges[j]
+        image = actions[j & 1][phi[j >> 1]]
+        if target == len(phi):
+            phi.append(image)
+        elif phi[target] != image:
+            return CongruenceVerdict(False, split.level)
+        j += 1
     return CongruenceVerdict(True, split.level)
 
 

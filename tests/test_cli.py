@@ -253,6 +253,15 @@ def test_output_and_checks_survive_python_O():
     assert b"internal-check" in broken.stderr
 
 
+def test_modular_screens_survive_python_O():
+    args = ("-m", "conglab", "enumerate-modular", "--max-index", "12", "--screen")
+    plain = run_python(*args)
+    optimised = run_python("-O", *args)
+    assert plain.returncode == optimised.returncode == EXIT_OK
+    assert optimised.stdout == plain.stdout
+    assert json.loads(plain.stdout)["count"] == 175
+
+
 def test_survey_gate_passes_under_python_O():
     result = run_python("-O", "-m", "conglab", "verify-suite", "--suite", "amplitude_extrema")
     assert result.returncode == EXIT_OK

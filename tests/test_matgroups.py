@@ -1,4 +1,3 @@
-import functools
 import itertools
 import random
 
@@ -30,10 +29,9 @@ from conglab.matgroups import (
     unimodular_columns,
 )
 from conglab.quotients import build_quotient
-from conglab.subgroups import DenseGroup
-from conglab.suites import _RANDOM_DOMAINS, exhaustive_frames
+from conglab.suites import exhaustive_frames
 
-from test_subgroups import dense_closure_by_bfs
+from test_subgroups import SMALL_MODULI, dense_closure_by_bfs, small_sl2
 
 Z = parse_domain("Z")
 F3T = parse_domain("Fq[t] q=3")
@@ -123,18 +121,6 @@ def closure_codes_by_bfs(ring, gen_codes):
                 elems.add(y)
                 queue.append(y)
     return elems
-
-
-# one small quotient of each random-suite domain: a composite modulus, a
-# prime power, a prime, and a ramified and a split prime of an order
-SMALL_MODULI = ("(6)", "(t^2)", "(t)", "(2)", "(3)")
-
-
-@functools.lru_cache(maxsize=None)
-def small_sl2(i):
-    R = ring_of(parse_domain(_RANDOM_DOMAINS[i]), SMALL_MODULI[i])
-    G = full_sl2(R)
-    return R, G, DenseGroup.from_matgroup(G)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

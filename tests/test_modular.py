@@ -5,6 +5,7 @@ import pytest
 
 from conglab import modular
 from conglab.domains import CapExceeded, ParseError
+from conglab.matgroups import _MatOps
 from conglab.modular import (
     CuspSplit,
     PermRep,
@@ -184,11 +185,24 @@ def test_psl2_group_matches_oracle_group():
 
 
 def test_exact_test_matches_oracle():
-    for rep in low_index_enumerate(9):
-        v = exact_congruence_test(rep)
-        assert v.congruence == oracle_exact_test(rep, v.level)
-        v2 = exact_congruence_test(rep, level_override=2 * v.level)
-        assert v2.congruence == oracle_exact_test(rep, 2 * v.level)
+    # every rep of index <= 12 at its own level, and up to index 9 also at
+    # twice it; swept forwards and backwards from a cold cache, so the
+    # shared edges are read both after deeper walks grew them and while
+    # shallower walks grow them
+    cases = []
+    for rep in low_index_enumerate(12):
+        level = cusp_split(rep).level
+        cases.append((rep, None, level))
+        if rep.n <= 9:
+            cases.append((rep, 2 * level, 2 * level))
+    expected = [oracle_exact_test(rep, n0) for rep, _, n0 in cases]
+    for sweep in (range(len(cases)), reversed(range(len(cases)))):
+        _sl2_mod.cache_clear()
+        for k in sweep:
+            rep, override, _ = cases[k]
+            v = exact_congruence_test(rep, level_override=override)
+            assert v.congruence == expected[k]
+            assert v.level == cusp_split(rep).level
 
 
 def test_index_level_examples():
@@ -219,6 +233,15 @@ def test_exact_test_examples():
     assert v.congruence and v.level == 2
 
 
+def level_eight_noncongruence_rep():
+    # index 8, one cusp of width 8, passes every screen but the exact test
+    for rep in low_index_enumerate(8):
+        if rep.n == 8 and cusp_split(rep).lengths == (8,) and index_level_checks(rep).passed:
+            if not oracle_exact_test(rep, 8):
+                return rep
+    raise AssertionError("no level-8 non-congruence rep of index 8")
+
+
 def test_exact_tests_at_one_level_build_one_ring(monkeypatch):
     rep = gamma0_2_rep()
     calls = []
@@ -232,6 +255,35 @@ def test_exact_tests_at_one_level_build_one_ring(monkeypatch):
     _sl2_mod.cache_clear()
     assert exact_congruence_test(rep) == exact_congruence_test(rep)
     assert len(calls) == 1
+
+    # a non-congruence walk grows the level's graph only up to the edge
+    # that fails, and a repeated test at a warm level multiplies nothing
+    other = level_eight_noncongruence_rep()
+    first = [exact_congruence_test(r) for r in (rep, other)]
+    assert len(_sl2_mod(8).edges) < 2 * projective_group_order(8)
+    mmuls = []
+    real_mmul = _MatOps.mmul
+
+    def counting_mmul(self, x, y):
+        mmuls.append((x, y))
+        return real_mmul(self, x, y)
+
+    monkeypatch.setattr(_MatOps, "mmul", counting_mmul)
+    assert [exact_congruence_test(r) for r in (rep, other)] == first
+    assert mmuls == []
+
+
+@pytest.mark.parametrize("run_all", [False, True])
+def test_warm_level_still_honours_the_cap(run_all):
+    # the shared walk is cached per level, not per cap
+    rep = gamma0_2_rep()
+    _sl2_mod.cache_clear()
+    assert exact_congruence_test(rep).congruence
+    assert len(_sl2_mod(2).edges) == 2 * projective_group_order(2)
+    with pytest.raises(CapExceeded):
+        exact_congruence_test(rep, cap=5)
+    with pytest.raises(CapExceeded):
+        screen_permrep(rep, run_all=run_all, cap=5)
 
 
 def test_exact_test_on_small_kernel_cosets():

@@ -1,13 +1,17 @@
+import functools
 import itertools
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conglab import subgroups
-from conglab.domains import _factor_int, parse_domain
-from conglab.matgroups import _ops, extend_closure, full_sl2
+from conglab.domains import CapExceeded, _factor_int, parse_domain
+from conglab.matgroups import FinMatGroup, _ops, closure_codes, extend_closure, full_sl2
 from conglab.modular import _sl2_mod, psl2_group
 from conglab.quotients import build_quotient
 from conglab.subgroups import DenseGroup, all_subgroups, subgroup_classes
+from conglab.suites import _RANDOM_DOMAINS
 
 Z = parse_domain("Z")
 F3T = parse_domain("Fq[t] q=3")
@@ -74,6 +78,19 @@ def dense_closure_by_bfs(G, gens):
 def dense_sl2(D, text):
     ring = build_quotient(D, D.parse_ideal(text))
     return DenseGroup.from_matgroup(full_sl2(ring))
+
+
+# one small quotient of each random-suite domain: a composite modulus, a
+# prime power, a prime, and a ramified and a split prime of an order
+SMALL_MODULI = ("(6)", "(t^2)", "(t)", "(2)", "(3)")
+
+
+@functools.lru_cache(maxsize=None)
+def small_sl2(i):
+    D = parse_domain(_RANDOM_DOMAINS[i])
+    R = build_quotient(D, D.parse_ideal(SMALL_MODULI[i]))
+    G = full_sl2(R)
+    return R, G, DenseGroup.from_matgroup(G)
 
 
 def test_dense_group_table_consistency():
@@ -157,15 +174,32 @@ ORACLE_GROUPS = {
 NOT_SOLVABLE = {"SL2(Z/5)", "PSL2(Z/5)", "PSL2(Z/7)"}
 
 
-@pytest.mark.parametrize("name", sorted(ORACLE_GROUPS))
-def test_cyclic_extension_matches_join_oracle(name, monkeypatch):
-    G = ORACLE_GROUPS[name]()
+def solvable_by_derived_series(G):
+    """Oracle: the derived series of G reaches the trivial group."""
+    current = frozenset(range(G.size))
+    while len(current) > 1:
+        commutators = {
+            G.mul(G.mul(G.inv[x], G.inv[y]), G.mul(x, y)) for x in current for y in current
+        }
+        derived = dense_closure_by_bfs(G, sorted(commutators))
+        if derived == current:
+            return False
+        current = derived
+    return True
+
+
+def classes_counting_fallbacks(G):
     fallbacks = []
     joins = subgroups._prime_power_joins
-    monkeypatch.setattr(subgroups, "_prime_power_joins", lambda G: fallbacks.append(G) or joins(G))
-    reps, seen = subgroup_classes(G)
-    # cyclic extension alone reaches every subgroup of a solvable group
-    assert len(fallbacks) == (name in NOT_SOLVABLE)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(
+            subgroups, "_prime_power_joins", lambda G: fallbacks.append(G) or joins(G)
+        )
+        reps, seen = subgroup_classes(G)
+    return reps, seen, len(fallbacks)
+
+
+def assert_matches_join_oracle(G, reps, seen):
     _, oracle_seen = subgroup_classes_by_join(G)
     assert set(seen) == set(oracle_seen)
     classes = partition(seen)
@@ -178,10 +212,44 @@ def test_cyclic_extension_matches_join_oracle(name, monkeypatch):
         assert dense_closure_by_bfs(G, gens or [G.identity]) == elems
 
 
+@pytest.mark.parametrize("name", sorted(ORACLE_GROUPS))
+def test_cyclic_extension_matches_join_oracle(name):
+    G = ORACLE_GROUPS[name]()
+    reps, seen, fallbacks = classes_counting_fallbacks(G)
+    # cyclic extension alone reaches every subgroup of a solvable group
+    assert fallbacks == (name in NOT_SOLVABLE)
+    assert_matches_join_oracle(G, reps, seen)
+
+
+RANDOM_GROUP_CAP = 200
+
+
+# the explicit examples pin both paths: a subgroup SL2(F5) of SL2(F9), of
+# order 120 and not solvable, and all of SL2(Z/6), of order 144 and solvable
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, len(SMALL_MODULI) - 1),
+    st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=2),
+)
+@example(2, [0, 4])
+@example(0, [1, 2])
+def test_join_oracle_on_random_groups(i, picks):
+    R, full, _ = small_sl2(i)
+    codes = full.sorted_elements()
+    try:
+        closed = closure_codes(R, [codes[p % len(codes)] for p in picks], cap=RANDOM_GROUP_CAP)
+    except CapExceeded:
+        assume(False)
+    G = DenseGroup.from_matgroup(FinMatGroup.from_elements(R, closed))
+    reps, seen, fallbacks = classes_counting_fallbacks(G)
+    assert fallbacks == (not solvable_by_derived_series(G))
+    assert_matches_join_oracle(G, reps, seen)
+
+
 def lazy_table_cases():
     ops = _ops(build_quotient(Z, Z.parse_ideal("(4)")))
     yield dense_sl2(Z, "(4)"), ops.mmul, ops.minv
-    ops, _, _ = _sl2_mod(6)
+    ops = _sl2_mod(6).ops
 
     def label(x):
         return min(x, ops.mneg(x))

@@ -47,7 +47,6 @@ from .domains import (
 from .matgroups import (
     FinMatGroup,
     Mat2,
-    borel_and_unipotent,
     closure_codes,
     cube_law_check,
     full_sl2,

@@ -27,7 +27,6 @@ from .matgroups import (
     FinMatGroup,
     Mat2,
     _ops,
-    borel_and_unipotent,
     cusp_representatives,
     full_sl2,
     make_generator,
@@ -70,7 +69,6 @@ class FramedSubgroup:
         self.modulus = modulus
         self.ring = ring
         self.group = group
-        self.borel, self.unipotent = borel_and_unipotent(ring)
         self.info = dict(info or {})
         self.index = sl2_order_formula(ring.modulus) // group.order
         self._cusps = None
@@ -159,23 +157,23 @@ def amplitude_at(frame, g):
 
 
 def cusps(frame):
-    """One CuspData per double coset of the frame against the Borel image."""
+    """One CuspData per double coset of the frame against the Borel image.
+
+    The stabiliser B cap g^-1 H g of the cusp at g has |quasi| elements
+    above each of its count distinct (1,1) entries, so with
+    |B| = |unit image| * |R| the width is |B| / (|quasi| * count), and
+    |U * stab| = |R| * count gives m.
+    """
     if frame._cusps is not None:
         return list(frame._cusps)
     ring = frame.ring
-    ops = _ops(ring)
-    mmul = ops.mmul
-    H = frame.group.elements
+    borel_order = len(ring.domain_unit_image) * ring.size
     out = []
-    for code in cusp_representatives(frame.group):
+    for code, count in cusp_representatives(frame.group):
         quasi = quasi_amplitude_at(frame, code)
         amp = largest_ideal_inside(quasi)
-        # the stabiliser of the cusp: B intersected with code^-1 H code
-        cinv = ops.minv(code)
-        stab = {b for b in frame.borel.elements if mmul(mmul(code, b), cinv) in H}
-        width = frame.borel.order // len(stab)
-        # U = T(R) moves only the (1,2) entry, so |U * stab| = |R| * #{(1,1) entries}
-        m = frame.borel.order // (ring.size * len({b // ops.n3 for b in stab}))
+        width = borel_order // (len(quasi) * count)
+        m = borel_order // (ring.size * count)
         term = m * (ring.size // len(quasi))
         if term != width:
             raise InternalCheckError("cusp width does not factor as m * |D:b|")
@@ -214,23 +212,20 @@ def level(frame):
 
 
 def order_ideal(frame):
-    """Preimage of the ideal generated by a-d, b, c over the image group."""
+    """The ideal generated by the modulus and a-d, b, c over the frame image.
+
+    The matrices that are scalar modulo an ideal form a group, so the
+    generators of the image suffice.
+    """
     ring = frame.ring
     ops = _ops(ring)
     seeds = set()
-    for code in frame.group.elements:
+    for code in frame.group.gens:
         a, b, c, d = ops.decode(code)
-        seeds.add(ring.sub(a, d))
-        seeds.add(b)
-        seeds.add(c)
-    ringwide = set()
-    for s in seeds:
-        for r in range(ring.size):
-            ringwide.add(ring.mul(s, r))
-    span = additive_closure(ringwide, ring)
+        seeds.update((ring.sub(a, d), b, c))
     out = ring.modulus
-    for g in span.generators:
-        out = ideal_arith("sum", out, ring.domain.principal_ideal(ring.lift(g)))
+    for s in seeds - {ring.zero_idx}:
+        out = ideal_arith("sum", out, ring.domain.principal_ideal(ring.lift(s)))
     return out
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .analyzer import (
     Caps,
+    DEFAULT_CAPS,
     EXAMPLE_NAMES,
     InternalCheckError,
     TranslationSubspace,
@@ -56,9 +57,7 @@ class RunConfig:
 
 
 def _parse_caps(args):
-    ring = 2 ** 16
-    group = 5 * 10 ** 6
-    factor = 2 ** 64
+    ring, group, factor = DEFAULT_CAPS.ring, DEFAULT_CAPS.group, DEFAULT_CAPS.factor
     env = os.environ.get("CONGLAB_CAPS")
     if env:
         for part in env.split(","):

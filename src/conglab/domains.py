@@ -806,9 +806,6 @@ class QuadraticDomain(Domain):
     def one(self):
         return (1, 0)
 
-    def w(self):
-        return (0, 1)
-
     def add(self, x, y):
         return (x[0] + y[0], x[1] + y[1])
 
@@ -823,12 +820,6 @@ class QuadraticDomain(Domain):
 
     def from_int(self, n):
         return (n, 0)
-
-    def element_norm(self, x):
-        """Field norm N(a + b*w) as an integer."""
-        a, b = x
-        # N(x) = x * conj(x); conj(w) = c1 - w
-        return a * a + a * b * self.c1 - b * b * self.c0
 
     def element_str(self, x):
         a, b = x

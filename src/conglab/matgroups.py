@@ -119,9 +119,7 @@ def make_generator(kind, ring, *params):
 
     kind "T": T(r) upper unipotent; "S": S(r) lower unipotent;
     "Tdiag": T(alpha, r) upper triangular with unit alpha;
-    "Runi": R(r) = [[1+r, r], [-r, 1-r]];
-    "U": U(a, b; x), the conjugate g T(x) g^{-1} for g with first column
-    (a, b), defined for (a, b) lifting to a unimodular pair.
+    "Runi": R(r) = [[1+r, r], [-r, 1-r]].
     """
     R = ring
     one, zero = R.one_idx, R.zero_idx
@@ -139,15 +137,6 @@ def make_generator(kind, ring, *params):
     if kind == "Runi":
         (r,) = params
         return Mat2(R, R.add(one, r), r, R.neg(r), R.sub(one, r))
-    if kind == "U":
-        a, b, x = params
-        lifted = R.domain.ideal_from_gens([R.lift(a), R.lift(b)])
-        if not ideal_arith("sum", lifted, R.modulus).is_unit_ideal():
-            raise ValueError("(a, b) does not lift to a unimodular pair")
-        xab = R.mul(x, R.mul(a, b))
-        xa2 = R.mul(x, R.mul(a, a))
-        xb2 = R.mul(x, R.mul(b, b))
-        return Mat2(R, R.sub(one, xab), xa2, R.neg(xb2), R.add(one, xab))
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
@@ -261,10 +250,10 @@ def standard_generators(ring):
 
 
 def full_sl2(ring, cap=DEFAULT_GROUP_CAP):
-    """SL2(R), generated by the standard generators."""
+    """SL2(R), generated by the standard generators; the cap holds on every call."""
+    expected = sl2_order(ring, cap)
     if ring._full_sl2 is not None:
         return ring._full_sl2
-    expected = sl2_order(ring, cap)
     grp = FinMatGroup.from_generators(ring, standard_generators(ring), cap=expected + 1)
     if grp.order != expected:
         raise InternalCheckError("SL2 closure does not match the order formula")
@@ -381,36 +370,6 @@ def coset_labels(elements, sub, mul):
     return reps, label
 
 
-def borel_and_unipotent(ring):
-    """Images of the upper-triangular and translation subgroups of SL2(D).
-
-    The diagonal entries range over the image of the domain's unit group,
-    not over all units of R.
-    """
-    cached = getattr(ring, "_borel_pair", None)
-    if cached is not None:
-        return cached
-    ops = _ops(ring)
-    zero = ring.zero_idx
-    borel_codes = []
-    for u in ring.domain_unit_image:
-        uinv = ring.inv(u)
-        for r in range(ring.size):
-            borel_codes.append(ops.encode(u, r, zero, uinv))
-    gens = [make_generator("T", ring, g).code for g in ring.additive_generators]
-    gens += [
-        make_generator("Tdiag", ring, u, zero).code
-        for u in ring.domain_unit_image
-        if u != ring.one_idx
-    ]
-    borel = FinMatGroup.from_elements(ring, borel_codes, gens=gens or [ops.identity])
-    uni_codes = [ops.encode(ring.one_idx, r, zero, ring.one_idx) for r in range(ring.size)]
-    ugens = [make_generator("T", ring, g).code for g in ring.additive_generators]
-    unipotent = FinMatGroup.from_elements(ring, uni_codes, gens=ugens or [ops.identity])
-    ring._borel_pair = (borel, unipotent)
-    return borel, unipotent
-
-
 def unimodular_columns(ring):
     """Map each first column (a, c) of SL2(R), that is each coset gU, to the
     minimum code in it; a BFS from e1 under the standard generators."""
@@ -436,33 +395,43 @@ def unimodular_columns(ring):
 
 
 def cusp_representatives(group):
-    """One representative per H\\G/B class: its minimum packed code.
+    """One (code, count) pair per H\\G/B class.
 
-    gB is the column of g up to scaling by the domain's unit images, so the
-    double cosets are the orbits on the |G/U| unimodular columns of H's
-    generators together with those scalars.
+    gB is the column of g up to scaling by the domain's unit images, so a
+    class is a set of H-orbits on the |G/U| unimodular columns that the
+    scalings u permute. code is the class's minimum packed code; count is
+    #{u : u*c lies in the H-orbit of c}, the number of distinct (1,1)
+    entries of B intersected with g^-1 H g, the same for every column c of
+    the class since the scalings commute with H.
     """
     ring = group.ring
     columns = unimodular_columns(ring)
-    n, add, mul, zero = ring.size, ring.add_t, ring.mul_t, ring.zero_idx
+    n, add, mul = ring.size, ring.add_t, ring.mul_t
     # each action is a matrix [[p, q], [r, s]], its entries stored times n
-    acts = [_ops(ring).decode(h) for h in group.gens]
-    acts += [(u, zero, zero, u) for u in ring.domain_unit_image]
-    acts = [tuple(e * n for e in m) for m in acts]
-    seen = set()
-    reps = []
+    acts = [tuple(e * n for e in _ops(ring).decode(h)) for h in group.gens]
+    orbit_of = {}
+    starts = []
     for start in sorted(columns, key=columns.get):
-        if start in seen:
+        if start in orbit_of:
             continue
-        reps.append(columns[start])  # columns run in increasing order: start is its orbit's minimum
-        seen.add(start)
+        # columns run in increasing order: start is its orbit's minimum
+        orbit_of[start] = k = len(starts)
+        starts.append(start)
         orbit = [start]
         for a, c in orbit:  # orbit grows as columns are found
             for p, q, r, s in acts:
                 y = (add[mul[p + a] * n + mul[q + c]], add[mul[r + a] * n + mul[s + c]])
-                if y not in seen:
-                    seen.add(y)
+                if y not in orbit_of:
+                    orbit_of[y] = k
                     orbit.append(y)
+    reps = []
+    placed = set()
+    for k, (a, c) in enumerate(starts):  # a class's first orbit holds its minimum
+        if k in placed:
+            continue
+        images = [orbit_of[(mul[u * n + a], mul[u * n + c])] for u in ring.domain_unit_image]
+        placed.update(images)
+        reps.append((columns[(a, c)], images.count(k)))
     return reps
 
 

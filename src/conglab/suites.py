@@ -22,6 +22,7 @@ from .analyzer import (
     cusps,
     frame_from_group,
     frame_subgroup,
+    index_level_inequality_check,
     level,
     level_chain,
     level_index_divisibility_check,
@@ -477,11 +478,7 @@ def suite_level_divisibility(caps, seed, families=None):
                 lvl, ql, _ = level_chain(frame)
                 quasi_level_ideal_check(frame, lvl, ql)
                 level_index_divisibility_check(frame, lvl)
-                kind = frame.domain.kind
-                if kind != "polynomials":
-                    d = 1 if kind == "integers" else 2
-                    if residue_norm(lvl) > frame.index ** d:
-                        raise InternalCheckError("index-level inequality fails")
+                index_level_inequality_check(frame, lvl)
 
             res.run_guarded(f"{family} frame of order {frame.group.order}", one)
     return res

@@ -34,15 +34,19 @@ from conglab.matgroups import (
     FinMatGroup,
     Mat2,
     _ops,
-    borel_and_unipotent,
-    cusp_representatives,
     full_sl2,
     make_generator,
 )
 from conglab.quotients import additive_closure, build_quotient, ideal_image
 from conglab.suites import exhaustive_frames
 
-from test_matgroups import SMALL_MODULI, core_of, double_cosets_by_bfs, small_sl2
+from test_matgroups import (
+    SMALL_MODULI,
+    assert_cusp_representatives_match_oracles,
+    borel_and_unipotent,
+    core_of,
+    small_sl2,
+)
 
 Z = parse_domain("Z")
 F3T = parse_domain("Fq[t] q=3")
@@ -216,7 +220,7 @@ def test_cusp_stabiliser_matches_conjugate_intersection(family):
     # oracles: the stabiliser as B intersected with the full conjugate of H,
     # and m from the product set U * stab, which cusps() only counts
     for F in exhaustive_frames(family):
-        B, U = F.borel.elements, F.unipotent.elements
+        B, U = (grp.elements for grp in borel_and_unipotent(F.ring))
         mmul = _ops(F.ring).mmul
         for c in cusps(F):
             stab = F.group.conjugated_by(c.rep.code).elements & B
@@ -519,7 +523,7 @@ def test_column_walk_matches_oracles_on_random_frames(i, picks):
     gens = [bcodes[picks[0] % len(bcodes)]] + [codes[p % len(codes)] for p in picks[1:]]
     F = frame_from_group(R.domain, R.modulus, FinMatGroup.from_generators(R, gens))
     assert_quasi_level_is_the_core_quasi_amplitude(F)
-    assert cusp_representatives(F.group) == double_cosets_by_bfs(G, F.group, B)
+    assert_cusp_representatives_match_oracles(G, F.group, B)
     level_chain(F)  # the column check passes on the true quasi-level
 
 
@@ -560,3 +564,56 @@ def test_column_check_catches_a_wrong_quasi_level(monkeypatch):
     monkeypatch.setattr(analyzer, "quasi_level", lambda frame: wrong)
     with pytest.raises(InternalCheckError, match="quasi-level translation"):
         analyze(F)
+
+
+# ---------------------------------------------------------------------------
+# per-frame work without matrix products
+
+
+def order_ideal_by_elements(frame):
+    """Oracle: the modulus plus the ideal spanned by R * {a-d, b, c} over all of H."""
+    ring = frame.ring
+    ops = _ops(ring)
+    seeds = set()
+    for code in frame.group.elements:
+        a, b, c, d = ops.decode(code)
+        seeds.update((ring.sub(a, d), b, c))
+    span = additive_closure({ring.mul(s, r) for s in seeds for r in range(ring.size)}, ring)
+    out = ring.modulus
+    for g in span.generators:
+        out = ideal_arith("sum", out, ring.domain.principal_ideal(ring.lift(g)))
+    return out
+
+
+@pytest.mark.parametrize("family", ["Z/6", "Z/8", "F3[t]/(t^2)"])
+def test_order_ideal_matches_elementwise_oracle_on_every_frame(family):
+    for F in exhaustive_frames(family):
+        assert analyzer.order_ideal(F) == order_ideal_by_elements(F)
+
+
+def test_order_ideal_matches_elementwise_oracle_on_examples():
+    # a diagonal image has b = c = 0, so only a - d = 7 - 7^-1 = -6 lifts (30) to (6)
+    ring = build_quotient(Z, Z.parse_ideal("(30)"))
+    diagonal = frame_subgroup(
+        Z, ring.modulus, [make_generator("Tdiag", ring, ring.reduce(7), ring.zero_idx)]
+    )
+    assert analyzer.order_ideal(diagonal) == Z.parse_ideal("(6)")
+    for F in [build_example(name) for name in analyzer.EXAMPLE_NAMES] + [z30_frame(), diagonal]:
+        assert analyzer.order_ideal(F) == order_ideal_by_elements(F)
+
+
+def test_cusps_and_order_ideal_make_no_matrix_products(monkeypatch):
+    calls = []
+    mmul = matgroups._MatOps.mmul
+
+    def counting(self, x, y):
+        calls.append(1)
+        return mmul(self, x, y)
+
+    for F in (build_example("ex2_13"), z30_frame()):
+        matgroups.unimodular_columns(F.ring)
+        monkeypatch.setattr(matgroups._MatOps, "mmul", counting)
+        cusps(F)
+        analyzer.order_ideal(F)
+        monkeypatch.undo()
+        assert len(calls) == 0

@@ -267,3 +267,11 @@ def test_survey_gate_passes_under_python_O():
     assert result.returncode == EXIT_OK
     (suite,) = json.loads(result.stdout)["suites"]
     assert (suite["name"], suite["checks"], suite["passed"]) == ("amplitude_extrema", 531, 531)
+
+
+def test_exact_soundness_passes_under_python_O():
+    # compares frame levels and cusp widths with the permreps' exact tests and T-cycles
+    result = run_python("-O", "-m", "conglab", "verify-suite", "--suite", "exact_soundness")
+    assert result.returncode == EXIT_OK
+    (suite,) = json.loads(result.stdout)["suites"]
+    assert (suite["name"], suite["checks"], suite["passed"]) == ("exact_soundness", 1649, 1649)

@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 import conglab
 from conglab import matgroups
 from conglab.analyzer import InternalCheckError
-from conglab.domains import factor_ideal, ideal_pow, parse_domain
+from conglab.domains import CapExceeded, factor_ideal, ideal_pow, parse_domain
 from conglab.matgroups import (
     FinMatGroup,
     Mat2,
     _ops,
-    borel_and_unipotent,
     closure_codes,
     coset_labels,
     cube_law_check,
@@ -64,15 +63,26 @@ def test_generator_T_zero_is_identity():
 
 
 def test_generator_U_specializations():
+    # U(a, c; x) = g T(x) g^-1 for g with first column (a, c)
     R = ring_of(Z, "(7)")
+    conj = _ops(R).conj_translation
     one, zero = R.one_idx, R.zero_idx
     for x in range(R.size):
-        assert make_generator("U", R, one, zero, x) == make_generator("T", R, x)
+        assert conj(one, zero, x) == make_generator("T", R, x).code
         # U(0,1;x) is the lower unipotent with parameter -x; the family
         # {U(0,1;x)} equals {S(x)} as x ranges over the ring
-        assert make_generator("U", R, zero, one, x) == make_generator(
-            "S", R, R.neg(x)
-        )
+        assert conj(zero, one, x) == make_generator("S", R, R.neg(x)).code
+
+
+@pytest.mark.parametrize("D,text", [(Z, "(6)"), (F3T, "(t^2)")])
+def test_conj_translation_matches_the_matrix_product(D, text):
+    R = ring_of(D, text)
+    ops = _ops(R)
+    for g in full_sl2(R).sorted_elements():
+        a, _, c, _ = ops.decode(g)
+        for x in range(R.size):
+            t = make_generator("T", R, x).code
+            assert ops.conj_translation(a, c, x) == ops.mmul(ops.mmul(g, t), ops.minv(g))
 
 
 def test_generator_Runi_over_z4():
@@ -85,7 +95,7 @@ def test_generator_errors():
     R = ring_of(Z, "(4)")
     with pytest.raises(ValueError):
         make_generator("Tdiag", R, R.reduce(2), R.zero_idx)  # 2 not a unit mod 4
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown generator kind"):
         make_generator("U", R, R.reduce(2), R.reduce(2), R.one_idx)
     with pytest.raises(ValueError):
         Mat2(R, R.one_idx, R.zero_idx, R.zero_idx, R.reduce(3))  # det 3
@@ -106,6 +116,14 @@ def test_full_sl2_order_vs_brute_force(D, text, expected):
     G = full_sl2(R)
     assert G.elements == frozenset(oracle)
     assert sl2_order_formula(R.modulus) == expected
+
+
+def test_warm_full_sl2_still_honours_the_cap():
+    R = ring_of(Z, "(6)")
+    assert full_sl2(R).order == 144
+    with pytest.raises(CapExceeded):
+        full_sl2(R, cap=10)
+    assert full_sl2(R, cap=144).order == 144
 
 
 def closure_codes_by_bfs(ring, gen_codes):
@@ -304,6 +322,18 @@ def test_coset_labels_rejects_a_non_subgroup():
 # borel image and double cosets
 
 
+def borel_and_unipotent(ring):
+    """Oracle: the images B of the upper-triangular subgroup of SL2(D), its
+    diagonal over the image of the domain's unit group, and U = T(R)."""
+    ops = _ops(ring)
+    zero, one = ring.zero_idx, ring.one_idx
+    borel = [
+        ops.encode(u, r, zero, ring.inv(u)) for u in ring.domain_unit_image for r in range(ring.size)
+    ]
+    unipotent = [ops.encode(one, r, zero, one) for r in range(ring.size)]
+    return FinMatGroup.from_elements(ring, borel), FinMatGroup.from_elements(ring, unipotent)
+
+
 def test_borel_sizes():
     R = ring_of(Z, "(5)")
     B, U = borel_and_unipotent(R)
@@ -343,6 +373,20 @@ def double_cosets_by_bfs(G, H, B):
     return reps
 
 
+def stabiliser_count_by_conjugation(H, B, code):
+    """Oracle: the distinct (1,1) entries of B intersected with code^-1 H code."""
+    n3 = _ops(H.ring).n3
+    return len({b // n3 for b in H.conjugated_by(code).elements & B.elements})
+
+
+def assert_cusp_representatives_match_oracles(G, H, B):
+    reps = cusp_representatives(H)
+    assert [code for code, _ in reps] == double_cosets_by_bfs(G, H, B)
+    assert [count for _, count in reps] == [
+        stabiliser_count_by_conjugation(H, B, code) for code, _ in reps
+    ]
+
+
 @pytest.mark.parametrize("i", range(len(SMALL_MODULI)))
 def test_unimodular_columns_hold_each_coset_minimum(i):
     # oracle: group all of SL2(R) by first column, in increasing code order
@@ -374,16 +418,18 @@ def test_unimodular_columns_order_check_raises_internal_check(monkeypatch):
 def test_double_cosets_examples():
     R, B = borel_of_sl2_f3()
     G = full_sl2(R)
-    assert len(cusp_representatives(G)) == 1
-    # Bruhat: B\G/B has the classes of 1 and of the Weyl element
-    assert len(cusp_representatives(B)) == 2
+    # G is one class, stabilised by all of B: both diagonal signs
+    assert [count for _, count in cusp_representatives(G)] == [2]
+    # Bruhat: B\G/B has the classes of 1 and of the Weyl element; B and the
+    # Weyl conjugate of B meet in the diagonal torus
+    assert [count for _, count in cusp_representatives(B)] == [2, 2]
 
 
 @pytest.mark.parametrize("family", ["Z/4", "Z/6", "Z/8", "F3[t]/(t^2)"])
 def test_double_cosets_match_oracle_on_every_frame(family):
     for frame in exhaustive_frames(family):
-        G, H, B = full_sl2(frame.ring), frame.group, frame.borel
-        assert cusp_representatives(H) == double_cosets_by_bfs(G, H, B)
+        B, _ = borel_and_unipotent(frame.ring)
+        assert_cusp_representatives_match_oracles(full_sl2(frame.ring), frame.group, B)
 
 
 @pytest.mark.parametrize(
@@ -398,7 +444,7 @@ def test_double_cosets_match_oracle_on_random_frames(spec, modulus):
     # two random elements mostly generate all of G; a Borel one keeps H small
     for _ in range(6):
         H = FinMatGroup.from_generators(R, [rng.choice(bcodes), rng.choice(codes)])
-        assert cusp_representatives(H) == double_cosets_by_bfs(G, H, B)
+        assert_cusp_representatives_match_oracles(G, H, B)
 
 
 # ---------------------------------------------------------------------------

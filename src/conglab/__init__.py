@@ -51,7 +51,6 @@ from .matgroups import (
     cube_law_check,
     full_sl2,
     make_generator,
-    normal_closure,
     principal_congruence_image,
     projective_center_is_trivial,
     sl2_order_formula,

@@ -110,6 +110,8 @@ def frame_subgroup(domain, modulus, gens, caps=DEFAULT_CAPS, info=None):
 def frame_from_group(domain, modulus, group, caps=DEFAULT_CAPS, info=None):
     """Frame a prebuilt FinMatGroup (element set already closed)."""
     ring = group.ring
+    if ring.modulus != modulus:
+        raise ValueError("group lies over a ring with a different modulus")
     sl2_order(ring, cap=caps.group)
     for a, b, c, d in map(_ops(ring).decode, group.elements):
         if ring.mul(a, d) != ring.add(ring.one_idx, ring.mul(b, c)):
@@ -142,12 +144,12 @@ class CuspData:
         }
 
 
-def quasi_amplitude_at(frame, g, group=None):
+def quasi_amplitude_at(frame, g):
     """The additive group {x in R : g T(x) g^-1 in H} at an arbitrary g."""
     ring = frame.ring
     ops = _ops(ring)
     a, _, c, _ = ops.decode(g.code if isinstance(g, Mat2) else g)
-    elems = group.elements if group is not None else frame.group.elements
+    elems = frame.group.elements
     hits = [x for x in range(ring.size) if ops.conj_translation(a, c, x) in elems]
     return additive_closure(hits, ring)
 
@@ -634,7 +636,7 @@ def _example_square_coordinates(caps):
     p = D.principal_ideal((0, 1))
     q0 = ideal_pow(p, 4)
     ring = build_quotient(D, q0, ring_cap=caps.ring)
-    level_two = principal_congruence_image(ring, ideal_pow(p, 2), cap=caps.group)
+    level_two = principal_congruence_image(ring, ideal_pow(p, 2))
     p_img = ideal_image(ring, p)
     squares = {ring.mul(x, x) for x in p_img.elements}
     ops = _ops(ring)

@@ -234,7 +234,7 @@ def cmd_verify_suite(config):
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(jobs))) as pool:
             results = list(pool.map(_run_suite_job, jobs))
     else:
         results = [_run_suite_job(job) for job in jobs]

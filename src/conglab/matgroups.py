@@ -188,14 +188,17 @@ class FinMatGroup:
 
     @classmethod
     def from_generators(cls, ring, gens, cap=DEFAULT_GROUP_CAP):
+        gens = list(gens)
+        if any(isinstance(g, Mat2) and g.ring != ring for g in gens):
+            raise ValueError("generator matrix lies over a different ring")
         codes = [g.code if isinstance(g, Mat2) else g for g in gens]
         for code in codes:
             Mat2.from_code(ring, code)  # validates det = 1
         return cls(ring, codes, closure_codes(ring, codes, cap))
 
     @classmethod
-    def from_elements(cls, ring, codes, gens=None):
-        """Wrap a closed element set; generators found greedily if not given.
+    def from_elements(cls, ring, codes):
+        """Wrap a closed element set; generators found greedily.
 
         The greedy generators are the elements, in increasing order, that
         the group generated by the earlier ones does not yet contain.
@@ -207,7 +210,7 @@ class FinMatGroup:
         closed = {ops.identity}
         found = []
         try:
-            for x in sorted(elems) if gens is None else gens:
+            for x in sorted(elems):
                 if x not in closed:
                     closed = extend_closure(closed, found, x, ops.mmul, cap=len(elems))
                     found.append(x)
@@ -215,7 +218,7 @@ class FinMatGroup:
             raise ValueError("element set is not multiplicatively closed")
         if closed != elems:
             raise ValueError("element set is not multiplicatively closed")
-        return cls(ring, found if gens is None else gens, elems)
+        return cls(ring, found, elems)
 
     def conjugated_by(self, code):
         """The subgroup code^-1 * self * code."""
@@ -261,56 +264,34 @@ def full_sl2(ring, cap=DEFAULT_GROUP_CAP):
     return grp
 
 
-def normal_closure(ring, gen_codes, ambient, cap=DEFAULT_GROUP_CAP):
-    """Smallest ambient-normal subgroup containing the generators.
+def principal_congruence_image(ring, a):
+    """Image of the kernel-of-reduction subgroup for an ideal a containing q.
 
-    Each generator's conjugates by the ambient generators are queued, and
-    the group is extended by those it does not yet contain; the result is
-    then mapped into itself by every ambient generator, hence normal.
+    Its elements are I + M with every entry of M in the image A of a: for
+    each (ma, mb, mc) in (1+A) x A x A, every md in 1+A with ma*md = 1 + mb*mc,
+    read from a table of (1+A)^2 keyed by (ma, ma*md).
     """
-    ops = _ops(ring)
-    mmul, minv = ops.mmul, ops.minv
-    grp = {ops.identity}
-    gens = []
-    queue = [g.code if isinstance(g, Mat2) else g for g in gen_codes]
-    for s in queue:
-        if s not in grp:
-            grp = extend_closure(grp, gens, s, mmul, cap)
-            gens.append(s)
-            queue.extend(mmul(mmul(minv(a), s), a) for a in ambient.gens)
-    return FinMatGroup(ring, gens, grp)
-
-
-def principal_congruence_image(ring, a, cap=DEFAULT_GROUP_CAP):
-    """Image of the kernel-of-reduction subgroup for an ideal a containing q."""
     if not a.contains_ideal(ring.modulus):
         raise ValueError("ideal does not contain the frame modulus")
     A = ideal_image(ring, a).elements
     ops = _ops(ring)
+    n, add, mul = ring.size, ring.add_t, ring.mul_t
     one = ring.one_idx
-    sub, add, mul = ring.sub, ring.add, ring.mul
-    codes = []
-    if len(A) ** 4 <= 4 * sl2_order_formula(ring.modulus):
-        # enumerate I + M with entries of M in the ideal image directly
-        shifted = sorted(add(one, x) for x in A)
-        offdiag = sorted(A)
-        for ma in shifted:
-            for md in shifted:
-                admo = sub(mul(ma, md), one)
-                for mb in offdiag:
-                    for mc in offdiag:
-                        if mul(mb, mc) == admo:
-                            codes.append(ops.encode(ma, mb, mc, md))
-        codes.sort()
-    else:
-        G = full_sl2(ring, cap)
-        for x in G.sorted_elements():
-            ma, mb, mc, md = ops.decode(x)
-            if sub(ma, one) in A and mb in A and mc in A and sub(md, one) in A:
-                codes.append(x)
+    shifted = [add[one * n + x] for x in A]
+    solve = {}
+    for ma in shifted:
+        for md in shifted:
+            solve.setdefault((ma, mul[ma * n + md]), []).append(md)
+    codes = [
+        ops.encode(ma, mb, mc, md)
+        for ma in shifted
+        for mb in A
+        for mc in A
+        for md in solve.get((ma, add[one * n + mul[mb * n + mc]]), ())
+    ]
     grp = FinMatGroup.from_elements(ring, codes)
     a2 = ideal_arith("product", a, a)
-    if a.contains_ideal(ring.modulus) and ring.modulus.contains_ideal(a2):
+    if ring.modulus.contains_ideal(a2):
         expected = (residue_norm(ring.modulus) // residue_norm(a)) ** 3
         if grp.order != expected:
             raise InternalCheckError("congruence image violates the cube law")
@@ -444,7 +425,7 @@ def translations_in_core(group, xs):
     )
 
 
-def cube_law_check(domain, q, q_sub, ring_cap=None, group_cap=DEFAULT_GROUP_CAP):
+def cube_law_check(domain, q, q_sub, ring_cap=None):
     """Check the congruence-quotient cube law for q >= q_sub >= q^2.
 
     True iff the image of the level-q kernel modulo q_sub has order
@@ -458,7 +439,7 @@ def cube_law_check(domain, q, q_sub, ring_cap=None, group_cap=DEFAULT_GROUP_CAP)
     from .quotients import DEFAULT_RING_CAP
 
     ring = build_quotient(domain, q_sub, ring_cap or DEFAULT_RING_CAP)
-    img = principal_congruence_image(ring, q, group_cap)
+    img = principal_congruence_image(ring, q)
     expected = (residue_norm(q_sub) // residue_norm(q)) ** 3
     if img.order != expected:
         return False
@@ -472,17 +453,34 @@ def cube_law_check(domain, q, q_sub, ring_cap=None, group_cap=DEFAULT_GROUP_CAP)
 
 
 def projective_center_is_trivial(ring, cap=DEFAULT_GROUP_CAP):
-    """Whether the centre of SL2(R)/{+-1} is trivial (R local, 2 a unit)."""
+    """Whether the centre of SL2(R)/{+-1} is trivial (R local, 2 a unit).
+
+    x T(g) x^-1 = +-T(g) for every additive generator g is necessary for x
+    to be central up to sign, and depends only on x's first column; the
+    matrices over the columns that pass are tested against every standard
+    generator.
+    """
     pf = factor_ideal(ring.modulus)
     if len(pf.pairs) != 1:
         raise ValueError("ring is not local")
     if not ring.is_unit(ring.reduce(ring.domain.from_int(2))):
         raise ValueError("2 must be invertible")
-    G = full_sl2(ring, cap)
+    sl2_order(ring, cap)
     ops = _ops(ring)
     mmul, mneg = ops.mmul, ops.mneg
+    n, add, mul = ring.size, ring.add_t, ring.mul_t
+    signed = []
+    for g in ring.additive_generators:
+        t = make_generator("T", ring, g).code
+        signed.append((g, (t, mneg(t))))
+    gens = standard_generators(ring)
     projective_center = []
-    for x in G.sorted_elements():
-        if all(mmul(x, g) in (mmul(g, x), mneg(mmul(g, x))) for g in G.gens):
-            projective_center.append(x)
+    for (a, c), code in unimodular_columns(ring).items():
+        if any(ops.conj_translation(a, c, g) not in pm for g, pm in signed):
+            continue
+        _, b, _, d = ops.decode(code)
+        for r in range(n):
+            x = ops.encode(a, add[b * n + mul[a * n + r]], c, add[d * n + mul[c * n + r]])
+            if all(mmul(x, s) in (mmul(s, x), mneg(mmul(s, x))) for s in gens):
+                projective_center.append(x)
     return set(projective_center) == {ops.identity, ops.mneg(ops.identity)}

@@ -333,10 +333,14 @@ class LocalDecomposition:
         return len(self.factors)
 
 
-def local_decompose(ring, rng_seed=20577):
-    """Split R into its local factors; verifies the CRT isomorphism."""
+def local_decompose(ring):
+    """Split R into its local factors; verifies the CRT isomorphism.
+
+    Each projection is checked to respect + and * on the pairs (g, y), g an
+    additive generator and y in R. By induction on a sum of generators that
+    makes it additive on all pairs, and with distributivity multiplicative.
+    """
     from .domains import factor_ideal, ideal_pow
-    import random
 
     pf = factor_ideal(ring.modulus)
     factors = []
@@ -356,19 +360,14 @@ def local_decompose(ring, rng_seed=20577):
         sizes *= f.ring.size
     if sizes != ring.size:
         raise InternalCheckError("CRT factor sizes do not multiply up")
-    n = ring.size
-    if n * n <= 4096 * 4:
-        pairs = [(i, j) for i in range(n) for j in range(n)]
-    else:
-        rng = random.Random(rng_seed)
-        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(1000)]
-    for i, j in pairs:
-        s = ring.add(i, j)
-        p = ring.mul(i, j)
-        for f in factors:
-            if (
-                f.projection[s] != f.ring.add(f.projection[i], f.projection[j])
-                or f.projection[p] != f.ring.mul(f.projection[i], f.projection[j])
-            ):
-                raise InternalCheckError("CRT projection is not a ring map")
+    for g in ring.additive_generators:
+        for y in range(ring.size):
+            s = ring.add(g, y)
+            p = ring.mul(g, y)
+            for f in factors:
+                if (
+                    f.projection[s] != f.ring.add(f.projection[g], f.projection[y])
+                    or f.projection[p] != f.ring.mul(f.projection[g], f.projection[y])
+                ):
+                    raise InternalCheckError("CRT projection is not a ring map")
     return dec

@@ -47,6 +47,7 @@ from .matgroups import (
     full_sl2,
     principal_congruence_image,
     projective_center_is_trivial,
+    sl2_order,
 )
 from .modular import (
     coset_permrep,
@@ -343,7 +344,7 @@ def suite_cube_law(caps, seed, families=None):
     ]
     for D, q, q2 in cases:
         res.check(
-            cube_law_check(D, q, q2, ring_cap=caps.ring, group_cap=caps.group),
+            cube_law_check(D, q, q2, ring_cap=caps.ring),
             f"cube law fails for {q} / {q2} over {D}",
         )
     return res
@@ -381,17 +382,17 @@ def suite_coprime_product(caps, seed, families=None):
     for D, text, parts in cases:
         q0 = D.parse_ideal(text)
         R = build_quotient(D, q0, ring_cap=caps.ring)
-        G = full_sl2(R, cap=caps.group)
+        order = sl2_order(R, cap=caps.group)
         ideals = [D.parse_ideal(p) for p in parts]
         for i, a in enumerate(ideals):
             for b in ideals[i + 1:]:
                 if not ideal_arith("sum", a, b).is_unit_ideal():
                     continue
-                A = principal_congruence_image(R, a, cap=caps.group)
-                B = principal_congruence_image(R, b, cap=caps.group)
+                A = principal_congruence_image(R, a)
+                B = principal_congruence_image(R, b)
                 # |AB| = |A||B|/|A n B| and AB lies in G, so AB = G iff:
                 res.check(
-                    A.order * B.order == G.order * len(A.elements & B.elements),
+                    A.order * B.order == order * len(A.elements & B.elements),
                     f"coprime product not full for {a}, {b} over {D}/{text}",
                 )
     return res

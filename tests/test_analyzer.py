@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conglab import analyzer, matgroups
 from conglab.analyzer import (
+    FramedSubgroup,
     InternalCheckError,
     quasi_level,
     TranslationSubspace,
@@ -75,6 +76,19 @@ def test_frame_borel_mod_t():
     ]
     F = frame_subgroup(F3T, q0, gens)
     assert F.index == 24 // 6 == 4
+
+
+def test_frames_refuse_a_group_over_another_ring():
+    z6 = build_quotient(Z, Z.parse_ideal("(6)"))
+    t1 = make_generator("T", z6, z6.one_idx)
+    with pytest.raises(ValueError, match="different ring"):
+        frame_subgroup(Z, Z.parse_ideal("(5)"), [t1])
+    with pytest.raises(ValueError, match="different modulus"):
+        frame_from_group(Z, Z.parse_ideal("(7)"), FinMatGroup.from_generators(z6, [t1]))
+    # a ring built separately but equal is accepted
+    F = frame_subgroup(Z, Z.parse_ideal("(6)"), [t1])
+    assert F.ring is not z6 and F.index == 144 // 6
+    assert frame_from_group(Z, Z.parse_ideal("(6)"), F.group).index == 24
 
 
 def test_frame_trivial_image_is_kernel_itself():
@@ -492,8 +506,8 @@ def test_square_coordinate_quasi_level_is_the_square_set():
 
 
 def assert_quasi_level_is_the_core_quasi_amplitude(F):
-    G = full_sl2(F.ring)
-    oracle = quasi_amplitude_at(F, _ops(F.ring).identity, group=core_of(F.group, G))
+    core = FramedSubgroup(F.domain, F.modulus, F.ring, core_of(F.group, full_sl2(F.ring)))
+    oracle = quasi_amplitude_at(core, _ops(F.ring).identity)
     ql = quasi_level(F)
     assert ql == oracle
     assert ql.generators == oracle.generators  # the JSON prints the generators

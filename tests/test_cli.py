@@ -198,6 +198,35 @@ def test_verify_suite_parallel_jobs(capsys):
     assert report["suites"][0]["failures"] == []
 
 
+class SerialExecutor:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts no process."""
+
+    workers = []
+
+    def __init__(self, max_workers=None):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_verify_suite_jobs_never_exceed_the_suites(capsys, monkeypatch):
+    import concurrent.futures
+
+    monkeypatch.setattr(SerialExecutor, "workers", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialExecutor)
+    _, serial, _ = run_cli(["verify-suite", "--suite", "crt"], capsys)
+    code, out, _ = run_cli(["verify-suite", "--suite", "crt", "--jobs", "5000"], capsys)
+    assert code == EXIT_OK and out == serial
+    assert SerialExecutor.workers == [1]
+
+
 def test_verify_suite_seeded_byte_identical(capsys):
     _, out1, _ = run_cli(["verify-suite", "--suite", "crt", "--seed", "7"], capsys)
     _, out2, _ = run_cli(["verify-suite", "--suite", "crt", "--seed", "7"], capsys)
@@ -260,6 +289,31 @@ def test_modular_screens_survive_python_O():
     assert plain.returncode == optimised.returncode == EXIT_OK
     assert optimised.stdout == plain.stdout
     assert json.loads(plain.stdout)["count"] == 175
+
+
+STRUCTURAL_SUITES = """
+import json, sys
+from conglab.suites import run_suite
+counts = {}
+for name in ("center_triviality", "coprime_product", "cube_law", "quotients"):
+    result = run_suite(name)
+    counts[name] = [result.checks, result.checks - len(result.failures)]
+print(json.dumps({"optimize": sys.flags.optimize, "counts": counts}))
+"""
+
+
+def test_structural_suites_pass_under_python_O():
+    result = run_python("-O", "-c", STRUCTURAL_SUITES)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {
+        "optimize": 1,
+        "counts": {
+            "center_triviality": [5, 5],
+            "coprime_product": [7, 7],
+            "cube_law": [9, 9],
+            "quotients": [44, 44],
+        },
+    }
 
 
 def test_survey_gate_passes_under_python_O():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import conglab
 from conglab import matgroups
 from conglab.analyzer import InternalCheckError
-from conglab.domains import CapExceeded, factor_ideal, ideal_pow, parse_domain
+from conglab.domains import CapExceeded, factor_ideal, ideal_arith, ideal_pow, parse_domain
 from conglab.matgroups import (
     FinMatGroup,
     Mat2,
@@ -20,14 +20,13 @@ from conglab.matgroups import (
     extend_closure,
     full_sl2,
     make_generator,
-    normal_closure,
     principal_congruence_image,
     projective_center_is_trivial,
     sl2_order_formula,
     translations_in_core,
     unimodular_columns,
 )
-from conglab.quotients import build_quotient
+from conglab.quotients import build_quotient, ideal_image
 from conglab.suites import exhaustive_frames
 
 from test_subgroups import SMALL_MODULI, dense_closure_by_bfs, small_sl2
@@ -207,14 +206,66 @@ def test_lagrange_on_random_subgroups():
 # normal closure and congruence images
 
 
+def normal_closure(ring, gen_codes, ambient):
+    """Oracle: the smallest ambient-normal subgroup containing the generators.
+
+    Each generator's conjugates by the ambient generators are queued, and
+    the group is extended by those it does not yet contain; the result is
+    then mapped into itself by every ambient generator, hence normal.
+    """
+    ops = _ops(ring)
+    mmul, minv = ops.mmul, ops.minv
+    grp = {ops.identity}
+    gens = []
+    queue = list(gen_codes)
+    for s in queue:
+        if s not in grp:
+            grp = extend_closure(grp, gens, s, mmul)
+            gens.append(s)
+            queue.extend(mmul(mmul(minv(a), s), a) for a in ambient.gens)
+    return FinMatGroup(ring, gens, grp)
+
+
+def principal_congruence_image_by_scan(ring, a):
+    """Oracle: the elements of SL2(R) congruent to 1 modulo the image of a."""
+    A = ideal_image(ring, a).elements
+    ops = _ops(ring)
+    one = ring.one_idx
+    out = set()
+    for x in full_sl2(ring).elements:
+        ma, mb, mc, md = ops.decode(x)
+        if ring.sub(ma, one) in A and mb in A and mc in A and ring.sub(md, one) in A:
+            out.add(x)
+    return out
+
+
+def ideals_containing(q):
+    """Every ideal a >= q, the unit ideal included, from q's factorization."""
+    out = [q.domain.unit_ideal()]
+    for p, e in factor_ideal(q).pairs:
+        out = [ideal_arith("product", a, ideal_pow(p, k)) for a in out for k in range(e + 1)]
+    return out
+
+
+@pytest.mark.parametrize(
+    "D,text,count",
+    [(Z, "(8)", 4), (Z, "(12)", 6), (Z, "(30)", 8), (F3T, "(t^2+t)", 4), (ZSQ2, "(6)", 12)],
+)
+def test_principal_congruence_image_matches_the_scan(D, text, count):
+    R = ring_of(D, text)
+    ideals = ideals_containing(R.modulus)
+    assert len(set(ideals)) == count
+    for a in ideals:
+        assert a.contains_ideal(R.modulus)
+        assert principal_congruence_image(R, a).elements == principal_congruence_image_by_scan(R, a)
+
+
 def test_normal_closure_examples():
     R = ring_of(Z, "(4)")
     G = full_sl2(R)
     # translations over the image of (2) normally generate the level-(2)
     # image; its order is |(2)/(4)|^3 = 8 = |SL2(Z/4)| / |SL2(Z/2)|
     two = Z.parse_ideal("(2)")
-    from conglab.quotients import ideal_image
-
     tgens = [make_generator("T", R, x).code for x in ideal_image(R, two).sorted_elements()]
     N = normal_closure(R, tgens, G)
     assert N.order == 8 == G.order // 6
@@ -474,10 +525,40 @@ def test_cube_law_precondition():
         cube_law_check(Z, Z.parse_ideal("(2)"), Z.parse_ideal("(8)"))
 
 
+def projective_center_by_scan(ring):
+    """Oracle: every x in SL2(R) with x s = +-s x for each generator s of SL2(R)."""
+    G = full_sl2(ring)
+    ops = _ops(ring)
+    mmul, mneg = ops.mmul, ops.mneg
+    return {
+        x for x in G.elements if all(mmul(x, g) in (mmul(g, x), mneg(mmul(g, x))) for g in G.gens)
+    }
+
+
+@pytest.mark.parametrize(
+    "D,text",
+    [
+        (Z, "(5)"),
+        (Z, "(9)"),
+        (Z, "(25)"),
+        (F9T, "(t)"),
+        (F3T, "(t^2)"),
+        (Z, "(7)"),
+        (Z, "(27)"),
+        (parse_domain("Fq[t] q=5"), "(t^2)"),
+    ],
+)
+def test_projective_center_matches_the_scan(D, text):
+    R = ring_of(D, text)
+    ops = _ops(R)
+    assert projective_center_by_scan(R) == {ops.identity, ops.mneg(ops.identity)}
+    assert projective_center_is_trivial(R)
+
+
 def test_projective_center_examples():
-    assert projective_center_is_trivial(ring_of(Z, "(5)"))
-    assert projective_center_is_trivial(ring_of(Z, "(9)"))
-    assert projective_center_is_trivial(ring_of(F3T, "(t^2)"))
+    with pytest.raises(CapExceeded):
+        projective_center_is_trivial(ring_of(Z, "(5)"), cap=119)
+    assert projective_center_is_trivial(ring_of(Z, "(5)"), cap=120)
     with pytest.raises(ValueError):
         projective_center_is_trivial(ring_of(Z, "(6)"))  # not local
     with pytest.raises(ValueError):
@@ -506,8 +587,6 @@ def test_coprime_congruence_images_multiply_to_full():
 def test_elementary_times_congruence_image():
     # E(R, a-image) * G(b-image) = G((a+b)-image), including non-coprime
     # pairs; E(R, a) is the normal subgroup generated by the translations
-    from conglab.quotients import ideal_image
-
     R = ring_of(Z, "(8)")
     G = full_sl2(R)
     a = Z.parse_ideal("(2)")

@@ -10,6 +10,8 @@ from conglab.domains import (
     parse_domain,
     residue_norm,
 )
+from conglab import quotients
+from conglab.domains import InternalCheckError
 from conglab.quotients import (
     additive_closure,
     build_quotient,
@@ -234,6 +236,40 @@ def test_local_decompose_examples():
 
     dec = local_decompose(ring_of(Z, "(8)"))
     assert [f.ring.size for f in dec.factors] == [8]
+
+    dec = local_decompose(ring_of(Z, "(210)"))
+    assert [f.ring.size for f in dec.factors] == [2, 3, 5, 7]
+
+
+def corrupt_local_factor(monkeypatch, prime, remap):
+    """Make local_decompose project onto Z/(prime) through remap(i) in place of i."""
+    real = quotients.build_quotient
+    local_modulus = Z.parse_ideal(f"({prime})")
+
+    def build(domain, modulus, ring_cap):
+        local = real(domain, modulus, ring_cap)
+        if modulus == local_modulus:
+            reduce = local.reduce
+            local.reduce = lambda value: reduce(remap(value))
+        return local
+
+    monkeypatch.setattr(quotients, "build_quotient", build)
+
+
+def test_local_decompose_catches_an_additive_projection_that_is_not_multiplicative(monkeypatch):
+    R = ring_of(Z, "(15)")
+    corrupt_local_factor(monkeypatch, 5, lambda x: 2 * x)
+    with pytest.raises(InternalCheckError, match="not a ring map"):
+        local_decompose(R)
+
+
+def test_local_decompose_catches_a_corrupted_entry_above_128_elements(monkeypatch):
+    # 3 and 33 agree modulo 30, so swapping their images modulo 7 keeps the
+    # CRT map injective and only the ring-map check can see it
+    R = ring_of(Z, "(210)")
+    corrupt_local_factor(monkeypatch, 7, lambda x: {3: 33, 33: 3}.get(x, x))
+    with pytest.raises(InternalCheckError, match="not a ring map"):
+        local_decompose(R)
 
 
 def test_local_decompose_section_inverts_projection():

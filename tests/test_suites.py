@@ -1,10 +1,11 @@
 import pytest
 
+from conglab import matgroups, suites
 from conglab.analyzer import Caps
 from conglab.domains import CapExceeded, parse_domain
 from conglab.matgroups import _ops, full_sl2, principal_congruence_image
 from conglab.quotients import build_quotient
-from conglab.suites import exhaustive_frames, psl_subgroups
+from conglab.suites import exhaustive_frames, psl_subgroups, run_suite
 
 
 def test_psl_subgroups_cache_respects_caps():
@@ -39,3 +40,29 @@ def test_coprime_product_count_matches_product_set(spec, modulus, a, b, full):
     mmul = _ops(R).mmul
     assert ({mmul(x, y) for x in A.elements for y in B.elements} == G.elements) is full
     assert (A.order * B.order == G.order * len(A.elements & B.elements)) is full
+
+
+@pytest.mark.parametrize("name, checks", [("center_triviality", 5), ("coprime_product", 7), ("cube_law", 9)])
+def test_structural_suites_never_build_sl2(monkeypatch, name, checks):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("SL2(R) enumerated")
+
+    for module in (matgroups, suites):
+        monkeypatch.setattr(module, "full_sl2", refuse)
+    result = run_suite(name)
+    assert (result.checks, result.failures) == (checks, [])
+
+
+def test_center_triviality_reads_columns_not_the_group(monkeypatch):
+    # scanning all of SL2(R) took 70,524 matrix products on these five rings
+    calls = [0]
+    mmul = matgroups._MatOps.mmul
+
+    def counting(self, x, y):
+        calls[0] += 1
+        return mmul(self, x, y)
+
+    monkeypatch.setattr(matgroups._MatOps, "mmul", counting)
+    result = run_suite("center_triviality")
+    assert (result.checks, result.failures) == (5, [])
+    assert calls[0] < 5000

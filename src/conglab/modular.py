@@ -177,9 +177,9 @@ class _LevelWalk:
         self.edges.append(num)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _sl2_mod(n):
-    """The shared walk of level n, one ring per n.
+    """The shared walk of level n, one ring per n; the 32 levels used last stay cached.
 
     Callers bound n through `projective_group_order` first.
     """

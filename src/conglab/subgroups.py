@@ -2,10 +2,12 @@
 
 A DenseGroup re-indexes any finite group's elements as 0..n-1 with a flat
 Cayley table filled on demand, so subgroup-lattice enumeration runs on
-small integers. Subgroup classes come from cyclic extension (Neubüser,
-Numer. Math. 2, 1960; Holt, Eick and O'Brien, Handbook of Computational
-Group Theory, 4.4); a non-solvable group falls back to joining every class
-with every cyclic subgroup of prime-power order.
+small integers. Subgroup classes come from cyclic extension by zuppos,
+the cyclic subgroups of prime-power order (Neubüser, Numer. Math. 2, 1960;
+Holt, Eick and O'Brien, Handbook of Computational Group Theory, 4.4): H
+extends by a zuppo <g> of order p^a when g normalises H, g is not in H and
+g^p is. A non-solvable group falls back to joining every class with every
+zuppo; both paths read one zuppo list, built once per group.
 """
 
 from __future__ import annotations
@@ -77,18 +79,33 @@ def subgroup_classes(G):
     represented by its member of least sorted elements, and reps are sorted
     by (order, sorted elements), so neither depends on the search.
     """
-    reps, seen = _classes(G, _cyclic_extensions)
+    zuppos = _zuppos(G)
+    perms = [(g, [G.conj(x, g) for x in range(G.size)]) for g in G.gens]
+    reps, seen = _classes(G, perms, lambda H, gens: _cyclic_extensions(G, zuppos, H, gens))
     if frozenset(range(G.size)) not in seen:  # G is not solvable
-        reps, seen = _classes(G, _prime_power_joins(G))
+        reps, seen = _classes(G, perms, _prime_power_joins(G, zuppos))
     order = sorted(range(len(reps)), key=lambda c: _subgroup_key(reps[c][0]))
     renumber = {c: i for i, c in enumerate(order)}
     return [reps[c] for c in order], {s: renumber[c] for s, c in seen.items()}
 
 
-def _classes(G, extensions):
-    """Classes closed under extensions(G, H, gens), which yields (<H, g>, g)."""
-    seen = {}
-    reps = []
+def _zuppos(G):
+    """(g, g^p) for one generator g of each cyclic subgroup of order p^a > 1,
+    sorted by (order, sorted elements)."""
+    cyclics = {}
+    for g in range(G.size):
+        if G.inv[g] >= g:  # <g^-1> = <g>
+            powers = G.powers(g)
+            primes = list(_factor_int(len(powers)))
+            if len(primes) == 1:
+                cyclics.setdefault(frozenset(powers), (g, powers[primes[0] % len(powers)]))
+    return [cyclics[c] for c in sorted(cyclics, key=_subgroup_key)]
+
+
+def _classes(G, perms, extensions):
+    """Classes closed under extensions(H, gens), which yields (<H, g>, g);
+    perms pairs each generator g of G with x -> g^-1 x g on indices."""
+    seen, reps = {}, []
 
     def register(elems, gens):
         if elems in seen:
@@ -97,8 +114,8 @@ def _classes(G, extensions):
         stack = [elems]
         while stack:
             current = stack.pop()
-            for g in G.gens:
-                conj = frozenset(G.conj(x, g) for x in current)
+            for g, perm in perms:
+                conj = frozenset(map(perm.__getitem__, current))
                 if conj not in conjugator:
                     conjugator[conj] = G.mul(conjugator[current], g)
                     stack.append(conj)
@@ -109,36 +126,28 @@ def _classes(G, extensions):
 
     register(frozenset({G.identity}), ())
     for elems, gens in reps:  # reps grows as classes are found
-        for joined, g in extensions(G, elems, gens):
+        for joined, g in extensions(elems, gens):
             register(joined, gens + (g,))
     return reps, seen
 
 
-def _cyclic_extensions(G, H, gens):
-    """<H, g> for each g that normalises H with gH of prime order."""
+def _cyclic_extensions(G, zuppos, H, gens):
+    """<H, g> for each zuppo g normalising H with gH of prime order p, that
+    is g not in H and g^p in H. If |K/H| = p, K = <H, g> for g the p-part of
+    any element of K outside H, so the zuppos reach every such K."""
     covered = set(H)
-    for g in range(G.size):
-        if g in covered or any(G.conj(h, g) not in H for h in gens):
+    for g, gp in zuppos:
+        if g in covered or gp not in H or any(G.conj(h, g) not in H for h in gens):
             continue
-        k, acc = 1, g
-        while acc not in H:
-            k, acc = k + 1, G.mul(acc, g)
-        if _factor_int(k) == {k: 1}:
-            joined = frozenset(extend_closure(H, gens, g, G.mul))
-            covered |= joined  # joined/H has prime order: every g' in joined \ H gives joined
-            yield joined, g
+        joined = frozenset(extend_closure(H, gens, g, G.mul))
+        covered |= joined  # joined/H has prime order: every g' in joined \ H gives joined
+        yield joined, g
 
 
-def _prime_power_joins(G):
-    """<H, g> for one g per cyclic subgroup of prime-power order; every
-    subgroup of a finite group is such a join, solvable or not."""
-    cyclics = {}
-    for g in range(G.size):
-        cyclics.setdefault(frozenset(G.powers(g)), g)
-    ordered = sorted(cyclics.items(), key=lambda kv: _subgroup_key(kv[0]))
-    cyclic_gens = [g for c, g in ordered if len(_factor_int(len(c))) == 1]
-    return lambda G, H, gens: (
-        (frozenset(extend_closure(H, gens, g, G.mul)), g) for g in cyclic_gens if g not in H
+def _prime_power_joins(G, zuppos):
+    """<H, g> for every zuppo g outside H; every subgroup is such a join."""
+    return lambda H, gens: (
+        (frozenset(extend_closure(H, gens, g, G.mul)), g) for g, _ in zuppos if g not in H
     )
 
 

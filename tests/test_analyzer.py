@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -245,6 +246,33 @@ def test_cusp_stabiliser_matches_conjugate_intersection(family):
 def test_widths_sum_to_index():
     F = build_example("ex2_13")
     assert sum(c.width for c in cusps(F)) == F.index
+
+
+GAMMA0_LEVELS = (4, 6, 8, 9, 12, 15, 18, 20, 24, 30)
+
+
+def totient(n):
+    return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+
+
+@pytest.mark.parametrize("N", GAMMA0_LEVELS)
+def test_gamma0_matches_closed_forms(N):
+    # classical values for Gamma0(N) (Diamond and Shurman, 1.2 and 3.8),
+    # computed without any of the library's walks: the index is |P^1(Z/N)|
+    # and the cusps number sum over d | N of phi(gcd(d, N/d))
+    q0 = Z.parse_ideal(f"({N})")
+    ring = build_quotient(Z, q0)
+    gens = [make_generator("T", ring, ring.one_idx)]
+    units = [ring.reduce(u) for u in range(1, N) if gcd(u, N) == 1]
+    gens += [make_generator("Tdiag", ring, u, ring.zero_idx) for u in units]
+    F = frame_subgroup(Z, q0, gens)
+    primes = [p for p in range(2, N + 1) if N % p == 0 and all(p % d for d in range(2, p))]
+    assert F.index == N // prod(primes) * prod(p + 1 for p in primes)
+    divisors = [d for d in range(1, N + 1) if N % d == 0]
+    cusp_list = cusps(F)
+    assert len(cusp_list) == sum(totient(gcd(d, N // d)) for d in divisors)
+    assert sum(c.width for c in cusp_list) == F.index
+    assert level(F) == q0
 
 
 def test_level_equals_intersection_over_all_group_elements():

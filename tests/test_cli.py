@@ -316,11 +316,27 @@ def test_structural_suites_pass_under_python_O():
     }
 
 
+SURVEY_GATES = """
+import sys
+from conglab import cli
+for suite in ("amplitude_extrema", "level_divisibility"):
+    code = cli.main(["verify-suite", "--suite", suite])
+    if code:
+        sys.exit(code)
+"""
+
+
 def test_survey_gate_passes_under_python_O():
-    result = run_python("-O", "-m", "conglab", "verify-suite", "--suite", "amplitude_extrema")
-    assert result.returncode == EXIT_OK
-    (suite,) = json.loads(result.stdout)["suites"]
-    assert (suite["name"], suite["checks"], suite["passed"]) == ("amplitude_extrema", 531, 531)
+    # C9 and C10, one verify-suite document per line
+    plain = run_python("-c", SURVEY_GATES)
+    optimised = run_python("-O", "-c", SURVEY_GATES)
+    assert plain.returncode == optimised.returncode == EXIT_OK, optimised.stderr
+    assert optimised.stdout == plain.stdout
+    suites = [json.loads(line)["suites"] for line in optimised.stdout.splitlines()]
+    assert [(s["name"], s["checks"], s["passed"]) for (s,) in suites] == [
+        ("amplitude_extrema", 531, 531),
+        ("level_divisibility", 531, 531),
+    ]
 
 
 def test_exact_soundness_passes_under_python_O():

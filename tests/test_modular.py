@@ -286,6 +286,26 @@ def test_warm_level_still_honours_the_cap(run_all):
         screen_permrep(rep, run_all=run_all, cap=5)
 
 
+def test_level_walk_cache_keeps_a_bounded_number_of_levels():
+    # each cached level keeps its ring and graph; walks at more levels than
+    # the bound leave only the bound's number resident, the latest ones
+    bound = _sl2_mod.cache_info().maxsize
+    assert bound == 32
+    rep = gamma0_2_rep()  # level 2: every odd-level walk stops at its first contradiction
+    levels = range(3, 3 + 2 * (bound + 4), 2)
+    _sl2_mod.cache_clear()
+    walks = {}
+    for n in levels:
+        assert not exact_congruence_test(rep, level_override=n).congruence
+        walks[n] = _sl2_mod(n)
+        assert _sl2_mod.cache_info().currsize <= bound
+    assert _sl2_mod.cache_info().currsize == bound
+    assert all(_sl2_mod(n) is walks[n] for n in levels[-bound:])
+    # an evicted level is walked again from a fresh graph, with the same verdict
+    assert _sl2_mod(levels[0]) is not walks[levels[0]]
+    assert not exact_congruence_test(rep, level_override=levels[0]).congruence
+
+
 def test_exact_test_on_small_kernel_cosets():
     # every subgroup realized inside PSL2(Z/n) must test as congruence
     for n in (2, 3):

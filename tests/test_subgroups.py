@@ -193,7 +193,9 @@ def classes_counting_fallbacks(G):
     joins = subgroups._prime_power_joins
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(
-            subgroups, "_prime_power_joins", lambda G: fallbacks.append(G) or joins(G)
+            subgroups,
+            "_prime_power_joins",
+            lambda G, zuppos: fallbacks.append(G) or joins(G, zuppos),
         )
         reps, seen = subgroup_classes(G)
     return reps, seen, len(fallbacks)
@@ -219,6 +221,41 @@ def test_cyclic_extension_matches_join_oracle(name):
     # cyclic extension alone reaches every subgroup of a solvable group
     assert fallbacks == (name in NOT_SOLVABLE)
     assert_matches_join_oracle(G, reps, seen)
+
+
+@pytest.mark.parametrize("name", ["SL2(Z/6)", "SL2(Z/8)", "PSL2(Z/7)"])
+def test_zuppos_are_one_generator_per_prime_power_cyclic_subgroup(name):
+    G = ORACLE_GROUPS[name]()
+    cyclics = {frozenset(G.powers(g)) for g in range(G.size)}
+    oracle = {c for c in cyclics if len(_factor_int(len(c))) == 1}
+    zuppos = subgroups._zuppos(G)
+    listed = [frozenset(G.powers(g)) for g, _ in zuppos]
+    assert len(listed) == len(oracle)
+    assert set(listed) == oracle
+    assert listed == sorted(listed, key=lambda c: (len(c), sorted(c)))
+    for (g, gp), c in zip(zuppos, listed):
+        (p,) = _factor_int(len(c))
+        assert gp == functools.reduce(G.mul, [g] * p)
+
+
+@pytest.mark.parametrize("name", sorted(set(ORACLE_GROUPS) - NOT_SOLVABLE))
+def test_cyclic_extensions_are_the_normal_overgroups_of_prime_index(name):
+    # one step of the search: from each class rep H, exactly the K > H with
+    # H normal in K and |K : H| prime, each once
+    G = ORACLE_GROUPS[name]()
+    reps, seen = subgroup_classes(G)
+    zuppos = subgroups._zuppos(G)
+    for H, gens in reps:
+        found = [K for K, _ in subgroups._cyclic_extensions(G, zuppos, H, gens)]
+        oracle = {
+            K
+            for K in seen
+            if H < K
+            and _factor_int(len(K) // len(H)) == {len(K) // len(H): 1}
+            and all(G.conj(h, k) in H for h in gens for k in K)
+        }
+        assert len(found) == len(set(found))
+        assert set(found) == oracle
 
 
 RANDOM_GROUP_CAP = 200

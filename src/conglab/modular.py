@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
 
@@ -155,8 +154,7 @@ class _LevelWalk:
     The graph grows one edge per `grow`, only as far as some walk reads it.
     """
 
-    def __init__(self, n):
-        ring = build_quotient(_Z, _Z.principal_ideal(n))
+    def __init__(self, ring):
         self.ops = ops = _ops(ring)
         r = ring.reduce
         self.s = ops.encode(r(0), r(-1), r(1), r(0))
@@ -177,13 +175,16 @@ class _LevelWalk:
         self.edges.append(num)
 
 
-@lru_cache(maxsize=32)
 def _sl2_mod(n):
-    """The shared walk of level n, one ring per n; the 32 levels used last stay cached.
+    """The shared walk of level n, kept on the interned ring Z/(n), so it
+    lives as long as the ring stays among the 32 that `build_quotient` keeps.
 
     Callers bound n through `projective_group_order` first.
     """
-    return _LevelWalk(n)
+    ring = build_quotient(_Z, _Z.principal_ideal(n))
+    if getattr(ring, "_walk", None) is None:
+        ring._walk = _LevelWalk(ring)
+    return ring._walk
 
 
 def projective_group_order(n, cap=DEFAULT_GROUP_CAP):

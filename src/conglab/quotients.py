@@ -3,13 +3,16 @@
 Elements of a quotient are referenced by dense integer indices; the ring
 holds the canonical-representative scheme (residues 0..n-1, polynomials
 of degree < deg f, or HNF-box coordinate pairs) and transports elements
-between D and R via lift/reduce.  All values are immutable after
-construction and safe to share.
+between D and R via lift/reduce.  `build_quotient` interns rings, the 32
+used last, one per (domain, modulus), and checks its caps on every call.
+A ring's tables and the caches other layers hang off it are pure functions
+of the ring, so each is built once per process and safe to share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .domains import CapExceeded, Ideal, InternalCheckError, ideal_arith, residue_norm
 
@@ -175,12 +178,22 @@ class _QuadQuotient(QuotientRing):
 
 
 def build_quotient(domain, modulus, ring_cap=DEFAULT_RING_CAP):
-    """Construct D/q with full enumeration and unit detection."""
+    """D/q with full enumeration and unit detection, interned: one ring per
+    (domain, modulus), at most 32 per process.
+
+    The zero-modulus and ring_cap checks run on every call, warm or cold.
+    """
     if modulus.is_zero():
         raise ValueError("cannot form a quotient by the zero ideal")
     n = residue_norm(modulus)
     if n > ring_cap:
         raise CapExceeded(f"quotient of size {n} exceeds cap {ring_cap}")
+    return _quotient(domain, modulus)
+
+
+@lru_cache(maxsize=32)
+def _quotient(domain, modulus):
+    n = residue_norm(modulus)
     if domain.kind == "integers":
         ring = _IntQuotient(domain, modulus, n)
     elif domain.kind == "polynomials":

@@ -31,7 +31,7 @@ from conglab.analyzer import (
     standard_screen_subspace,
     unit_square_closure_check,
 )
-from conglab.domains import ideal_arith, parse_domain, residue_norm
+from conglab.domains import factor_ideal, ideal_arith, parse_domain, residue_norm
 from conglab.matgroups import (
     FinMatGroup,
     Mat2,
@@ -39,7 +39,7 @@ from conglab.matgroups import (
     full_sl2,
     make_generator,
 )
-from conglab.quotients import additive_closure, build_quotient, ideal_image
+from conglab.quotients import _quotient, additive_closure, build_quotient, ideal_image
 from conglab.suites import exhaustive_frames
 
 from test_matgroups import (
@@ -80,7 +80,7 @@ def test_frame_borel_mod_t():
 
 
 def test_frames_refuse_a_group_over_another_ring():
-    z6 = build_quotient(Z, Z.parse_ideal("(6)"))
+    z6 = _quotient.__wrapped__(Z, Z.parse_ideal("(6)"))  # not the interned ring
     t1 = make_generator("T", z6, z6.one_idx)
     with pytest.raises(ValueError, match="different ring"):
         frame_subgroup(Z, Z.parse_ideal("(5)"), [t1])
@@ -272,6 +272,70 @@ def test_gamma0_matches_closed_forms(N):
     cusp_list = cusps(F)
     assert len(cusp_list) == sum(totient(gcd(d, N // d)) for d in divisors)
     assert sum(c.width for c in cusp_list) == F.index
+    assert level(F) == q0
+
+
+def prime_divisors(n):
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))]
+
+
+@pytest.mark.parametrize("N", range(5, 17))
+def test_gamma1_and_gamma_match_closed_forms(N):
+    # Gamma1(N) has image <T(1)>, Gamma(N) the trivial image (Diamond and
+    # Shurman, 1.2 and 3.8): |SL2(Z/N)| = N^3 prod_p (1 - 1/p^2), Gamma1(N)
+    # has 1/2 sum over d | N of phi(d) phi(N/d) cusps for N >= 5, and Gamma(N)
+    # has |SL2(Z/N)| / 2N cusps, all of width N
+    q0 = Z.parse_ideal(f"({N})")
+    ring = build_quotient(Z, q0)
+    primes = prime_divisors(N)
+    order = N ** 3 // prod(p * p for p in primes) * prod(p * p - 1 for p in primes)
+    divisors = [d for d in range(1, N + 1) if N % d == 0]
+    expected = [
+        (
+            [make_generator("T", ring, ring.one_idx)],
+            order // N,
+            sum(totient(d) * totient(N // d) for d in divisors) // 2,
+        ),
+        ([], order, order // (2 * N)),
+    ]
+    for gens, index, cusp_count in expected:
+        F = frame_subgroup(Z, q0, gens)
+        cusp_list = cusps(F)
+        assert F.index == index
+        assert len(cusp_list) == cusp_count
+        assert sum(c.width for c in cusp_list) == index
+        assert level(F) == q0
+
+
+@pytest.mark.parametrize(
+    "spec,text",
+    [
+        ("Fq[t] q=3", "(t^2)"),
+        ("Fq[t] q=3", "(t^3)"),
+        ("Fq[t] q=3", "(t^2+1)"),
+        ("Fq[t] q=3", "(t^2+t)"),
+        ("Fq[t] q=2", "(t^3)"),
+        ("Fq[t] q=2", "(t^4)"),
+        ("Fq[t] q=2", "(t^2+t)"),
+        ("Q(sqrt(-7)) maximal", "(2)"),
+        ("Q(sqrt(-7)) maximal", "(3)"),
+        ("Q(sqrt(-7)) maximal", "(4)"),
+        ("Q(sqrt(-7)) maximal", "(6)"),
+    ],
+)
+def test_gamma0_index_and_level_over_every_domain_kind(spec, text):
+    # the image of Gamma0(q) is the upper-triangular group, of index
+    # |P^1(D/q)| = N(q) prod_{p | q} (1 + 1/N(p)); its level is q
+    D = parse_domain(spec)
+    q0 = D.parse_ideal(text)
+    ring = build_quotient(D, q0)
+    gens = [make_generator("T", ring, g) for g in ring.additive_generators]
+    gens += [make_generator("Tdiag", ring, u, ring.zero_idx) for u in ring.units]
+    F = frame_subgroup(D, q0, gens)
+    norms = [residue_norm(p) for p, _ in factor_ideal(q0).pairs]
+    index = residue_norm(q0) // prod(norms) * prod(n + 1 for n in norms)
+    assert F.index == index
+    assert sum(c.width for c in cusps(F)) == index
     assert level(F) == q0
 
 

@@ -14,6 +14,8 @@ from conglab.cli import (
     EXIT_PARSE,
     main,
 )
+from conglab.domains import parse_domain
+from conglab.quotients import _quotient, build_quotient
 
 
 def run_cli(argv, capsys):
@@ -99,6 +101,24 @@ def test_analyze_group_cap_is_checked_against_the_order_formula(capsys):
     code, out, _ = run_cli(["--group-cap", "144", *argv], capsys)
     assert code == EXIT_OK
     assert json.loads(out)["index"] == 144
+    # the same verdicts over the now interned ring and its warm columns
+    code, out, err = run_cli(["--group-cap", "143", *argv], capsys)
+    assert (code, out) == (EXIT_CAP, "") and "cap" in err
+    assert run_cli(["--group-cap", "144", *argv], capsys)[0] == EXIT_OK
+
+
+def test_second_analyze_builds_no_ring_and_walks_no_columns(capsys):
+    argv = ["analyze", "--domain", "Z", "--modulus", "(6)"]
+    _, first, _ = run_cli(argv, capsys)
+    Z = parse_domain("Z")
+    ring = build_quotient(Z, Z.parse_ideal("(6)"))
+    columns = ring._columns
+    builds = _quotient.cache_info().misses
+    _, second, _ = run_cli(argv, capsys)
+    assert second == first
+    assert _quotient.cache_info().misses == builds
+    # the column table is only ever assigned after a BFS
+    assert columns is not None and ring._columns is columns
 
 
 def test_byte_identical_output(capsys):
@@ -216,6 +236,15 @@ class SerialExecutor:
         return map(fn, *iterables)
 
 
+def test_default_verify_suite_is_byte_identical_across_jobs(capsys):
+    # forked workers inherit the parent's interned rings; output must not move
+    code, serial, _ = run_cli(["verify-suite", "--jobs", "1"], capsys)
+    assert code == EXIT_OK
+    code, forked, _ = run_cli(["verify-suite", "--jobs", "2"], capsys)
+    assert code == EXIT_OK
+    assert forked == serial
+
+
 def test_verify_suite_jobs_never_exceed_the_suites(capsys, monkeypatch):
     import concurrent.futures
 
@@ -258,10 +287,12 @@ def test_screen_perm_group_cap_exit_code(capsys, tmp_path):
     assert "cap" in err
 
 
+def python_env():
+    return dict(os.environ, PYTHONPATH=str(Path(conglab.__file__).resolve().parents[1]))
+
+
 def run_python(*args):
-    src = str(Path(conglab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=300)
+    return subprocess.run([sys.executable, *args], capture_output=True, env=python_env(), timeout=300)
 
 
 PATCHED_ORDER_FORMULA = """
@@ -271,77 +302,62 @@ matgroups.sl2_order_formula = lambda modulus: 7
 sys.exit(cli.main(["analyze", "--domain", "Z", "--modulus", "(2)"]))
 """
 
+# the whole gate through cli.main, one JSON document per line
+GATE = """
+import json, sys
+from conglab import cli
+from conglab.analyzer import EXAMPLE_NAMES
+runs = [["analyze", "--example", name] for name in EXAMPLE_NAMES]
+runs.append(["enumerate-modular", "--max-index", "12", "--screen"])
+for suite in (
+    "exact_soundness", "amplitude_extrema", "level_divisibility",
+    "center_triviality", "coprime_product", "cube_law", "quotients",
+    "subspace_screen",
+):
+    runs.append(["verify-suite", "--suite", suite])
+for argv in runs:
+    code = cli.main(argv)
+    if code:
+        sys.exit(code)
+sys.stderr.write(json.dumps({"optimize": sys.flags.optimize}))
+"""
+
 
 def test_output_and_checks_survive_python_O():
-    plain = run_python("-m", "conglab", "analyze", "--example", "ex2_13")
-    optimised = run_python("-O", "-m", "conglab", "analyze", "--example", "ex2_13")
-    assert plain.returncode == optimised.returncode == EXIT_OK
-    assert optimised.stdout == plain.stdout
+    # the plain and the optimised run go side by side, one process each
+    procs = [
+        subprocess.Popen(
+            [sys.executable, *flags, "-c", GATE],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=python_env(),
+        )
+        for flags in ((), ("-O",))
+    ]
+    try:
+        (plain_out, plain_err), (out, err) = [p.communicate(timeout=300) for p in procs]
+    finally:
+        for p in procs:
+            p.kill()
+    assert [p.returncode for p in procs] == [EXIT_OK, EXIT_OK], err
+    assert json.loads(plain_err) == {"optimize": 0}
+    assert json.loads(err) == {"optimize": 1}
+    assert out == plain_out
+    docs = [json.loads(line) for line in out.splitlines()]
+    assert len(docs) == 6 + 1 + 8
+    assert [d["index"] for d in docs[:6]] == [4, 6, 6, 192, 3, 2]  # C1-C6
+    assert docs[6]["count"] == 175
+    suites = [(s["name"], s["checks"], s["passed"]) for d in docs[7:] for s in d["suites"]]
+    assert suites == [
+        ("exact_soundness", 1649, 1649),
+        ("amplitude_extrema", 531, 531),
+        ("level_divisibility", 531, 531),
+        ("center_triviality", 5, 5),
+        ("coprime_product", 7, 7),
+        ("cube_law", 9, 9),
+        ("quotients", 44, 44),
+        ("subspace_screen", 267, 267),
+    ]
     broken = run_python("-O", "-c", PATCHED_ORDER_FORMULA)
     assert broken.returncode == EXIT_INTERNAL
     assert b"internal-check" in broken.stderr
-
-
-def test_modular_screens_survive_python_O():
-    args = ("-m", "conglab", "enumerate-modular", "--max-index", "12", "--screen")
-    plain = run_python(*args)
-    optimised = run_python("-O", *args)
-    assert plain.returncode == optimised.returncode == EXIT_OK
-    assert optimised.stdout == plain.stdout
-    assert json.loads(plain.stdout)["count"] == 175
-
-
-STRUCTURAL_SUITES = """
-import json, sys
-from conglab.suites import run_suite
-counts = {}
-for name in ("center_triviality", "coprime_product", "cube_law", "quotients"):
-    result = run_suite(name)
-    counts[name] = [result.checks, result.checks - len(result.failures)]
-print(json.dumps({"optimize": sys.flags.optimize, "counts": counts}))
-"""
-
-
-def test_structural_suites_pass_under_python_O():
-    result = run_python("-O", "-c", STRUCTURAL_SUITES)
-    assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout) == {
-        "optimize": 1,
-        "counts": {
-            "center_triviality": [5, 5],
-            "coprime_product": [7, 7],
-            "cube_law": [9, 9],
-            "quotients": [44, 44],
-        },
-    }
-
-
-SURVEY_GATES = """
-import sys
-from conglab import cli
-for suite in ("amplitude_extrema", "level_divisibility"):
-    code = cli.main(["verify-suite", "--suite", suite])
-    if code:
-        sys.exit(code)
-"""
-
-
-def test_survey_gate_passes_under_python_O():
-    # C9 and C10, one verify-suite document per line
-    plain = run_python("-c", SURVEY_GATES)
-    optimised = run_python("-O", "-c", SURVEY_GATES)
-    assert plain.returncode == optimised.returncode == EXIT_OK, optimised.stderr
-    assert optimised.stdout == plain.stdout
-    suites = [json.loads(line)["suites"] for line in optimised.stdout.splitlines()]
-    assert [(s["name"], s["checks"], s["passed"]) for (s,) in suites] == [
-        ("amplitude_extrema", 531, 531),
-        ("level_divisibility", 531, 531),
-    ]
-
-
-def test_exact_soundness_passes_under_python_O():
-    # compares frame levels and cusp widths with the permreps' exact tests and T-cycles
-    result = run_python("-O", "-m", "conglab", "verify-suite", "--suite", "exact_soundness")
-    assert result.returncode == EXIT_OK
-    (suite,) = json.loads(result.stdout)["suites"]
-    assert (suite["name"], suite["checks"], suite["passed"]) == ("exact_soundness", 1649, 1649)

@@ -3,7 +3,6 @@ import itertools
 
 import pytest
 
-from conglab import modular
 from conglab.domains import CapExceeded, ParseError
 from conglab.matgroups import _MatOps
 from conglab.modular import (
@@ -24,6 +23,7 @@ from conglab.modular import (
     psl2_group,
     screen_permrep,
 )
+from conglab.quotients import _quotient
 
 from test_subgroups import dense_closure_by_bfs
 
@@ -197,7 +197,7 @@ def test_exact_test_matches_oracle():
             cases.append((rep, 2 * level, 2 * level))
     expected = [oracle_exact_test(rep, n0) for rep, _, n0 in cases]
     for sweep in (range(len(cases)), reversed(range(len(cases)))):
-        _sl2_mod.cache_clear()
+        _quotient.cache_clear()
         for k in sweep:
             rep, override, _ = cases[k]
             v = exact_congruence_test(rep, level_override=override)
@@ -244,17 +244,9 @@ def level_eight_noncongruence_rep():
 
 def test_exact_tests_at_one_level_build_one_ring(monkeypatch):
     rep = gamma0_2_rep()
-    calls = []
-    real = modular.build_quotient
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(modular, "build_quotient", counting)
-    _sl2_mod.cache_clear()
+    _quotient.cache_clear()
     assert exact_congruence_test(rep) == exact_congruence_test(rep)
-    assert len(calls) == 1
+    assert _quotient.cache_info().misses == 1
 
     # a non-congruence walk grows the level's graph only up to the edge
     # that fails, and a repeated test at a warm level multiplies nothing
@@ -277,7 +269,7 @@ def test_exact_tests_at_one_level_build_one_ring(monkeypatch):
 def test_warm_level_still_honours_the_cap(run_all):
     # the shared walk is cached per level, not per cap
     rep = gamma0_2_rep()
-    _sl2_mod.cache_clear()
+    _quotient.cache_clear()
     assert exact_congruence_test(rep).congruence
     assert len(_sl2_mod(2).edges) == 2 * projective_group_order(2)
     with pytest.raises(CapExceeded):
@@ -287,19 +279,20 @@ def test_warm_level_still_honours_the_cap(run_all):
 
 
 def test_level_walk_cache_keeps_a_bounded_number_of_levels():
-    # each cached level keeps its ring and graph; walks at more levels than
-    # the bound leave only the bound's number resident, the latest ones
-    bound = _sl2_mod.cache_info().maxsize
+    # each cached level's graph hangs off its interned ring; walks at more
+    # levels than the ring bound leave only the bound's number resident, the
+    # latest ones
+    bound = _quotient.cache_info().maxsize
     assert bound == 32
     rep = gamma0_2_rep()  # level 2: every odd-level walk stops at its first contradiction
     levels = range(3, 3 + 2 * (bound + 4), 2)
-    _sl2_mod.cache_clear()
+    _quotient.cache_clear()
     walks = {}
     for n in levels:
         assert not exact_congruence_test(rep, level_override=n).congruence
         walks[n] = _sl2_mod(n)
-        assert _sl2_mod.cache_info().currsize <= bound
-    assert _sl2_mod.cache_info().currsize == bound
+        assert _quotient.cache_info().currsize <= bound
+    assert _quotient.cache_info().currsize == bound
     assert all(_sl2_mod(n) is walks[n] for n in levels[-bound:])
     # an evicted level is walked again from a fresh graph, with the same verdict
     assert _sl2_mod(levels[0]) is not walks[levels[0]]

@@ -55,6 +55,48 @@ def test_ring_cap():
         build_quotient(Z, Z.zero_ideal())
 
 
+# ---------------------------------------------------------------------------
+# interned rings
+
+
+@pytest.mark.parametrize(
+    "spec,text",
+    [("Z", "(12)"), ("Fq[t] q=3", "(t^2+1)"), ("Q(sqrt(-7)) maximal", "(2)")],
+)
+def test_one_spec_parsed_twice_gives_one_ring(spec, text):
+    rings = []
+    for _ in range(2):
+        D = parse_domain(spec)
+        rings.append(build_quotient(D, D.parse_ideal(text)))
+    assert rings[0] is rings[1]
+    assert quotients._quotient.cache_info().misses == 1
+
+
+def test_warm_ring_still_honours_the_ring_cap():
+    # the cap is checked in front of the cache, with the cold path's message
+    with pytest.raises(CapExceeded) as cold:
+        ring_of(Z, "(100)", cap=50)
+    warm = ring_of(Z, "(100)")
+    assert ring_of(Z, "(100)", cap=100) is warm
+    with pytest.raises(CapExceeded) as hit:
+        ring_of(Z, "(100)", cap=50)
+    assert str(hit.value) == str(cold.value) == "quotient of size 100 exceeds cap 50"
+    with pytest.raises(ValueError):
+        build_quotient(Z, Z.zero_ideal())
+
+
+def test_ring_cache_keeps_the_32_rings_used_last():
+    bound = quotients._quotient.cache_info().maxsize
+    assert bound == 32
+    moduli = range(2, 2 + bound + 1)  # 33 distinct rings
+    rings = {n: ring_of(Z, f"({n})") for n in moduli}
+    assert quotients._quotient.cache_info().currsize == bound
+    assert all(ring_of(Z, f"({n})") is rings[n] for n in moduli[1:])
+    # the first ring was evicted: it is built again, equal but not identical
+    again = ring_of(Z, f"({moduli[0]})")
+    assert again is not rings[moduli[0]] and again == rings[moduli[0]]
+
+
 @pytest.mark.parametrize(
     "D,text",
     [
@@ -242,15 +284,19 @@ def test_local_decompose_examples():
 
 
 def corrupt_local_factor(monkeypatch, prime, remap):
-    """Make local_decompose project onto Z/(prime) through remap(i) in place of i."""
+    """Make local_decompose project onto Z/(prime) through remap(i) in place of i.
+
+    The corrupted factor is a private ring, never the interned one.
+    """
     real = quotients.build_quotient
     local_modulus = Z.parse_ideal(f"({prime})")
 
     def build(domain, modulus, ring_cap):
-        local = real(domain, modulus, ring_cap)
-        if modulus == local_modulus:
-            reduce = local.reduce
-            local.reduce = lambda value: reduce(remap(value))
+        if modulus != local_modulus:
+            return real(domain, modulus, ring_cap)
+        local = quotients._quotient.__wrapped__(domain, modulus)
+        reduce = local.reduce
+        local.reduce = lambda value: reduce(remap(value))
         return local
 
     monkeypatch.setattr(quotients, "build_quotient", build)

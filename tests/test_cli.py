@@ -323,7 +323,9 @@ sys.stderr.write(json.dumps({"optimize": sys.flags.optimize}))
 """
 
 
-def test_output_and_checks_survive_python_O():
+@pytest.fixture(scope="module")
+def gate():
+    """The gate's stdout and stderr, plain and under -O, run once for the module."""
     # the plain and the optimised run go side by side, one process each
     procs = [
         subprocess.Popen(
@@ -345,19 +347,51 @@ def test_output_and_checks_survive_python_O():
     assert out == plain_out
     docs = [json.loads(line) for line in out.splitlines()]
     assert len(docs) == 6 + 1 + 8
-    assert [d["index"] for d in docs[:6]] == [4, 6, 6, 192, 3, 2]  # C1-C6
-    assert docs[6]["count"] == 175
-    suites = [(s["name"], s["checks"], s["passed"]) for d in docs[7:] for s in d["suites"]]
-    assert suites == [
-        ("exact_soundness", 1649, 1649),
-        ("amplitude_extrema", 531, 531),
-        ("level_divisibility", 531, 531),
-        ("center_triviality", 5, 5),
-        ("coprime_product", 7, 7),
-        ("cube_law", 9, 9),
-        ("quotients", 44, 44),
-        ("subspace_screen", 267, 267),
+    return docs
+
+
+def gate_suites(gate):
+    return {s["name"]: (s["checks"], s["passed"]) for d in gate[7:] for s in d["suites"]}
+
+
+def test_output_and_checks_survive_python_O(gate):
+    assert [d["index"] for d in gate[:6]] == [4, 6, 6, 192, 3, 2]  # C1-C6
+    assert list(gate_suites(gate)) == [
+        "exact_soundness",
+        "amplitude_extrema",
+        "level_divisibility",
+        "center_triviality",
+        "coprime_product",
+        "cube_law",
+        "quotients",
+        "subspace_screen",
     ]
+    assert gate_suites(gate)["subspace_screen"] == (267, 267)
     broken = run_python("-O", "-c", PATCHED_ORDER_FORMULA)
     assert broken.returncode == EXIT_INTERNAL
     assert b"internal-check" in broken.stderr
+
+
+def test_modular_screens_survive_python_O(gate):
+    assert gate[6]["count"] == 175
+
+
+def test_structural_suites_pass_under_python_O(gate):
+    suites = gate_suites(gate)
+    assert {name: suites[name] for name in ("center_triviality", "coprime_product", "cube_law", "quotients")} == {
+        "center_triviality": (5, 5),
+        "coprime_product": (7, 7),
+        "cube_law": (9, 9),
+        "quotients": (44, 44),
+    }
+
+
+def test_survey_gate_passes_under_python_O(gate):
+    # C9 and C10
+    suites = gate_suites(gate)
+    assert [suites["amplitude_extrema"], suites["level_divisibility"]] == [(531, 531), (531, 531)]
+
+
+def test_exact_soundness_passes_under_python_O(gate):
+    # compares frame levels and cusp widths with the permreps' exact tests and T-cycles
+    assert gate_suites(gate)["exact_soundness"] == (1649, 1649)

@@ -70,7 +70,10 @@ class FramedSubgroup:
         self.ring = ring
         self.group = group
         self.info = dict(info or {})
-        self.index = sl2_order_formula(ring.modulus) // group.order
+        total = sl2_order_formula(ring.modulus)
+        if total % group.order:
+            raise InternalCheckError("frame image order does not divide |SL2(R)|")
+        self.index = total // group.order
         self._cusps = None
 
     @property
@@ -78,7 +81,7 @@ class FramedSubgroup:
         """Whether conjugating by the standard generators keeps the group."""
         ops = _ops(self.ring)
         return all(
-            ops.mmul(ops.mmul(ops.minv(g), s), g) in self.group.elements
+            ops.mmul(ops.mmul(ops.minv(g), s), g) in self.group
             for g in standard_generators(self.ring)
             for s in self.group.gens
         )
@@ -103,17 +106,17 @@ def frame_subgroup(domain, modulus, gens, caps=DEFAULT_CAPS, info=None):
     ring = build_quotient(domain, modulus, ring_cap=caps.ring)
     sl2_order(ring, cap=caps.group)
     # from_generators checks det 1 on each generator, so H lies in SL2(R)
-    group = FinMatGroup.from_generators(ring, gens, cap=caps.group)
+    group = FinMatGroup.from_generators(ring, gens)
     return FramedSubgroup(domain, modulus, ring, group, info)
 
 
 def frame_from_group(domain, modulus, group, caps=DEFAULT_CAPS, info=None):
-    """Frame a prebuilt FinMatGroup (element set already closed)."""
+    """Frame a prebuilt FinMatGroup; its generators must lie in SL2(R)."""
     ring = group.ring
     if ring.modulus != modulus:
         raise ValueError("group lies over a ring with a different modulus")
     sl2_order(ring, cap=caps.group)
-    for a, b, c, d in map(_ops(ring).decode, group.elements):
+    for a, b, c, d in map(_ops(ring).decode, group.gens):
         if ring.mul(a, d) != ring.add(ring.one_idx, ring.mul(b, c)):
             raise InternalCheckError("frame image leaves SL2(R)")
     return FramedSubgroup(domain, modulus, ring, group, info)
@@ -149,8 +152,8 @@ def quasi_amplitude_at(frame, g):
     ring = frame.ring
     ops = _ops(ring)
     a, _, c, _ = ops.decode(g.code if isinstance(g, Mat2) else g)
-    elems = frame.group.elements
-    hits = [x for x in range(ring.size) if ops.conj_translation(a, c, x) in elems]
+    group = frame.group
+    hits = [x for x in range(ring.size) if ops.conj_translation(a, c, x) in group]
     return additive_closure(hits, ring)
 
 
@@ -688,8 +691,7 @@ def _example_translation_join(caps):
     ]
     n_group = FinMatGroup.from_elements(ring, n_codes)
     m_group = FinMatGroup.from_generators(
-        ring, list(n_group.gens) + [make_generator("T", ring, ring.one_idx).code],
-        cap=caps.group,
+        ring, list(n_group.gens) + [make_generator("T", ring, ring.one_idx).code]
     )
     info = {
         "name": "ex4_10",

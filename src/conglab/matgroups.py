@@ -1,8 +1,13 @@
 """SL2 over a finite quotient ring.
 
 Matrices are packed into a single integer code (four ring-element indices,
-base |R|), so subgroup closures of 10^5..10^6 matrices hash compactly.
-The ring's flat arithmetic tables are required and built on demand.
+base |R|), so element sets of 10^5..10^6 matrices hash compactly. The
+ring's flat arithmetic tables are required and built on demand.
+
+A subgroup (`FinMatGroup`) is its generators plus a column chain, with
+elements on demand: order and membership come from the H-orbit of the
+column e1 and the translations in H (`ColumnChain`), so frames never list
+H. `full_sl2`, the examples and the surveys still close their groups.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .domains import CapExceeded, InternalCheckError, factor_ideal, ideal_arith, residue_norm
-from .quotients import build_quotient, ideal_image
+from .quotients import additive_closure, build_quotient, ideal_image
 
 DEFAULT_GROUP_CAP = 5 * 10 ** 6
 
@@ -153,17 +158,41 @@ def closure_codes(ring, gen_codes, cap=DEFAULT_GROUP_CAP):
 
 
 class FinMatGroup:
-    """A subgroup of SL2(R): generator list plus the closed element set."""
+    """A subgroup H of SL2(R): generators plus a column chain; elements on demand.
 
-    def __init__(self, ring, gens, elements):
+    The chain (`ColumnChain`, built on first use) answers |H| and
+    membership from the generators alone. A prebuilt element set, when
+    given, must be the group the generators generate, and then answers
+    both itself. Otherwise `elements` closes the generators on first use.
+    """
+
+    def __init__(self, ring, gens, elements=None):
         self.ring = ring
         self.gens = tuple(gens)
-        self.elements = frozenset(elements)
+        self._elements = None if elements is None else frozenset(elements)
+        self._chain = None
         self._sorted = None
 
     @property
+    def chain(self):
+        if self._chain is None:
+            self._chain = ColumnChain(self.ring, self.gens)
+        return self._chain
+
+    @property
+    def elements(self):
+        if self._elements is None:
+            elems = frozenset(closure_codes(self.ring, self.gens))
+            if len(elems) != self.chain.order:
+                raise InternalCheckError("group closure does not match the column chain")
+            self._elements = elems
+        return self._elements
+
+    @property
     def order(self):
-        return len(self.elements)
+        if self._elements is not None:
+            return len(self._elements)
+        return self.chain.order
 
     def sorted_elements(self):
         if self._sorted is None:
@@ -171,30 +200,24 @@ class FinMatGroup:
         return self._sorted
 
     def __contains__(self, code):
-        return code in self.elements
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FinMatGroup)
-            and other.ring == self.ring
-            and other.elements == self.elements
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.elements))
+        """Membership of code, which must lie in SL2(R): the chain reads only
+        its first column and one entry of t(v)^-1 code, not its determinant."""
+        if self._elements is not None:
+            return code in self._elements
+        return code in self.chain
 
     def __repr__(self):
         return f"<FinMatGroup of order {self.order} over {self.ring!r}>"
 
     @classmethod
-    def from_generators(cls, ring, gens, cap=DEFAULT_GROUP_CAP):
+    def from_generators(cls, ring, gens):
         gens = list(gens)
         if any(isinstance(g, Mat2) and g.ring != ring for g in gens):
             raise ValueError("generator matrix lies over a different ring")
         codes = [g.code if isinstance(g, Mat2) else g for g in gens]
         for code in codes:
             Mat2.from_code(ring, code)  # validates det = 1
-        return cls(ring, codes, closure_codes(ring, codes, cap))
+        return cls(ring, codes)
 
     @classmethod
     def from_elements(cls, ring, codes):
@@ -221,20 +244,80 @@ class FinMatGroup:
         return cls(ring, found, elems)
 
     def conjugated_by(self, code):
-        """The subgroup code^-1 * self * code."""
+        """The subgroup code^-1 * self * code, from its conjugated generators."""
         ops = _ops(self.ring)
         inv = ops.minv(code)
         mmul = ops.mmul
-        elems = frozenset(mmul(mmul(inv, x), code) for x in self.elements)
-        gens = tuple(mmul(mmul(inv, g), code) for g in self.gens)
-        return FinMatGroup(self.ring, gens, elems)
+        return FinMatGroup(self.ring, (mmul(mmul(inv, g), code) for g in self.gens))
+
+
+class ColumnChain:
+    """The group generated by gens, read through the base (e1, e2) of SL2(R).
+
+    A stabiliser chain of length 2 (Sims 1970; Seress, *Permutation Group
+    Algorithms*, ch. 4). `orbit` maps each column v = (a, c) of the H-orbit
+    of e1, keyed a*n + c, to (d*n, -b*n) for the second column (b, d) of a
+    transversal element t(v) in H; `shifts` is A = {x : T(x) in H}, the
+    stabiliser of e1. So |H| = |orbit| * |A|, and g in SL2(R) with first
+    column v lies in H iff v is in the orbit and t(v)^-1 g = T(x) with
+    x = d*g_b - b*g_d in A.
+
+    The walk sets t(s v) = s t(v) for each generator s. When s t(v) lands
+    on a column already reached, the Schreier generator t(s v)^-1 s t(v)
+    fixes e1, so it is some T(x), and by Schreier's lemma these x generate
+    A additively. Raises InternalCheckError unless |H| divides |SL2(R)|.
+    """
+
+    def __init__(self, ring, gens):
+        ops = _ops(ring)
+        n, add, mul, neg = ring.size, ring.add_t, ring.mul_t, ring.neg_t
+        one, zero = ring.one_idx, ring.zero_idx
+        # each action is a matrix [[p, q], [r, s]], its entries stored times n
+        acts = [tuple(e * n for e in ops.decode(g)) for g in gens]
+        orbit = {one * n + zero: (one * n, neg[zero] * n)}
+        walk = [(one, zero, zero, one)]
+        xs = set()
+        for a, b, c, d in walk:  # walk grows as columns are found
+            for p, q, r, s in acts:
+                a2 = add[mul[p + a] * n + mul[q + c]]
+                c2 = add[mul[r + a] * n + mul[s + c]]
+                b2 = add[mul[p + b] * n + mul[q + d]]
+                d2 = add[mul[r + b] * n + mul[s + d]]
+                t = orbit.get(a2 * n + c2)
+                if t is None:
+                    orbit[a2 * n + c2] = (d2 * n, neg[b2] * n)
+                    walk.append((a2, b2, c2, d2))
+                else:
+                    xs.add(add[mul[t[0] + b2] * n + mul[t[1] + d2]])
+        self.orbit = orbit
+        self.shifts = additive_closure(xs, ring).elements
+        self.order = len(orbit) * len(self.shifts)
+        if sl2_order_formula(ring.modulus) % self.order:
+            raise InternalCheckError("column chain order does not divide |SL2(R)|")
+        self._n, self._n2, self._n3 = n, n * n, n * n * n
+        self._add, self._mul = add, mul
+
+    def __contains__(self, code):
+        n = self._n
+        a, r = divmod(code, self._n3)
+        b, r = divmod(r, self._n2)
+        c, d = divmod(r, n)
+        t = self.orbit.get(a * n + c)
+        if t is None:
+            return False
+        mul = self._mul
+        return self._add[mul[t[0] + b] * n + mul[t[1] + d]] in self.shifts
 
 
 def sl2_order_formula(modulus):
     """|SL2(D/q)| from the factorization of q."""
+    return sl2_order_from_factors((residue_norm(p), e) for p, e in factor_ideal(modulus).pairs)
+
+
+def sl2_order_from_factors(pairs):
+    """|SL2(D/q)| from (N(p), e) for each prime power p^e exactly dividing q."""
     total = 1
-    for p, e in factor_ideal(modulus).pairs:
-        f = residue_norm(p)
+    for f, e in pairs:
         total *= f ** (3 * (e - 1)) * f * (f * f - 1)
     return total
 
@@ -257,7 +340,8 @@ def full_sl2(ring, cap=DEFAULT_GROUP_CAP):
     expected = sl2_order(ring, cap)
     if ring._full_sl2 is not None:
         return ring._full_sl2
-    grp = FinMatGroup.from_generators(ring, standard_generators(ring), cap=expected + 1)
+    gens = standard_generators(ring)
+    grp = FinMatGroup(ring, gens, closure_codes(ring, gens, cap=expected + 1))
     if grp.order != expected:
         raise InternalCheckError("SL2 closure does not match the order formula")
     ring._full_sl2 = grp
@@ -421,7 +505,7 @@ def translations_in_core(group, xs):
     it depends on g only through its first column."""
     conj = _ops(group.ring).conj_translation
     return all(
-        conj(a, c, x) in group.elements for a, c in unimodular_columns(group.ring) for x in xs
+        conj(a, c, x) in group for a, c in unimodular_columns(group.ring) for x in xs
     )
 
 

@@ -14,14 +14,12 @@ from dataclasses import dataclass
 from itertools import chain
 from math import gcd, lcm
 
-from .domains import CapExceeded, IntegerDomain, ParseError
-from .matgroups import DEFAULT_GROUP_CAP, _ops, coset_labels, full_sl2, sl2_order_formula
-from .quotients import build_quotient
+from .domains import CapExceeded, ParseError, _factor_int
+from .matgroups import DEFAULT_GROUP_CAP, _ops, coset_labels, full_sl2, sl2_order_from_factors
+from .quotients import integer_quotient
 from .subgroups import DenseGroup
 
 DEFAULT_ENUM_CAP = 12
-
-_Z = IntegerDomain()
 
 
 def perm_mul(p, q):
@@ -181,15 +179,20 @@ def _sl2_mod(n):
 
     Callers bound n through `projective_group_order` first.
     """
-    ring = build_quotient(_Z, _Z.principal_ideal(n))
+    ring = integer_quotient(n)
     if getattr(ring, "_walk", None) is None:
         ring._walk = _LevelWalk(ring)
     return ring._walk
 
 
 def projective_group_order(n, cap=DEFAULT_GROUP_CAP):
-    """|PSL2(Z) : level-n kernel| = |SL2(Z/n)|, halved for n > 2."""
-    order = sl2_order_formula(_Z.principal_ideal(n))
+    """|PSL2(Z) : level-n kernel| = |SL2(Z/n)|, halved for n > 2; n >= 1.
+
+    n is factored directly, with no ideal formed: every screen calls this.
+    """
+    if n < 1:
+        raise ValueError("the level must be at least 1")
+    order = sl2_order_from_factors(_factor_int(n).items())
     if n > 2:
         order //= 2
     if order > cap:

@@ -4,7 +4,8 @@ Elements of a quotient are referenced by dense integer indices; the ring
 holds the canonical-representative scheme (residues 0..n-1, polynomials
 of degree < deg f, or HNF-box coordinate pairs) and transports elements
 between D and R via lift/reduce.  `build_quotient` interns rings, the 32
-used last, one per (domain, modulus), and checks its caps on every call.
+used last, one per (domain, modulus), and checks its caps on every call;
+`integer_quotient` finds the same Z/(n) by n alone, with the same checks.
 A ring's tables and the caches other layers hang off it are pure functions
 of the ring, so each is built once per process and safe to share.
 """
@@ -14,10 +15,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .domains import CapExceeded, Ideal, InternalCheckError, ideal_arith, residue_norm
+from .domains import (
+    CapExceeded,
+    Ideal,
+    IntegerDomain,
+    InternalCheckError,
+    ideal_arith,
+    residue_norm,
+)
 
 DEFAULT_RING_CAP = 2 ** 16
 _TABLE_LIMIT = 2048
+_Z = IntegerDomain()
 
 
 class QuotientRing:
@@ -188,11 +197,24 @@ def build_quotient(domain, modulus, ring_cap=DEFAULT_RING_CAP):
     n = residue_norm(modulus)
     if n > ring_cap:
         raise CapExceeded(f"quotient of size {n} exceeds cap {ring_cap}")
-    return _quotient(domain, modulus)
+    return _quotient(domain, modulus.data)
+
+
+def integer_quotient(n, ring_cap=DEFAULT_RING_CAP):
+    """Z/(n) for an integer n >= 1: the ring build_quotient(Z, (n)) interns,
+    with the same checks, looked up by n without forming the ideal."""
+    if n < 1:
+        raise ValueError("Z/(n) needs n >= 1")
+    if n > ring_cap:
+        raise CapExceeded(f"quotient of size {n} exceeds cap {ring_cap}")
+    return _quotient(_Z, n)
 
 
 @lru_cache(maxsize=32)
-def _quotient(domain, modulus):
+def _quotient(domain, data):
+    """The ring D/q, keyed by the canonical data of q: equal ideals have
+    equal data, so the key is as fine as the ideal itself and cheaper to hash."""
+    modulus = Ideal(domain, data)
     n = residue_norm(modulus)
     if domain.kind == "integers":
         ring = _IntQuotient(domain, modulus, n)

@@ -79,8 +79,18 @@ def test_frame_borel_mod_t():
     assert F.index == 24 // 6 == 4
 
 
+def test_frame_refuses_an_image_whose_order_does_not_divide_sl2():
+    ring = build_quotient(Z, Z.parse_ideal("(6)"))
+    ops = _ops(ring)
+    seven = [ops.encode(ring.one_idx, x, ring.zero_idx, ring.one_idx) for x in range(6)]
+    seven.append(ops.mneg(ops.identity))
+    group = FinMatGroup(ring, seven, seven)  # 7 codes, which no subgroup of a 144-group has
+    with pytest.raises(InternalCheckError, match="does not divide"):
+        FramedSubgroup(Z, ring.modulus, ring, group)
+
+
 def test_frames_refuse_a_group_over_another_ring():
-    z6 = _quotient.__wrapped__(Z, Z.parse_ideal("(6)"))  # not the interned ring
+    z6 = _quotient.__wrapped__(Z, 6)  # not the interned ring
     t1 = make_generator("T", z6, z6.one_idx)
     with pytest.raises(ValueError, match="different ring"):
         frame_subgroup(Z, Z.parse_ideal("(5)"), [t1])

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import conglab
+from conglab import matgroups
 from conglab.cli import (
     EXIT_CAP,
     EXIT_INTERNAL,
@@ -105,6 +106,42 @@ def test_analyze_group_cap_is_checked_against_the_order_formula(capsys):
     code, out, err = run_cli(["--group-cap", "143", *argv], capsys)
     assert (code, out) == (EXIT_CAP, "") and "cap" in err
     assert run_cli(["--group-cap", "144", *argv], capsys)[0] == EXIT_OK
+
+
+def whole_sl2_gens(tmp_path):
+    """A generators file holding T(1) and S(1), which generate SL2(Z/n) for every n."""
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps([[["1", "1"], ["0", "1"]], [["1", "0"], ["1", "1"]]]))
+    return str(path)
+
+
+def test_whole_sl2_request_never_closes_the_group(capsys, tmp_path, monkeypatch):
+    # |SL2(Z/60)| = 138240: order and membership come from the column chain
+    calls = []
+    real = matgroups.closure_codes
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(matgroups, "closure_codes", counting)
+    argv = ["analyze", "--domain", "Z", "--modulus", "(60)", "--gens", whole_sl2_gens(tmp_path)]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert (report["index"], report["level"], len(report["cusps"])) == (1, "(1)", 1)
+    assert calls == []
+
+
+def test_group_cap_verdicts_hold_for_a_frame_given_by_generators(capsys, tmp_path):
+    # H = SL2(Z/6) has 144 elements, so a cap of 144 admits it and 143 does not
+    argv = ["analyze", "--domain", "Z", "--modulus", "(6)", "--gens", whole_sl2_gens(tmp_path)]
+    for _ in range(2):  # a cold ring, then the interned one
+        code, out, err = run_cli(["--group-cap", "143", *argv], capsys)
+        assert (code, out) == (EXIT_CAP, "") and "cap" in err
+        code, out, _ = run_cli(["--group-cap", "144", *argv], capsys)
+        assert code == EXIT_OK
+        assert json.loads(out)["index"] == 1
 
 
 def test_second_analyze_builds_no_ring_and_walks_no_columns(capsys):
@@ -302,6 +339,18 @@ matgroups.sl2_order_formula = lambda modulus: 7
 sys.exit(cli.main(["analyze", "--domain", "Z", "--modulus", "(2)"]))
 """
 
+# T(x) in H for five of the six x over Z/6: the chain order 24 * 5 does not divide 144
+PATCHED_CHAIN = """
+import sys
+from conglab import cli, matgroups
+real = matgroups.additive_closure
+def short(seed, ring):
+    group = real(seed, ring)
+    return type(group)(ring, group.elements - {max(group.elements)}, group.generators)
+matgroups.additive_closure = short
+sys.exit(cli.main(["analyze", "--domain", "Z", "--modulus", "(6)", "--gens", sys.argv[1]]))
+"""
+
 # the whole gate through cli.main, one JSON document per line
 GATE = """
 import json, sys
@@ -395,3 +444,11 @@ def test_survey_gate_passes_under_python_O(gate):
 def test_exact_soundness_passes_under_python_O(gate):
     # compares frame levels and cusp widths with the permreps' exact tests and T-cycles
     assert gate_suites(gate)["exact_soundness"] == (1649, 1649)
+
+
+def test_a_broken_column_chain_exits_internal_check_under_python_O(tmp_path):
+    broken = run_python("-O", "-c", PATCHED_CHAIN, whole_sl2_gens(tmp_path))
+    assert broken.returncode == EXIT_INTERNAL
+    assert broken.stdout == b""
+    assert b"internal-check: column chain" in broken.stderr
+    assert b"Traceback" not in broken.stderr

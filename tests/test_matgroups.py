@@ -27,7 +27,7 @@ from conglab.matgroups import (
     unimodular_columns,
 )
 from conglab.quotients import build_quotient, ideal_image
-from conglab.suites import exhaustive_frames
+from conglab.suites import SURVEY_FAMILIES, exhaustive_frames
 
 from test_subgroups import SMALL_MODULI, dense_closure_by_bfs, small_sl2
 
@@ -269,20 +269,20 @@ def test_normal_closure_examples():
     tgens = [make_generator("T", R, x).code for x in ideal_image(R, two).sorted_elements()]
     N = normal_closure(R, tgens, G)
     assert N.order == 8 == G.order // 6
-    assert N == principal_congruence_image(R, two)
+    assert N.elements == principal_congruence_image(R, two).elements
 
     assert normal_closure(R, [_ops(R).identity], G).order == 1
 
     R3 = ring_of(F3T, "(t)")
     G3 = full_sl2(R3)
     N3 = normal_closure(R3, [make_generator("T", R3, R3.one_idx).code], G3)
-    assert N3 == G3
+    assert N3.elements == G3.elements
 
 
 def test_principal_congruence_image_examples():
     R = ring_of(Z, "(4)")
     assert principal_congruence_image(R, Z.parse_ideal("(4)")).order == 1
-    assert principal_congruence_image(R, Z.unit_ideal()) == full_sl2(R)
+    assert principal_congruence_image(R, Z.unit_ideal()).elements == full_sl2(R).elements
     img = principal_congruence_image(R, Z.parse_ideal("(2)"))
     # oracle: direct enumeration of X = I mod 2 with det 1 mod 4
     ops = _ops(R)
@@ -343,7 +343,7 @@ def test_core_examples():
     # a normal subgroup is its own core
     N = principal_congruence_image(ring_of(Z, "(4)"), Z.parse_ideal("(2)"))
     G4 = full_sl2(ring_of(Z, "(4)"))
-    assert core_of(N, G4) == N
+    assert core_of(N, G4).elements == N.elements
 
 
 def test_coset_labels_partition_by_minimum():
@@ -456,7 +456,7 @@ def test_translations_in_core_matches_the_core_oracle():
         for x in range(R.size):
             t = make_generator("T", R, x).code
             assert translations_in_core(H, [x]) == (t in core)
-        assert frame.is_normal == (core == H)
+        assert frame.is_normal == (core.elements == H.elements)
 
 
 def test_unimodular_columns_order_check_raises_internal_check(monkeypatch):
@@ -631,3 +631,61 @@ def test_full_sl2_order_check_raises_internal_check(monkeypatch):
     monkeypatch.setattr(matgroups, "sl2_order_formula", lambda modulus: 7)
     with pytest.raises(InternalCheckError):
         full_sl2(ring)
+
+
+# ---------------------------------------------------------------------------
+# column chain against the closure
+
+
+def assert_chain_matches_closure(ring, gens, universe):
+    """The chain of <gens> against closure_codes: order, membership of every
+    code in universe, the orbit of e1 and the translations T(x) in H."""
+    H = FinMatGroup.from_generators(ring, gens)
+    closed = closure_codes(ring, gens)
+    chain = H.chain
+    assert chain.order == H.order == len(closed)
+    assert [x for x in universe if (x in chain) != (x in closed)] == []
+    ops, n = _ops(ring), ring.size
+    columns = {a * n + c for a, _, c, _ in map(ops.decode, closed)}
+    assert set(chain.orbit) == columns
+    shifts = {b for a, b, c, d in map(ops.decode, closed) if (a, c) == (ring.one_idx, ring.zero_idx)}
+    assert chain.shifts == shifts
+
+
+@pytest.mark.parametrize("family", SURVEY_FAMILIES)
+def test_column_chain_matches_the_closure_on_every_survey_frame(family):
+    frames = exhaustive_frames(family)
+    ring = frames[0].ring
+    universe = full_sl2(ring).sorted_elements()
+    for F in frames:
+        # the frame's group carries the survey's element set; rebuild from its generators
+        assert_chain_matches_closure(ring, F.group.gens, universe)
+        assert F.group.chain.order == len(F.group.elements)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, len(SMALL_MODULI) - 1),
+    st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=3),
+)
+def test_column_chain_matches_the_closure_on_random_frames(i, picks):
+    # the first generator is upper triangular, which keeps many frames small
+    R, G, _ = small_sl2(i)
+    B, _ = borel_and_unipotent(R)
+    codes, bcodes = G.sorted_elements(), B.sorted_elements()
+    gens = [bcodes[picks[0] % len(bcodes)]] + [codes[p % len(codes)] for p in picks[1:]]
+    assert_chain_matches_closure(R, gens, codes)
+
+
+def test_elements_on_demand_match_the_chain():
+    R = ring_of(Z, "(6)")
+    t1 = make_generator("T", R, R.one_idx).code
+    s2 = make_generator("S", R, R.reduce(2)).code
+    H = FinMatGroup.from_generators(R, [t1, s2])
+    order = H.order
+    assert t1 in H and H._elements is None  # the chain answered both
+    assert order == len(H.elements) == H.chain.order
+    assert H.sorted_elements() == sorted(closure_codes(R, [t1, s2]))
+    ops = _ops(R)
+    K = H.conjugated_by(s2)  # from the conjugated generators only
+    assert K.elements == {ops.mmul(ops.mmul(ops.minv(s2), h), s2) for h in H.elements}

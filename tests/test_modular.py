@@ -3,8 +3,8 @@ import itertools
 
 import pytest
 
-from conglab.domains import CapExceeded, ParseError
-from conglab.matgroups import _MatOps
+from conglab.domains import CapExceeded, ParseError, parse_domain
+from conglab.matgroups import _MatOps, sl2_order_formula
 from conglab.modular import (
     CuspSplit,
     PermRep,
@@ -112,6 +112,16 @@ def brute_projective_order(n):
 def test_projective_orders(n, expected):
     assert brute_projective_order(n) == expected
     assert projective_group_order(n) == expected
+
+
+def test_projective_orders_match_the_ideal_order_formula():
+    # the per-test path factors n directly; the frames' formula goes through ideals
+    Z = parse_domain("Z")
+    for n in range(1, 500):
+        order = sl2_order_formula(Z.principal_ideal(n))
+        assert projective_group_order(n, cap=order) == (order if n <= 2 else order // 2)
+    with pytest.raises(ValueError):
+        projective_group_order(0)
 
 
 # ---------------------------------------------------------------------------

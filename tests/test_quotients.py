@@ -85,6 +85,20 @@ def test_warm_ring_still_honours_the_ring_cap():
         build_quotient(Z, Z.zero_ideal())
 
 
+def test_integer_quotient_is_the_interned_ring_with_the_same_checks():
+    # Z/(n) by its integer: the ring build_quotient interns, cap checked warm and cold
+    with pytest.raises(CapExceeded) as cold:
+        quotients.integer_quotient(12, ring_cap=11)
+    ring = quotients.integer_quotient(12)
+    assert ring is ring_of(Z, "(12)") and ring.modulus == Z.parse_ideal("(12)")
+    assert quotients._quotient.cache_info().misses == 1
+    with pytest.raises(CapExceeded) as hit:
+        quotients.integer_quotient(12, ring_cap=11)
+    assert str(hit.value) == str(cold.value) == "quotient of size 12 exceeds cap 11"
+    with pytest.raises(ValueError):
+        quotients.integer_quotient(0)
+
+
 def test_ring_cache_keeps_the_32_rings_used_last():
     bound = quotients._quotient.cache_info().maxsize
     assert bound == 32
@@ -294,7 +308,7 @@ def corrupt_local_factor(monkeypatch, prime, remap):
     def build(domain, modulus, ring_cap):
         if modulus != local_modulus:
             return real(domain, modulus, ring_cap)
-        local = quotients._quotient.__wrapped__(domain, modulus)
+        local = quotients._quotient.__wrapped__(domain, modulus.data)
         reduce = local.reduce
         local.reduce = lambda value: reduce(remap(value))
         return local

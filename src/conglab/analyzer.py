@@ -27,12 +27,12 @@ from .matgroups import (
     FinMatGroup,
     Mat2,
     _ops,
+    _sl2_total,
     cusp_representatives,
     full_sl2,
     make_generator,
     principal_congruence_image,
     sl2_order,
-    sl2_order_formula,
     standard_generators,
     translations_in_core,
 )
@@ -70,7 +70,7 @@ class FramedSubgroup:
         self.ring = ring
         self.group = group
         self.info = dict(info or {})
-        total = sl2_order_formula(ring.modulus)
+        total = _sl2_total(ring)
         if total % group.order:
             raise InternalCheckError("frame image order does not divide |SL2(R)|")
         self.index = total // group.order

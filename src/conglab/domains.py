@@ -21,6 +21,7 @@ construction).
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -123,59 +124,27 @@ def _sqrt_mod_prime(a, p):
 
 
 # ---------------------------------------------------------------------------
-# polynomials over F_p represented as coefficient tuples (used for the
-# field modulus and for F_q internals)
+# polynomials as coefficient tuples, low degree first
 
 
-def _pnorm(v, p):
-    v = [c % p for c in v]
-    while v and v[-1] == 0:
-        v.pop()
-    return tuple(v)
+def _monic_polys(q, d):
+    """The monic polynomials of degree d over F_q (coefficients in range(q)),
+    in increasing order of the base-q number their lower coefficients spell."""
+    for digits in itertools.product(range(q), repeat=d):
+        yield digits[::-1] + (1,)
 
 
-def _pmul(x, y, p):
-    if not x or not y:
-        return ()
-    out = [0] * (len(x) + len(y) - 1)
-    for i, a in enumerate(x):
-        if a:
-            for j, b in enumerate(y):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _pnorm(out, p)
+def _variable_pow(k):
+    """The k-th power of the polynomial variable."""
+    return (0,) * k + (1,)
 
 
-def _pdivmod(x, y, p):
-    if not y:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv = pow(y[-1], p - 2, p)
-    rem = list(x)
-    quo = [0] * max(0, len(x) - len(y) + 1)
-    for i in range(len(x) - len(y), -1, -1):
-        c = rem[i + len(y) - 1] * inv % p
-        if c:
-            quo[i] = c
-            for j, b in enumerate(y):
-                rem[i + j] = (rem[i + j] - c * b) % p
-    return _pnorm(quo, p), _pnorm(rem, p)
-
-
-def _p_is_irreducible(f, p):
-    """Trial division by all lower-degree monic polynomials."""
+def _p_is_irreducible(f, Fp):
+    """Trial division over Fp = F_p[u] by all lower-degree monic polynomials."""
     d = len(f) - 1
-    if d < 1:
-        return False
-    for deg in range(1, d // 2 + 1):
-        for idx in range(p ** deg):
-            cand = []
-            k = idx
-            for _ in range(deg):
-                cand.append(k % p)
-                k //= p
-            cand.append(1)
-            if _pdivmod(f, tuple(cand), p)[1] == ():
-                return False
-    return True
+    return d >= 1 and not any(
+        Fp.divmod(f, g)[1] == () for k in range(1, d // 2 + 1) for g in _monic_polys(Fp.q, k)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -225,135 +194,89 @@ def _row_hnf(rows, ncols):
 
 
 # ---------------------------------------------------------------------------
-# element expression parsing (shared by all kinds)
-
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([a-zA-Z]+)|(\^)|(\*)|(\+)|(-)|(\()|(\)))")
+# element texts
 
 
-def _tokenize(text):
-    tokens = []
+_TOKEN_RE = re.compile(r"\d+|[a-zA-Z]+|\S")
+_BAD_CHAR_RE = re.compile(r"[^\s\da-zA-Z()*^+-]")
+
+
+def _evaluate(text, domain, symbols):
+    """The value in domain of an element text, computed as it is parsed.
+
+        sum  := ["+" | "-"] term {("+" | "-") term}
+        term := atom {"*" atom}
+        atom := integer | name ["^" integer] | "(" sum ")" ["^" integer]
+
+    symbols maps each name the domain defines to its power k -> name^k; any
+    other name is refused, wherever it appears.
+    """
+    bad = _BAD_CHAR_RE.search(text)
+    if bad:
+        raise ParseError(f"bad character in element text: {text[bad.start():]!r}")
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append("")  # end marker
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"bad character in element text: {text[pos:]!r}")
-        pos = m.end()
-        for kind, val in zip(
-            ("int", "name", "pow", "mul", "add", "sub", "lpar", "rpar"), m.groups()
-        ):
-            if val is not None:
-                tokens.append((kind, val))
-                break
-    return tokens
+    add, neg, mul = domain.add, domain.neg, domain.mul
 
+    def exponent():
+        nonlocal pos
+        k = tokens[pos + 1]
+        if not k.isdecimal():
+            raise ParseError("exponent must be an integer")
+        pos += 2
+        return int(k)
 
-class _ExprParser:
-    """Parses +/-/*/^ expressions in the variables u, t, w into a monomial
-    dict {(u_exp, t_exp, w_exp): integer coefficient}."""
-
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        out = self.sum_()
-        if self.pos != len(self.tokens):
-            raise ParseError("trailing tokens in element text")
-        return out
-
-    def sum_(self):
-        sign = 1
-        kind, _ = self.peek()
-        if kind in ("add", "sub"):
-            self.take()
-            sign = -1 if kind == "sub" else 1
-        total = _mono_scale(self.term(), sign)
-        while True:
-            kind, _ = self.peek()
-            if kind not in ("add", "sub"):
-                return total
-            self.take()
-            sign = -1 if kind == "sub" else 1
-            total = _mono_add(total, _mono_scale(self.term(), sign))
-
-    def term(self):
-        result = self.atom()
-        while True:
-            kind, _ = self.peek()
-            if kind != "mul":
-                return result
-            self.take()
-            result = _mono_mul(result, self.atom())
-
-    def atom(self):
-        kind, val = self.take()
-        if kind == "int":
-            return {(0, 0, 0): int(val)}
-        if kind == "lpar":
-            inner = self.sum_()
-            kind, _ = self.take()
-            if kind != "rpar":
+    def atom():
+        nonlocal pos
+        tok = tokens[pos]
+        pos += 1
+        if tok.isdecimal():
+            return domain.from_int(int(tok))
+        if tok == "(":
+            inner = sum_()
+            if tokens[pos] != ")":
                 raise ParseError("unbalanced parenthesis in element text")
-            return self._maybe_pow_group(inner)
-        if kind == "name":
-            if val not in ("u", "t", "w"):
-                raise ParseError(f"unknown symbol {val!r}")
-            exp = 1
-            if self.peek()[0] == "pow":
-                self.take()
-                k, v = self.take()
-                if k != "int":
-                    raise ParseError("exponent must be an integer")
-                exp = int(v)
-            key = tuple(exp if s == val else 0 for s in ("u", "t", "w"))
-            return {key: 1}
+            pos += 1
+            if tokens[pos] != "^":
+                return inner
+            value = domain.one()
+            for _ in range(exponent()):
+                value = mul(value, inner)
+            return value
+        if tok in symbols:
+            return symbols[tok](exponent() if tokens[pos] == "^" else 1)
+        if tok.isalpha():
+            raise ParseError(f"symbol {tok!r} is not defined in {domain}")
         raise ParseError("malformed element text")
 
-    def _maybe_pow_group(self, inner):
-        if self.peek()[0] == "pow":
-            self.take()
-            k, v = self.take()
-            if k != "int":
-                raise ParseError("exponent must be an integer")
-            out = {(0, 0, 0): 1}
-            for _ in range(int(v)):
-                out = _mono_mul(out, inner)
-            return out
-        return inner
+    def term():
+        nonlocal pos
+        value = atom()
+        while tokens[pos] == "*":
+            pos += 1
+            value = mul(value, atom())
+        return value
 
+    def sum_():
+        nonlocal pos
+        sign = tokens[pos]
+        if sign in ("+", "-"):
+            pos += 1
+        total = neg(term()) if sign == "-" else term()
+        while tokens[pos] in ("+", "-"):
+            sign = tokens[pos]
+            pos += 1
+            total = add(total, neg(term()) if sign == "-" else term())
+        return total
 
-def _mono_scale(m, s):
-    return {k: v * s for k, v in m.items()}
-
-
-def _mono_add(m1, m2):
-    out = dict(m1)
-    for k, v in m2.items():
-        out[k] = out.get(k, 0) + v
-    return {k: v for k, v in out.items() if v}
-
-
-def _mono_mul(m1, m2):
-    out = {}
-    for k1, v1 in m1.items():
-        for k2, v2 in m2.items():
-            k = tuple(a + b for a, b in zip(k1, k2))
-            out[k] = out.get(k, 0) + v1 * v2
-    return {k: v for k, v in out.items() if v}
-
-
-def _parse_monomials(text):
-    return _ExprParser(_tokenize(text)).parse()
+    try:
+        value = sum_()
+    except RecursionError:
+        raise ParseError("element text nests too deeply") from None
+    if pos != len(tokens) - 1:
+        raise ParseError("trailing tokens in element text")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +287,7 @@ class Domain:
     """Base class; concrete kinds implement the arithmetic hooks."""
 
     kind = None
+    symbols = {}  # name -> (k -> name^k) for the names element texts may use
 
     # -- element arithmetic (implemented by subclasses) --
 
@@ -398,7 +322,7 @@ class Domain:
         raise NotImplementedError
 
     def parse_element(self, text):
-        raise NotImplementedError
+        return _evaluate(text, self, self.symbols)
 
     # -- ideals --
 
@@ -452,12 +376,6 @@ class IntegerDomain(Domain):
     def element_str(self, x):
         return str(x)
 
-    def parse_element(self, text):
-        monos = _parse_monomials(text)
-        if any(k != (0, 0, 0) for k in monos):
-            raise ParseError("integer elements cannot use symbols")
-        return monos.get((0, 0, 0), 0)
-
     def zero_ideal(self):
         return Ideal(self, 0)
 
@@ -488,22 +406,26 @@ class PolynomialDomain(Domain):
         self.p = p
         self.e = e
         self.q = p ** e
+        self.symbols = {"t": _variable_pow}
         if e == 1:
             self.field_modulus = None
+            self._mul_table = self._inv_table = None
         else:
             if field_modulus is None:
                 raise ParseError(f"a field modulus is required for q={self.q}")
-            fm = _pnorm(field_modulus, p)
+            Fp = PolynomialDomain(p, 1)
+            fm = Fp._norm(c % p for c in field_modulus)
             if len(fm) - 1 != e:
                 raise ParseError("field modulus degree does not match q")
             if fm[-1] != 1:
                 raise ParseError("field modulus must be monic")
-            if not _p_is_irreducible(fm, p):
+            if not _p_is_irreducible(fm, Fp):
                 raise ParseError("field modulus is reducible")
             if self.q > _FQ_TABLE_LIMIT:
                 raise CapExceeded(f"field size {self.q} above table limit")
             self.field_modulus = fm
-        self._build_field_tables()
+            self._build_field_tables(Fp)
+            self.symbols["u"] = self._u_pow
         self.units = tuple((c,) for c in range(1, self.q))
         self.unit_squares = tuple(
             sorted({(self.fq_mul(c, c),) for c in range(1, self.q)})
@@ -516,7 +438,7 @@ class PolynomialDomain(Domain):
         for _ in range(self.e):
             digits.append(v % self.p)
             v //= self.p
-        return _pnorm(digits, self.p)
+        return self._norm(digits)
 
     def _fq_value(self, tup):
         v = 0
@@ -524,18 +446,14 @@ class PolynomialDomain(Domain):
             v = v * self.p + c
         return v
 
-    def _build_field_tables(self):
-        if self.e == 1:
-            self._mul_table = None
-            self._inv_table = None
-            return
+    def _build_field_tables(self, Fp):
+        """Multiplication and inverse tables of F_q = Fp[u]/(field modulus)."""
         q = self.q
         mul = [0] * (q * q)
         for a in range(q):
             ta = self._fq_tuple(a)
             for b in range(a, q):
-                prod = _pmul(ta, self._fq_tuple(b), self.p)
-                r = _pdivmod(prod, self.field_modulus, self.p)[1]
+                r = Fp.divmod(Fp.mul(ta, self._fq_tuple(b)), self.field_modulus)[1]
                 v = self._fq_value(r)
                 mul[a * q + b] = v
                 mul[b * q + a] = v
@@ -588,6 +506,9 @@ class PolynomialDomain(Domain):
         for _ in range(k):
             out = self.fq_mul(out, a)
         return out
+
+    def _u_pow(self, k):
+        return (self.fq_pow(self.p, k),)  # u is the F_q value p, digits (0, 1)
 
     def fq_embed_int(self, n):
         return n % self.p
@@ -716,26 +637,6 @@ class PolynomialDomain(Domain):
             return "0", 1
         return "+".join(parts), len(parts)
 
-    def parse_element(self, text):
-        monos = _parse_monomials(text)
-        coeffs = {}
-        u_elt = self.p if self.e > 1 else None  # the field generator u
-        for (ue, te, we), c in monos.items():
-            if we:
-                raise ParseError("symbol w is not defined in a polynomial domain")
-            if ue and self.e == 1:
-                raise ParseError("symbol u is not defined over a prime field")
-            v = self.fq_embed_int(c)
-            if ue:
-                v = self.fq_mul(v, self.fq_pow(u_elt, ue))
-            coeffs[te] = self.fq_add(coeffs.get(te, 0), v)
-        if not coeffs:
-            return ()
-        out = [0] * (max(coeffs) + 1)
-        for k, v in coeffs.items():
-            out[k] = v
-        return self._norm(out)
-
     def zero_ideal(self):
         return Ideal(self, ())
 
@@ -787,6 +688,7 @@ class QuadraticDomain(Domain):
             self.c0 = m
             self.c1 = 0
             self.disc = 4 * m
+        self.symbols = {"w": self._w_pow}
         if m == -1:
             self.units = ((1, 0), (-1, 0), (0, 1), (0, -1))
         elif m == -3:
@@ -830,18 +732,11 @@ class QuadraticDomain(Domain):
             return wtxt if b > 0 else f"-{wtxt}"
         return f"{a}+{wtxt}" if b > 0 else f"{a}-{wtxt}"
 
-    def parse_element(self, text):
-        monos = _parse_monomials(text)
-        a, b = 0, 0
-        for (ue, te, we), c in monos.items():
-            if ue or te:
-                raise ParseError("symbols u, t are not defined in a quadratic domain")
-            val = (c, 0)
-            for _ in range(we):
-                val = self.mul(val, (0, 1))
-            a += val[0]
-            b += val[1]
-        return (a, b)
+    def _w_pow(self, k):
+        out = self.one()
+        for _ in range(k):
+            out = self.mul(out, (0, 1))
+        return out
 
     def zero_ideal(self):
         return Ideal(self, (0, 0, 0))
@@ -1134,14 +1029,7 @@ def _factor_poly_ideal(D, I):
             break
         if D.q ** d > 10 ** 6:
             raise CapExceeded("polynomial factor search too large")
-        for idx in range(D.q ** d):
-            cand = []
-            k = idx
-            for _ in range(d):
-                cand.append(k % D.q)
-                k //= D.q
-            cand.append(1)
-            cand = tuple(cand)
+        for cand in _monic_polys(D.q, d):
             e = 0
             while True:
                 quo, r = D.divmod(rem, cand)
@@ -1315,7 +1203,8 @@ def parse_domain(spec):
                 raise ParseError("prime fields take no modulus")
             return PolynomialDomain(p, 1)
         if m.group(2):
-            modulus = _parse_u_poly(m.group(2), p)
+            Fp = PolynomialDomain(p, 1)
+            modulus = _evaluate(m.group(2), Fp, {"u": _variable_pow})
         elif q in FIXED_FIELD_MODULI:
             modulus = FIXED_FIELD_MODULI[q]
         else:
@@ -1326,17 +1215,3 @@ def parse_domain(spec):
         return QuadraticDomain(int(m.group(1)))
     raise ParseError(f"unrecognized domain spec {spec!r}")
 
-
-def _parse_u_poly(text, p):
-    monos = _parse_monomials(text)
-    coeffs = {}
-    for (ue, te, we), c in monos.items():
-        if te or we:
-            raise ParseError("field modulus must be a polynomial in u")
-        coeffs[ue] = (coeffs.get(ue, 0) + c) % p
-    if not coeffs:
-        raise ParseError("empty field modulus")
-    out = [0] * (max(coeffs) + 1)
-    for k, v in coeffs.items():
-        out[k] = v
-    return _pnorm(out, p)

@@ -292,7 +292,7 @@ class ColumnChain:
         self.orbit = orbit
         self.shifts = additive_closure(xs, ring).elements
         self.order = len(orbit) * len(self.shifts)
-        if sl2_order_formula(ring.modulus) % self.order:
+        if _sl2_total(ring) % self.order:
             raise InternalCheckError("column chain order does not divide |SL2(R)|")
         self._n, self._n2, self._n3 = n, n * n, n * n * n
         self._add, self._mul = add, mul
@@ -322,9 +322,16 @@ def sl2_order_from_factors(pairs):
     return total
 
 
+def _sl2_total(ring):
+    """|SL2(R)| by the order formula, computed on first use and kept on the ring."""
+    if ring._sl2_order is None:
+        ring._sl2_order = sl2_order_formula(ring.modulus)
+    return ring._sl2_order
+
+
 def sl2_order(ring, cap=DEFAULT_GROUP_CAP):
     """|SL2(R)| by the order formula; CapExceeded when it is above cap."""
-    expected = sl2_order_formula(ring.modulus)
+    expected = _sl2_total(ring)
     if expected > cap:
         raise CapExceeded(f"|SL2(R)| = {expected} exceeds cap {cap}")
     return expected
@@ -453,7 +460,7 @@ def unimodular_columns(ring):
             b, d = min((add[b * n + mul[a * n + r]], add[d * n + mul[c * n + r]]) for r in range(n))
             columns[(a, c)] = ops.encode(a, b, c, d)
             queue.extend(ops.mmul(s, x) for s in gens)
-    if len(columns) * n != sl2_order_formula(ring.modulus):
+    if len(columns) * n != _sl2_total(ring):
         raise InternalCheckError("unimodular columns do not match the order formula")
     ring._columns = columns
     return columns

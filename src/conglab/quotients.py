@@ -40,6 +40,7 @@ class QuotientRing:
         self.mul_t = None
         self.neg_t = None
         self._inv_cache = {}
+        self._sl2_order = None
         self._full_sl2 = None
 
     # -- enumeration (kind-specific, filled in by build_quotient) --

@@ -32,6 +32,7 @@ from .analyzer import (
     unit_square_closure_check,
 )
 from .domains import (
+    _monic_polys,
     condition_L,
     crt_select,
     factor_ideal,
@@ -674,14 +675,7 @@ def suite_subspace_screen(caps, seed, families=None):
     for q in (2, 3):
         D = parse_domain(f"Fq[t] q={q}")
         for deg in (2, 3, 4):
-            for idx in range(q ** deg):
-                coeffs = []
-                k = idx
-                for _ in range(deg):
-                    coeffs.append(k % q)
-                    k //= q
-                coeffs.append(1)
-                f = tuple(coeffs)
+            for f in _monic_polys(q, deg):
                 if f[0] == 0:
                     continue
                 if deg == 2 and f[1] == 0:

@@ -84,6 +84,27 @@ def test_analyze_parse_error_exit_code(capsys):
     assert "parse" in err
 
 
+DEEP = "(" * 3000 + "1" + ")" * 3000
+
+
+def test_deeply_nested_entry_is_a_parse_error(capsys, tmp_path):
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps([[[DEEP, "0"], ["0", "1"]]]))
+    code, out, err = run_cli(["analyze", "--domain", "Z", "--modulus", "(6)", "--gens", str(gens)], capsys)
+    assert (code, out) == (EXIT_PARSE, "")
+    assert "nests too deeply" in err
+
+
+@pytest.mark.parametrize("text", ["1$", "(1", "t^-1", "2^3", "x", "", DEEP])
+def test_malformed_element_texts_exit_2(capsys, tmp_path, text):
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps([[[text, "0"], ["0", "1"]]]))
+    argv = ["analyze", "--domain", "Fq[t] q=3", "--modulus", "(t^2)", "--gens", str(gens)]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (EXIT_PARSE, "")
+    assert "parse" in err
+
+
 def test_analyze_cap_exceeded_exit_code(capsys):
     code, _, err = run_cli(
         ["--ring-cap", "3", "analyze", "--domain", "Z", "--modulus", "(6)"], capsys

@@ -1,12 +1,19 @@
 import math
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conglab.domains import (
     CapExceeded,
     Ideal,
     ParseError,
+    PolynomialDomain,
+    _evaluate,
+    _monic_polys,
+    _variable_pow,
     condition_L,
     crt_select,
     factor_ideal,
@@ -132,6 +139,325 @@ def test_quad_element_values():
     assert ZSQ13.parse_element("3-2*w") == (3, -2)
     assert ZSQ13.parse_element("w^2") == (-13, 0)
     assert QSQ7.parse_element("w^2") == (-2, 1)
+
+
+# ---------------------------------------------------------------------------
+# element texts against the monomial parser
+
+
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([a-zA-Z]+)|(\^)|(\*)|(\+)|(-)|(\()|(\)))")
+
+
+def _tokenize(text):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None or m.end() == pos:
+            if text[pos:].strip() == "":
+                break
+            raise ParseError(f"bad character in element text: {text[pos:]!r}")
+        pos = m.end()
+        for kind, val in zip(
+            ("int", "name", "pow", "mul", "add", "sub", "lpar", "rpar"), m.groups()
+        ):
+            if val is not None:
+                tokens.append((kind, val))
+                break
+    return tokens
+
+
+class _ExprParser:
+    """Parses +/-/*/^ expressions in the variables u, t, w into a monomial
+    dict {(u_exp, t_exp, w_exp): integer coefficient}."""
+
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
+
+    def take(self):
+        tok = self.peek()
+        self.pos += 1
+        return tok
+
+    def parse(self):
+        out = self.sum_()
+        if self.pos != len(self.tokens):
+            raise ParseError("trailing tokens in element text")
+        return out
+
+    def sum_(self):
+        sign = 1
+        kind, _ = self.peek()
+        if kind in ("add", "sub"):
+            self.take()
+            sign = -1 if kind == "sub" else 1
+        total = _mono_scale(self.term(), sign)
+        while True:
+            kind, _ = self.peek()
+            if kind not in ("add", "sub"):
+                return total
+            self.take()
+            sign = -1 if kind == "sub" else 1
+            total = _mono_add(total, _mono_scale(self.term(), sign))
+
+    def term(self):
+        result = self.atom()
+        while True:
+            kind, _ = self.peek()
+            if kind != "mul":
+                return result
+            self.take()
+            result = _mono_mul(result, self.atom())
+
+    def atom(self):
+        kind, val = self.take()
+        if kind == "int":
+            return {(0, 0, 0): int(val)}
+        if kind == "lpar":
+            inner = self.sum_()
+            kind, _ = self.take()
+            if kind != "rpar":
+                raise ParseError("unbalanced parenthesis in element text")
+            return self._maybe_pow_group(inner)
+        if kind == "name":
+            if val not in ("u", "t", "w"):
+                raise ParseError(f"unknown symbol {val!r}")
+            exp = 1
+            if self.peek()[0] == "pow":
+                self.take()
+                k, v = self.take()
+                if k != "int":
+                    raise ParseError("exponent must be an integer")
+                exp = int(v)
+            key = tuple(exp if s == val else 0 for s in ("u", "t", "w"))
+            return {key: 1}
+        raise ParseError("malformed element text")
+
+    def _maybe_pow_group(self, inner):
+        if self.peek()[0] == "pow":
+            self.take()
+            k, v = self.take()
+            if k != "int":
+                raise ParseError("exponent must be an integer")
+            out = {(0, 0, 0): 1}
+            for _ in range(int(v)):
+                out = _mono_mul(out, inner)
+            return out
+        return inner
+
+
+def _mono_scale(m, s):
+    return {k: v * s for k, v in m.items()}
+
+
+def _mono_add(m1, m2):
+    out = dict(m1)
+    for k, v in m2.items():
+        out[k] = out.get(k, 0) + v
+    return {k: v for k, v in out.items() if v}
+
+
+def _mono_mul(m1, m2):
+    out = {}
+    for k1, v1 in m1.items():
+        for k2, v2 in m2.items():
+            k = tuple(a + b for a, b in zip(k1, k2))
+            out[k] = out.get(k, 0) + v1 * v2
+    return {k: v for k, v in out.items() if v}
+
+
+def _parse_monomials(text):
+    return _ExprParser(_tokenize(text)).parse()
+
+
+def oracle_element(D, text):
+    """The element text's value in D: its monomials over Z[u, t, w], then
+    each monomial converted by D's kind."""
+    monos = _parse_monomials(text)
+    if D.kind == "integers":
+        if any(k != (0, 0, 0) for k in monos):
+            raise ParseError("integer elements cannot use symbols")
+        return monos.get((0, 0, 0), 0)
+    if D.kind == "polynomials":
+        coeffs = {}
+        u_elt = D.p if D.e > 1 else None  # the field generator u
+        for (ue, te, we), c in monos.items():
+            if we:
+                raise ParseError("symbol w is not defined in a polynomial domain")
+            if ue and D.e == 1:
+                raise ParseError("symbol u is not defined over a prime field")
+            v = D.fq_embed_int(c)
+            if ue:
+                v = D.fq_mul(v, D.fq_pow(u_elt, ue))
+            coeffs[te] = D.fq_add(coeffs.get(te, 0), v)
+        if not coeffs:
+            return ()
+        out = [0] * (max(coeffs) + 1)
+        for k, v in coeffs.items():
+            out[k] = v
+        return D._norm(out)
+    a, b = 0, 0
+    for (ue, te, we), c in monos.items():
+        if ue or te:
+            raise ParseError("symbols u, t are not defined in a quadratic domain")
+        val = (c, 0)
+        for _ in range(we):
+            val = D.mul(val, (0, 1))
+        a += val[0]
+        b += val[1]
+    return (a, b)
+
+
+def oracle_field_modulus(text, p):
+    """A field modulus text as a polynomial in u over F_p."""
+    monos = _parse_monomials(text)
+    coeffs = {}
+    for (ue, te, we), c in monos.items():
+        if te or we:
+            raise ParseError("field modulus must be a polynomial in u")
+        coeffs[ue] = (coeffs.get(ue, 0) + c) % p
+    if not coeffs:
+        raise ParseError("empty field modulus")
+    out = [0] * (max(coeffs) + 1)
+    for k, v in coeffs.items():
+        out[k] = v
+    return PolynomialDomain(p, 1)._norm(out)
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError:
+        return ParseError
+
+
+def names_undefined_symbol(text, symbols):
+    return any(name not in symbols for name in re.findall(r"[a-zA-Z]+", text))
+
+
+F3 = PolynomialDomain(3, 1)
+_FRAGMENTS = ["0", "1", "2", "3", "12", "u", "t", "w", "x", "tw", "+", "-", "*", "^", "(", ")", " "]
+
+
+def _small_powers(text):
+    # repeated powers of a sum multiply out in the monomial parser; keep them small
+    return math.prod(int(k) or 1 for k in re.findall(r"\^\s*(\d+)", text)) <= 64
+
+
+def _grammar_texts():
+    leaf = st.sampled_from(["0", "1", "2", "3", "12", "u", "t", "w", "x", "t^2", "u^3", "w^2", "t^0", "u^0"])
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from(["+", "-", "*", " + ", " * ", "- "]), inner).map("".join),
+            inner.map(lambda s: f"({s})"),
+            inner.map(lambda s: f"-{s}"),
+            st.tuples(inner, st.sampled_from("0123")).map(lambda p: f"({p[0]})^{p[1]}"),
+        )
+
+    return st.recursive(leaf, extend, max_leaves=10)
+
+
+ELEMENT_TEXTS = st.one_of(
+    st.lists(st.sampled_from(_FRAGMENTS), max_size=14).map("".join),
+    _grammar_texts(),
+).filter(_small_powers)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(text=ELEMENT_TEXTS)
+def test_element_texts_evaluate_as_the_monomial_parser(text):
+    # equal values, or both refuse, or only the evaluator refuses a text
+    # that names a symbol the domain does not define (e.g. "t-t" over Z)
+    for D in (Z, F3T, F9T, ZSQ13, QSQ7):
+        new = outcome(D.parse_element, text)
+        old = outcome(lambda s: oracle_element(D, s), text)
+        assert new == old or (new is ParseError and names_undefined_symbol(text, D.symbols)), (str(D), text)
+    symbols = {"u": _variable_pow}
+    new = outcome(lambda s: _evaluate(s, F3, symbols), text)
+    old = outcome(lambda s: oracle_field_modulus(s, 3), text)
+    # the monomial parser refused moduli whose monomials cancel ("u-u");
+    # the evaluator reads them as 0, which no field accepts as a modulus
+    assert (
+        new == old
+        or (new is ParseError and names_undefined_symbol(text, symbols))
+        or (old is ParseError and new == ())
+    ), text
+
+
+def test_zero_field_modulus_is_refused():
+    for text in ("0", "u-u", "3"):
+        with pytest.raises(ParseError):
+            parse_domain(f"Fq[t] q=9 mod={text}")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1$", "(1", "1)", "t^-1", "t^u", "2^3", "(t)^", "--1", "1+-1", "x", "", "  ", "1 2", "*t"],
+)
+def test_malformed_element_texts_are_refused(text):
+    with pytest.raises(ParseError):
+        F9T.parse_element(text)
+
+
+@pytest.mark.parametrize(
+    "D,text",
+    [(Z, "t-t"), (Z, "0*w"), (Z, "u^0"), (F3T, "u"), (F3T, "w^0"), (F9T, "0*w"), (ZSQ13, "t^0")],
+)
+def test_undefined_symbols_are_refused_wherever_they_appear(D, text):
+    with pytest.raises(ParseError, match="not defined"):
+        D.parse_element(text)
+
+
+def test_deep_nesting_is_a_parse_error():
+    with pytest.raises(ParseError, match="nests too deeply"):
+        Z.parse_element("(" * 3000 + "1" + ")" * 3000)
+    assert Z.parse_element("(" * 100 + "1" + ")" * 100) == 1
+
+
+def test_monic_polys_in_base_q_digit_order():
+    assert list(_monic_polys(2, 2)) == [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
+    for q, d in ((3, 3), (4, 2)):
+        spelled = [sum(c * q ** i for i, c in enumerate(f[:-1])) for f in _monic_polys(q, d)]
+        assert spelled == list(range(q ** d))
+
+
+@pytest.mark.parametrize("q", [4, 8, 9])
+def test_field_tables_match_brute_force_products(q):
+    # oracle: a*b is the v with a*b = v + g*m over F_p[u] for some g of
+    # degree < e - 1, found by trying every v and g
+    D = parse_domain(f"Fq[t] q={q}")
+    p, e, m = D.p, D.e, D.field_modulus
+
+    def poly(v, n):  # the base-p digits of v, n of them
+        return [v // p ** i % p for i in range(n)]
+
+    def times(x, y):
+        out = [0] * (len(x) + len(y) - 1)
+        for i, a in enumerate(x):
+            for j, b in enumerate(y):
+                out[i + j] += a * b
+        return out
+
+    for a in range(q):
+        for b in range(q):
+            ab = times(poly(a, e), poly(b, e))
+            found = [
+                v
+                for v in range(q)
+                for g in range(p ** (e - 1))
+                if all(
+                    (x - y - z) % p == 0
+                    for x, y, z in zip(ab, poly(v, 2 * e - 1), times(poly(g, e - 1), list(m)))
+                )
+            ]
+            assert found == [D.fq_mul(a, b)]
+        if a:
+            assert D.fq_mul(a, D.fq_inv(a)) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -307,13 +307,13 @@ class QuasiLevelVerdict:
         }
 
 
-def quasi_level_ideal_check(frame, lvl=None, ql=None):
-    """Under the level condition the quasi-level must equal the level."""
+def quasi_level_ideal_check(frame, lvl=None, ql=None, cond=None):
+    """Under condition L at the level (cond, if known) the quasi-level must equal the level."""
     if ql is None:
         ql = quasi_level(frame)
     if lvl is None:
         lvl = largest_ideal_inside(ql)
-    cond = condition_L(lvl)
+    cond = condition_L(lvl) if cond is None else cond
     equal = ideal_image(frame.ring, lvl).elements == ql.elements
     if cond.holds:
         if not equal:
@@ -355,11 +355,11 @@ def _divides_factorial(m, n):
     return True
 
 
-def level_index_divisibility_check(frame, lvl=None):
-    """|D/l| divides index! (and the index itself when the frame is normal)."""
+def level_index_divisibility_check(frame, lvl=None, cond=None):
+    """|D/l| divides index! (the index too when H is normal); cond is condition_L(lvl) if known."""
     if lvl is None:
         lvl = level(frame)
-    cond = condition_L(lvl)
+    cond = condition_L(lvl) if cond is None else cond
     res = residue_norm(lvl)
     idx = frame.index
     fact = _divides_factorial(res, idx)
@@ -508,8 +508,8 @@ def analyze(frame):
             "amplitude intersection differs from the level"
         )
     condition = condition_L(lvl)
-    quasi_verdict = quasi_level_ideal_check(frame, lvl, ql)
-    divisibility = level_index_divisibility_check(frame, lvl)
+    quasi_verdict = quasi_level_ideal_check(frame, lvl, ql, condition)
+    divisibility = level_index_divisibility_check(frame, lvl, condition)
     inequality = index_level_inequality_check(frame, lvl)
     split_ok = cusp_split_check(frame, cusp_list)
     if not split_ok:

@@ -27,13 +27,6 @@ def perm_mul(p, q):
     return tuple(q[i] for i in p)
 
 
-def _perm_order_divides(p, k):
-    acc = tuple(range(len(p)))
-    for _ in range(k):
-        acc = perm_mul(acc, p)
-    return acc == tuple(range(len(p)))
-
-
 @dataclass(frozen=True)
 class PermRep:
     """A finite-index subgroup of the projective modular group."""
@@ -47,9 +40,9 @@ class PermRep:
         for name, p in (("S", self.S), ("T", self.T)):
             if len(p) != n or sorted(p) != list(range(n)):
                 raise ParseError(f"{name} is not a permutation of {n} points")
-        if not _perm_order_divides(self.S, 2):
+        if not _acts_alike(n, [self.S] * 2, []):
             raise ParseError("S must square to the identity")
-        if not _perm_order_divides(perm_mul(self.S, self.T), 3):
+        if not _acts_alike(n, [self.S, self.T] * 3, []):
             raise ParseError("S*T must have order dividing 3")
         reached = {0}
         frontier = [0]
@@ -97,20 +90,23 @@ class CuspSplit:
 
 
 def cusp_split(rep):
-    seen = [False] * rep.n
-    lengths = []
-    for start in range(rep.n):
-        if seen[start]:
-            continue
-        c = start
-        size = 0
-        while not seen[c]:
-            seen[c] = True
-            size += 1
-            c = rep.T[c]
-        lengths.append(size)
-    lengths.sort()
+    lengths = sorted(len(cyc) for cyc in _cycles(rep.T))
     return CuspSplit(tuple(lengths), lcm(*lengths))
+
+
+def _cycles(p):
+    seen = [False] * len(p)
+    out = []
+    for start in range(len(p)):
+        if not seen[start]:
+            cyc = []
+            x = start
+            while not seen[x]:
+                seen[x] = True
+                cyc.append(x)
+                x = p[x]
+            out.append(cyc)
+    return out
 
 
 @dataclass(frozen=True)
@@ -132,57 +128,13 @@ class LarcherVerdict:
 
 def larcher_check(split):
     """The gcd and the lcm of the cusp widths must both be widths."""
-    g = gcd(*split.lengths)
-    l = lcm(*split.lengths)
-    g_in = g in split.lengths
-    l_in = l in split.lengths
+    g_in = gcd(*split.lengths) in split.lengths
+    l_in = split.level in split.lengths
     return LarcherVerdict(g_in and l_in, g_in, l_in)
 
 
 # ---------------------------------------------------------------------------
-# SL2(Z/n) and PSL2(Z/n) on the packed-code layer
-
-
-class _LevelWalk:
-    """The matrix ops of Z/(n), the codes s, t of S and T, and the Cayley
-    graph of PSL2(Z/n) under right multiplication by S and T.
-
-    Nodes are the labels min(x, -x), numbered breadth-first from the
-    identity in `codes`; edges[2i + k] is the number of codes[i] * (S, T)[k].
-    The graph grows one edge per `grow`, only as far as some walk reads it.
-    """
-
-    def __init__(self, ring):
-        self.ops = ops = _ops(ring)
-        r = ring.reduce
-        self.s = ops.encode(r(0), r(-1), r(1), r(0))
-        self.t = ops.encode(r(1), r(1), r(0), r(1))
-        self.codes = [self.label(ops.identity)]
-        self.number = {self.codes[0]: 0}
-        self.edges = []
-
-    def label(self, x):
-        return min(x, self.ops.mneg(x))
-
-    def grow(self):
-        i, k = divmod(len(self.edges), 2)
-        x = self.label(self.ops.mmul(self.codes[i], (self.s, self.t)[k]))
-        num = self.number.setdefault(x, len(self.codes))
-        if num == len(self.codes):
-            self.codes.append(x)
-        self.edges.append(num)
-
-
-def _sl2_mod(n):
-    """The shared walk of level n, kept on the interned ring Z/(n), so it
-    lives as long as the ring stays among the 32 that `build_quotient` keeps.
-
-    Callers bound n through `projective_group_order` first.
-    """
-    ring = integer_quotient(n)
-    if getattr(ring, "_walk", None) is None:
-        ring._walk = _LevelWalk(ring)
-    return ring._walk
+# PSL2(Z/n) on the packed-code layer
 
 
 def projective_group_order(n, cap=DEFAULT_GROUP_CAP):
@@ -203,13 +155,17 @@ def projective_group_order(n, cap=DEFAULT_GROUP_CAP):
 def psl2_group(n, cap=DEFAULT_GROUP_CAP):
     """PSL2(Z/n) on generators S, T; each label is the smaller code of +-x."""
     projective_group_order(n, cap)
-    walk = _sl2_mod(n)
-    label, mmul = walk.label, walk.ops.mmul
+    ring = integer_quotient(n)
+    ops = _ops(ring)
+    r = ring.reduce
+
+    def label(x):
+        return min(x, ops.mneg(x))
+
+    gens = [label(ops.encode(*map(r, m))) for m in ((0, -1, 1, 0), (1, 1, 0, 1))]  # S, T
     # |SL2(Z/n)| <= 2 |PSL2(Z/n)|, which the order check bounded by cap
-    labels = sorted({label(x) for x in full_sl2(walk.ops.ring, 2 * cap).elements})
-    return DenseGroup(
-        labels, lambda x, y: label(mmul(x, y)), walk.codes[0], [label(walk.s), label(walk.t)]
-    )
+    labels = sorted({label(x) for x in full_sl2(ring, 2 * cap).elements})
+    return DenseGroup(labels, lambda x, y: label(ops.mmul(x, y)), label(ops.identity), gens)
 
 
 @dataclass(frozen=True)
@@ -236,35 +192,79 @@ class CongruenceVerdict:
     level: int
 
 
-def exact_congruence_test(rep, level_override=None, cap=DEFAULT_GROUP_CAP):
-    """Whether the subgroup contains the full level-n0 kernel.
+def exact_congruence_test(rep, split=None, cap=DEFAULT_GROUP_CAP):
+    """Whether the subgroup contains the level-N kernel, N the lcm of the
+    cusp widths; by Wohlfahrt's theorem that decides congruence.
 
-    Walks the level's shared Cayley graph of PSL2(Z/n0) (see `_LevelWalk`)
-    in its breadth-first order, giving each new node the point phi[i] that
-    its walk word sends the base point to, and stops at the first edge the
-    action contradicts.  -I = S^2 acts trivially (PermRep checks S^2 = 1),
-    so this decides the same question as the walk over SL2(Z/n0).  Edges
-    read once are kept for later tests at the same level.
+    Hsu's test (Proc. AMS 124, 1996) on L = T and R = S*T^-1*S = [[1,0],[1,1]].
+    N = e*m, e a power of 2 and m odd; c = 1 mod m, c = 0 mod e, d = 1 - c;
+    h = 1/2 mod m, f = 1/5 mod e.  With a = L^c, b = R^c, l = L^d, r = R^d,
+    s = l^20 r^f l^-4 r^-1 and u = l r^-1 l, the subgroup is congruence iff
+    a^-1 r^-1 a r = 1, (a b^-1 a)^4 = 1, (a b^-1 a)^2 = (b^-1 a)^3 =
+    (b^2 a^-h)^3, u^-1 s u s = 1, s^-1 r s = r^25 and u^2 = (s r^5 l r^-1 l)^3.
+    Powers are read off the cycles of L and R, whose orders divide N, and
+    each relation is checked point by point.
     """
-    split = cusp_split(rep)
-    n0 = level_override if level_override is not None else split.level
-    projective_group_order(n0, cap)
-    walk = _sl2_mod(n0)
-    edges = walk.edges
-    actions = (rep.S, rep.T)
-    phi = [0]
-    j = 0
-    while j < 2 * len(phi):
-        if j == len(edges):
-            walk.grow()
-        target = edges[j]
-        image = actions[j & 1][phi[j >> 1]]
-        if target == len(phi):
-            phi.append(image)
-        elif phi[target] != image:
-            return CongruenceVerdict(False, split.level)
-        j += 1
-    return CongruenceVerdict(True, split.level)
+    split = cusp_split(rep) if split is None else split
+    N = split.level
+    projective_group_order(N, cap)
+    e = N & -N
+    m = N // e
+    c = e * pow(e, -1, m) % N
+    d = (1 - c) % N
+    h, f = pow(2, -1, m), pow(5, -1, e)
+    # R = S^-1 T^-1 S: S carries each T-cycle, reversed, onto an R-cycle
+    L_cycles = _cycles(rep.T)
+    cycles = {"L": L_cycles, "R": [[rep.S[x] for x in reversed(cyc)] for cyc in L_cycles]}
+    powers = {}
+
+    def tables(word):  # the tables of the word's powers g^k, identities dropped
+        out = []
+        for g, k in word:
+            k %= N
+            if k:
+                if (g, k) not in powers:
+                    p = powers[g, k] = [0] * rep.n
+                    for cyc in cycles[g]:
+                        for x, y in zip(cyc, cyc[k % len(cyc) :] + cyc[: k % len(cyc)]):
+                            p[x] = y
+                out.append(powers[g, k])
+        return out
+
+    a, l, r = ("L", c), ("L", d), ("R", d)
+    a_, b_, l_, r_ = ("L", -c), ("R", -c), ("L", -d), ("R", -d)  # x_ = x^-1
+    s = [("L", 20 * d), ("R", f * d), ("L", -4 * d), r_]
+    s_ = [r, ("L", 4 * d), ("R", -f * d), ("L", -20 * d)]
+    u, u_ = [l, r_, l], [l_, r, l_]
+    # relations in a and b alone hold trivially when c = 0, in l and r alone when d = 0
+    relations = [([a_, r_, a, r], [])] if c and d else []
+    if c:
+        relations += [
+            ([a, b_, a] * 4, []),
+            ([a, b_, a] * 2, [b_, a] * 3),
+            ([a, b_, a] * 2, [("R", 2 * c), ("L", -c * h)] * 3),
+        ]
+    if d:
+        relations += [
+            (u_ + s + u + s, []),
+            (s_ + [r] + s, [("R", 25 * d)]),
+            (u * 2, (s + [("R", 5 * d)] + u) * 3),
+        ]
+    congruence = all(_acts_alike(rep.n, tables(lhs), tables(rhs)) for lhs, rhs in relations)
+    return CongruenceVerdict(congruence, N)
+
+
+def _acts_alike(n, lhs, rhs):
+    """Whether two words of permutations send every point to the same point."""
+    for x in range(n):
+        y = z = x
+        for p in lhs:
+            y = p[y]
+        for p in rhs:
+            z = p[z]
+        if y != z:
+            return False
+    return True
 
 
 def coset_permrep(G, subgroup_indices):
@@ -437,7 +437,7 @@ def screen_permrep(rep, run_all=False, cap=DEFAULT_GROUP_CAP):
         if not run_all:
             out["verdict"] = verdict
             return out
-    exact = exact_congruence_test(rep, cap=cap)
+    exact = exact_congruence_test(rep, split, cap)
     screens["exact"] = exact.congruence
     if verdict is None:
         verdict = (

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -218,6 +219,14 @@ def test_enumerate_modular(capsys):
     report = json.loads(out)
     assert report["count"] >= 3
     assert all(sum(r["cusp_split"]) == r["n"] for r in report["reps"])
+
+
+def test_modular_screens_output_is_pinned(capsys):
+    # the screens' stdout, byte for byte, whatever algorithm decides the exact test
+    code, out, _ = run_cli(["enumerate-modular", "--max-index", "12", "--screen"], capsys)
+    assert code == EXIT_OK
+    digest = "caff902d4b0df7009d405d2c5b40a5dea1ea3c63fb84fce1e985619d1e0708fb"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])

@@ -2,6 +2,8 @@ import functools
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conglab.domains import CapExceeded, ParseError, parse_domain
 from conglab.matgroups import _MatOps, sl2_order_formula
@@ -9,7 +11,6 @@ from conglab.modular import (
     CuspSplit,
     PermRep,
     _rebased_minimum,
-    _sl2_mod,
     _standardize_xy,
     coset_permrep,
     cusp_split,
@@ -195,24 +196,49 @@ def test_psl2_group_matches_oracle_group():
 
 
 def test_exact_test_matches_oracle():
-    # every rep of index <= 12 at its own level, and up to index 9 also at
-    # twice it; swept forwards and backwards from a cold cache, so the
-    # shared edges are read both after deeper walks grew them and while
-    # shallower walks grow them
-    cases = []
+    # every rep of index <= 12 at its own level, and up to index 9 also the
+    # walk at twice the level: by Wohlfahrt's theorem the verdict is the same
     for rep in low_index_enumerate(12):
         level = cusp_split(rep).level
-        cases.append((rep, None, level))
+        v = exact_congruence_test(rep)
+        assert v.level == level
+        assert v.congruence == oracle_exact_test(rep, level)
         if rep.n <= 9:
-            cases.append((rep, 2 * level, 2 * level))
-    expected = [oracle_exact_test(rep, n0) for rep, _, n0 in cases]
-    for sweep in (range(len(cases)), reversed(range(len(cases)))):
-        _quotient.cache_clear()
-        for k in sweep:
-            rep, override, _ = cases[k]
-            v = exact_congruence_test(rep, level_override=override)
-            assert v.congruence == expected[k]
-            assert v.level == cusp_split(rep).level
+            assert v.congruence == oracle_exact_test(rep, 2 * level)
+
+
+RANDOM_ORDER_BOUND = 10_000  # |PSL2(Z/N)| the oracle walks per random rep
+
+
+@st.composite
+def transitive_reps(draw):
+    """A transitive rep on S, an involution, and T = S*Z, Z of order 3."""
+    n = draw(st.integers(4, 16))
+    pairs = draw(st.permutations(range(n)))
+    triples = draw(st.permutations(range(n)))
+    S = list(range(n))
+    Z = list(range(n))
+    for i in range(0, 2 * draw(st.integers(max(0, n // 2 - 1), n // 2)), 2):
+        S[pairs[i]], S[pairs[i + 1]] = pairs[i + 1], pairs[i]
+    for i in range(0, 3 * draw(st.integers(max(0, n // 3 - 1), n // 3)), 3):
+        x, y, z = triples[i : i + 3]
+        Z[x], Z[y], Z[z] = y, z, x
+    try:
+        rep = PermRep(n, tuple(S), tuple(Z[x] for x in S))
+    except ParseError:  # intransitive
+        assume(False)
+    try:
+        projective_group_order(cusp_split(rep).level, RANDOM_ORDER_BOUND)
+    except CapExceeded:
+        assume(False)
+    return rep
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(transitive_reps())
+def test_exact_test_matches_oracle_on_random_reps(rep):
+    v = exact_congruence_test(rep, cap=RANDOM_ORDER_BOUND)
+    assert v.congruence == oracle_exact_test(rep, v.level)
 
 
 def test_index_level_examples():
@@ -252,17 +278,9 @@ def level_eight_noncongruence_rep():
     raise AssertionError("no level-8 non-congruence rep of index 8")
 
 
-def test_exact_tests_at_one_level_build_one_ring(monkeypatch):
-    rep = gamma0_2_rep()
-    _quotient.cache_clear()
-    assert exact_congruence_test(rep) == exact_congruence_test(rep)
-    assert _quotient.cache_info().misses == 1
-
-    # a non-congruence walk grows the level's graph only up to the edge
-    # that fails, and a repeated test at a warm level multiplies nothing
-    other = level_eight_noncongruence_rep()
-    first = [exact_congruence_test(r) for r in (rep, other)]
-    assert len(_sl2_mod(8).edges) < 2 * projective_group_order(8)
+def test_exact_test_builds_no_ring_and_multiplies_nothing(monkeypatch):
+    # the relations act on the cosets only: no ring Z/(N), no matrix product
+    reps = (gamma0_2_rep(), level_eight_noncongruence_rep())
     mmuls = []
     real_mmul = _MatOps.mmul
 
@@ -271,42 +289,21 @@ def test_exact_tests_at_one_level_build_one_ring(monkeypatch):
         return real_mmul(self, x, y)
 
     monkeypatch.setattr(_MatOps, "mmul", counting_mmul)
-    assert [exact_congruence_test(r) for r in (rep, other)] == first
+    _quotient.cache_clear()
+    assert [exact_congruence_test(r).congruence for r in reps] == [True, False]
+    assert _quotient.cache_info().currsize == 0
     assert mmuls == []
 
 
 @pytest.mark.parametrize("run_all", [False, True])
 def test_warm_level_still_honours_the_cap(run_all):
-    # the shared walk is cached per level, not per cap
+    # a test that passed at a level is refused there under a smaller cap
     rep = gamma0_2_rep()
-    _quotient.cache_clear()
     assert exact_congruence_test(rep).congruence
-    assert len(_sl2_mod(2).edges) == 2 * projective_group_order(2)
     with pytest.raises(CapExceeded):
         exact_congruence_test(rep, cap=5)
     with pytest.raises(CapExceeded):
         screen_permrep(rep, run_all=run_all, cap=5)
-
-
-def test_level_walk_cache_keeps_a_bounded_number_of_levels():
-    # each cached level's graph hangs off its interned ring; walks at more
-    # levels than the ring bound leave only the bound's number resident, the
-    # latest ones
-    bound = _quotient.cache_info().maxsize
-    assert bound == 32
-    rep = gamma0_2_rep()  # level 2: every odd-level walk stops at its first contradiction
-    levels = range(3, 3 + 2 * (bound + 4), 2)
-    _quotient.cache_clear()
-    walks = {}
-    for n in levels:
-        assert not exact_congruence_test(rep, level_override=n).congruence
-        walks[n] = _sl2_mod(n)
-        assert _quotient.cache_info().currsize <= bound
-    assert _quotient.cache_info().currsize == bound
-    assert all(_sl2_mod(n) is walks[n] for n in levels[-bound:])
-    # an evicted level is walked again from a fresh graph, with the same verdict
-    assert _sl2_mod(levels[0]) is not walks[levels[0]]
-    assert not exact_congruence_test(rep, level_override=levels[0]).congruence
 
 
 def test_exact_test_on_small_kernel_cosets():
@@ -330,11 +327,10 @@ def test_exact_test_on_small_kernel_cosets():
 
 
 def test_wohlfahrt_coherence():
-    # testing at a multiple of the level gives the same verdict
+    # walking PSL2 at a multiple of the level gives the verdict at the level
     for rep in low_index_enumerate(7):
         v = exact_congruence_test(rep)
-        v2 = exact_congruence_test(rep, level_override=2 * v.level)
-        assert v.congruence == v2.congruence
+        assert oracle_exact_test(rep, 2 * v.level) == v.congruence
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from conglab import subgroups
 from conglab.domains import CapExceeded, _factor_int, parse_domain
 from conglab.matgroups import FinMatGroup, _ops, closure_codes, extend_closure, full_sl2
-from conglab.modular import _sl2_mod, psl2_group
-from conglab.quotients import build_quotient
+from conglab.modular import psl2_group
+from conglab.quotients import build_quotient, integer_quotient
 from conglab.subgroups import DenseGroup, all_subgroups, subgroup_classes
 from conglab.suites import _RANDOM_DOMAINS
 
@@ -286,7 +286,7 @@ def test_join_oracle_on_random_groups(i, picks):
 def lazy_table_cases():
     ops = _ops(build_quotient(Z, Z.parse_ideal("(4)")))
     yield dense_sl2(Z, "(4)"), ops.mmul, ops.minv
-    ops = _sl2_mod(6).ops
+    ops = _ops(integer_quotient(6))
 
     def label(x):
         return min(x, ops.mneg(x))

@@ -420,28 +420,6 @@ def extend_closure(group, gens, g, mul, cap=DEFAULT_GROUP_CAP):
     return elems
 
 
-def coset_labels(elements, sub, mul):
-    """Label the cosets {mul(h, x) : h in sub}, first seen first.
-
-    Returns the representatives (the first element of each coset in the
-    order of `elements`) and the map from each covered element to the
-    index of its coset. Raises InternalCheckError when two cosets overlap,
-    which the cosets of a subgroup never do.
-    """
-    label = {}
-    reps = []
-    for x in elements:
-        if x in label:
-            continue
-        c = len(reps)
-        reps.append(x)
-        for h in sub:
-            label[mul(h, x)] = c
-    if len(label) != len(reps) * len(sub):
-        raise InternalCheckError("cosets overlap: not the cosets of a subgroup")
-    return reps, label
-
-
 def unimodular_columns(ring):
     """Map each first column (a, c) of SL2(R), that is each coset gU, to the
     minimum code in it; a BFS from e1 under the standard generators."""

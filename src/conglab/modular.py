@@ -4,27 +4,21 @@ Subgroups are given projectively (they contain -I) as a pair of
 permutations: the action of the order-2 generator S and the translation T
 on the cosets of the subgroup, with base point 0.  The composition
 convention is the right action: a word acts letter by letter, left to
-right, and perm_mul(p, q) is "apply p, then q".
+right.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import dataclass, field
 from math import gcd, lcm
 
-from .domains import CapExceeded, ParseError, _factor_int
-from .matgroups import DEFAULT_GROUP_CAP, _ops, coset_labels, full_sl2, sl2_order_from_factors
+from .domains import CapExceeded, InternalCheckError, ParseError, _factor_int
+from .matgroups import DEFAULT_GROUP_CAP, _ops, full_sl2, sl2_order_from_factors
 from .quotients import integer_quotient
 from .subgroups import DenseGroup
 
 DEFAULT_ENUM_CAP = 12
-
-
-def perm_mul(p, q):
-    """Right-action composition: apply p, then q."""
-    return tuple(q[i] for i in p)
 
 
 @dataclass(frozen=True)
@@ -37,6 +31,8 @@ class PermRep:
 
     def __post_init__(self):
         n = self.n
+        if n < 1:
+            raise ParseError(f"a permrep needs at least one point, got n = {n}")
         for name, p in (("S", self.S), ("T", self.T)):
             if len(p) != n or sorted(p) != list(range(n)):
                 raise ParseError(f"{name} is not a permutation of {n} points")
@@ -64,17 +60,15 @@ def parse_permrep(data):
     if isinstance(data, str):
         try:
             data = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"bad permrep JSON: {exc}") from exc
     if not isinstance(data, dict) or not {"n", "S", "T"} <= set(data):
         raise ParseError('permrep JSON needs keys "n", "S", "T"')
-    try:
-        n = int(data["n"])
-        S = tuple(int(x) for x in data["S"])
-        T = tuple(int(x) for x in data["T"])
-    except (TypeError, ValueError) as exc:
-        raise ParseError("permrep arrays must hold integers") from exc
-    return PermRep(n, S, T)
+    n, S, T = data["n"], data["S"], data["T"]
+    arrays = isinstance(S, (list, tuple)) and isinstance(T, (list, tuple))
+    if not arrays or any(type(x) is not int for x in (n, *S, *T)):  # no bool, float or str
+        raise ParseError('permrep "n" must be an integer and "S", "T" arrays of integers')
+    return PermRep(n, tuple(S), tuple(T))
 
 
 @dataclass(frozen=True)
@@ -83,6 +77,7 @@ class CuspSplit:
 
     lengths: tuple
     level: int
+    cycles: tuple = field(default=(), compare=False, repr=False)  # T's, for the exact test
 
     @property
     def index(self):
@@ -90,8 +85,9 @@ class CuspSplit:
 
 
 def cusp_split(rep):
-    lengths = sorted(len(cyc) for cyc in _cycles(rep.T))
-    return CuspSplit(tuple(lengths), lcm(*lengths))
+    cycles = _cycles(rep.T)
+    lengths = sorted(map(len, cycles))
+    return CuspSplit(tuple(lengths), lcm(*lengths), tuple(cycles))
 
 
 def _cycles(p):
@@ -192,9 +188,10 @@ class CongruenceVerdict:
     level: int
 
 
-def exact_congruence_test(rep, split=None, cap=DEFAULT_GROUP_CAP):
+def exact_congruence_test(rep, split=None, cap=DEFAULT_GROUP_CAP, kernel_index=None):
     """Whether the subgroup contains the level-N kernel, N the lcm of the
-    cusp widths; by Wohlfahrt's theorem that decides congruence.
+    cusp widths; by Wohlfahrt's theorem that decides congruence.  A kernel
+    index found by index_level_checks under the same cap skips its cap check.
 
     Hsu's test (Proc. AMS 124, 1996) on L = T and R = S*T^-1*S = [[1,0],[1,1]].
     N = e*m, e a power of 2 and m odd; c = 1 mod m, c = 0 mod e, d = 1 - c;
@@ -207,14 +204,15 @@ def exact_congruence_test(rep, split=None, cap=DEFAULT_GROUP_CAP):
     """
     split = cusp_split(rep) if split is None else split
     N = split.level
-    projective_group_order(N, cap)
+    if kernel_index is None:
+        projective_group_order(N, cap)
     e = N & -N
     m = N // e
     c = e * pow(e, -1, m) % N
     d = (1 - c) % N
     h, f = pow(2, -1, m), pow(5, -1, e)
     # R = S^-1 T^-1 S: S carries each T-cycle, reversed, onto an R-cycle
-    L_cycles = _cycles(rep.T)
+    L_cycles = split.cycles or _cycles(rep.T)
     cycles = {"L": L_cycles, "R": [[rep.S[x] for x in reversed(cyc)] for cyc in L_cycles]}
     powers = {}
 
@@ -270,15 +268,33 @@ def _acts_alike(n, lhs, rhs):
 def coset_permrep(G, subgroup_indices):
     """The action of G's generators S, T on the right cosets of a subgroup.
 
-    The subgroup's own coset is point 0, the base point.
+    The subgroup's own coset is point 0, the base point, and the others
+    follow by least element.  Cosets are pushed as blocks, Kx·g being the
+    block [y·g for y in Kx].  Raises InternalCheckError unless the set holds
+    the identity and its blocks tile G, every block moving as one.
     """
-    S, T = G.gens
-    reps, label = coset_labels(
-        chain((G.identity,), range(G.size)), sorted(subgroup_indices), G.mul
-    )
-    sperm = tuple(label[G.mul(r, S)] for r in reps)
-    tperm = tuple(label[G.mul(r, T)] for r in reps)
-    return PermRep(len(reps), sperm, tperm)
+    K = sorted(subgroup_indices)
+    label = [-1] * G.size
+    for y in K:
+        label[y] = 0
+    blocks = [K]
+    for block in blocks:  # blocks grows as cosets are found
+        for rmul in G.right_actions:
+            if label[rmul[block[0]]] < 0:
+                image = [rmul[y] for y in block]
+                for y in image:
+                    label[y] = len(blocks)
+                blocks.append(image)
+    perms = [[label[rmul[block[0]]] for block in blocks] for rmul in G.right_actions]
+    if G.identity not in K or len(blocks) * len(K) != G.size or -1 in label or any(
+        list(map(label.__getitem__, rmul)) != list(map(perm.__getitem__, label))
+        for rmul, perm in zip(G.right_actions, perms)
+    ):
+        raise InternalCheckError("the blocks are not the cosets of a subgroup")
+    order = [0, *filter(None, dict.fromkeys(label))]  # then by least element
+    point = dict(zip(order, range(len(order))))
+    S, T = (tuple(point[perm[c]] for c in order) for perm in perms)
+    return PermRep(len(blocks), S, T)
 
 
 # ---------------------------------------------------------------------------
@@ -291,14 +307,15 @@ def low_index_enumerate(max_index, cap=DEFAULT_ENUM_CAP, up_to_conjugacy=True):
 
     Backtracks over coset tables of the order-2 generator x and the
     order-3 generator z = S*T, introducing cosets in scan order so each
-    subgroup appears exactly once; conjugates are then deduplicated by
-    rebasing (pass up_to_conjugacy=False for the raw subgroup list).
+    subgroup appears exactly once; a complete table is kept only if it is
+    canonical, the least over its rebasings, which leaves one per conjugacy
+    class (pass up_to_conjugacy=False for the raw subgroup list).
     """
     if max_index < 1:
         raise ValueError(f"max index must be at least 1, got {max_index}")
     if max_index > cap:
         raise CapExceeded(f"enumeration index {max_index} above cap {cap}")
-    tables = []
+    out = []
     sx = [-1] * max_index
     sy = [-1] * max_index
     pre_y = [-1] * max_index
@@ -339,7 +356,9 @@ def low_index_enumerate(max_index, cap=DEFAULT_ENUM_CAP, up_to_conjugacy=True):
     def dfs(ncos):
         slot = first_slot(ncos)
         if slot is None:
-            tables.append((tuple(sx[:ncos]), tuple(sy[:ncos])))
+            x, z = sx[:ncos], sy[:ncos]
+            if not up_to_conjugacy or _is_canonical(x, z):
+                out.append(PermRep(ncos, tuple(x), tuple(z[j] for j in x)))  # T = x * z
             return
         i, kind = slot
         limit = min(ncos + 1, max_index)
@@ -363,42 +382,38 @@ def low_index_enumerate(max_index, cap=DEFAULT_ENUM_CAP, up_to_conjugacy=True):
                 undo_y(trail)
 
     dfs(1)
-    out = []
-    for tx, ty in tables:
-        if not up_to_conjugacy or _rebased_minimum(tx, ty) == (tx, ty):
-            out.append(_permrep_from_xy(tx, ty))
     out.sort(key=lambda r: (r.n, r.S, r.T))
     return out
 
 
-def _standardize_xy(sx, sy, base):
-    old2new = {base: 0}
-    order = [base]
-    qi = 0
-    while qi < len(order):
-        c = order[qi]
-        qi += 1
-        for img in (sx[c], sy[c]):
-            if img not in old2new:
-                old2new[img] = len(order)
-                order.append(img)
+def _is_canonical(sx, sy):
+    """Whether the table (sx, sy), numbered breadth first from coset 0, is the
+    least (nsx, nsy) that numbering breadth first from any base gives.  Each
+    base stops at its first entry that differs: nsx[k] is known at coset k."""
     n = len(sx)
-    nsx = [0] * n
-    nsy = [0] * n
-    for old, new in old2new.items():
-        nsx[new] = old2new[sx[old]]
-        nsy[new] = old2new[sy[old]]
-    return tuple(nsx), tuple(nsy)
-
-
-def _rebased_minimum(sx, sy):
-    return min(_standardize_xy(sx, sy, base) for base in range(len(sx)))
-
-
-def _permrep_from_xy(sx, sy):
-    # T = x * z with x the order-2 and z the order-3 table
-    tperm = tuple(sy[sx[i]] for i in range(len(sx)))
-    return PermRep(len(sx), tuple(sx), tperm)
+    for base in range(1, n):
+        new = [-1] * n
+        new[base] = 0
+        order = [base]
+        for k in range(n):  # order grows as cosets are reached
+            c = order[k]
+            for img in (sx[c], sy[c]):
+                if new[img] < 0:
+                    new[img] = len(order)
+                    order.append(img)
+            v = new[sx[c]]
+            if v < sx[k]:
+                return False
+            if v > sx[k]:
+                break
+        else:  # nsx == sx: nsy decides
+            for k, c in enumerate(order):
+                v = new[sy[c]]
+                if v < sy[k]:
+                    return False
+                if v > sy[k]:
+                    break
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +452,7 @@ def screen_permrep(rep, run_all=False, cap=DEFAULT_GROUP_CAP):
         if not run_all:
             out["verdict"] = verdict
             return out
-    exact = exact_congruence_test(rep, split, cap)
+    exact = exact_congruence_test(rep, split, cap, il.projective_order)
     screens["exact"] = exact.congruence
     if verdict is None:
         verdict = (

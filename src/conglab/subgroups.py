@@ -12,6 +12,8 @@ zuppo; both paths read one zuppo list, built once per group.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .domains import _factor_int
 from .matgroups import extend_closure
 
@@ -52,6 +54,11 @@ class DenseGroup:
         if v < 0:
             v = self.table[k] = self.index[self._mul_label(self.labels[i], self.labels[j])]
         return v
+
+    @cached_property
+    def right_actions(self):
+        """For each generator g, the map x -> xg on indices."""
+        return [[self.mul(x, g) for x in range(self.size)] for g in self.gens]
 
     def conj(self, x, g):
         return self.mul(self.mul(self.inv[g], x), g)

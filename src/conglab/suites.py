@@ -642,6 +642,7 @@ def suite_exact_soundness(caps, seed, families=None, levels=(2, 3, 4, 5, 6, 8)):
         q0 = Z.principal_ideal(n)
         ring = build_quotient(Z, q0, ring_cap=caps.ring)
         mneg = _ops(ring).mneg
+        classes = {elems: None for elems, _ in reps}  # (permrep, frame) per class rep
         for subgroup in all_subgroups(seen):
             rep = coset_permrep(P, subgroup)
             verdict = exact_congruence_test(rep, cap=caps.group)
@@ -657,12 +658,11 @@ def suite_exact_soundness(caps, seed, families=None, levels=(2, 3, 4, 5, 6, 8)):
                 frame.index == rep.n,
                 f"index mismatch: frame {frame.index} vs permrep degree {rep.n}",
             )
-        # widths against T-cycles, per conjugacy class representative
-        for elems, _ in reps:
-            rep = coset_permrep(P, elems)
-            grp = FinMatGroup.from_elements(ring, _sl2_preimage(P, mneg, elems))
-            frame = frame_from_group(Z, q0, grp, caps)
-            widths = sorted(c.width for c in cusps(frame))
+            if subgroup in classes:
+                classes[subgroup] = rep, frame
+        # widths against T-cycles per class representative, off the cusps level() filled
+        for rep, frame in classes.values():
+            widths = sorted(c.width for c in frame._cusps)
             res.check(
                 tuple(widths) == cusp_split(rep).lengths,
                 f"width multiset differs from the cusp split at n={n}",

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conglab import analyzer, matgroups
+from conglab import analyzer, matgroups, modular
 from conglab.analyzer import (
     FramedSubgroup,
     InternalCheckError,
@@ -659,7 +659,7 @@ def test_frames_never_build_sl2(monkeypatch):
 
     for module in (matgroups, analyzer):
         monkeypatch.setattr(module, "full_sl2", refuse)
-    monkeypatch.setattr(matgroups, "coset_labels", refuse)
+    monkeypatch.setattr(modular, "coset_permrep", refuse)
     # digests of the reports before frames stopped building SL2(R)
     ex2_13 = "3063c24b4d67dc577fec5473c02aa0b8bad70bb299a208ca2b92ea620e7b50b2"
     z30 = "c6c0dbab8a44171fd3c828c76800af26dee03ec1226b086a7d26229dc3d5a220"

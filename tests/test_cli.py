@@ -354,6 +354,24 @@ def test_screen_perm_group_cap_exit_code(capsys, tmp_path):
     assert "cap" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps({"n": 0, "S": [], "T": []}),
+        json.dumps({"n": 2.7, "S": [1, 0], "T": [1.9, 0]}),
+        "[" * 100_000,
+    ],
+    ids=["zero-points", "float-fields", "deep-nesting"],
+)
+def test_screen_perm_out_of_contract_exits_2(capsys, tmp_path, text):
+    path = tmp_path / "rep.json"
+    path.write_text(text)
+    code, out, err = run_cli(["screen-perm", "--permrep", str(path)], capsys)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert "parse" in err
+
+
 def python_env():
     return dict(os.environ, PYTHONPATH=str(Path(conglab.__file__).resolve().parents[1]))
 

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conglab.domains import CapExceeded, ParseError, parse_domain
+from conglab.domains import CapExceeded, InternalCheckError, ParseError, parse_domain
 from conglab.matgroups import _MatOps, sl2_order_formula
 from conglab.modular import (
     CuspSplit,
     PermRep,
-    _rebased_minimum,
-    _standardize_xy,
+    _is_canonical,
     coset_permrep,
     cusp_split,
     exact_congruence_test,
@@ -19,16 +18,23 @@ from conglab.modular import (
     larcher_check,
     low_index_enumerate,
     parse_permrep,
-    perm_mul,
     projective_group_order,
     psl2_group,
     screen_permrep,
 )
 from conglab.quotients import _quotient
+from conglab.subgroups import all_subgroups
+from conglab.suites import psl_subgroups
 
+from test_matgroups import coset_labels
 from test_subgroups import dense_closure_by_bfs
 
 FULL = PermRep(1, (0,), (0,))
+
+
+def perm_mul(p, q):
+    """Right-action composition: apply p, then q."""
+    return tuple(q[i] for i in p)
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +59,30 @@ def test_parse_permrep_rejects_bad_relations():
         parse_permrep("{not json")
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"n": 2.7, "S": [1, 0], "T": [1.9, 0]},  # int() would read n = 2, T = [1, 0]
+        {"n": 1, "S": [True], "T": [0]},  # a JSON boolean is not an integer
+        {"n": "1", "S": [0], "T": [0]},
+        {"n": 1, "S": "0", "T": [0]},
+    ],
+)
+def test_parse_permrep_refuses_non_integers(data):
+    with pytest.raises(ParseError):
+        parse_permrep(data)
+
+
+def test_parse_permrep_refuses_deep_nesting():
+    with pytest.raises(ParseError):
+        parse_permrep("[" * 100_000)
+
+
+def test_permrep_refuses_zero_points():
+    with pytest.raises(ParseError):
+        PermRep(0, (), ())
+
+
 def gamma0_2_rep():
     # cosets of the upper-triangular subgroup of PSL2(Z/2)
     G = psl2_group(2)
@@ -64,6 +94,38 @@ def gamma0_2_rep():
 def test_gamma0_2_rep_is_valid():
     rep = gamma0_2_rep()
     assert rep.n == 3
+
+
+def oracle_coset_permrep(G, subgroup):
+    """The permrep read off one coset labelling of G by products: the
+    subgroup's coset first, then the others by least element."""
+    S, T = G.gens
+    reps, label = coset_labels([G.identity, *range(G.size)], sorted(subgroup), G.mul)
+    sperm = tuple(label[G.mul(r, S)] for r in reps)
+    tperm = tuple(label[G.mul(r, T)] for r in reps)
+    return PermRep(len(reps), sperm, tperm)
+
+
+def test_coset_permrep_matches_the_labelling_oracle():
+    # every subgroup of PSL2(Z/n) that the exact-test soundness suite walks
+    count = 0
+    for n in (2, 3, 4, 5, 6, 8):
+        P, _, seen = psl_subgroups(n)
+        for subgroup in all_subgroups(seen):
+            assert coset_permrep(P, subgroup) == oracle_coset_permrep(P, subgroup)
+            count += 1
+    assert count == 516
+
+
+def test_coset_permrep_rejects_a_non_subgroup():
+    G = psl2_group(3)  # A4, which has no subgroup of order 6
+    _, T = G.gens  # order 3
+    C = frozenset(G.powers(T))
+    # some unions of two cosets of <T> tile G by their translates
+    sixes = {C | {G.mul(c, x) for c in C} for x in range(G.size) if x not in C}
+    for elems in ([G.identity, T], [T, G.inv[T]], [T], *sixes):
+        with pytest.raises(InternalCheckError):
+            coset_permrep(G, elems)
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +412,32 @@ def _transitive(x, y):
     return len(seen) == n
 
 
+def _standardize_xy(sx, sy, base):
+    """Oracle: renumber the cosets breadth first from base."""
+    old2new = {base: 0}
+    order = [base]
+    qi = 0
+    while qi < len(order):
+        c = order[qi]
+        qi += 1
+        for img in (sx[c], sy[c]):
+            if img not in old2new:
+                old2new[img] = len(order)
+                order.append(img)
+    n = len(sx)
+    nsx = [0] * n
+    nsy = [0] * n
+    for old, new in old2new.items():
+        nsx[new] = old2new[sx[old]]
+        nsy[new] = old2new[sy[old]]
+    return tuple(nsx), tuple(nsy)
+
+
+def _rebased_minimum(sx, sy):
+    """Oracle: the least renumbering of a table over every base coset."""
+    return min(_standardize_xy(sx, sy, base) for base in range(len(sx)))
+
+
 def brute_standardized_tables(n):
     """Oracle: filter all (involution, order-3) pairs directly."""
     idp = tuple(range(n))
@@ -371,6 +459,17 @@ def test_enumeration_matches_brute_force(n):
     mine = [r for r in low_index_enumerate(n) if r.n == n]
     mine_tables = {(r.S, perm_mul(r.S, r.T)) for r in mine}
     assert mine_tables == classes_oracle
+
+
+def test_canonical_test_matches_the_rebased_minimum():
+    # every raw coset table of index <= 12, read back as (x, z = x^-1 T)
+    kept = 0
+    for rep in low_index_enumerate(12, up_to_conjugacy=False):
+        table = (rep.S, perm_mul(rep.S, rep.T))
+        canonical = _is_canonical(*table)
+        assert canonical == (_rebased_minimum(*table) == table)
+        kept += canonical
+    assert kept == len(low_index_enumerate(12)) == 175
 
 
 def test_enumeration_trivial():

@@ -34,7 +34,6 @@ from .matgroups import (
     principal_congruence_image,
     sl2_order,
     standard_generators,
-    translations_in_core,
 )
 from .quotients import (
     DEFAULT_RING_CAP,
@@ -148,13 +147,12 @@ class CuspData:
 
 
 def quasi_amplitude_at(frame, g):
-    """The additive group {x in R : g T(x) g^-1 in H} at an arbitrary g."""
+    """The additive group {x in R : g T(x) g^-1 in H} at an arbitrary g: the
+    A_k of the H-orbit of g's first column in the frame's column walk."""
     ring = frame.ring
-    ops = _ops(ring)
-    a, _, c, _ = ops.decode(g.code if isinstance(g, Mat2) else g)
-    group = frame.group
-    hits = [x for x in range(ring.size) if ops.conj_translation(a, c, x) in group]
-    return additive_closure(hits, ring)
+    a, _, c, _ = _ops(ring).decode(g.code if isinstance(g, Mat2) else g)
+    chain = frame.group.chain
+    return chain.amplitudes[chain.orbit_of[a * ring.size + c]]
 
 
 def amplitude_at(frame, g):
@@ -235,10 +233,14 @@ def order_ideal(frame):
 
 
 def level_chain(frame):
-    """(level, quasi-level, order ideal); enforces l <= ql <= o elementwise."""
+    """(level, quasi-level, order ideal); enforces l <= ql <= o elementwise, and
+    g T(x) g^-1 in H for x in ql at one g per H-orbit of columns, by membership."""
     ql = quasi_level(frame)
-    if not translations_in_core(frame.group, ql.generators):
-        raise InternalCheckError("a quasi-level translation leaves a conjugate of the frame")
+    group = frame.group
+    ops = _ops(frame.ring)
+    for a, _, c, _ in map(ops.decode, group.chain.least):
+        if any(ops.conj_translation(a, c, x) not in group for x in ql.generators):
+            raise InternalCheckError("a quasi-level translation leaves a conjugate of the frame")
     lvl = largest_ideal_inside(ql)
     o = order_ideal(frame)
     ring = frame.ring

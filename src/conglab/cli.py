@@ -57,35 +57,24 @@ class RunConfig:
 
 
 def _parse_caps(args):
-    ring, group, factor = DEFAULT_CAPS.ring, DEFAULT_CAPS.group, DEFAULT_CAPS.factor
-    env = os.environ.get("CONGLAB_CAPS")
-    if env:
-        for part in env.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            key, _, value = part.partition("=")
-            if key not in ("ring", "group", "factor"):
-                raise ParseError(f"unknown cap {key!r} in CONGLAB_CAPS")
-            try:
-                value = int(value)
-            except ValueError:
-                raise ParseError(f"bad cap value in CONGLAB_CAPS: {part!r}")
-            if key == "ring":
-                ring = value
-            elif key == "group":
-                group = value
-            else:
-                factor = value
-    if getattr(args, "ring_cap", None) is not None:
-        ring = args.ring_cap
-    if getattr(args, "group_cap", None) is not None:
-        group = args.group_cap
-    if getattr(args, "factor_cap", None) is not None:
-        factor = args.factor_cap
-    if ring <= 0 or group <= 0 or factor <= 0:
+    caps = {"ring": DEFAULT_CAPS.ring, "group": DEFAULT_CAPS.group, "factor": DEFAULT_CAPS.factor}
+    for part in os.environ.get("CONGLAB_CAPS", "").split(","):
+        part = part.strip()
+        if not part:
+            continue
+        key, _, value = part.partition("=")
+        if key not in caps:
+            raise ParseError(f"unknown cap {key!r} in CONGLAB_CAPS")
+        try:
+            caps[key] = int(value)
+        except ValueError:
+            raise ParseError(f"bad cap value in CONGLAB_CAPS: {part!r}")
+    for key in caps:
+        if getattr(args, f"{key}_cap", None) is not None:
+            caps[key] = getattr(args, f"{key}_cap")
+    if min(caps.values()) <= 0:
         raise ParseError("caps must be positive")
-    return Caps(ring=ring, group=group, factor=factor)
+    return Caps(**caps)
 
 
 def _emit(payload, fmt, stream=None):
@@ -127,17 +116,23 @@ def _load_json_file(path):
         raise ParseError(f"bad JSON in {path}: {exc}") from exc
 
 
+def _element_text(value):
+    if not isinstance(value, str):
+        raise ParseError(f"element text must be a JSON string, not {value!r}")
+    return value
+
+
 def _gens_from_file(path, ring):
     data = _load_json_file(path)
     if not isinstance(data, list):
         raise ParseError("generators file must hold a JSON list of matrices")
     gens = []
     for entry in data:
-        try:
-            (a, b), (c, d) = entry
-        except (TypeError, ValueError):
+        rows = entry if isinstance(entry, list) and len(entry) == 2 else [None]
+        if not all(isinstance(row, list) and len(row) == 2 for row in rows):
             raise ParseError(f"bad matrix entry {entry!r}")
-        idx = [ring.reduce(ring.domain.parse_element(str(v))) for v in (a, b, c, d)]
+        (a, b), (c, d) = entry
+        idx = [ring.reduce(ring.domain.parse_element(_element_text(v))) for v in (a, b, c, d)]
         try:
             gens.append(Mat2(ring, *idx))
         except ValueError as exc:
@@ -181,14 +176,18 @@ def cmd_screen_subspace(config):
     data = _load_json_file(args.subspace)
     if not isinstance(data, dict) or not {"k", "f", "basis"} <= set(data):
         raise ParseError('subspace JSON needs keys "k", "f", "basis"')
-    kspec = data["k"]
+    kspec, basis = data["k"], data["basis"]
+    if isinstance(kspec, bool) or not isinstance(kspec, (int, str)):
+        raise ParseError(f'subspace "k" must be a JSON integer or string, not {kspec!r}')
+    if not isinstance(basis, list):
+        raise ParseError(f'subspace "basis" must be a JSON array, not {basis!r}')
     domain = parse_domain(kspec if isinstance(kspec, str) else f"Fq[t] q={kspec}")
     if domain.kind != "polynomials":
         raise ParseError("subspace screening needs a polynomial domain")
-    f = domain.parse_element(str(data["f"]))
+    f = domain.parse_element(_element_text(data["f"]))
     if domain.deg(f) < 1:
         raise ParseError("modulus polynomial must be non-constant")
-    basis = tuple(domain.parse_element(str(b)) for b in data["basis"])
+    basis = tuple(domain.parse_element(_element_text(b)) for b in basis)
     report = screen_translation_subspace(TranslationSubspace(domain, f, basis))
     _emit(report.to_json(), config.fmt)
     return EXIT_OK
@@ -222,10 +221,7 @@ def cmd_verify_suite(config):
     args = config.args
     if args.jobs < 1:
         raise ParseError("--jobs must be at least 1")
-    if args.suite:
-        names = [args.suite]
-    else:
-        names = list(DEFAULT_SUITE_NAMES)
+    names = [args.suite] if args.suite else list(DEFAULT_SUITE_NAMES)
     for name in names:
         if SUITE_ALIASES.get(name, name) not in SUITES:
             raise ParseError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
@@ -238,21 +234,12 @@ def cmd_verify_suite(config):
             results = list(pool.map(_run_suite_job, jobs))
     else:
         results = [_run_suite_job(job) for job in jobs]
-    payload = {"seed": config.seed, "suites": []}
-    failed = False
-    for name, checks, failures in results:
-        payload["suites"].append(
-            {
-                "name": name,
-                "checks": checks,
-                "passed": checks - len(failures),
-                "failures": failures,
-            }
-        )
-        if failures:
-            failed = True
-    _emit(payload, config.fmt)
-    return EXIT_SUITE_FAILURE if failed else EXIT_OK
+    suites = [
+        {"name": name, "checks": checks, "passed": checks - len(failures), "failures": failures}
+        for name, checks, failures in results
+    ]
+    _emit({"seed": config.seed, "suites": suites}, config.fmt)
+    return EXIT_SUITE_FAILURE if any(s["failures"] for s in suites) else EXIT_OK
 
 
 def _add_global_options(parser, suppress):

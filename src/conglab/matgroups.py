@@ -5,9 +5,10 @@ base |R|), so element sets of 10^5..10^6 matrices hash compactly. The
 ring's flat arithmetic tables are required and built on demand.
 
 A subgroup (`FinMatGroup`) is its generators plus a column chain, with
-elements on demand: order and membership come from the H-orbit of the
-column e1 and the translations in H (`ColumnChain`), so frames never list
-H. `full_sl2`, the examples and the surveys still close their groups.
+elements on demand. The chain (`ColumnChain`) walks H's orbits on the
+unimodular columns once: order, membership, cusp classes and every
+quasi-amplitude come from it, so frames never list H. `full_sl2`, the
+examples and the surveys still close their groups.
 """
 
 from __future__ import annotations
@@ -163,7 +164,8 @@ class FinMatGroup:
     The chain (`ColumnChain`, built on first use) answers |H| and
     membership from the generators alone. A prebuilt element set, when
     given, must be the group the generators generate, and then answers
-    both itself. Otherwise `elements` closes the generators on first use.
+    both itself, and the chain checks its size. Otherwise `elements`
+    closes the generators on first use.
     """
 
     def __init__(self, ring, gens, elements=None):
@@ -176,7 +178,10 @@ class FinMatGroup:
     @property
     def chain(self):
         if self._chain is None:
-            self._chain = ColumnChain(self.ring, self.gens)
+            chain = ColumnChain(self.ring, self.gens)
+            if self._elements is not None and chain.order != len(self._elements):
+                raise InternalCheckError("element set does not match the column chain")
+            self._chain = chain
         return self._chain
 
     @property
@@ -252,48 +257,72 @@ class FinMatGroup:
 
 
 class ColumnChain:
-    """The group generated by gens, read through the base (e1, e2) of SL2(R).
+    """H = <gens> read through one walk of its orbits on the unimodular columns.
 
     A stabiliser chain of length 2 (Sims 1970; Seress, *Permutation Group
-    Algorithms*, ch. 4). `orbit` maps each column v = (a, c) of the H-orbit
-    of e1, keyed a*n + c, to (d*n, -b*n) for the second column (b, d) of a
-    transversal element t(v) in H; `shifts` is A = {x : T(x) in H}, the
-    stabiliser of e1. So |H| = |orbit| * |A|, and g in SL2(R) with first
-    column v lies in H iff v is in the orbit and t(v)^-1 g = T(x) with
-    x = d*g_b - b*g_d in A.
+    Algorithms*, ch. 4) run on every H-orbit: e1's first, from the identity,
+    then each column not yet reached, in increasing code order, from its
+    least code g0. Along orbit k, t(s v) = s t(v) for each generator s; when
+    s t(v) lands on a column already reached, t(s v)^-1 s t(v) fixes e1, so
+    it is some T(x), and by Schreier's lemma these x generate
+    A_k = {x : g0 T(x) g0^-1 in H}, the quasi-amplitude at every g whose
+    column lies in orbit k (such a g is h g0 T(y) with h in H).
 
-    The walk sets t(s v) = s t(v) for each generator s. When s t(v) lands
-    on a column already reached, the Schreier generator t(s v)^-1 s t(v)
-    fixes e1, so it is some T(x), and by Schreier's lemma these x generate
-    A additively. Raises InternalCheckError unless |H| divides |SL2(R)|.
+    `orbit_of` maps each column (a, c), keyed a*n + c, to its k; `least[k]`
+    is the least code over orbit k and `amplitudes[k]` is A_k, closed again
+    over its elements so that its generators are the set's greedy ones.
+    Orbit 0 keeps `transversal`, column -> (d*n, -b*n) for the second column
+    (b, d) of t(v) in H: g lies in H iff its column v is in orbit 0 and
+    t(v)^-1 g = T(x), x = d*g_b - b*g_d, with x in A_0. Raises
+    InternalCheckError unless |orbit k| * |A_k| is one order |H| for every k
+    and |H| divides |SL2(R)|.
     """
 
     def __init__(self, ring, gens):
         ops = _ops(ring)
         n, add, mul, neg = ring.size, ring.add_t, ring.mul_t, ring.neg_t
-        one, zero = ring.one_idx, ring.zero_idx
+        columns = unimodular_columns(ring)
         # each action is a matrix [[p, q], [r, s]], its entries stored times n
         acts = [tuple(e * n for e in ops.decode(g)) for g in gens]
-        orbit = {one * n + zero: (one * n, neg[zero] * n)}
-        walk = [(one, zero, zero, one)]
-        xs = set()
-        for a, b, c, d in walk:  # walk grows as columns are found
-            for p, q, r, s in acts:
-                a2 = add[mul[p + a] * n + mul[q + c]]
-                c2 = add[mul[r + a] * n + mul[s + c]]
-                b2 = add[mul[p + b] * n + mul[q + d]]
-                d2 = add[mul[r + b] * n + mul[s + d]]
-                t = orbit.get(a2 * n + c2)
-                if t is None:
-                    orbit[a2 * n + c2] = (d2 * n, neg[b2] * n)
-                    walk.append((a2, b2, c2, d2))
-                else:
-                    xs.add(add[mul[t[0] + b2] * n + mul[t[1] + d2]])
-        self.orbit = orbit
-        self.shifts = additive_closure(xs, ring).elements
-        self.order = len(orbit) * len(self.shifts)
+        orbit_of, self.least, self.amplitudes, sizes = {}, [], [], []
+        closed = {}  # A_k by the Schreier x's found, shared by orbits that find the same
+        for (a, c), g0 in [((ring.one_idx, ring.zero_idx), ops.identity), *columns.items()]:
+            if a * n + c in orbit_of:
+                continue
+            k = len(sizes)
+            _, b, _, d = ops.decode(g0)
+            orbit = {a * n + c: (d * n, neg[b] * n)}
+            walk = [(a, b, c, d)]
+            xs = set()
+            for a, b, c, d in walk:  # walk grows as columns are found
+                for p, q, r, s in acts:
+                    a2 = add[mul[p + a] * n + mul[q + c]]
+                    c2 = add[mul[r + a] * n + mul[s + c]]
+                    b2 = add[mul[p + b] * n + mul[q + d]]
+                    d2 = add[mul[r + b] * n + mul[s + d]]
+                    t = orbit.get(a2 * n + c2)
+                    if t is None:
+                        orbit[a2 * n + c2] = (d2 * n, neg[b2] * n)
+                        walk.append((a2, b2, c2, d2))
+                    else:
+                        xs.add(add[mul[t[0] + b2] * n + mul[t[1] + d2]])
+            orbit_of.update(dict.fromkeys(orbit, k))
+            if k == 0:
+                self.transversal = orbit
+                g0 = min(columns[(a, c)] for a, _, c, _ in walk)
+            self.least.append(g0)
+            key = frozenset(xs)
+            if key not in closed:
+                closed[key] = additive_closure(additive_closure(xs, ring).elements, ring)
+            self.amplitudes.append(closed[key])
+            sizes.append(len(orbit))
+        self.orbit_of = orbit_of
+        self.order = sizes[0] * len(self.amplitudes[0])
+        if any(size * len(A) != self.order for size, A in zip(sizes, self.amplitudes)):
+            raise InternalCheckError("column chain orbits disagree on |H|")
         if _sl2_total(ring) % self.order:
             raise InternalCheckError("column chain order does not divide |SL2(R)|")
+        self._shifts = self.amplitudes[0].elements
         self._n, self._n2, self._n3 = n, n * n, n * n * n
         self._add, self._mul = add, mul
 
@@ -302,11 +331,11 @@ class ColumnChain:
         a, r = divmod(code, self._n3)
         b, r = divmod(r, self._n2)
         c, d = divmod(r, n)
-        t = self.orbit.get(a * n + c)
+        t = self.transversal.get(a * n + c)
         if t is None:
             return False
         mul = self._mul
-        return self._add[mul[t[0] + b] * n + mul[t[1] + d]] in self.shifts
+        return self._add[mul[t[0] + b] * n + mul[t[1] + d]] in self._shifts
 
 
 def sl2_order_formula(modulus):
@@ -422,7 +451,8 @@ def extend_closure(group, gens, g, mul, cap=DEFAULT_GROUP_CAP):
 
 def unimodular_columns(ring):
     """Map each first column (a, c) of SL2(R), that is each coset gU, to the
-    minimum code in it; a BFS from e1 under the standard generators."""
+    minimum code in it, in increasing code order; a BFS from e1 under the
+    standard generators."""
     if getattr(ring, "_columns", None) is not None:
         return ring._columns
     ops = _ops(ring)
@@ -440,12 +470,12 @@ def unimodular_columns(ring):
             queue.extend(ops.mmul(s, x) for s in gens)
     if len(columns) * n != _sl2_total(ring):
         raise InternalCheckError("unimodular columns do not match the order formula")
-    ring._columns = columns
+    ring._columns = columns = dict(sorted(columns.items(), key=lambda item: item[1]))
     return columns
 
 
 def cusp_representatives(group):
-    """One (code, count) pair per H\\G/B class.
+    """One (code, count) pair per H\\G/B class, read off the group's column walk.
 
     gB is the column of g up to scaling by the domain's unit images, so a
     class is a set of H-orbits on the |G/U| unimodular columns that the
@@ -455,43 +485,20 @@ def cusp_representatives(group):
     the class since the scalings commute with H.
     """
     ring = group.ring
-    columns = unimodular_columns(ring)
-    n, add, mul = ring.size, ring.add_t, ring.mul_t
-    # each action is a matrix [[p, q], [r, s]], its entries stored times n
-    acts = [tuple(e * n for e in _ops(ring).decode(h)) for h in group.gens]
-    orbit_of = {}
-    starts = []
-    for start in sorted(columns, key=columns.get):
-        if start in orbit_of:
-            continue
-        # columns run in increasing order: start is its orbit's minimum
-        orbit_of[start] = k = len(starts)
-        starts.append(start)
-        orbit = [start]
-        for a, c in orbit:  # orbit grows as columns are found
-            for p, q, r, s in acts:
-                y = (add[mul[p + a] * n + mul[q + c]], add[mul[r + a] * n + mul[s + c]])
-                if y not in orbit_of:
-                    orbit_of[y] = k
-                    orbit.append(y)
+    chain = group.chain
+    n, mul, orbit_of = ring.size, ring.mul_t, chain.orbit_of
+    decode = _ops(ring).decode
     reps = []
     placed = set()
-    for k, (a, c) in enumerate(starts):  # a class's first orbit holds its minimum
+    # taken by least code, a class's first orbit holds its minimum
+    for k in sorted(range(len(chain.least)), key=chain.least.__getitem__):
         if k in placed:
             continue
-        images = [orbit_of[(mul[u * n + a], mul[u * n + c])] for u in ring.domain_unit_image]
+        a, _, c, _ = decode(chain.least[k])
+        images = [orbit_of[mul[u * n + a] * n + mul[u * n + c]] for u in ring.domain_unit_image]
         placed.update(images)
-        reps.append((columns[(a, c)], images.count(k)))
+        reps.append((chain.least[k], images.count(k)))
     return reps
-
-
-def translations_in_core(group, xs):
-    """Whether g T(x) g^-1 lies in the group for every g in SL2(R), x in xs;
-    it depends on g only through its first column."""
-    conj = _ops(group.ring).conj_translation
-    return all(
-        conj(a, c, x) in group for a, c in unimodular_columns(group.ring) for x in xs
-    )
 
 
 def cube_law_check(domain, q, q_sub, ring_cap=None):

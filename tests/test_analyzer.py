@@ -36,8 +36,10 @@ from conglab.matgroups import (
     FinMatGroup,
     Mat2,
     _ops,
+    closure_codes,
     full_sl2,
     make_generator,
+    sl2_order_formula,
 )
 from conglab.quotients import _quotient, additive_closure, build_quotient, ideal_image
 from conglab.suites import exhaustive_frames
@@ -47,6 +49,7 @@ from test_matgroups import (
     assert_cusp_representatives_match_oracles,
     borel_and_unipotent,
     core_of,
+    quasi_amplitude_by_scan,
     small_sl2,
 )
 
@@ -638,9 +641,20 @@ def test_column_walk_matches_oracles_on_random_frames(i, picks):
     codes, bcodes = G.sorted_elements(), B.sorted_elements()
     gens = [bcodes[picks[0] % len(bcodes)]] + [codes[p % len(codes)] for p in picks[1:]]
     F = frame_from_group(R.domain, R.modulus, FinMatGroup.from_generators(R, gens))
+    # raises unless the column check passes on the true quasi-level, the cusp
+    # split holds and c_min == level
+    analyze(F)
+    assert F.group._elements is None  # the walk answered alone
+    closed = FinMatGroup(R, gens, closure_codes(R, gens))
+    assert F.group.order * F.index == sl2_order_formula(R.modulus) == closed.order * F.index
+    for c in cusps(F):
+        oracle = quasi_amplitude_by_scan(closed, c.rep.code)
+        assert c.quasi_amplitude == oracle
+        assert c.quasi_amplitude.generators == oracle.generators  # the JSON prints them
+    for code in F.group.chain.least:
+        assert quasi_amplitude_at(F, code) == quasi_amplitude_by_scan(closed, code)
     assert_quasi_level_is_the_core_quasi_amplitude(F)
     assert_cusp_representatives_match_oracles(G, F.group, B)
-    level_chain(F)  # the column check passes on the true quasi-level
 
 
 def z30_frame():

@@ -22,10 +22,9 @@ from conglab.matgroups import (
     principal_congruence_image,
     projective_center_is_trivial,
     sl2_order_formula,
-    translations_in_core,
     unimodular_columns,
 )
-from conglab.quotients import build_quotient, ideal_image
+from conglab.quotients import additive_closure, build_quotient, ideal_image
 from conglab.suites import SURVEY_FAMILIES, exhaustive_frames
 
 from test_subgroups import SMALL_MODULI, dense_closure_by_bfs, small_sl2
@@ -462,13 +461,33 @@ def test_unimodular_columns_hold_each_coset_minimum(i):
     assert unimodular_columns(R) == oracle
 
 
+def translations_in_core(group, xs):
+    """Oracle: whether g T(x) g^-1 lies in the group for every g in SL2(R), x in xs;
+    it depends on g only through its first column."""
+    conj = _ops(group.ring).conj_translation
+    return all(
+        conj(a, c, x) in group.elements for a, c in unimodular_columns(group.ring) for x in xs
+    )
+
+
+def quasi_amplitude_by_scan(group, code):
+    """Oracle: {x in R : g T(x) g^-1 in H} at g = code, testing every x in R."""
+    ring = group.ring
+    ops = _ops(ring)
+    a, _, c, _ = ops.decode(code)
+    hits = [x for x in range(ring.size) if ops.conj_translation(a, c, x) in group.elements]
+    return additive_closure(hits, ring)
+
+
 def test_translations_in_core_matches_the_core_oracle():
+    # T(x) lies in the core iff x lies in the quasi-amplitude of every orbit
     for frame in exhaustive_frames("Z/6") + exhaustive_frames("F3[t]/(t^2)"):
         R, H = frame.ring, frame.group
         core = core_of(H, full_sl2(R))
         for x in range(R.size):
             t = make_generator("T", R, x).code
             assert translations_in_core(H, [x]) == (t in core)
+            assert all(x in A for A in H.chain.amplitudes) == (t in core)
         assert frame.is_normal == (core.elements == H.elements)
 
 
@@ -660,9 +679,10 @@ def assert_chain_matches_closure(ring, gens, universe):
     assert [x for x in universe if (x in chain) != (x in closed)] == []
     ops, n = _ops(ring), ring.size
     columns = {a * n + c for a, _, c, _ in map(ops.decode, closed)}
-    assert set(chain.orbit) == columns
+    assert set(chain.transversal) == columns
+    assert {k for k, orbit in chain.orbit_of.items() if orbit == 0} == columns
     shifts = {b for a, b, c, d in map(ops.decode, closed) if (a, c) == (ring.one_idx, ring.zero_idx)}
-    assert chain.shifts == shifts
+    assert chain.amplitudes[0].elements == shifts
 
 
 @pytest.mark.parametrize("family", SURVEY_FAMILIES)
@@ -688,6 +708,17 @@ def test_column_chain_matches_the_closure_on_random_frames(i, picks):
     codes, bcodes = G.sorted_elements(), B.sorted_elements()
     gens = [bcodes[picks[0] % len(bcodes)]] + [codes[p % len(codes)] for p in picks[1:]]
     assert_chain_matches_closure(R, gens, codes)
+
+
+def test_a_prebuilt_element_set_is_checked_against_the_chain():
+    R = ring_of(Z, "(6)")
+    t1 = make_generator("T", R, R.one_idx).code
+    H = FinMatGroup(R, [t1], full_sl2(R).elements)  # <T(1)> has 6 elements, not 144
+    assert H.order == 144 and t1 in H  # the set answers both
+    with pytest.raises(InternalCheckError, match="element set does not match the column chain"):
+        H.chain
+    F = FinMatGroup(R, [t1], closure_codes(R, [t1]))
+    assert F.chain.order == F.order == 6
 
 
 def test_elements_on_demand_match_the_chain():

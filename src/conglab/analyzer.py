@@ -15,6 +15,7 @@ from .domains import (
     Ideal,
     InternalCheckError,
     _factor_int,
+    _power,
     condition_L,
     factor_ideal,
     ideal_arith,
@@ -187,13 +188,14 @@ def cusps(frame):
 
 
 def _squared_unit_orbit(ring, quasi):
-    seen = {}
-    for sq in ring.domain_unit_squares_image:
-        scaled = quasi.scaled(sq)
-        key = tuple(sorted(scaled.elements))
-        if key not in seen:
-            seen[key] = scaled
-    return tuple(seen[k] for k in sorted(seen))
+    key = quasi.elements, quasi.generators  # the JSON prints each member's generators
+    cache = ring.memo["squared_unit_orbit"]
+    if key not in cache:
+        seen = {}
+        for scaled in map(quasi.scaled, ring.domain_unit_squares_image):
+            seen.setdefault(tuple(sorted(scaled.elements)), scaled)
+        cache[key] = tuple(seen[k] for k in sorted(seen))
+    return cache[key]
 
 
 # ---------------------------------------------------------------------------
@@ -579,12 +581,6 @@ def _proj_order_filter(ring, ambient):
     neg = ops.mneg(identity)
     center = {identity, neg}
 
-    def proj_power_in_center(x, k):
-        acc = identity
-        for _ in range(k):
-            acc = ops.mmul(acc, x)
-        return acc in center
-
     invol = []
     third = []
     for x in ambient.sorted_elements():
@@ -592,7 +588,7 @@ def _proj_order_filter(ring, ambient):
             continue
         if ops.mmul(x, x) in center:
             invol.append(x)
-        elif proj_power_in_center(x, 3):
+        elif _power(x, 3, ops.mmul, identity) in center:
             third.append(x)
     return invol, third, center
 
@@ -867,16 +863,9 @@ def _monic_divisors(D, f):
     divisors = [D.one()]
     for p, e in pf.pairs:
         divisors = [
-            D.mul(dv, _poly_pow(D, p.data, k)) for dv in divisors for k in range(e + 1)
+            D.mul(dv, _power(p.data, k, D.mul, D.one())) for dv in divisors for k in range(e + 1)
         ]
     return divisors
-
-
-def _poly_pow(D, x, k):
-    out = D.one()
-    for _ in range(k):
-        out = D.mul(out, x)
-    return out
 
 
 def standard_screen_subspace(D, f):

@@ -44,6 +44,8 @@ class CapExceeded(RuntimeError):
 
 
 DEFAULT_FACTOR_CAP = 2 ** 64
+DEFAULT_RING_CAP = 2 ** 16  # also bounds the units a prime field lists
+TEXT_DEGREE_CAP = 1024  # see _evaluate
 
 # Fixed field moduli (coefficients in u, low degree first) so element
 # encodings are reproducible across runs.
@@ -91,8 +93,43 @@ def _factor_int(n, cap=DEFAULT_FACTOR_CAP):
     return out
 
 
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n):
-    return n >= 2 and _factor_int(n) == {n: 1}
+    """Deterministic Miller-Rabin to the bases 2..37, exact below 3.18 * 10^23
+    (Sorenson and Webster 2015), so for every n up to the factoring cap."""
+    if n > DEFAULT_FACTOR_CAP:
+        raise CapExceeded(f"integer {n} exceeds factoring cap {DEFAULT_FACTOR_CAP}")
+    if n < 2 or any(n % a == 0 for a in _PRIME_BASES):
+        return n in _PRIME_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    for a in _PRIME_BASES:
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and n - 1 not in (pow(x, 1 << r, n) for r in range(s)):
+            return False
+    return True
+
+
+def _prime_power(q):
+    """(p, e) with q = p^e and p prime, or None. Below the factoring cap, which
+    _is_prime enforces, a float e-th root rounds to the exact one."""
+    for e in range(1, q.bit_length() + 1):
+        p = q if e == 1 else round(q ** (1 / e))
+        if p ** e == q and _is_prime(p):
+            return p, e
+    return None
+
+
+def _power(x, k, mul, one):
+    """x^k by square-and-multiply, never multiplying by one."""
+    out = None
+    while k:
+        if k & 1:
+            out = x if out is None else mul(out, x)
+        k >>= 1
+        x = mul(x, x) if k else x
+    return one if out is None else out
 
 
 def _sqrt_mod_prime(a, p):
@@ -209,7 +246,9 @@ def _evaluate(text, domain, symbols):
         atom := integer | name ["^" integer] | "(" sum ")" ["^" integer]
 
     symbols maps each name the domain defines to its power k -> name^k; any
-    other name is refused, wherever it appears.
+    other name is refused, wherever it appears. The text's degree as a
+    polynomial in its numerals and names (exponents multiply, products add)
+    may not exceed TEXT_DEGREE_CAP, so no exponent may either: CapExceeded.
     """
     bad = _BAD_CHAR_RE.search(text)
     if bad:
@@ -217,7 +256,13 @@ def _evaluate(text, domain, symbols):
     tokens = _TOKEN_RE.findall(text)
     tokens.append("")  # end marker
     pos = 0
+    degree = 0  # of the atom, term or sum read last
     add, neg, mul = domain.add, domain.neg, domain.mul
+
+    def bounded(d):
+        if d > TEXT_DEGREE_CAP:
+            raise CapExceeded(f"element text of degree above the cap {TEXT_DEGREE_CAP}")
+        return d
 
     def exponent():
         nonlocal pos
@@ -225,13 +270,14 @@ def _evaluate(text, domain, symbols):
         if not k.isdecimal():
             raise ParseError("exponent must be an integer")
         pos += 2
-        return int(k)
+        return bounded(int(k) if len(k.lstrip("0")) < 6 else TEXT_DEGREE_CAP + 1)
 
     def atom():
-        nonlocal pos
+        nonlocal pos, degree
         tok = tokens[pos]
         pos += 1
         if tok.isdecimal():
+            degree = 1
             return domain.from_int(int(tok))
         if tok == "(":
             inner = sum_()
@@ -240,34 +286,39 @@ def _evaluate(text, domain, symbols):
             pos += 1
             if tokens[pos] != "^":
                 return inner
-            value = domain.one()
-            for _ in range(exponent()):
-                value = mul(value, inner)
-            return value
+            k = exponent()
+            degree = bounded(degree * k)
+            return _power(inner, k, mul, domain.one())
         if tok in symbols:
-            return symbols[tok](exponent() if tokens[pos] == "^" else 1)
+            degree = exponent() if tokens[pos] == "^" else 1
+            return symbols[tok](degree)
         if tok.isalpha():
             raise ParseError(f"symbol {tok!r} is not defined in {domain}")
         raise ParseError("malformed element text")
 
     def term():
-        nonlocal pos
+        nonlocal pos, degree
         value = atom()
+        d = degree
         while tokens[pos] == "*":
             pos += 1
             value = mul(value, atom())
+            d = degree = bounded(d + degree)
         return value
 
     def sum_():
-        nonlocal pos
+        nonlocal pos, degree
         sign = tokens[pos]
         if sign in ("+", "-"):
             pos += 1
         total = neg(term()) if sign == "-" else term()
+        d = degree
         while tokens[pos] in ("+", "-"):
             sign = tokens[pos]
             pos += 1
             total = add(total, neg(term()) if sign == "-" else term())
+            d = max(d, degree)
+        degree = d
         return total
 
     try:
@@ -426,6 +477,8 @@ class PolynomialDomain(Domain):
             self.field_modulus = fm
             self._build_field_tables(Fp)
             self.symbols["u"] = self._u_pow
+        if self.q - 1 > DEFAULT_RING_CAP:
+            raise CapExceeded(f"F_{self.q} has more units than the ring cap {DEFAULT_RING_CAP}")
         self.units = tuple((c,) for c in range(1, self.q))
         self.unit_squares = tuple(
             sorted({(self.fq_mul(c, c),) for c in range(1, self.q)})
@@ -502,10 +555,7 @@ class PolynomialDomain(Domain):
         return self._inv_table[a]
 
     def fq_pow(self, a, k):
-        out = 1
-        for _ in range(k):
-            out = self.fq_mul(out, a)
-        return out
+        return _power(a, k, self.fq_mul, 1)
 
     def _u_pow(self, k):
         return (self.fq_pow(self.p, k),)  # u is the F_q value p, digits (0, 1)
@@ -733,10 +783,7 @@ class QuadraticDomain(Domain):
         return f"{a}+{wtxt}" if b > 0 else f"{a}-{wtxt}"
 
     def _w_pow(self, k):
-        out = self.one()
-        for _ in range(k):
-            out = self.mul(out, (0, 1))
-        return out
+        return _power((0, 1), k, self.mul, self.one())
 
     def zero_ideal(self):
         return Ideal(self, (0, 0, 0))
@@ -973,12 +1020,7 @@ def ideal_bezout(I, J):
 
 
 def ideal_pow(I, k):
-    if k == 0:
-        return I.domain.unit_ideal()
-    out = I
-    for _ in range(k - 1):
-        out = ideal_arith("product", out, I)
-    return out
+    return _power(I, k, lambda a, b: ideal_arith("product", a, b), I.domain.unit_ideal())
 
 
 def residue_norm(I):
@@ -1193,11 +1235,9 @@ def parse_domain(spec):
     m = _POLY_SPEC_RE.match(spec)
     if m:
         q = int(m.group(1))
-        fact = _factor_int(q)
-        if len(fact) != 1:
+        p, e = _prime_power(q) or (None, None)
+        if p is None:
             raise ParseError(f"q={q} is not a prime power")
-        p = next(iter(fact))
-        e = fact[p]
         if e == 1:
             if m.group(2):
                 raise ParseError("prime fields take no modulus")

@@ -270,7 +270,8 @@ class ColumnChain:
 
     `orbit_of` maps each column (a, c), keyed a*n + c, to its k; `least[k]`
     is the least code over orbit k and `amplitudes[k]` is A_k, closed again
-    over its elements so that its generators are the set's greedy ones.
+    over its elements so that its generators are the set's greedy ones; the
+    ring keeps these closures, keyed by the Schreier x's, for every chain.
     Orbit 0 keeps `transversal`, column -> (d*n, -b*n) for the second column
     (b, d) of t(v) in H: g lies in H iff its column v is in orbit 0 and
     t(v)^-1 g = T(x), x = d*g_b - b*g_d, with x in A_0. Raises
@@ -285,7 +286,7 @@ class ColumnChain:
         # each action is a matrix [[p, q], [r, s]], its entries stored times n
         acts = [tuple(e * n for e in ops.decode(g)) for g in gens]
         orbit_of, self.least, self.amplitudes, sizes = {}, [], [], []
-        closed = {}  # A_k by the Schreier x's found, shared by orbits that find the same
+        closed = ring.memo["column_amplitudes"]  # A_k by its Schreier x's, shared by every chain
         for (a, c), g0 in [((ring.one_idx, ring.zero_idx), ops.identity), *columns.items()]:
             if a * n + c in orbit_of:
                 continue

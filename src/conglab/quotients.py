@@ -7,15 +7,18 @@ between D and R via lift/reduce.  `build_quotient` interns rings, the 32
 used last, one per (domain, modulus), and checks its caps on every call;
 `integer_quotient` finds the same Z/(n) by n alone, with the same checks.
 A ring's tables and the caches other layers hang off it are pure functions
-of the ring, so each is built once per process and safe to share.
+of the ring, so each is built once per process and safe to share; `memo`
+holds those results per kind and input, and lives and dies with the ring.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .domains import (
+    DEFAULT_RING_CAP,
     CapExceeded,
     Ideal,
     IntegerDomain,
@@ -24,7 +27,6 @@ from .domains import (
     residue_norm,
 )
 
-DEFAULT_RING_CAP = 2 ** 16
 _TABLE_LIMIT = 2048
 _Z = IntegerDomain()
 
@@ -42,6 +44,7 @@ class QuotientRing:
         self._inv_cache = {}
         self._sl2_order = None
         self._full_sl2 = None
+        self.memo = defaultdict(dict)  # kind -> input -> result
 
     # -- enumeration (kind-specific, filled in by build_quotient) --
 
@@ -255,9 +258,10 @@ def _quotient(domain, data):
     return ring
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdditiveSubgroup:
-    """A subgroup of (R, +) held as a full sorted element list."""
+    """A subgroup of (R, +) held as a full sorted element list; slotted, since
+    rings keep many of them in their memo."""
 
     ring: QuotientRing
     elements: frozenset
@@ -316,9 +320,12 @@ def largest_ideal_inside(subgroup):
     """The largest D-ideal whose image lies in the additive subgroup.
 
     Returns the preimage in D (an ideal containing the modulus); the
-    modulus itself when only 0 maps inside.
+    modulus itself when only 0 maps inside. Computed once per element set.
     """
     R = subgroup.ring
+    cache = R.memo["largest_ideal_inside"]
+    if subgroup.elements in cache:
+        return cache[subgroup.elements]
     gens = R.additive_generators
     core = [
         x
@@ -330,17 +337,21 @@ def largest_ideal_inside(subgroup):
     span = additive_closure(core, R)
     for g in span.generators:
         ideal = ideal_arith("sum", ideal, D.principal_ideal(R.lift(g)))
+    cache[subgroup.elements] = ideal
     return ideal
 
 
 def ideal_image(ring, ideal):
-    """The image of a D-ideal in R as an additive subgroup."""
-    seeds = set()
-    for g in ideal.generators():
-        gi = ring.reduce(g)
-        for r in range(ring.size):
-            seeds.add(ring.mul(gi, r))
-    return additive_closure(seeds, ring)
+    """The image of a D-ideal in R as an additive subgroup, computed once per ideal."""
+    cache = ring.memo["ideal_image"]
+    if ideal not in cache:
+        seeds = set()
+        for g in ideal.generators():
+            gi = ring.reduce(g)
+            for r in range(ring.size):
+                seeds.add(ring.mul(gi, r))
+        cache[ideal] = additive_closure(seeds, ring)
+    return cache[ideal]
 
 
 @dataclass

@@ -1,12 +1,13 @@
 """Dense finite-group utilities for exhaustive subgroup surveys.
 
-A DenseGroup re-indexes any finite group's elements as 0..n-1 with a flat
-Cayley table filled on demand, so subgroup-lattice enumeration runs on
-small integers. Subgroup classes come from cyclic extension by zuppos,
-the cyclic subgroups of prime-power order (Neubüser, Numer. Math. 2, 1960;
-Holt, Eick and O'Brien, Handbook of Computational Group Theory, 4.4): H
-extends by a zuppo <g> of order p^a when g normalises H, g is not in H and
-g^p is. A non-solvable group falls back to joining every class with every
+A DenseGroup re-indexes any finite group's elements as 0..n-1 and caches
+the products it computes, so subgroup-lattice enumeration runs on small
+integers in memory that grows with the products used, not with n^2.
+Subgroup classes come from cyclic extension by zuppos, the cyclic
+subgroups of prime-power order (Neubüser, Numer. Math. 2, 1960; Holt,
+Eick and O'Brien, Handbook of Computational Group Theory, 4.4): H extends
+by a zuppo <g> of order p^a when g normalises H, g is not in H and g^p
+is. A non-solvable group falls back to joining every class with every
 zuppo; both paths read one zuppo list, built once per group.
 """
 
@@ -19,8 +20,8 @@ from .matgroups import extend_closure
 
 
 class DenseGroup:
-    """A finite group on dense indices with a flat multiplication table whose
-    entries start as -1 and are filled, idempotently, from mul_label on first use."""
+    """A finite group on dense indices whose products are computed from
+    mul_label on first use and kept in a dict keyed by i*n + j."""
 
     def __init__(self, labels, mul_label, identity_label, gen_labels):
         self.labels = list(labels)
@@ -28,7 +29,7 @@ class DenseGroup:
         n = len(self.labels)
         self.size = n
         self._mul_label = mul_label
-        self.table = [-1] * (n * n)
+        self.products = {}
         self.identity = self.index[identity_label]
         self.inv = [-1] * n
         for g in range(n):
@@ -50,9 +51,9 @@ class DenseGroup:
 
     def mul(self, i, j):
         k = i * self.size + j
-        v = self.table[k]
-        if v < 0:
-            v = self.table[k] = self.index[self._mul_label(self.labels[i], self.labels[j])]
+        v = self.products.get(k)
+        if v is None:
+            v = self.products[k] = self.index[self._mul_label(self.labels[i], self.labels[j])]
         return v
 
     @cached_property

@@ -59,7 +59,7 @@ from .modular import (
     low_index_enumerate,
     psl2_group,
 )
-from .quotients import build_quotient, ideal_image
+from .quotients import build_quotient, ideal_image, integer_quotient
 from .subgroups import DenseGroup, all_subgroups, subgroup_classes
 
 
@@ -101,17 +101,16 @@ FAMILY_SPECS = {
 
 SURVEY_FAMILIES = ("Z/4", "Z/6", "Z/8", "Z/9", "Z/12", "F3[t]/(t^2)")
 
-_frame_cache = {}
-
 
 def exhaustive_frames(family, caps=DEFAULT_CAPS):
-    """All subgroup-conjugacy-class frames over one built-in quotient."""
-    key = (family, caps)
-    if key not in _frame_cache:
-        spec, text = FAMILY_SPECS[family]
-        D = parse_domain(spec)
-        q0 = D.parse_ideal(text)
-        ring = build_quotient(D, q0, ring_cap=caps.ring)
+    """All subgroup-conjugacy-class frames over one built-in quotient, kept
+    on its ring per caps."""
+    spec, text = FAMILY_SPECS[family]
+    D = parse_domain(spec)
+    q0 = D.parse_ideal(text)
+    ring = build_quotient(D, q0, ring_cap=caps.ring)
+    cache = ring.memo["exhaustive_frames"]
+    if caps not in cache:
         ambient = full_sl2(ring, cap=caps.group)
         dense = DenseGroup.from_matgroup(ambient)
         reps, _ = subgroup_classes(dense)
@@ -121,8 +120,8 @@ def exhaustive_frames(family, caps=DEFAULT_CAPS):
             gcodes = tuple(dense.labels[i] for i in gens)
             grp = FinMatGroup(ring, gcodes, codes)
             frames.append(frame_from_group(D, q0, grp, caps))
-        _frame_cache[key] = frames
-    return _frame_cache[key]
+        cache[caps] = frames
+    return cache[caps]
 
 
 def _pick_families(families):
@@ -616,16 +615,13 @@ def suite_modular_screens(caps, seed, families=None):
     return res
 
 
-_PSL_SUBGROUP_CACHE = {}
-
-
 def psl_subgroups(n, caps=DEFAULT_CAPS):
-    key = (n, caps)
-    if key not in _PSL_SUBGROUP_CACHE:
+    """PSL2(Z/n) and its subgroup classes, kept on the ring Z/n per caps."""
+    cache = integer_quotient(n, caps.ring).memo["psl_subgroups"]
+    if caps not in cache:
         P = psl2_group(n, cap=caps.group)
-        reps, seen = subgroup_classes(P)
-        _PSL_SUBGROUP_CACHE[key] = (P, reps, seen)
-    return _PSL_SUBGROUP_CACHE[key]
+        cache[caps] = (P, *subgroup_classes(P))
+    return cache[caps]
 
 
 def _sl2_preimage(P, mneg, elems):

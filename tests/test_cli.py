@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 import conglab
 from conglab import matgroups
+from conglab.analyzer import EXAMPLE_NAMES
 from conglab.cli import (
     EXIT_CAP,
     EXIT_INTERNAL,
@@ -419,6 +421,66 @@ def test_analyze_gens_out_of_contract_exits_2(capsys, tmp_path, doc):
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (EXIT_PARSE, "")
     assert "parse" in err
+
+
+BIG_PRIME = 1000000000000037
+
+
+def run_timed(argv, capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(argv, capsys)
+    assert time.perf_counter() - start < 10  # the units of F_q were listed for 34 s and more
+    return code, out, err
+
+
+def test_screen_subspace_over_a_large_prime_field_exits_3(capsys, tmp_path):
+    path = tmp_path / "sub.json"
+    path.write_text(json.dumps({"k": BIG_PRIME, "f": "t", "basis": []}))
+    code, out, err = run_timed(["screen-subspace", "--subspace", str(path)], capsys)
+    assert (code, out) == (EXIT_CAP, "")
+    assert "ring cap 65536" in err
+
+
+def test_analyze_gens_over_a_large_prime_field_exits_3(capsys, tmp_path):
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps([[["1", "1"], ["0", "1"]]]))
+    argv = ["analyze", "--domain", f"Fq[t] q={BIG_PRIME}", "--modulus", "(t)", "--gens", str(path)]
+    code, out, err = run_timed(argv, capsys)
+    assert (code, out) == (EXIT_CAP, "")
+    assert "ring cap 65536" in err
+
+
+@pytest.mark.parametrize("text", ["(9)^9999999", "((9)^100)^100", "(1+1)^600*(2)^600"])
+def test_analyze_gens_with_a_huge_power_exits_3(capsys, tmp_path, text):
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps([[["1", text], ["0", "1"]]]))
+    argv = ["analyze", "--domain", "Z", "--modulus", "(6)", "--gens", str(path)]
+    code, out, err = run_timed(argv, capsys)
+    assert (code, out) == (EXIT_CAP, "")
+    assert "degree above the cap 1024" in err
+
+
+@pytest.mark.parametrize("doc", [
+    {"k": 3, "f": "t^2", "basis": ["(t+1)^9999999"]},
+    {"k": 3, "f": "t^1025", "basis": []},
+])
+def test_screen_subspace_with_a_huge_power_exits_3(capsys, tmp_path, doc):
+    path = tmp_path / "sub.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_timed(["screen-subspace", "--subspace", str(path)], capsys)
+    assert (code, out) == (EXIT_CAP, "")
+    assert "degree above the cap 1024" in err
+
+
+def test_warm_repeats_print_the_cold_bytes(capsys):
+    # the first pass runs on cold rings (the conftest fixture clears them), so
+    # every ring memo fills here; the second pass reads them
+    argvs = [["analyze", "--example", name] for name in EXAMPLE_NAMES] + [
+        ["verify-suite", "--suite", name] for name in ("amplitude_extrema", "level_divisibility")
+    ]
+    cold = [run_cli(argv, capsys) for argv in argvs]
+    assert all(code == EXIT_OK for code, _, _ in cold)
+    assert [run_cli(argv, capsys) for argv in argvs] == cold
 
 
 # ---------------------------------------------------------------------------

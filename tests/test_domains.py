@@ -11,8 +11,12 @@ from conglab.domains import (
     Ideal,
     ParseError,
     PolynomialDomain,
+    TEXT_DEGREE_CAP,
     _evaluate,
+    _factor_int,
+    _is_prime,
     _monic_polys,
+    _prime_power,
     _variable_pow,
     condition_L,
     crt_select,
@@ -718,3 +722,69 @@ def test_quad_intersection_membership_oracle():
                 for v in range(-8, 9):
                     x = (u, v)
                     assert K.contains(x) == (I.contains(x) and J.contains(x))
+
+
+def test_miller_rabin_matches_trial_division():
+    assert [n for n in range(5000) if _is_prime(n)] == [
+        n for n in range(5000) if n >= 2 and _factor_int(n) == {n: 1}
+    ]
+    # strong pseudoprimes to the first few prime bases, and primes near the caps
+    for n in (3215031751, 2152302898747, 3474749660383, 341550071728321, 3825123056546413051):
+        assert not _is_prime(n)
+    for n in (1000000000000037, 2 ** 61 - 1, 2 ** 64 - 59):
+        assert _is_prime(n)
+    with pytest.raises(CapExceeded):  # beyond the exact range, factoring refuses it
+        _is_prime(10 ** 24 + 7)
+
+
+def test_prime_power_detection():
+    for q in range(2000):
+        fact = _factor_int(q) if q else {}
+        assert _prime_power(q) == (next(iter(fact.items())) if len(fact) == 1 else None)
+    assert _prime_power(3 ** 40) == (3, 40)
+    assert _prime_power((2 ** 32 - 5) ** 2) == (2 ** 32 - 5, 2)
+    assert _prime_power(2 ** 32 * 3) is None
+    with pytest.raises(CapExceeded):
+        _prime_power(2 ** 64 + 1)
+
+
+def test_large_prime_field_is_refused_by_the_ring_cap():
+    with pytest.raises(CapExceeded, match="ring cap 65536"):
+        parse_domain("Fq[t] q=1000000000000037")
+    with pytest.raises(CapExceeded, match="ring cap 65536"):
+        parse_domain("Fq[t] q=65539")
+    assert len(parse_domain("Fq[t] q=65537").units) == 65536
+
+
+@pytest.mark.parametrize(
+    "D, text, value",
+    [
+        (Z, "(9)^5", 9 ** 5),
+        (Z, "(2)^1024", 2 ** 1024),
+        (Z, "-(3)^7*(2)^0+1", -(3 ** 7) + 1),
+        (F3T, "(1+t)^9", (1,) + (0,) * 8 + (1,)),
+        (F3T, "t^1024", (0,) * 1024 + (1,)),
+        (F3T, "t^512*t^512", (0,) * 1024 + (1,)),
+        (F3T, "t^00000002", (0, 0, 1)),
+    ],
+)
+def test_powers_square_and_multiply_within_the_degree_cap(D, text, value):
+    assert D.parse_element(text) == value
+
+
+@pytest.mark.parametrize(
+    "text", ["(9)^9999999", "(9)^1025", "t^1025", "((1+t)^100)^100", "t^600*t^600", "2*t^1024",
+             "t^" + "9" * 5000]
+)
+def test_element_text_above_the_degree_cap_is_refused(text):
+    with pytest.raises(CapExceeded, match=f"cap {TEXT_DEGREE_CAP}"):
+        F3T.parse_element(text)
+
+
+def test_power_matches_repeated_products():
+    for D, base in ((Z, "2-5"), (F9T, "u*t+2"), (QSQ7, "1-2*w")):
+        x = D.parse_element(base)
+        expected = D.one()
+        for k in range(20):
+            assert D.parse_element(f"({base})^{k}") == expected
+            expected = D.mul(expected, x)

@@ -296,9 +296,17 @@ def lazy_table_cases():
 
 def test_lazy_table_agrees_with_label_arithmetic():
     for G, mul_label, inv_label in lazy_table_cases():
-        assert -1 in G.table  # entries are filled on first use
+        assert len(G.products) < G.size ** 2  # products are computed on first use
         for i, x in enumerate(G.labels):
             assert G.labels[G.inv[i]] == inv_label(x)
             for j, y in enumerate(G.labels):
                 assert G.labels[G.mul(i, j)] == mul_label(x, y)
-        assert -1 not in G.table
+        assert sorted(G.products) == list(range(G.size ** 2))
+
+
+def test_subgroup_classes_read_few_products():
+    # the product cache grows with the products used: under 5 % of |G|^2
+    G = dense_sl2(Z, "(12)")
+    reps, _ = subgroup_classes(G)
+    assert (G.size, len(reps)) == (1152, 271)
+    assert len(G.products) < 0.05 * G.size ** 2

@@ -4,7 +4,7 @@ from conglab import matgroups, suites
 from conglab.analyzer import Caps
 from conglab.domains import CapExceeded, parse_domain
 from conglab.matgroups import _ops, full_sl2, principal_congruence_image
-from conglab.quotients import build_quotient
+from conglab.quotients import _quotient, build_quotient
 from conglab.suites import exhaustive_frames, psl_subgroups, run_suite
 
 
@@ -19,6 +19,13 @@ def test_exhaustive_frames_cache_respects_caps():
     assert exhaustive_frames("Z/4")
     with pytest.raises(CapExceeded):
         exhaustive_frames("Z/4", Caps(group=10))
+
+
+def test_survey_caches_live_and_die_with_the_ring():
+    frames, classes = exhaustive_frames("Z/4"), psl_subgroups(4)
+    assert exhaustive_frames("Z/4") is frames and psl_subgroups(4) is classes
+    _quotient.cache_clear()  # no interned ring keeps them now
+    assert exhaustive_frames("Z/4") is not frames and psl_subgroups(4) is not classes
 
 
 @pytest.mark.parametrize(

@@ -46,6 +46,7 @@ class CapExceeded(RuntimeError):
 DEFAULT_FACTOR_CAP = 2 ** 64
 DEFAULT_RING_CAP = 2 ** 16  # also bounds the units a prime field lists
 TEXT_DEGREE_CAP = 1024  # see _evaluate
+TEXT_NESTING_CAP = 1000  # parentheses open at once in an element text
 
 # Fixed field moduli (coefficients in u, low degree first) so element
 # encodings are reproducible across runs.
@@ -91,6 +92,21 @@ def _factor_int(n, cap=DEFAULT_FACTOR_CAP):
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def _is_squarefree(n, cap=DEFAULT_FACTOR_CAP):
+    """Whether n >= 1 has no square factor. Trial division while d^3 <= n
+    leaves a cofactor whose primes exceed its cube root: 1, p, p*q or p^2."""
+    if n > cap:
+        raise CapExceeded(f"integer {n} exceeds factoring cap {cap}")
+    d = 2
+    while d * d * d <= n:
+        if n % (d * d) == 0:
+            return False
+        if n % d == 0:
+            n //= d
+        d += 1 if d == 2 else 2
+    return n == 1 or math.isqrt(n) ** 2 != n
 
 
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -238,6 +254,19 @@ _TOKEN_RE = re.compile(r"\d+|[a-zA-Z]+|\S")
 _BAD_CHAR_RE = re.compile(r"[^\s\da-zA-Z()*^+-]")
 
 
+def _bounded(d):
+    if d > TEXT_DEGREE_CAP:
+        raise CapExceeded(f"element text of degree above the cap {TEXT_DEGREE_CAP}")
+    return d
+
+
+def _exponent(k):
+    """The exponent token k, within the degree cap."""
+    if not k.isdecimal():
+        raise ParseError("exponent must be an integer")
+    return _bounded(int(k) if len(k.lstrip("0")) < 6 else TEXT_DEGREE_CAP + 1)
+
+
 def _evaluate(text, domain, symbols):
     """The value in domain of an element text, computed as it is parsed.
 
@@ -249,85 +278,77 @@ def _evaluate(text, domain, symbols):
     other name is refused, wherever it appears. The text's degree as a
     polynomial in its numerals and names (exponents multiply, products add)
     may not exceed TEXT_DEGREE_CAP, so no exponent may either: CapExceeded.
+    Each "(" pushes the open sum and term; past TEXT_NESTING_CAP: ParseError.
     """
     bad = _BAD_CHAR_RE.search(text)
     if bad:
         raise ParseError(f"bad character in element text: {text[bad.start():]!r}")
     tokens = _TOKEN_RE.findall(text)
     tokens.append("")  # end marker
-    pos = 0
-    degree = 0  # of the atom, term or sum read last
-    add, neg, mul = domain.add, domain.neg, domain.mul
-
-    def bounded(d):
-        if d > TEXT_DEGREE_CAP:
-            raise CapExceeded(f"element text of degree above the cap {TEXT_DEGREE_CAP}")
-        return d
-
-    def exponent():
-        nonlocal pos
-        k = tokens[pos + 1]
-        if not k.isdecimal():
-            raise ParseError("exponent must be an integer")
-        pos += 2
-        return bounded(int(k) if len(k.lstrip("0")) < 6 else TEXT_DEGREE_CAP + 1)
-
-    def atom():
-        nonlocal pos, degree
+    add, neg, mul, from_int = domain.add, domain.neg, domain.mul, domain.from_int
+    stack = []  # (total, sum_d, sign, value, term_d) of each enclosing sum
+    # the open sum: the total and degree of its terms so far and the sign of
+    # the term being read; that term: the product and degree of its atoms so far
+    total = value = None
+    sum_d = term_d = 0
+    sign = tokens[0]
+    pos = 1 if sign in ("+", "-") else 0
+    while True:
         tok = tokens[pos]
         pos += 1
-        if tok.isdecimal():
-            degree = 1
-            return domain.from_int(int(tok))
         if tok == "(":
-            inner = sum_()
-            if tokens[pos] != ")":
-                raise ParseError("unbalanced parenthesis in element text")
-            pos += 1
-            if tokens[pos] != "^":
-                return inner
-            k = exponent()
-            degree = bounded(degree * k)
-            return _power(inner, k, mul, domain.one())
-        if tok in symbols:
-            degree = exponent() if tokens[pos] == "^" else 1
-            return symbols[tok](degree)
-        if tok.isalpha():
-            raise ParseError(f"symbol {tok!r} is not defined in {domain}")
-        raise ParseError("malformed element text")
-
-    def term():
-        nonlocal pos, degree
-        value = atom()
-        d = degree
-        while tokens[pos] == "*":
-            pos += 1
-            value = mul(value, atom())
-            d = degree = bounded(d + degree)
-        return value
-
-    def sum_():
-        nonlocal pos, degree
-        sign = tokens[pos]
-        if sign in ("+", "-"):
-            pos += 1
-        total = neg(term()) if sign == "-" else term()
-        d = degree
-        while tokens[pos] in ("+", "-"):
+            if len(stack) == TEXT_NESTING_CAP:
+                raise ParseError("element text nests too deeply")
+            stack.append((total, sum_d, sign, value, term_d))
+            total = value = None
             sign = tokens[pos]
+            if sign in ("+", "-"):
+                pos += 1
+            continue
+        if tok.isdecimal():
+            atom, d = from_int(int(tok)), 1
+        elif tok in symbols:
+            d = 1
+            if tokens[pos] == "^":
+                d, pos = _exponent(tokens[pos + 1]), pos + 2
+            atom = symbols[tok](d)
+        elif tok.isalpha():
+            raise ParseError(f"symbol {tok!r} is not defined in {domain}")
+        else:
+            raise ParseError("malformed element text")
+        while True:  # fold the atom into its term, a finished term into its sum
+            if value is None:
+                value, term_d = atom, d
+            else:
+                value = mul(value, atom)
+                term_d = _bounded(term_d + d)
+            op = tokens[pos]
             pos += 1
-            total = add(total, neg(term()) if sign == "-" else term())
-            d = max(d, degree)
-        degree = d
-        return total
-
-    try:
-        value = sum_()
-    except RecursionError:
-        raise ParseError("element text nests too deeply") from None
-    if pos != len(tokens) - 1:
-        raise ParseError("trailing tokens in element text")
-    return value
+            if op == "*":
+                break
+            if sign == "-":
+                value = neg(value)
+            if total is None:
+                total, sum_d = value, term_d
+            else:
+                total, sum_d = add(total, value), max(sum_d, term_d)
+            value = None
+            if op == "+" or op == "-":
+                sign = op
+                break
+            if not stack:
+                if op:
+                    raise ParseError("trailing tokens in element text")
+                return total
+            if op != ")":
+                raise ParseError("unbalanced parenthesis in element text")
+            # the closed sum is an atom of the enclosing term
+            atom, d = total, sum_d
+            total, sum_d, sign, value, term_d = stack.pop()
+            if tokens[pos] == "^":
+                k, pos = _exponent(tokens[pos + 1]), pos + 2
+                d = _bounded(d * k)
+                atom = _power(atom, k, mul, domain.one())
 
 
 # ---------------------------------------------------------------------------
@@ -724,8 +745,7 @@ class QuadraticDomain(Domain):
     def __init__(self, m):
         if m >= 0:
             raise ParseError("m must be negative")
-        mm = _factor_int(-m)
-        if any(e > 1 for e in mm.values()):
+        if not _is_squarefree(-m):
             raise ParseError("m must be squarefree")
         self.m = m
         if m % 4 == 1:

@@ -7,8 +7,9 @@ ring's flat arithmetic tables are required and built on demand.
 A subgroup (`FinMatGroup`) is its generators plus a column chain, with
 elements on demand. The chain (`ColumnChain`) walks H's orbits on the
 unimodular columns once: order, membership, cusp classes and every
-quasi-amplitude come from it, so frames never list H. `full_sl2`, the
-examples and the surveys still close their groups.
+quasi-amplitude come from it, so frames never list H. The columns and
+their least codes come from the ring tables with no matrix product.
+`full_sl2`, the examples and the surveys still close their groups.
 """
 
 from __future__ import annotations
@@ -452,23 +453,24 @@ def extend_closure(group, gens, g, mul, cap=DEFAULT_GROUP_CAP):
 
 def unimodular_columns(ring):
     """Map each first column (a, c) of SL2(R), that is each coset gU, to the
-    minimum code in it, in increasing code order; a BFS from e1 under the
-    standard generators."""
+    minimum code in it, in increasing code order: (a, b, c, d) with the least
+    b for which 1 + b*c lies in aR, then the least d with a*d = 1 + b*c, both
+    read from a table of the least r with a*r = v, built per a."""
     if getattr(ring, "_columns", None) is not None:
         return ring._columns
     ops = _ops(ring)
-    n = ring.size
-    add, mul = ring.add_t, ring.mul_t
-    gens = standard_generators(ring)
+    n, mul = ring.size, ring.mul_t
+    one_plus = ring.add_t[ring.one_idx * n:ring.one_idx * n + n]
     columns = {}
-    queue = [ops.identity]
-    for x in queue:  # queue grows as columns are found
-        a, b, c, d = ops.decode(x)
-        if (a, c) not in columns:
-            # the matrices with this column are x T(r) = (a, b+ar, c, d+cr)
-            b, d = min((add[b * n + mul[a * n + r]], add[d * n + mul[c * n + r]]) for r in range(n))
-            columns[(a, c)] = ops.encode(a, b, c, d)
-            queue.extend(ops.mmul(s, x) for s in gens)
+    for a in range(n):
+        row = mul[a * n:a * n + n]
+        solve = {row[r]: r for r in reversed(range(n))}  # v -> least r with a*r = v
+        for c in range(n):
+            for b in range(n):
+                d = solve.get(one_plus[mul[b * n + c]])
+                if d is not None:
+                    columns[(a, c)] = ops.encode(a, b, c, d)
+                    break
     if len(columns) * n != _sl2_total(ring):
         raise InternalCheckError("unimodular columns do not match the order formula")
     ring._columns = columns = dict(sorted(columns.items(), key=lambda item: item[1]))

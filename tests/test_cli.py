@@ -182,7 +182,7 @@ def test_second_analyze_builds_no_ring_and_walks_no_columns(capsys):
     _, second, _ = run_cli(argv, capsys)
     assert second == first
     assert _quotient.cache_info().misses == builds
-    # the column table is only ever assigned after a BFS
+    # the column table is only ever assigned once it is complete
     assert columns is not None and ring._columns is columns
 
 

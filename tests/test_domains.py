@@ -1,21 +1,28 @@
+import gc
 import math
 import random
 import re
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conglab import domains
 from conglab.domains import (
     CapExceeded,
     Ideal,
     ParseError,
     PolynomialDomain,
     TEXT_DEGREE_CAP,
+    TEXT_NESTING_CAP,
     _evaluate,
     _factor_int,
     _is_prime,
+    _is_squarefree,
     _monic_polys,
+    _power,
     _prime_power,
     _variable_pow,
     condition_L,
@@ -86,6 +93,28 @@ def test_parse_domain_errors():
         parse_domain("madeup")
     with pytest.raises(ParseError):
         parse_domain("Q(sqrt(-3))")  # only maximal orders are supported
+
+
+def test_squarefree_check_matches_factoring():
+    rng = random.Random(7)
+    for n in [*range(1, 3000), *(rng.randrange(1, 10 ** 9) for _ in range(500))]:
+        assert _is_squarefree(n) == all(e == 1 for e in _factor_int(n).values()), n
+
+
+@pytest.mark.parametrize("m", [2 ** 63 - 25, 2147483647 * 2147483629])
+def test_large_squarefree_m_parses_quickly(m):
+    # a prime, and a product of two primes near 2^31: no trial division to sqrt(m)
+    assert _is_prime(2 ** 63 - 25) and _is_prime(2147483647) and _is_prime(2147483629)
+    start = time.perf_counter()
+    assert parse_domain(f"Q(sqrt(-{m})) maximal").m == -m
+    assert time.perf_counter() - start < 2
+
+
+def test_square_of_a_prime_above_the_cube_root_is_refused():
+    p = 1000003  # 3*p^2 has p > (3*p^2)^(1/3), past the trial division
+    assert _is_prime(p)
+    with pytest.raises(ParseError, match="squarefree"):
+        parse_domain(f"Q(sqrt(-{3 * p * p})) maximal")
 
 
 def test_fixed_moduli_table():
@@ -421,6 +450,168 @@ def test_deep_nesting_is_a_parse_error():
     with pytest.raises(ParseError, match="nests too deeply"):
         Z.parse_element("(" * 3000 + "1" + ")" * 3000)
     assert Z.parse_element("(" * 100 + "1" + ")" * 100) == 1
+
+
+def evaluate_by_recursion(text, domain, symbols):
+    """Oracle: the element-text grammar by recursive descent, one function per
+    rule, with the same checks at the same tokens; a "(" opened inside
+    TEXT_NESTING_CAP others is refused."""
+    bad = domains._BAD_CHAR_RE.search(text)
+    if bad:
+        raise ParseError(f"bad character in element text: {text[bad.start():]!r}")
+    tokens = domains._TOKEN_RE.findall(text)
+    tokens.append("")  # end marker
+    pos = 0
+    depth = 0  # parentheses open
+    degree = 0  # of the atom, term or sum read last
+    add, neg, mul = domain.add, domain.neg, domain.mul
+
+    def bounded(d):
+        if d > TEXT_DEGREE_CAP:
+            raise CapExceeded(f"element text of degree above the cap {TEXT_DEGREE_CAP}")
+        return d
+
+    def exponent():
+        nonlocal pos
+        k = tokens[pos + 1]
+        if not k.isdecimal():
+            raise ParseError("exponent must be an integer")
+        pos += 2
+        return bounded(int(k) if len(k.lstrip("0")) < 6 else TEXT_DEGREE_CAP + 1)
+
+    def atom():
+        nonlocal pos, degree, depth
+        tok = tokens[pos]
+        pos += 1
+        if tok.isdecimal():
+            degree = 1
+            return domain.from_int(int(tok))
+        if tok == "(":
+            if depth == TEXT_NESTING_CAP:
+                raise ParseError("element text nests too deeply")
+            depth += 1
+            inner = sum_()
+            if tokens[pos] != ")":
+                raise ParseError("unbalanced parenthesis in element text")
+            depth -= 1
+            pos += 1
+            if tokens[pos] != "^":
+                return inner
+            k = exponent()
+            degree = bounded(degree * k)
+            return _power(inner, k, mul, domain.one())
+        if tok in symbols:
+            degree = exponent() if tokens[pos] == "^" else 1
+            return symbols[tok](degree)
+        if tok.isalpha():
+            raise ParseError(f"symbol {tok!r} is not defined in {domain}")
+        raise ParseError("malformed element text")
+
+    def term():
+        nonlocal pos, degree
+        value = atom()
+        d = degree
+        while tokens[pos] == "*":
+            pos += 1
+            value = mul(value, atom())
+            d = degree = bounded(d + degree)
+        return value
+
+    def sum_():
+        nonlocal pos, degree
+        sign = tokens[pos]
+        if sign in ("+", "-"):
+            pos += 1
+        total = neg(term()) if sign == "-" else term()
+        d = degree
+        while tokens[pos] in ("+", "-"):
+            sign = tokens[pos]
+            pos += 1
+            total = add(total, neg(term()) if sign == "-" else term())
+            d = max(d, degree)
+        degree = d
+        return total
+
+    value = sum_()
+    if pos != len(tokens) - 1:
+        raise ParseError("trailing tokens in element text")
+    return value
+
+
+def outcome_or_error(evaluate, *args):
+    """The value, or the type and message of the exception raised."""
+    try:
+        return evaluate(*args)
+    except (ParseError, CapExceeded) as exc:
+        return type(exc), str(exc)
+
+
+ORACLE_DOMAINS = ((Z, Z.symbols), (F3T, F3T.symbols), (F9T, F9T.symbols), (ZSQ13, ZSQ13.symbols),
+                  (QSQ7, QSQ7.symbols), (F3, {"u": _variable_pow}))
+
+
+@pytest.fixture
+def deep_recursion():
+    """Room for the recursive oracle to reach TEXT_NESTING_CAP (three frames
+    per parenthesis) from inside pytest."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 4 * TEXT_NESTING_CAP)
+    yield
+    sys.setrecursionlimit(limit)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(text=ELEMENT_TEXTS)
+def test_element_texts_evaluate_as_the_recursive_oracle(text):
+    for D, symbols in ORACLE_DOMAINS:
+        new = outcome_or_error(_evaluate, text, D, symbols)
+        assert new == outcome_or_error(evaluate_by_recursion, text, D, symbols), (str(D), text)
+
+
+@pytest.mark.parametrize("text", ["(9)^1025", "t^600*t^600", "((1+t)^100)^100", "(t^600+1)^2", "1+", "(1", "1)", "t^",
+                                  "2^3", "1 2", "x*(", "(t)^u", "-(-1)", "((t-1))^2*t^3-(2)^0"])
+def test_error_texts_match_the_recursive_oracle(text):
+    for D, symbols in ORACLE_DOMAINS:
+        assert outcome_or_error(_evaluate, text, D, symbols) == outcome_or_error(
+            evaluate_by_recursion, text, D, symbols
+        ), (str(D), text)
+
+
+@pytest.mark.parametrize("depth", [TEXT_NESTING_CAP, TEXT_NESTING_CAP + 1])
+def test_nesting_at_the_cap_matches_the_recursive_oracle(deep_recursion, depth):
+    # the powers pass the degree cap at the 11th ")", after every "(" is read
+    for text in ("(" * depth + "1" + ")" * depth, "(" * depth + "2" + ")^2" * depth,
+                 "1+" + "(1-" * depth + "2" + ")" * depth):
+        for D in (Z, F3T):
+            new = outcome_or_error(_evaluate, text, D, D.symbols)
+            assert new == outcome_or_error(evaluate_by_recursion, text, D, D.symbols)
+            assert (new == (ParseError, "element text nests too deeply")) == (depth > TEXT_NESTING_CAP)
+
+
+def test_nesting_cap_holds_at_any_caller_stack_depth():
+    deep, too_deep = ("(" * k + "1" + ")" * k for k in (TEXT_NESTING_CAP, TEXT_NESTING_CAP + 1))
+
+    def at_depth(k):
+        if k:
+            return at_depth(k - 1)
+        return Z.parse_element(deep), outcome_or_error(Z.parse_element, too_deep)
+
+    frame, stack = sys._getframe(), 0
+    while frame is not None:
+        frame, stack = frame.f_back, stack + 1
+    # called from 50 frames below the recursion limit
+    assert at_depth(sys.getrecursionlimit() - stack - 50) == (1, (ParseError, "element text nests too deeply"))
+
+
+def test_parsing_leaves_no_reference_cycles():
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(1000):
+            F3T.parse_element("2*t^2+t+1")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_monic_polys_in_base_q_digit_order():

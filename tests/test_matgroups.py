@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import conglab
 from conglab import matgroups
-from conglab.analyzer import InternalCheckError
+from conglab.analyzer import InternalCheckError, build_example
 from conglab.domains import CapExceeded, factor_ideal, ideal_arith, ideal_pow, parse_domain
 from conglab.matgroups import (
     FinMatGroup,
@@ -459,6 +459,48 @@ def test_unimodular_columns_hold_each_coset_minimum(i):
     for x in G.sorted_elements():
         oracle.setdefault(ops.decode(x)[::2], x)
     assert unimodular_columns(R) == oracle
+
+
+def unimodular_columns_by_bfs(ring):
+    """Oracle: a BFS from e1 under the standard generators, each new column's
+    least code the minimum over all |R| completions x T(r), sorted by code."""
+    ops = _ops(ring)
+    n, add, mul = ring.size, ring.add_t, ring.mul_t
+    gens = matgroups.standard_generators(ring)
+    columns = {}
+    queue = [ops.identity]
+    for x in queue:  # queue grows as columns are found
+        a, b, c, d = ops.decode(x)
+        if (a, c) not in columns:
+            b, d = min((add[b * n + mul[a * n + r]], add[d * n + mul[c * n + r]]) for r in range(n))
+            columns[(a, c)] = ops.encode(a, b, c, d)
+            queue.extend(ops.mmul(s, x) for s in gens)
+    return dict(sorted(columns.items(), key=lambda item: item[1]))
+
+
+def column_rings():
+    """Z/n for n <= 40, the rings of five built-in examples and one small
+    quotient of each random-suite domain."""
+    rings = [ring_of(Z, f"({n})") for n in range(2, 41)]
+    rings += [build_example(name).ring for name in ("ex2_13", "ex3_2", "ex3_5", "ex4_9", "ex4_10")]
+    return rings + [small_sl2(i)[0] for i in range(len(SMALL_MODULI))]
+
+
+def test_unimodular_columns_match_the_bfs_oracle_in_order(monkeypatch):
+    for ring in column_rings():
+        monkeypatch.setattr(ring, "_columns", None, raising=False)
+        assert list(unimodular_columns(ring).items()) == list(unimodular_columns_by_bfs(ring).items()), ring
+
+
+def test_unimodular_columns_make_no_matrix_products(monkeypatch):
+    def refuse(self, x, y):
+        raise AssertionError("unimodular_columns multiplied matrices")
+
+    rings = column_rings()
+    monkeypatch.setattr(matgroups._MatOps, "mmul", refuse)
+    for ring in rings:
+        monkeypatch.setattr(ring, "_columns", None, raising=False)
+        assert len(unimodular_columns(ring)) * ring.size == matgroups.sl2_order(ring)
 
 
 def translations_in_core(group, xs):

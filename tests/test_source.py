@@ -4,8 +4,10 @@ import ast
 from pathlib import Path
 
 import conglab
+from conglab.domains import TEXT_DEGREE_CAP, TEXT_NESTING_CAP
 
 SRC = Path(conglab.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_no_assert_in_library():
@@ -19,3 +21,9 @@ def test_no_assert_in_library():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_readme_states_the_element_text_caps():
+    text = " ".join(README.read_text().split())
+    assert f"may be at most {TEXT_DEGREE_CAP}, so no exponent may exceed {TEXT_DEGREE_CAP}" in text
+    assert f"may nest at most {TEXT_NESTING_CAP} deep" in text

@@ -75,6 +75,8 @@ class FramedSubgroup:
             raise InternalCheckError("frame image order does not divide |SL2(R)|")
         self.index = total // group.order
         self._cusps = None
+        self._quasi_level = None
+        self._condition = None
 
     @property
     def is_normal(self):
@@ -205,15 +207,24 @@ def _squared_unit_orbit(ring, quasi):
 def quasi_level(frame):
     """Translations landing in every conjugate of the frame: the quasi-amplitude
     at g depends only on HgU, so this is the intersection of the cusps' orbits."""
-    inter = set(range(frame.ring.size))
-    for c in cusps(frame):
-        for member in c.orbit:
-            inter &= member.elements
-    return additive_closure(inter, frame.ring)
+    if frame._quasi_level is None:
+        inter = set(range(frame.ring.size))
+        for c in cusps(frame):
+            for member in c.orbit:
+                inter &= member.elements
+        frame._quasi_level = additive_closure(inter, frame.ring)
+    return frame._quasi_level
 
 
 def level(frame):
     return largest_ideal_inside(quasi_level(frame))
+
+
+def _level_condition(frame):
+    """Condition L at the frame's level, computed once per frame."""
+    if frame._condition is None:
+        frame._condition = condition_L(level(frame))
+    return frame._condition
 
 
 def order_ideal(frame):
@@ -273,12 +284,11 @@ class AmplitudeExtremaVerdict:
         }
 
 
-def amplitude_extrema_check(frame, cusp_list=None):
+def amplitude_extrema_check(frame):
     """Intersection and sum of all cusp amplitudes must be attained."""
-    cusp_list = cusps(frame) if cusp_list is None else cusp_list
     amplitudes = []
     seen = set()
-    for c in cusp_list:
+    for c in cusps(frame):
         if c.amplitude.data not in seen:
             seen.add(c.amplitude.data)
             amplitudes.append(c.amplitude)
@@ -311,14 +321,10 @@ class QuasiLevelVerdict:
         }
 
 
-def quasi_level_ideal_check(frame, lvl=None, ql=None, cond=None):
-    """Under condition L at the level (cond, if known) the quasi-level must equal the level."""
-    if ql is None:
-        ql = quasi_level(frame)
-    if lvl is None:
-        lvl = largest_ideal_inside(ql)
-    cond = condition_L(lvl) if cond is None else cond
-    equal = ideal_image(frame.ring, lvl).elements == ql.elements
+def quasi_level_ideal_check(frame):
+    """Under condition L at the level the quasi-level must equal the level."""
+    cond = _level_condition(frame)
+    equal = ideal_image(frame.ring, level(frame)).elements == quasi_level(frame).elements
     if cond.holds:
         if not equal:
             raise InternalCheckError("quasi-level differs from level despite the level condition")
@@ -359,12 +365,10 @@ def _divides_factorial(m, n):
     return True
 
 
-def level_index_divisibility_check(frame, lvl=None, cond=None):
-    """|D/l| divides index! (the index too when H is normal); cond is condition_L(lvl) if known."""
-    if lvl is None:
-        lvl = level(frame)
-    cond = condition_L(lvl) if cond is None else cond
-    res = residue_norm(lvl)
+def level_index_divisibility_check(frame):
+    """|D/l| divides index! (the index too when H is normal) under condition L at l."""
+    cond = _level_condition(frame)
+    res = residue_norm(level(frame))
     idx = frame.index
     fact = _divides_factorial(res, idx)
     div = idx % res == 0
@@ -394,38 +398,34 @@ class IndexLevelInequality:
         }
 
 
-def index_level_inequality_check(frame, lvl=None):
+def index_level_inequality_check(frame):
     """|D/l| <= index^d over number-ring kinds (d = field degree)."""
     kind = frame.domain.kind
     if kind == "polynomials":
         return IndexLevelInequality(False, 0, 0, 0, False)
     degree = 1 if kind == "integers" else 2
-    if lvl is None:
-        lvl = level(frame)
-    res = residue_norm(lvl)
+    res = residue_norm(level(frame))
     bound = frame.index ** degree
     if res > bound:
         raise InternalCheckError("index-level inequality fails on a frame")
     return IndexLevelInequality(True, degree, res, bound, res == bound)
 
 
-def cusp_split_check(frame, cusp_list=None):
+def cusp_split_check(frame):
     """index = sum over cusps of m * |D : b|."""
-    cusp_list = cusps(frame) if cusp_list is None else cusp_list
-    return frame.index == sum(c.term for c in cusp_list)
+    return frame.index == sum(c.term for c in cusps(frame))
 
 
-def unit_square_closure_check(frame, cusp_list=None, ql=None):
+def unit_square_closure_check(frame):
     """Squared units stabilize the quasi-level, and map quasi-amplitude
     elements into the quasi-amplitude family of some cusp."""
     ring = frame.ring
-    if ql is None:
-        ql = quasi_level(frame)
+    ql = quasi_level(frame)
     for alpha in ring.units:
         sq = ring.mul(alpha, alpha)
         if not all(ring.mul(sq, x) in ql.elements for x in ql.elements):
             return False
-    cusp_list = cusps(frame) if cusp_list is None else cusp_list
+    cusp_list = cusps(frame)
     family = set()
     for c in cusp_list:
         for member in c.orbit:
@@ -439,7 +439,7 @@ def unit_square_closure_check(frame, cusp_list=None, ql=None):
     return True
 
 
-def amplitude_join_search(frame, g1, g2, q1, q2, cusp_list=None):
+def amplitude_join_search(frame, g1, g2, q1, q2):
     """A cusp representative whose amplitude contains q1 + q2.
 
     q_i must be nonzero ideals inside the amplitudes at g_i; existence is
@@ -452,8 +452,7 @@ def amplitude_join_search(frame, g1, g2, q1, q2, cusp_list=None):
         if not amp.contains_ideal(q):
             raise ValueError("ideal is not contained in the amplitude at g")
     target = ideal_arith("sum", q1, q2)
-    cusp_list = cusps(frame) if cusp_list is None else cusp_list
-    for c in cusp_list:
+    for c in cusps(frame):
         if c.amplitude.contains_ideal(target):
             return c.rep
     raise InternalCheckError("no cusp amplitude contains the join")
@@ -504,31 +503,29 @@ class AnalysisReport:
 
 def analyze(frame):
     """Compute every frame invariant and run all verdicts."""
-    cusp_list = cusps(frame)
-    extrema = amplitude_extrema_check(frame, cusp_list)
+    extrema = amplitude_extrema_check(frame)
     lvl, ql, o_ideal = level_chain(frame)
     if extrema.c_min != lvl:
         raise InternalCheckError(
             "amplitude intersection differs from the level"
         )
-    condition = condition_L(lvl)
-    quasi_verdict = quasi_level_ideal_check(frame, lvl, ql, condition)
-    divisibility = level_index_divisibility_check(frame, lvl, condition)
-    inequality = index_level_inequality_check(frame, lvl)
-    split_ok = cusp_split_check(frame, cusp_list)
+    quasi_verdict = quasi_level_ideal_check(frame)
+    divisibility = level_index_divisibility_check(frame)
+    inequality = index_level_inequality_check(frame)
+    split_ok = cusp_split_check(frame)
     if not split_ok:
         raise InternalCheckError("cusp split equation fails")
-    unit_ok = unit_square_closure_check(frame, cusp_list, ql)
+    unit_ok = unit_square_closure_check(frame)
     if not unit_ok:
         raise InternalCheckError("squared-unit closure fails on a frame")
     return AnalysisReport(
         frame,
-        cusp_list,
+        cusps(frame),
         extrema,
         lvl,
         ql,
         o_ideal,
-        condition,
+        _level_condition(frame),
         quasi_verdict,
         divisibility,
         inequality,
@@ -576,19 +573,24 @@ def _example_borel_plus_kernel(caps):
 
 
 def _proj_order_filter(ring, ambient):
-    ops = _ops(ring)
-    identity = ops.identity
-    neg = ops.mneg(identity)
-    center = {identity, neg}
+    """The non-central x of order 2 and of order 3 modulo the centre +-I.
 
+    With t = tr x, x^2 = t*x - I and x^3 = (t^2 - 1)*x - t*I. Over a field
+    (both example rings are F9) a non-central x is not scalar, so x^2 is
+    central iff t = 0, and x^3 is central iff t^2 = 1.
+    """
+    ops = _ops(ring)
+    center = {ops.identity, ops.mneg(ops.identity)}
     invol = []
     third = []
     for x in ambient.sorted_elements():
         if x in center:
             continue
-        if ops.mmul(x, x) in center:
+        a, _, _, d = ops.decode(x)
+        t = ring.add(a, d)
+        if t == ring.zero_idx:
             invol.append(x)
-        elif _power(x, 3, ops.mmul, identity) in center:
+        elif ring.mul(t, t) == ring.one_idx:
             third.append(x)
     return invol, third, center
 
@@ -603,8 +605,6 @@ def _example_icosahedral(D, modulus_text, caps):
     ambient = full_sl2(ring, cap=caps.group)
     ops = _ops(ring)
     invol, third, center = _proj_order_filter(ring, ambient)
-    from .matgroups import closure_codes
-
     for x in invol:
         for y in third:
             z = ops.mmul(x, y)
@@ -615,9 +615,8 @@ def _example_icosahedral(D, modulus_text, caps):
                 acc = ops.mmul(acc, z)
             if acc not in center:
                 continue
-            grp = closure_codes(ring, [x, y], cap=721)
-            if len(grp) == 120:
-                group = FinMatGroup(ring, (x, y), frozenset(grp))
+            group = FinMatGroup(ring, (x, y))
+            if group.order == 120:
                 frame = frame_from_group(
                     D, q0, group, caps,
                     info={"name": "ex3_2" if D.kind == "polynomials" else "ex3_5",
@@ -668,10 +667,9 @@ def _example_translation_join(caps):
     q0 = D.parse_ideal("(t^2+t)")
     ring = build_quotient(D, q0, ring_cap=caps.ring)
     ambient = full_sl2(ring, cap=caps.group)
-    dec = local_decompose(ring)
     ops = _ops(ring)
     locals_ = []
-    for f in dec.factors:
+    for f in local_decompose(ring):
         lg = full_sl2(f.ring, cap=caps.group)
         fops = _ops(f.ring)
         syl = set()
@@ -705,9 +703,8 @@ def _example_split_two(caps):
     q0 = D.principal_ideal((2, 0))
     ring = build_quotient(D, q0, ring_cap=caps.ring)
     ambient = full_sl2(ring, cap=caps.group)
-    dec = local_decompose(ring)
     signs = []
-    for f in dec.factors:
+    for f in local_decompose(ring):
         fops = _ops(f.ring)
         table = {}
         for x in full_sl2(f.ring, cap=caps.group).elements:

@@ -250,8 +250,8 @@ def _row_hnf(rows, ncols):
 # element texts
 
 
-_TOKEN_RE = re.compile(r"\d+|[a-zA-Z]+|\S")
-_BAD_CHAR_RE = re.compile(r"[^\s\da-zA-Z()*^+-]")
+_TOKEN_RE = re.compile(r"[0-9]+|[a-zA-Z]+|\S")
+_BAD_CHAR_RE = re.compile(r"[^\s0-9a-zA-Z()*^+-]")
 
 
 def _bounded(d):
@@ -864,7 +864,7 @@ class QuadraticDomain(Domain):
         text = text.strip()
         if text.startswith("[["):
             m = re.match(
-                r"\[\[\s*(-?\d+)\s*,\s*(-?\d+)\s*\]\s*,\s*\[\s*0\s*,\s*(-?\d+)\s*\]\]$",
+                r"\[\[\s*(-?[0-9]+)\s*,\s*(-?[0-9]+)\s*\]\s*,\s*\[\s*0\s*,\s*(-?[0-9]+)\s*\]\]$",
                 text,
             )
             if not m:
@@ -921,9 +921,6 @@ class Ideal:
     def contains_ideal(self, other):
         """True iff other is a subset of self."""
         return all(self.contains(g) for g in other.generators())
-
-    def norm(self):
-        return residue_norm(self)
 
     def __str__(self):
         if self.domain.kind == "quadratic":
@@ -1243,8 +1240,8 @@ def condition_L(q, cap=DEFAULT_FACTOR_CAP):
 # domain parsing
 
 
-_POLY_SPEC_RE = re.compile(r"^Fq\[t\]\s+q=(\d+)(?:\s+mod=(\S+))?$")
-_QUAD_SPEC_RE = re.compile(r"^Q\(sqrt\((-?\d+)\)\)\s+maximal$")
+_POLY_SPEC_RE = re.compile(r"^Fq\[t\]\s+q=([0-9]+)(?:\s+mod=(\S+))?$")
+_QUAD_SPEC_RE = re.compile(r"^Q\(sqrt\((-?[0-9]+)\)\)\s+maximal$")
 
 
 def parse_domain(spec):

@@ -362,26 +362,9 @@ class LocalFactor:
     projection: list  # R index -> factor index
 
 
-class LocalDecomposition:
-    """CRT splitting of R into local factors D/p^a."""
-
-    def __init__(self, ring, factors, section):
-        self.ring = ring
-        self.factors = factors
-        self._section = section
-
-    def project(self, idx):
-        return tuple(f.projection[idx] for f in self.factors)
-
-    def section(self, local_indices):
-        return self._section[tuple(local_indices)]
-
-    def __len__(self):
-        return len(self.factors)
-
-
 def local_decompose(ring):
-    """Split R into its local factors; verifies the CRT isomorphism.
+    """Split R into its local factors D/p^a, as a list of LocalFactors;
+    verifies the CRT isomorphism.
 
     Each projection is checked to respect + and * on the pairs (g, y), g an
     additive generator and y in R. By induction on a sum of generators that
@@ -396,11 +379,8 @@ def local_decompose(ring):
         local = build_quotient(ring.domain, local_modulus, ring_cap=ring.size)
         proj = [local.reduce(ring.lift(i)) for i in range(ring.size)]
         factors.append(LocalFactor(p, e, local, proj))
-    section = {}
-    for i in range(ring.size):
-        section[tuple(f.projection[i] for f in factors)] = i
-    dec = LocalDecomposition(ring, factors, section)
-    if len(section) != ring.size:
+    images = {tuple(f.projection[i] for f in factors) for i in range(ring.size)}
+    if len(images) != ring.size:
         raise InternalCheckError("CRT tuple map is not injective")
     sizes = 1
     for f in factors:
@@ -417,4 +397,4 @@ def local_decompose(ring):
                     or f.projection[p] != f.ring.mul(f.projection[g], f.projection[y])
                 ):
                     raise InternalCheckError("CRT projection is not a ring map")
-    return dec
+    return factors

@@ -98,7 +98,7 @@ def test_c3_icosahedral_bianchi_frame():
         assert not (sets[0] <= sets[1]) and not (sets[1] <= sets[0])
         from conglab.analyzer import amplitude_extrema_check
 
-        verdict = amplitude_extrema_check(F, cs)
+        verdict = amplitude_extrema_check(F)
         assert list(verdict.amplitudes) == [three]
         assert verdict.c_min == three and verdict.c_max == three
 
@@ -111,7 +111,7 @@ def test_c4_square_coordinate_frame():
         assert lvl == F.modulus  # the 4th power of the ramified prime
         assert residue_norm(lvl) == 16
         assert ideal_image(F.ring, lvl).elements != ql.elements
-        verdict = quasi_level_ideal_check(F, lvl, ql)
+        verdict = quasi_level_ideal_check(F)
         assert verdict.status == "not_applicable"
         assert verdict.condition.failed_clause == "i"
 
@@ -137,12 +137,12 @@ def test_c6_split_two_frame():
         lvl, ql, _ = level_chain(F)
         assert residue_norm(lvl) == 4 == F.index ** 2
         assert F.ring.size // len(ql) == 2
-        verdict = level_index_divisibility_check(F, lvl)
+        verdict = level_index_divisibility_check(F)
         assert verdict.status == "not_applicable"
         assert not verdict.divides_index and not verdict.divides_factorial
         from conglab.analyzer import index_level_inequality_check
 
-        ineq = index_level_inequality_check(F, lvl)
+        ineq = index_level_inequality_check(F)
         assert ineq.applicable and ineq.tight
 
 

@@ -22,6 +22,7 @@ from conglab.analyzer import (
     cusps,
     frame_from_group,
     frame_subgroup,
+    index_level_inequality_check,
     level,
     level_chain,
     level_index_divisibility_check,
@@ -126,9 +127,9 @@ def test_example_borel_kernel_facts():
     amps = sorted(str(c.amplitude) for c in cs)
     assert amps == ["(1)", "(t)"]
     assert sorted(c.term for c in cs) == [1, 3]
-    assert cusp_split_check(F, cs)
+    assert cusp_split_check(F)
     assert level(F) == F3T.parse_ideal("(t)")
-    v = amplitude_extrema_check(F, cs)
+    v = amplitude_extrema_check(F)
     assert str(v.c_min) == "(t)" and str(v.c_max) == "(1)"
 
 
@@ -187,7 +188,7 @@ def test_example_icosahedral_bianchi_facts():
     assert all(c.amplitude == three for c in cs)
     sets = [c.quasi_amplitude.elements for c in cs]
     assert not (sets[0] <= sets[1]) and not (sets[1] <= sets[0])
-    v = amplitude_extrema_check(F, cs)
+    v = amplitude_extrema_check(F)
     assert list(v.amplitudes) == [three]
 
 
@@ -199,7 +200,7 @@ def test_example_square_coordinates_facts():
     lvl, ql, o = level_chain(F)
     assert lvl == F.modulus  # p^4
     assert ideal_image(F.ring, lvl).elements != ql.elements
-    verdict = quasi_level_ideal_check(F, lvl, ql)
+    verdict = quasi_level_ideal_check(F)
     assert verdict.status == "not_applicable"
     assert verdict.condition.failed_clause == "i"
     assert not verdict.ql_equals_l
@@ -226,9 +227,64 @@ def test_example_split_two_facts():
     assert lvl == F.modulus
     assert residue_norm(lvl) == 4 == F.index ** 2
     assert F.ring.size // len(ql) == 2
-    verdict = level_index_divisibility_check(F, lvl)
+    verdict = level_index_divisibility_check(F)
     assert verdict.status == "not_applicable"
     assert not verdict.divides_index and not verdict.divides_factorial
+
+
+def test_checks_share_one_condition_L_per_frame(monkeypatch):
+    calls = []
+    real = analyzer.condition_L
+    monkeypatch.setattr(analyzer, "condition_L", lambda q: calls.append(q) or real(q))
+    frames = [build_example(name) for name in ("ex2_13", "ex4_9", "ex5_4")]
+    frames += [frame_subgroup(Z, Z.parse_ideal("(6)"), [])]
+    for F in frames:
+        analyze(F)
+        # the survey's sequence: amplitude_extrema, then level_divisibility
+        amplitude_extrema_check(F)
+        level(F)
+        cusp_split_check(F)
+        level_chain(F)
+        quasi_level_ideal_check(F)
+        level_index_divisibility_check(F)
+        index_level_inequality_check(F)
+    assert calls == [level(F) for F in frames]
+
+
+def test_frames_keep_their_quasi_level_and_conjugates_start_empty():
+    F = build_example("ex2_13")
+    assert quasi_level(F) is quasi_level(F)
+    analyze(F)
+    k = full_sl2(F.ring).sorted_elements()[5]
+    G = F.conjugated_by(k)
+    assert (G._cusps, G._quasi_level, G._condition) == (None, None, None)
+    assert quasi_level(G).elements == quasi_level(F).elements
+
+
+def proj_order_filter_by_powers(ring, ambient):
+    """Oracle for analyzer._proj_order_filter: square and cube each element."""
+    ops = _ops(ring)
+    identity = ops.identity
+    center = {identity, ops.mneg(identity)}
+    invol = []
+    third = []
+    for x in ambient.sorted_elements():
+        if x in center:
+            continue
+        if ops.mmul(x, x) in center:
+            invol.append(x)
+        elif ops.mmul(ops.mmul(x, x), x) in center:
+            third.append(x)
+    return invol, third, center
+
+
+@pytest.mark.parametrize("name", ["ex3_2", "ex3_5"])
+def test_proj_order_filter_matches_the_power_oracle(name):
+    ring = build_example(name).ring
+    ambient = full_sl2(ring)
+    found = analyzer._proj_order_filter(ring, ambient)
+    assert found == proj_order_filter_by_powers(ring, ambient)
+    assert (len(found[0]), len(found[1])) == (90, 160)
 
 
 # ---------------------------------------------------------------------------

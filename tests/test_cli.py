@@ -112,6 +112,20 @@ def test_malformed_element_texts_exit_2(capsys, tmp_path, text):
     assert "parse" in err
 
 
+# read as ASCII numerals, each request is a valid frame: diag(3, 3) has
+# determinant 1 modulo 8, and the identity lies in SL2 over F3[t]/(t)
+@pytest.mark.parametrize(
+    "domain, modulus, entry",
+    [("Z", "(8)", "\u0663"), ("Z", "(\u0668)", "3"), ("Fq[t] q=\u0663", "(t)", "1")],
+)
+def test_non_ascii_digits_exit_2(capsys, tmp_path, domain, modulus, entry):
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps([[[entry, "0"], ["0", entry]]]))
+    argv = ["analyze", "--domain", domain, "--modulus", modulus, "--gens", str(gens)]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (EXIT_PARSE, "")
+
+
 def test_analyze_cap_exceeded_exit_code(capsys):
     code, _, err = run_cli(
         ["--ring-cap", "3", "analyze", "--domain", "Z", "--modulus", "(6)"], capsys

@@ -82,6 +82,26 @@ def test_q_sqrt_minus7_rule():
     assert QSQ7.mul((0, 1), (0, 1)) == (-2, 1)
 
 
+# numerals are ASCII: other Unicode decimal digits (here Arabic-Indic
+# three and fullwidth one) are refused wherever a numeral may stand
+@pytest.mark.parametrize("text", ["\u0663", "t^\u0663", "\uff11+t"])
+def test_element_texts_refuse_non_ascii_digits(text):
+    with pytest.raises(ParseError):
+        F3T.parse_element(text)
+
+
+@pytest.mark.parametrize("spec", ["Fq[t] q=\u0663", "Q(sqrt(-\u0663)) maximal"])
+def test_domain_specs_refuse_non_ascii_digits(spec):
+    with pytest.raises(ParseError):
+        parse_domain(spec)
+
+
+def test_hnf_ideal_texts_refuse_non_ascii_digits():
+    assert ZSQ2.parse_ideal("[[3,0],[0,3]]") == ZSQ2.principal_ideal((3, 0))
+    with pytest.raises(ParseError):
+        ZSQ2.parse_ideal("[[\u0663,0],[0,3]]")
+
+
 def test_parse_domain_errors():
     with pytest.raises(ParseError):
         parse_domain("Q(sqrt(-12)) maximal")  # not squarefree

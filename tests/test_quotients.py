@@ -284,17 +284,17 @@ def _times(R, k, x):
 
 
 def test_local_decompose_examples():
-    dec = local_decompose(ring_of(Z, "(6)"))
-    assert sorted(f.ring.size for f in dec.factors) == [2, 3]
+    factors = local_decompose(ring_of(Z, "(6)"))
+    assert sorted(f.ring.size for f in factors) == [2, 3]
 
-    dec = local_decompose(ring_of(F3T, "(t^2+t)"))
-    assert [f.ring.size for f in dec.factors] == [3, 3]
+    factors = local_decompose(ring_of(F3T, "(t^2+t)"))
+    assert [f.ring.size for f in factors] == [3, 3]
 
-    dec = local_decompose(ring_of(Z, "(8)"))
-    assert [f.ring.size for f in dec.factors] == [8]
+    factors = local_decompose(ring_of(Z, "(8)"))
+    assert [f.ring.size for f in factors] == [8]
 
-    dec = local_decompose(ring_of(Z, "(210)"))
-    assert [f.ring.size for f in dec.factors] == [2, 3, 5, 7]
+    factors = local_decompose(ring_of(Z, "(210)"))
+    assert [f.ring.size for f in factors] == [2, 3, 5, 7]
 
 
 def corrupt_local_factor(monkeypatch, prime, remap):
@@ -323,6 +323,13 @@ def test_local_decompose_catches_an_additive_projection_that_is_not_multiplicati
         local_decompose(R)
 
 
+def test_local_decompose_catches_a_projection_that_is_not_injective(monkeypatch):
+    R = ring_of(Z, "(15)")
+    corrupt_local_factor(monkeypatch, 5, lambda x: 0)
+    with pytest.raises(InternalCheckError, match="not injective"):
+        local_decompose(R)
+
+
 def test_local_decompose_catches_a_corrupted_entry_above_128_elements(monkeypatch):
     # 3 and 33 agree modulo 30, so swapping their images modulo 7 keeps the
     # CRT map injective and only the ring-map check can see it
@@ -330,13 +337,6 @@ def test_local_decompose_catches_a_corrupted_entry_above_128_elements(monkeypatc
     corrupt_local_factor(monkeypatch, 7, lambda x: {3: 33, 33: 3}.get(x, x))
     with pytest.raises(InternalCheckError, match="not a ring map"):
         local_decompose(R)
-
-
-def test_local_decompose_section_inverts_projection():
-    R = ring_of(Z, "(30)")
-    dec = local_decompose(R)
-    for i in range(R.size):
-        assert dec.section(dec.project(i)) == i
 
 
 def test_ideal_image_sizes():

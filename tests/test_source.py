@@ -27,3 +27,22 @@ def test_readme_states_the_element_text_caps():
     text = " ".join(README.read_text().split())
     assert f"may be at most {TEXT_DEGREE_CAP}, so no exponent may exceed {TEXT_DEGREE_CAP}" in text
     assert f"may nest at most {TEXT_NESTING_CAP} deep" in text
+
+
+def test_no_unicode_digit_class_in_library_regexes():
+    # \d takes any Unicode decimal digit; numerals in the grammars are [0-9]
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "re"
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and isinstance(node.args[0].value, str)
+                and r"\d" in node.args[0].value
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -2,7 +2,7 @@ import pytest
 
 from conglab import matgroups, suites
 from conglab.analyzer import Caps
-from conglab.domains import CapExceeded, parse_domain
+from conglab.domains import CapExceeded, InternalCheckError, parse_domain
 from conglab.matgroups import _ops, full_sl2, principal_congruence_image
 from conglab.quotients import _quotient, build_quotient
 from conglab.suites import exhaustive_frames, psl_subgroups, run_suite
@@ -26,6 +26,36 @@ def test_survey_caches_live_and_die_with_the_ring():
     assert exhaustive_frames("Z/4") is frames and psl_subgroups(4) is classes
     _quotient.cache_clear()  # no interned ring keeps them now
     assert exhaustive_frames("Z/4") is not frames and psl_subgroups(4) is not classes
+
+
+def set_aside_cached_frames(monkeypatch, family):
+    """Make exhaustive_frames build the family's frames anew in this test."""
+    spec, text = suites.FAMILY_SPECS[family]
+    D = parse_domain(spec)
+    ring = build_quotient(D, D.parse_ideal(text), ring_cap=Caps().ring)
+    monkeypatch.setitem(ring.memo, "exhaustive_frames", {})
+
+
+def test_survey_frames_keep_no_element_sets(monkeypatch):
+    set_aside_cached_frames(monkeypatch, "Z/6")
+    frames = exhaustive_frames("Z/6")
+    for name in ("amplitude_extrema", "level_divisibility", "square_unit_closure"):
+        assert run_suite(name, families=["Z/6"]).ok
+    assert all(F.group._elements is None for F in frames)
+
+
+def test_survey_frames_check_each_class_order_against_its_chain(monkeypatch):
+    set_aside_cached_frames(monkeypatch, "Z/6")
+    real = suites.subgroup_classes
+
+    def short_generators(dense):
+        reps, seen = real(dense)
+        elems, gens = reps[-1]  # all of SL2(Z/6), which is not cyclic
+        return reps[:-1] + [(elems, gens[:1])], seen
+
+    monkeypatch.setattr(suites, "subgroup_classes", short_generators)
+    with pytest.raises(InternalCheckError, match="column chain"):
+        exhaustive_frames("Z/6")
 
 
 @pytest.mark.parametrize(

@@ -47,7 +47,6 @@ from .domains import (
 from .matgroups import (
     FinMatGroup,
     Mat2,
-    closure_codes,
     cube_law_check,
     full_sl2,
     make_generator,

@@ -168,10 +168,10 @@ def cusps(frame):
     The stabiliser B cap g^-1 H g of the cusp at g has |quasi| elements
     above each of its count distinct (1,1) entries, so with
     |B| = |unit image| * |R| the width is |B| / (|quasi| * count), and
-    |U * stab| = |R| * count gives m.
+    |U * stab| = |R| * count gives m. The tuple is computed once per frame.
     """
     if frame._cusps is not None:
-        return list(frame._cusps)
+        return frame._cusps
     ring = frame.ring
     borel_order = len(ring.domain_unit_image) * ring.size
     out = []
@@ -185,8 +185,8 @@ def cusps(frame):
             raise InternalCheckError("cusp width does not factor as m * |D:b|")
         orbit = _squared_unit_orbit(ring, quasi)
         out.append(CuspData(Mat2.from_code(ring, code), quasi, amp, m, width, term, orbit))
-    frame._cusps = out
-    return list(out)
+    frame._cusps = tuple(out)
+    return frame._cusps
 
 
 def _squared_unit_orbit(ring, quasi):
@@ -465,7 +465,7 @@ def amplitude_join_search(frame, g1, g2, q1, q2):
 @dataclass
 class AnalysisReport:
     frame: FramedSubgroup
-    cusp_list: list
+    cusp_list: tuple
     extrema: AmplitudeExtremaVerdict
     lvl: Ideal
     ql: AdditiveSubgroup

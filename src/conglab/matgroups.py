@@ -4,20 +4,22 @@ Matrices are packed into a single integer code (four ring-element indices,
 base |R|), so element sets of 10^5..10^6 matrices hash compactly. The
 ring's flat arithmetic tables are required and built on demand.
 
-A subgroup (`FinMatGroup`) is its generators plus a column chain, with
-elements on demand. The chain (`ColumnChain`) walks H's orbits on the
-unimodular columns once: order, membership, cusp classes and every
-quasi-amplitude come from it, so frames never list H. The columns and
-their least codes come from the ring tables with no matrix product.
-`full_sl2`, the examples and the surveys still close their groups.
+A subgroup (`FinMatGroup`) is its generators plus a column chain. The
+chain (`ColumnChain`) walks H's orbit of e1 on the unimodular columns:
+order, membership and the element list all come from it, so no group is
+closed by matrix products, SL2(R) included. The other orbits, walked on
+first use, give the cusp classes and every quasi-amplitude, so frames
+never list H. The columns and their least codes come from the ring
+tables with no matrix product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .domains import CapExceeded, InternalCheckError, factor_ideal, ideal_arith, residue_norm
-from .quotients import additive_closure, build_quotient, ideal_image
+from .quotients import DEFAULT_RING_CAP, additive_closure, build_quotient, ideal_image
 
 DEFAULT_GROUP_CAP = 5 * 10 ** 6
 
@@ -147,57 +149,34 @@ def make_generator(kind, ring, *params):
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
-def closure_codes(ring, gen_codes, cap=DEFAULT_GROUP_CAP):
-    """The subgroup generated by gen_codes, one generator at a time."""
-    ops = _ops(ring)
-    elems = {ops.identity}
-    gens = []
-    for g in gen_codes:
-        if g not in elems:
-            elems = extend_closure(elems, gens, g, ops.mmul, cap)
-            gens.append(g)
-    return elems
-
-
 class FinMatGroup:
-    """A subgroup H of SL2(R): generators plus a column chain; elements on demand.
+    """A subgroup H of SL2(R): its generators and their column chain.
 
-    The chain (`ColumnChain`, built on first use) answers |H| and
-    membership from the generators alone. A prebuilt element set, when
-    given, must be the group the generators generate, and then answers
-    both itself, and the chain checks its size. Otherwise `elements`
-    closes the generators on first use.
+    The chain, built on first use, answers |H| and membership, and
+    `elements` lists H from it on first use unless |H| is above `cap`.
     """
 
-    def __init__(self, ring, gens, elements=None):
+    def __init__(self, ring, gens):
         self.ring = ring
         self.gens = tuple(gens)
-        self._elements = None if elements is None else frozenset(elements)
-        self._chain = None
+        self.cap = DEFAULT_GROUP_CAP
+        self._elements = None
         self._sorted = None
 
-    @property
+    @cached_property
     def chain(self):
-        if self._chain is None:
-            chain = ColumnChain(self.ring, self.gens)
-            if self._elements is not None and chain.order != len(self._elements):
-                raise InternalCheckError("element set does not match the column chain")
-            self._chain = chain
-        return self._chain
+        return ColumnChain(self.ring, self.gens)
 
     @property
     def elements(self):
         if self._elements is None:
-            elems = frozenset(closure_codes(self.ring, self.gens))
-            if len(elems) != self.chain.order:
-                raise InternalCheckError("group closure does not match the column chain")
-            self._elements = elems
+            if self.order > self.cap:
+                raise CapExceeded(f"group of order {self.order} exceeds cap {self.cap}")
+            self._elements = frozenset(self.chain.codes())
         return self._elements
 
     @property
     def order(self):
-        if self._elements is not None:
-            return len(self._elements)
         return self.chain.order
 
     def sorted_elements(self):
@@ -208,8 +187,6 @@ class FinMatGroup:
     def __contains__(self, code):
         """Membership of code, which must lie in SL2(R): the chain reads only
         its first column and one entry of t(v)^-1 code, not its determinant."""
-        if self._elements is not None:
-            return code in self._elements
         return code in self.chain
 
     def __repr__(self):
@@ -227,27 +204,31 @@ class FinMatGroup:
 
     @classmethod
     def from_elements(cls, ring, codes):
-        """Wrap a closed element set; generators found greedily.
+        """Wrap a group given by its elements, which it keeps as its element list.
 
         The greedy generators are the elements, in increasing order, that
-        the group generated by the earlier ones does not yet contain.
+        the group generated by the earlier ones does not yet contain, read
+        by chain membership. Raises ValueError unless every element has
+        determinant 1 and the elements are the group they generate.
         """
         elems = frozenset(codes)
         ops = _ops(ring)
         if ops.identity not in elems:
             raise ValueError("element set lacks the identity")
-        closed = {ops.identity}
-        found = []
-        try:
-            for x in sorted(elems):
-                if x not in closed:
-                    closed = extend_closure(closed, found, x, ops.mmul, cap=len(elems))
-                    found.append(x)
-        except CapExceeded:
+        n, add, mul, neg = ring.size, ring.add_t, ring.mul_t, ring.neg_t
+        for a, b, c, d in map(ops.decode, elems):
+            if add[mul[a * n + d] * n + neg[mul[b * n + c]]] != ring.one_idx:
+                raise ValueError("element set holds a matrix of determinant other than 1")
+        group = cls(ring, ())
+        for x in sorted(elems):
+            if x not in group:
+                group = cls(ring, (*group.gens, x))
+                if group.order > len(elems):
+                    break
+        if group.order != len(elems):
             raise ValueError("element set is not multiplicatively closed")
-        if closed != elems:
-            raise ValueError("element set is not multiplicatively closed")
-        return cls(ring, found, elems)
+        group._elements = elems
+        return group
 
     def conjugated_by(self, code):
         """The subgroup code^-1 * self * code, from its conjugated generators."""
@@ -258,75 +239,89 @@ class FinMatGroup:
 
 
 class ColumnChain:
-    """H = <gens> read through one walk of its orbits on the unimodular columns.
+    """H = <gens> read through its orbits on the unimodular columns.
 
     A stabiliser chain of length 2 (Sims 1970; Seress, *Permutation Group
-    Algorithms*, ch. 4) run on every H-orbit: e1's first, from the identity,
-    then each column not yet reached, in increasing code order, from its
-    least code g0. Along orbit k, t(s v) = s t(v) for each generator s; when
-    s t(v) lands on a column already reached, t(s v)^-1 s t(v) fixes e1, so
-    it is some T(x), and by Schreier's lemma these x generate
-    A_k = {x : g0 T(x) g0^-1 in H}, the quasi-amplitude at every g whose
-    column lies in orbit k (such a g is h g0 T(y) with h in H).
+    Algorithms*, ch. 4). Orbit k is walked from a g0 in SL2(R): along it,
+    t(s v) = s t(v) for each generator s; when s t(v) lands on a column
+    already reached, t(s v)^-1 s t(v) fixes e1, so it is some T(x), and by
+    Schreier's lemma these x generate A_k = {x : g0 T(x) g0^-1 in H}, the
+    quasi-amplitude at every g whose column lies in orbit k. A_k is closed
+    again over its elements so that its generators are the set's greedy
+    ones; the ring keeps these closures, keyed by the Schreier x's.
 
-    `orbit_of` maps each column (a, c), keyed a*n + c, to its k; `least[k]`
-    is the least code over orbit k and `amplitudes[k]` is A_k, closed again
-    over its elements so that its generators are the set's greedy ones; the
-    ring keeps these closures, keyed by the Schreier x's, for every chain.
-    Orbit 0 keeps `transversal`, column -> (d*n, -b*n) for the second column
-    (b, d) of t(v) in H: g lies in H iff its column v is in orbit 0 and
-    t(v)^-1 g = T(x), x = d*g_b - b*g_d, with x in A_0. Raises
-    InternalCheckError unless |orbit k| * |A_k| is one order |H| for every k
-    and |H| divides |SL2(R)|.
+    e1's orbit 0 is walked from the identity when the chain is built; its
+    `transversal` maps each column (a, c), keyed a*n + c, to (d*n, -b*n)
+    for the second column (b, d) of t(v) in H. H is the disjoint union of
+    the t(v) T(A_0), so |H| = |orbit 0| * |A_0|, and g lies in H iff its
+    column is in orbit 0 and t(v)^-1 g = T(x), x = d*g_b - b*g_d, with x
+    in A_0. The other orbits are walked on the first read of `orbit_of`
+    (column -> k), `least` (k -> least code over orbit k) or `amplitudes`
+    (k -> A_k), each from the least code of a column not yet reached, in
+    code order. Raises InternalCheckError unless |H| divides |SL2(R)| and
+    |orbit k| * |A_k| = |H| for every k.
     """
 
     def __init__(self, ring, gens):
-        ops = _ops(ring)
-        n, add, mul, neg = ring.size, ring.add_t, ring.mul_t, ring.neg_t
-        columns = unimodular_columns(ring)
+        ops, n = _ops(ring), ring.size
+        self.ring = ring
         # each action is a matrix [[p, q], [r, s]], its entries stored times n
-        acts = [tuple(e * n for e in ops.decode(g)) for g in gens]
-        orbit_of, self.least, self.amplitudes, sizes = {}, [], [], []
-        closed = ring.memo["column_amplitudes"]  # A_k by its Schreier x's, shared by every chain
-        for (a, c), g0 in [((ring.one_idx, ring.zero_idx), ops.identity), *columns.items()]:
-            if a * n + c in orbit_of:
-                continue
-            k = len(sizes)
-            _, b, _, d = ops.decode(g0)
-            orbit = {a * n + c: (d * n, neg[b] * n)}
-            walk = [(a, b, c, d)]
-            xs = set()
-            for a, b, c, d in walk:  # walk grows as columns are found
-                for p, q, r, s in acts:
-                    a2 = add[mul[p + a] * n + mul[q + c]]
-                    c2 = add[mul[r + a] * n + mul[s + c]]
-                    b2 = add[mul[p + b] * n + mul[q + d]]
-                    d2 = add[mul[r + b] * n + mul[s + d]]
-                    t = orbit.get(a2 * n + c2)
-                    if t is None:
-                        orbit[a2 * n + c2] = (d2 * n, neg[b2] * n)
-                        walk.append((a2, b2, c2, d2))
-                    else:
-                        xs.add(add[mul[t[0] + b2] * n + mul[t[1] + d2]])
-            orbit_of.update(dict.fromkeys(orbit, k))
-            if k == 0:
-                self.transversal = orbit
-                g0 = min(columns[(a, c)] for a, _, c, _ in walk)
-            self.least.append(g0)
-            key = frozenset(xs)
-            if key not in closed:
-                closed[key] = additive_closure(additive_closure(xs, ring).elements, ring)
-            self.amplitudes.append(closed[key])
-            sizes.append(len(orbit))
-        self.orbit_of = orbit_of
-        self.order = sizes[0] * len(self.amplitudes[0])
-        if any(size * len(A) != self.order for size, A in zip(sizes, self.amplitudes)):
-            raise InternalCheckError("column chain orbits disagree on |H|")
+        self._acts = [tuple(e * n for e in ops.decode(g)) for g in gens]
+        self.transversal, self._amplitude0 = self._walk(*ops.decode(ops.identity))
+        self.order = len(self.transversal) * len(self._amplitude0)
         if _sl2_total(ring) % self.order:
             raise InternalCheckError("column chain order does not divide |SL2(R)|")
-        self._shifts = self.amplitudes[0].elements
+        self._shifts = self._amplitude0.elements
         self._n, self._n2, self._n3 = n, n * n, n * n * n
-        self._add, self._mul = add, mul
+        self._add, self._mul = ring.add_t, ring.mul_t
+
+    def _walk(self, a, b, c, d):
+        """The orbit walked from g0 = (a, b, c, d): column -> (d*n, -b*n) of t(v), and A_k."""
+        ring = self.ring
+        n, add, mul, neg = ring.size, ring.add_t, ring.mul_t, ring.neg_t
+        orbit = {a * n + c: (d * n, neg[b] * n)}
+        walk = [(a, b, c, d)]
+        xs = set()
+        for a, b, c, d in walk:  # walk grows as columns are found
+            for p, q, r, s in self._acts:
+                a2 = add[mul[p + a] * n + mul[q + c]]
+                c2 = add[mul[r + a] * n + mul[s + c]]
+                b2 = add[mul[p + b] * n + mul[q + d]]
+                d2 = add[mul[r + b] * n + mul[s + d]]
+                t = orbit.get(a2 * n + c2)
+                if t is None:
+                    orbit[a2 * n + c2] = (d2 * n, neg[b2] * n)
+                    walk.append((a2, b2, c2, d2))
+                else:
+                    xs.add(add[mul[t[0] + b2] * n + mul[t[1] + d2]])
+        closed = ring.memo["column_amplitudes"]
+        key = frozenset(xs)
+        if key not in closed:
+            closed[key] = additive_closure(additive_closure(xs, ring).elements, ring)
+        return orbit, closed[key]
+
+    @cached_property
+    def _orbits(self):
+        """(orbit_of, least, amplitudes), from a walk of every orbit past e1's."""
+        ops, n = _ops(self.ring), self._n
+        columns = unimodular_columns(self.ring)
+        orbit_of = dict.fromkeys(self.transversal, 0)
+        least = [min(columns[divmod(v, n)] for v in self.transversal)]
+        amplitudes = [self._amplitude0]
+        for (a, c), g0 in columns.items():
+            if a * n + c in orbit_of:
+                continue
+            orbit, A = self._walk(*ops.decode(g0))
+            if len(orbit) * len(A) != self.order:
+                raise InternalCheckError("column chain orbits disagree on |H|")
+            orbit_of.update(dict.fromkeys(orbit, len(least)))
+            least.append(g0)
+            amplitudes.append(A)
+        return orbit_of, least, amplitudes
+
+    orbit_of = property(lambda self: self._orbits[0])
+    least = property(lambda self: self._orbits[1])
+    amplitudes = property(lambda self: self._orbits[2])
 
     def __contains__(self, code):
         n = self._n
@@ -338,6 +333,18 @@ class ColumnChain:
             return False
         mul = self._mul
         return self._add[mul[t[0] + b] * n + mul[t[1] + d]] in self._shifts
+
+    def codes(self):
+        """Every code of H: t(v) T(x) = (a, b + a*x, c, d + c*x) for each
+        column v = (a, c) in orbit 0 and each x in A_0."""
+        n, n2, add, mul = self._n, self._n2, self._add, self._mul
+        neg, shifts = self.ring.neg_t, self._shifts
+        out = []
+        for v, (dn, nbn) in self.transversal.items():
+            a, c = divmod(v, n)
+            head, bn, an, cn = a * self._n3 + c * n, neg[nbn // n] * n, a * n, c * n
+            out.extend(head + add[bn + mul[an + x]] * n2 + add[dn + mul[cn + x]] for x in shifts)
+        return out
 
 
 def sl2_order_formula(modulus):
@@ -374,16 +381,17 @@ def standard_generators(ring):
 
 
 def full_sl2(ring, cap=DEFAULT_GROUP_CAP):
-    """SL2(R), generated by the standard generators; the cap holds on every call."""
+    """SL2(R) on the standard generators; the cap holds on every call. The
+    chain order must equal the order formula, which certifies that T(g)
+    and S(g) generate SL2(R)."""
     expected = sl2_order(ring, cap)
-    if ring._full_sl2 is not None:
-        return ring._full_sl2
-    gens = standard_generators(ring)
-    grp = FinMatGroup(ring, gens, closure_codes(ring, gens, cap=expected + 1))
-    if grp.order != expected:
-        raise InternalCheckError("SL2 closure does not match the order formula")
-    ring._full_sl2 = grp
-    return grp
+    if ring._full_sl2 is None:
+        grp = FinMatGroup(ring, standard_generators(ring))
+        if grp.order != expected:
+            raise InternalCheckError("SL2 column chain does not match the order formula")
+        grp.cap = expected  # sl2_order bounds it by each caller's cap
+        ring._full_sl2 = grp
+    return ring._full_sl2
 
 
 def principal_congruence_image(ring, a):
@@ -418,37 +426,6 @@ def principal_congruence_image(ring, a):
         if grp.order != expected:
             raise InternalCheckError("congruence image violates the cube law")
     return grp
-
-
-def extend_closure(group, gens, g, mul, cap=DEFAULT_GROUP_CAP):
-    """The set <group, g>, where group is a closed group generated by gens.
-
-    Dimino's coset extension: the new group is a union of right cosets
-    group*r. Starting from group*g, each representative r is multiplied by
-    every generator s, and r*s opens a new coset when it is not yet
-    covered. Right multiplication by the generators suffices in a finite
-    group, so no inverses are taken. Raises CapExceeded, with partial ==
-    cap, exactly when the new group has more than cap elements.
-    """
-    elems = set(group)
-    reps = []
-
-    def add_coset(r):
-        for h in group:
-            if len(elems) >= cap:
-                raise CapExceeded(f"group closure exceeded cap {cap}", partial=len(elems))
-            elems.add(mul(h, r))
-        reps.append(r)
-
-    if g not in elems:
-        add_coset(g)
-    step = [*gens, g]
-    for r in reps:  # reps grows as cosets are found
-        for s in step:
-            y = mul(r, s)
-            if y not in elems:
-                add_coset(y)
-    return elems
 
 
 def unimodular_columns(ring):
@@ -487,8 +464,7 @@ def cusp_representatives(group):
     entries of B intersected with g^-1 H g, the same for every column c of
     the class since the scalings commute with H.
     """
-    ring = group.ring
-    chain = group.chain
+    ring, chain = group.ring, group.chain
     n, mul, orbit_of = ring.size, ring.mul_t, chain.orbit_of
     decode = _ops(ring).decode
     reps = []
@@ -505,30 +481,24 @@ def cusp_representatives(group):
 
 
 def cube_law_check(domain, q, q_sub, ring_cap=None):
-    """Check the congruence-quotient cube law for q >= q_sub >= q^2.
-
-    True iff the image of the level-q kernel modulo q_sub has order
-    |q/q_sub|^3 and is generated by the images of S(x), T(x), R(x), x in q.
-    """
+    """Check the congruence-quotient cube law for q >= q_sub >= q^2: True iff
+    the image of the level-q kernel modulo q_sub, whose order |q/q_sub|^3
+    principal_congruence_image checks, is generated by the images of S(x),
+    T(x), R(x), x in q."""
     if not q.contains_ideal(q_sub):
         raise ValueError("q must contain q_sub")
     q2 = ideal_arith("product", q, q)
     if not q_sub.contains_ideal(q2):
         raise ValueError("q_sub must contain q^2")
-    from .quotients import DEFAULT_RING_CAP
-
     ring = build_quotient(domain, q_sub, ring_cap or DEFAULT_RING_CAP)
     img = principal_congruence_image(ring, q)
-    expected = (residue_norm(q_sub) // residue_norm(q)) ** 3
-    if img.order != expected:
-        return False
-    gens = []
-    for x in ideal_image(ring, q).sorted_elements():
-        gens.append(make_generator("T", ring, x).code)
-        gens.append(make_generator("S", ring, x).code)
-        gens.append(make_generator("Runi", ring, x).code)
-    generated = closure_codes(ring, gens, cap=img.order + 1)
-    return generated == img.elements
+    gens = [
+        make_generator(kind, ring, x).code
+        for x in ideal_image(ring, q).sorted_elements()
+        for kind in ("T", "S", "Runi")
+    ]
+    # gens lie in img, so they generate it iff <gens> is as large
+    return all(g in img for g in gens) and FinMatGroup(ring, gens).order == img.order
 
 
 def projective_center_is_trivial(ring, cap=DEFAULT_GROUP_CAP):
@@ -539,8 +509,7 @@ def projective_center_is_trivial(ring, cap=DEFAULT_GROUP_CAP):
     matrices over the columns that pass are tested against every standard
     generator.
     """
-    pf = factor_ideal(ring.modulus)
-    if len(pf.pairs) != 1:
+    if len(factor_ideal(ring.modulus).pairs) != 1:
         raise ValueError("ring is not local")
     if not ring.is_unit(ring.reduce(ring.domain.from_int(2))):
         raise ValueError("2 must be invertible")

@@ -8,15 +8,17 @@ subgroups of prime-power order (Neubüser, Numer. Math. 2, 1960; Holt,
 Eick and O'Brien, Handbook of Computational Group Theory, 4.4): H extends
 by a zuppo <g> of order p^a when g normalises H, g is not in H and g^p
 is. A non-solvable group falls back to joining every class with every
-zuppo; both paths read one zuppo list, built once per group.
+zuppo; both paths read one zuppo list, built once per group. Each join is
+Dimino's coset extension by one generator (`extend_closure`), the
+library's one group closure.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 
-from .domains import _factor_int
-from .matgroups import extend_closure
+from .domains import CapExceeded, _factor_int
+from .matgroups import DEFAULT_GROUP_CAP, _ops
 
 
 class DenseGroup:
@@ -41,8 +43,6 @@ class DenseGroup:
 
     @classmethod
     def from_matgroup(cls, group):
-        from .matgroups import _ops
-
         ops = _ops(group.ring)
         return cls(
             group.sorted_elements(), ops.mmul, ops.identity, group.gens or
@@ -72,6 +72,37 @@ class DenseGroup:
             out.append(acc)
             acc = self.mul(acc, g)
         return out
+
+
+def extend_closure(group, gens, g, mul, cap=DEFAULT_GROUP_CAP):
+    """The set <group, g>, where group is a closed group generated by gens.
+
+    Dimino's coset extension: the new group is a union of right cosets
+    group*r. Starting from group*g, each representative r is multiplied by
+    every generator s, and r*s opens a new coset when it is not yet
+    covered. Right multiplication by the generators suffices in a finite
+    group, so no inverses are taken. Raises CapExceeded, with partial ==
+    cap, exactly when the new group has more than cap elements.
+    """
+    elems = set(group)
+    reps = []
+
+    def add_coset(r):
+        for h in group:
+            if len(elems) >= cap:
+                raise CapExceeded(f"group closure exceeded cap {cap}", partial=len(elems))
+            elems.add(mul(h, r))
+        reps.append(r)
+
+    if g not in elems:
+        add_coset(g)
+    step = [*gens, g]
+    for r in reps:  # reps grows as cosets are found
+        for s in step:
+            y = mul(r, s)
+            if y not in elems:
+                add_coset(y)
+    return elems
 
 
 def _subgroup_key(elems):

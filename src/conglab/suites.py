@@ -657,7 +657,7 @@ def suite_exact_soundness(caps, seed, families=None):
                 classes[subgroup] = rep, frame
         # widths against T-cycles per class representative, off the cusps level() filled
         for rep, frame in classes.values():
-            widths = sorted(c.width for c in frame._cusps)
+            widths = sorted(c.width for c in cusps(frame))
             res.check(
                 tuple(widths) == cusp_split(rep).lengths,
                 f"width multiset differs from the cusp split at n={n}",

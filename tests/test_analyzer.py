@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from math import gcd, prod
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -37,7 +38,6 @@ from conglab.matgroups import (
     FinMatGroup,
     Mat2,
     _ops,
-    closure_codes,
     full_sl2,
     make_generator,
     sl2_order_formula,
@@ -53,6 +53,7 @@ from test_matgroups import (
     quasi_amplitude_by_scan,
     small_sl2,
 )
+from test_subgroups import closure_codes
 
 Z = parse_domain("Z")
 F3T = parse_domain("Fq[t] q=3")
@@ -85,10 +86,10 @@ def test_frame_borel_mod_t():
 
 def test_frame_refuses_an_image_whose_order_does_not_divide_sl2():
     ring = build_quotient(Z, Z.parse_ideal("(6)"))
-    ops = _ops(ring)
-    seven = [ops.encode(ring.one_idx, x, ring.zero_idx, ring.one_idx) for x in range(6)]
-    seven.append(ops.mneg(ops.identity))
-    group = FinMatGroup(ring, seven, seven)  # 7 codes, which no subgroup of a 144-group has
+    # a group's chain certifies that its order divides |SL2(R)|, so the frame's
+    # own check is reached through a stand-in of order 7, which no subgroup of
+    # a 144-group has
+    group = SimpleNamespace(order=7)
     with pytest.raises(InternalCheckError, match="does not divide"):
         FramedSubgroup(Z, ring.modulus, ring, group)
 
@@ -254,6 +255,7 @@ def test_checks_share_one_condition_L_per_frame(monkeypatch):
 def test_frames_keep_their_quasi_level_and_conjugates_start_empty():
     F = build_example("ex2_13")
     assert quasi_level(F) is quasi_level(F)
+    assert isinstance(cusps(F), tuple) and cusps(F) is cusps(F)  # no copy per call
     analyze(F)
     k = full_sl2(F.ring).sorted_elements()[5]
     G = F.conjugated_by(k)
@@ -701,7 +703,7 @@ def test_column_walk_matches_oracles_on_random_frames(i, picks):
     # split holds and c_min == level
     analyze(F)
     assert F.group._elements is None  # the walk answered alone
-    closed = FinMatGroup(R, gens, closure_codes(R, gens))
+    closed = FinMatGroup.from_elements(R, closure_codes(R, gens))
     assert F.group.order * F.index == sl2_order_formula(R.modulus) == closed.order * F.index
     for c in cusps(F):
         oracle = quasi_amplitude_by_scan(closed, c.rep.code)

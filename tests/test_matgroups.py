@@ -7,16 +7,14 @@ from hypothesis import strategies as st
 
 import conglab
 from conglab import matgroups
-from conglab.analyzer import InternalCheckError, build_example
+from conglab.analyzer import EXAMPLE_NAMES, InternalCheckError, build_example
 from conglab.domains import CapExceeded, factor_ideal, ideal_arith, ideal_pow, parse_domain
 from conglab.matgroups import (
     FinMatGroup,
     Mat2,
     _ops,
-    closure_codes,
     cube_law_check,
     cusp_representatives,
-    extend_closure,
     full_sl2,
     make_generator,
     principal_congruence_image,
@@ -25,9 +23,16 @@ from conglab.matgroups import (
     unimodular_columns,
 )
 from conglab.quotients import additive_closure, build_quotient, ideal_image
-from conglab.suites import SURVEY_FAMILIES, exhaustive_frames
+from conglab.subgroups import all_subgroups, extend_closure
+from conglab.suites import (
+    SOUNDNESS_LEVELS,
+    SURVEY_FAMILIES,
+    _sl2_preimage,
+    exhaustive_frames,
+    psl_subgroups,
+)
 
-from test_subgroups import SMALL_MODULI, dense_closure_by_bfs, small_sl2
+from test_subgroups import SMALL_MODULI, closure_codes, dense_closure_by_bfs, small_sl2
 
 Z = parse_domain("Z")
 F3T = parse_domain("Fq[t] q=3")
@@ -221,7 +226,7 @@ def normal_closure(ring, gen_codes, ambient):
             grp = extend_closure(grp, gens, s, mmul)
             gens.append(s)
             queue.extend(mmul(mmul(minv(a), s), a) for a in ambient.gens)
-    return FinMatGroup(ring, gens, grp)
+    return FinMatGroup.from_elements(ring, grp)
 
 
 def principal_congruence_image_by_scan(ring, a):
@@ -725,6 +730,7 @@ def assert_chain_matches_closure(ring, gens, universe):
     assert {k for k, orbit in chain.orbit_of.items() if orbit == 0} == columns
     shifts = {b for a, b, c, d in map(ops.decode, closed) if (a, c) == (ring.one_idx, ring.zero_idx)}
     assert chain.amplitudes[0].elements == shifts
+    assert H.sorted_elements() == sorted(closed)  # listed from the chain
 
 
 @pytest.mark.parametrize("family", SURVEY_FAMILIES)
@@ -755,12 +761,13 @@ def test_column_chain_matches_the_closure_on_random_frames(i, picks):
 def test_a_prebuilt_element_set_is_checked_against_the_chain():
     R = ring_of(Z, "(6)")
     t1 = make_generator("T", R, R.one_idx).code
-    H = FinMatGroup(R, [t1], full_sl2(R).elements)  # <T(1)> has 6 elements, not 144
-    assert H.order == 144 and t1 in H  # the set answers both
-    with pytest.raises(InternalCheckError, match="element set does not match the column chain"):
-        H.chain
-    F = FinMatGroup(R, [t1], closure_codes(R, [t1]))
-    assert F.chain.order == F.order == 6
+    with pytest.raises(TypeError):
+        FinMatGroup(R, [t1], full_sl2(R).elements)  # a group takes no element set
+    F = FinMatGroup.from_elements(R, closure_codes(R, [t1]))
+    assert F.gens == (t1,) and F.chain.order == F.order == 6
+    # the chain of the greedy generators must reach the set's size
+    with pytest.raises(ValueError, match="not multiplicatively closed"):
+        FinMatGroup.from_elements(R, [_ops(R).identity, t1])
 
 
 def test_elements_on_demand_match_the_chain():
@@ -775,3 +782,77 @@ def test_elements_on_demand_match_the_chain():
     ops = _ops(R)
     K = H.conjugated_by(s2)  # from the conjugated generators only
     assert K.elements == {ops.mmul(ops.mmul(ops.minv(s2), h), s2) for h in H.elements}
+
+
+@pytest.mark.parametrize("D,text", [(Z, "(12)"), (Z, "(25)"), (Z, "(30)"), (F3T, "(t^2)")])
+def test_full_sl2_lists_the_closure_in_sorted_order(D, text):
+    R = ring_of(D, text)
+    G = full_sl2(R)
+    assert G.sorted_elements() == sorted(closure_codes(R, G.gens))
+
+
+def test_chain_listing_matches_the_closure_on_the_examples():
+    for name in EXAMPLE_NAMES:
+        F = build_example(name)
+        H = FinMatGroup(F.ring, F.group.gens)  # listed from its chain, however the frame was built
+        assert H.sorted_elements() == sorted(closure_codes(F.ring, F.group.gens)), name
+        assert H.elements == F.group.elements, name
+
+
+def test_listing_makes_no_matrix_products(monkeypatch):
+    calls = []
+    real = matgroups._MatOps.mmul
+
+    def counting(self, x, y):
+        calls.append((x, y))
+        return real(self, x, y)
+
+    rings = [ring_of(Z, "(12)"), ring_of(F3T, "(t^2)"), ring_of(F9T, "(t)")]
+    monkeypatch.setattr(matgroups._MatOps, "mmul", counting)
+    for R in rings:
+        monkeypatch.setattr(R, "_full_sl2", None)
+        G = full_sl2(R)
+        assert len(G.sorted_elements()) == G.order
+        gens = [make_generator(k, R, R.one_idx).code for k in "TS"]
+        H = FinMatGroup.from_generators(R, gens)
+        assert len(H.elements) == H.order  # on demand
+        assert FinMatGroup.from_elements(R, H.elements).order == H.order
+        assert FinMatGroup.from_elements(R, G.elements).order == G.order
+    assert calls == []
+
+
+def test_from_elements_refuses_a_matrix_of_determinant_other_than_one():
+    # {I, diag(3, 1)} over Z/6 is closed under products, but 3 * 1 = 3 is not 1
+    R = ring_of(Z, "(6)")
+    ops = _ops(R)
+    diag = ops.encode(R.reduce(3), R.zero_idx, R.zero_idx, R.one_idx)
+    with pytest.raises(ValueError, match="determinant"):
+        FinMatGroup.from_elements(R, [ops.identity, diag])
+
+
+def greedy_generators_by_closure(ring, codes):
+    """Oracle: the codes, in increasing order, outside the Dimino closure of
+    the codes picked before them."""
+    ops = _ops(ring)
+    closed, found = {ops.identity}, []
+    for x in sorted(codes):
+        if x not in closed:
+            closed = extend_closure(closed, found, x, ops.mmul)
+            found.append(x)
+    assert closed == set(codes)
+    return tuple(found)
+
+
+def test_from_elements_finds_the_closure_greedy_generators_on_every_soundness_subgroup():
+    count = 0
+    for n in SOUNDNESS_LEVELS:
+        P, _, seen = psl_subgroups(n)
+        R = build_quotient(Z, Z.principal_ideal(n))
+        mneg = _ops(R).mneg
+        for subgroup in all_subgroups(seen):
+            codes = _sl2_preimage(P, mneg, subgroup)
+            H = FinMatGroup.from_elements(R, codes)
+            assert H.gens == greedy_generators_by_closure(R, codes)
+            assert H.elements == codes
+            count += 1
+    assert count == 516

@@ -46,3 +46,20 @@ def test_no_unicode_digit_class_in_library_regexes():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_matgroups_closes_no_group():
+    # a matrix group's order, membership and elements come from its column
+    # chain; Dimino's closure lives in subgroups, for the dense groups
+    path = SRC / "matgroups.py"
+    closures = {"extend_closure", "closure_codes"}
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in closures:
+            found.append(f"defines {node.name}:{node.lineno}")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in closures:
+                found.append(f"calls {name}:{node.lineno}")
+    assert found == []

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from conglab import subgroups
 from conglab.domains import CapExceeded, _factor_int, parse_domain
-from conglab.matgroups import FinMatGroup, _ops, closure_codes, extend_closure, full_sl2
+from conglab.matgroups import DEFAULT_GROUP_CAP, FinMatGroup, _ops, full_sl2
 from conglab.modular import psl2_group
 from conglab.quotients import build_quotient, integer_quotient
-from conglab.subgroups import DenseGroup, all_subgroups, subgroup_classes
+from conglab.subgroups import DenseGroup, all_subgroups, extend_closure, subgroup_classes
 from conglab.suites import _RANDOM_DOMAINS
 
 Z = parse_domain("Z")
@@ -59,6 +59,19 @@ def subgroup_classes_by_join(G):
             joined = frozenset(extend_closure(elems, gens, cg, G.mul))
             register(joined, gens + (cg,))
     return reps, seen
+
+
+def closure_codes(ring, gen_codes, cap=DEFAULT_GROUP_CAP):
+    """Oracle: the subgroup generated by gen_codes, closed by Dimino's coset
+    extension one generator at a time."""
+    ops = _ops(ring)
+    elems = {ops.identity}
+    gens = []
+    for g in gen_codes:
+        if g not in elems:
+            elems = extend_closure(elems, gens, g, ops.mmul, cap)
+            gens.append(g)
+    return elems
 
 
 def dense_closure_by_bfs(G, gens):

@@ -16,6 +16,7 @@ from .domains import (
     InternalCheckError,
     _factor_int,
     _power,
+    _variable_pow,
     condition_L,
     factor_ideal,
     ideal_arith,
@@ -76,6 +77,7 @@ class FramedSubgroup:
         self.index = total // group.order
         self._cusps = None
         self._quasi_level = None
+        self._level = None
         self._condition = None
 
     @property
@@ -152,10 +154,7 @@ class CuspData:
 def quasi_amplitude_at(frame, g):
     """The additive group {x in R : g T(x) g^-1 in H} at an arbitrary g: the
     A_k of the H-orbit of g's first column in the frame's column walk."""
-    ring = frame.ring
-    a, _, c, _ = _ops(ring).decode(g.code if isinstance(g, Mat2) else g)
-    chain = frame.group.chain
-    return chain.amplitudes[chain.orbit_of[a * ring.size + c]]
+    return frame.group.column_amplitude(g.code if isinstance(g, Mat2) else g)
 
 
 def amplitude_at(frame, g):
@@ -217,7 +216,10 @@ def quasi_level(frame):
 
 
 def level(frame):
-    return largest_ideal_inside(quasi_level(frame))
+    """The largest ideal inside the quasi-level, computed once per frame."""
+    if frame._level is None:
+        frame._level = largest_ideal_inside(quasi_level(frame))
+    return frame._level
 
 
 def _level_condition(frame):
@@ -251,10 +253,10 @@ def level_chain(frame):
     ql = quasi_level(frame)
     group = frame.group
     ops = _ops(frame.ring)
-    for a, _, c, _ in map(ops.decode, group.chain.least):
+    for a, _, c, _ in map(ops.decode, group.least):
         if any(ops.conj_translation(a, c, x) not in group for x in ql.generators):
             raise InternalCheckError("a quasi-level translation leaves a conjugate of the frame")
-    lvl = largest_ideal_inside(ql)
+    lvl = level(frame)
     o = order_ideal(frame)
     ring = frame.ring
     lvl_img = ideal_image(ring, lvl).elements
@@ -782,12 +784,7 @@ def _rref(D, rows):
         rows.remove(pivot_row)
         inv = D.fq_inv(pivot_row[col])
         pivot_row = [D.fq_mul(inv, x) for x in pivot_row]
-        for r in rows:
-            factor = r[col]
-            if factor:
-                for i in range(d):
-                    r[i] = D.fq_add(r[i], D.fq_neg(D.fq_mul(factor, pivot_row[i])))
-        for r in out:
+        for r in rows + out:
             factor = r[col]
             if factor:
                 for i in range(d):
@@ -826,12 +823,12 @@ def screen_translation_subspace(ts):
     best = f
     for h in _monic_divisors(D, f):
         if D.deg(h) < D.deg(best) and all(
-            contains_poly(D.mul(h, _t_power(D, i))) for i in range(d)
+            contains_poly(D.mul(h, _variable_pow(i))) for i in range(d)
         ):
             best = h
     lvl = Ideal(D, D.monic(best))
     codim = d - dim
-    t_poly = _t_power(D, 1)
+    t_poly = _variable_pow(1)
     invertible = D.gcd(t_poly, f) == D.one()
     certificate = None
     possible = None
@@ -851,10 +848,6 @@ def screen_translation_subspace(ts):
     return SubspaceScreenReport(lvl, codim, possible, certificate)
 
 
-def _t_power(D, k):
-    return D._norm([0] * k + [1])
-
-
 def _monic_divisors(D, f):
     pf = factor_ideal(Ideal(D, D.monic(f)))
     divisors = [D.one()]
@@ -868,5 +861,5 @@ def _monic_divisors(D, f):
 def standard_screen_subspace(D, f):
     """The subspace spanned by t, t^2, ..., t^(deg f - 1) modulo f."""
     d = D.deg(f)
-    basis = tuple(_t_power(D, i) for i in range(1, d))
+    basis = tuple(_variable_pow(i) for i in range(1, d))
     return TranslationSubspace(D, f, basis)

@@ -4,13 +4,14 @@ Matrices are packed into a single integer code (four ring-element indices,
 base |R|), so element sets of 10^5..10^6 matrices hash compactly. The
 ring's flat arithmetic tables are required and built on demand.
 
-A subgroup (`FinMatGroup`) is its generators plus a column chain. The
-chain (`ColumnChain`) walks H's orbit of e1 on the unimodular columns:
-order, membership and the element list all come from it, so no group is
-closed by matrix products, SL2(R) included. The other orbits, walked on
-first use, give the cusp classes and every quasi-amplitude, so frames
-never list H. The columns and their least codes come from the ring
-tables with no matrix product.
+A subgroup (`FinMatGroup`) is its generators read through its orbits on
+the unimodular columns, a stabiliser chain of length 2. The walk of e1's
+orbit, made when the group is built, gives its order, membership and
+element list, so no group is closed by matrix products, SL2(R) included.
+The other orbits, walked on first use, give the cusp classes and every
+quasi-amplitude, so frames never list H. The columns and their least
+codes come from the ring tables with no matrix product. This module alone
+knows how a column is keyed.
 """
 
 from __future__ import annotations
@@ -86,11 +87,9 @@ class _MatOps:
 
 
 def _ops(ring):
-    ops = getattr(ring, "_matops", None)
-    if ops is None:
-        ops = _MatOps(ring)
-        ring._matops = ops
-    return ops
+    if ring._matops is None:
+        ring._matops = _MatOps(ring)
+    return ring._matops
 
 
 @dataclass(frozen=True)
@@ -150,96 +149,8 @@ def make_generator(kind, ring, *params):
 
 
 class FinMatGroup:
-    """A subgroup H of SL2(R): its generators and their column chain.
-
-    The chain, built on first use, answers |H| and membership, and
-    `elements` lists H from it on first use unless |H| is above `cap`.
-    """
-
-    def __init__(self, ring, gens):
-        self.ring = ring
-        self.gens = tuple(gens)
-        self.cap = DEFAULT_GROUP_CAP
-        self._elements = None
-        self._sorted = None
-
-    @cached_property
-    def chain(self):
-        return ColumnChain(self.ring, self.gens)
-
-    @property
-    def elements(self):
-        if self._elements is None:
-            if self.order > self.cap:
-                raise CapExceeded(f"group of order {self.order} exceeds cap {self.cap}")
-            self._elements = frozenset(self.chain.codes())
-        return self._elements
-
-    @property
-    def order(self):
-        return self.chain.order
-
-    def sorted_elements(self):
-        if self._sorted is None:
-            self._sorted = sorted(self.elements)
-        return self._sorted
-
-    def __contains__(self, code):
-        """Membership of code, which must lie in SL2(R): the chain reads only
-        its first column and one entry of t(v)^-1 code, not its determinant."""
-        return code in self.chain
-
-    def __repr__(self):
-        return f"<FinMatGroup of order {self.order} over {self.ring!r}>"
-
-    @classmethod
-    def from_generators(cls, ring, gens):
-        gens = list(gens)
-        if any(isinstance(g, Mat2) and g.ring != ring for g in gens):
-            raise ValueError("generator matrix lies over a different ring")
-        codes = [g.code if isinstance(g, Mat2) else g for g in gens]
-        for code in codes:
-            Mat2.from_code(ring, code)  # validates det = 1
-        return cls(ring, codes)
-
-    @classmethod
-    def from_elements(cls, ring, codes):
-        """Wrap a group given by its elements, which it keeps as its element list.
-
-        The greedy generators are the elements, in increasing order, that
-        the group generated by the earlier ones does not yet contain, read
-        by chain membership. Raises ValueError unless every element has
-        determinant 1 and the elements are the group they generate.
-        """
-        elems = frozenset(codes)
-        ops = _ops(ring)
-        if ops.identity not in elems:
-            raise ValueError("element set lacks the identity")
-        n, add, mul, neg = ring.size, ring.add_t, ring.mul_t, ring.neg_t
-        for a, b, c, d in map(ops.decode, elems):
-            if add[mul[a * n + d] * n + neg[mul[b * n + c]]] != ring.one_idx:
-                raise ValueError("element set holds a matrix of determinant other than 1")
-        group = cls(ring, ())
-        for x in sorted(elems):
-            if x not in group:
-                group = cls(ring, (*group.gens, x))
-                if group.order > len(elems):
-                    break
-        if group.order != len(elems):
-            raise ValueError("element set is not multiplicatively closed")
-        group._elements = elems
-        return group
-
-    def conjugated_by(self, code):
-        """The subgroup code^-1 * self * code, from its conjugated generators."""
-        ops = _ops(self.ring)
-        inv = ops.minv(code)
-        mmul = ops.mmul
-        return FinMatGroup(self.ring, (mmul(mmul(inv, g), code) for g in self.gens))
-
-
-class ColumnChain:
-    """H = <gens> read through its orbits on the unimodular columns.
+    """A subgroup H = <gens> of SL2(R), read through its orbits on the
+    unimodular columns.
 
     A stabiliser chain of length 2 (Sims 1970; Seress, *Permutation Group
     Algorithms*, ch. 4). Orbit k is walked from a g0 in SL2(R): along it,
@@ -250,12 +161,13 @@ class ColumnChain:
     again over its elements so that its generators are the set's greedy
     ones; the ring keeps these closures, keyed by the Schreier x's.
 
-    e1's orbit 0 is walked from the identity when the chain is built; its
-    `transversal` maps each column (a, c), keyed a*n + c, to (d*n, -b*n)
+    A column (a, c) is keyed a*n + c. The constructor walks e1's orbit 0
+    from the identity; `transversal` maps each of its columns to (d*n, -b*n)
     for the second column (b, d) of t(v) in H. H is the disjoint union of
     the t(v) T(A_0), so |H| = |orbit 0| * |A_0|, and g lies in H iff its
     column is in orbit 0 and t(v)^-1 g = T(x), x = d*g_b - b*g_d, with x
-    in A_0. The other orbits are walked on the first read of `orbit_of`
+    in A_0. `elements` lists H from these on first use unless |H| is above
+    `cap`. The other orbits are walked on the first read of `orbit_of`
     (column -> k), `least` (k -> least code over orbit k) or `amplitudes`
     (k -> A_k), each from the least code of a column not yet reached, in
     code order. Raises InternalCheckError unless |H| divides |SL2(R)| and
@@ -265,8 +177,12 @@ class ColumnChain:
     def __init__(self, ring, gens):
         ops, n = _ops(ring), ring.size
         self.ring = ring
+        self.gens = tuple(gens)
+        self.cap = DEFAULT_GROUP_CAP
+        self._elements = None
+        self._sorted = None
         # each action is a matrix [[p, q], [r, s]], its entries stored times n
-        self._acts = [tuple(e * n for e in ops.decode(g)) for g in gens]
+        self._acts = [tuple(e * n for e in ops.decode(g)) for g in self.gens]
         self.transversal, self._amplitude0 = self._walk(*ops.decode(ops.identity))
         self.order = len(self.transversal) * len(self._amplitude0)
         if _sl2_total(ring) % self.order:
@@ -303,15 +219,15 @@ class ColumnChain:
     @cached_property
     def _orbits(self):
         """(orbit_of, least, amplitudes), from a walk of every orbit past e1's."""
-        ops, n = _ops(self.ring), self._n
+        decode = _ops(self.ring).decode
         columns = unimodular_columns(self.ring)
         orbit_of = dict.fromkeys(self.transversal, 0)
-        least = [min(columns[divmod(v, n)] for v in self.transversal)]
+        least = [min(columns[v] for v in self.transversal)]
         amplitudes = [self._amplitude0]
-        for (a, c), g0 in columns.items():
-            if a * n + c in orbit_of:
+        for v, g0 in columns.items():
+            if v in orbit_of:
                 continue
-            orbit, A = self._walk(*ops.decode(g0))
+            orbit, A = self._walk(*decode(g0))
             if len(orbit) * len(A) != self.order:
                 raise InternalCheckError("column chain orbits disagree on |H|")
             orbit_of.update(dict.fromkeys(orbit, len(least)))
@@ -323,7 +239,14 @@ class ColumnChain:
     least = property(lambda self: self._orbits[1])
     amplitudes = property(lambda self: self._orbits[2])
 
+    def column_amplitude(self, code):
+        """{x in R : g T(x) g^-1 in H} at g = code: the A_k of its column's orbit."""
+        a, _, c, _ = _ops(self.ring).decode(code)
+        return self.amplitudes[self.orbit_of[a * self._n + c]]
+
     def __contains__(self, code):
+        """Membership of code, which must lie in SL2(R): reads only its first
+        column and one entry of t(v)^-1 code, not its determinant."""
         n = self._n
         a, r = divmod(code, self._n3)
         b, r = divmod(r, self._n2)
@@ -345,6 +268,67 @@ class ColumnChain:
             head, bn, an, cn = a * self._n3 + c * n, neg[nbn // n] * n, a * n, c * n
             out.extend(head + add[bn + mul[an + x]] * n2 + add[dn + mul[cn + x]] for x in shifts)
         return out
+
+    @property
+    def elements(self):
+        if self._elements is None:
+            if self.order > self.cap:
+                raise CapExceeded(f"group of order {self.order} exceeds cap {self.cap}")
+            self._elements = frozenset(self.codes())
+        return self._elements
+
+    def sorted_elements(self):
+        if self._sorted is None:
+            self._sorted = sorted(self.elements)
+        return self._sorted
+
+    def __repr__(self):
+        return f"<FinMatGroup of order {self.order} over {self.ring!r}>"
+
+    @classmethod
+    def from_generators(cls, ring, gens):
+        gens = list(gens)
+        if any(isinstance(g, Mat2) and g.ring != ring for g in gens):
+            raise ValueError("generator matrix lies over a different ring")
+        codes = [g.code if isinstance(g, Mat2) else g for g in gens]
+        for code in codes:
+            Mat2.from_code(ring, code)  # validates det = 1
+        return cls(ring, codes)
+
+    @classmethod
+    def from_elements(cls, ring, codes):
+        """Wrap a group given by its elements, which it keeps as its element list.
+
+        The greedy generators are the elements, in increasing order, that
+        the group generated by the earlier ones does not yet contain, read
+        by membership. Raises ValueError unless every element has
+        determinant 1 and the elements are the group they generate.
+        """
+        elems = frozenset(codes)
+        ops = _ops(ring)
+        if ops.identity not in elems:
+            raise ValueError("element set lacks the identity")
+        n, add, mul, neg = ring.size, ring.add_t, ring.mul_t, ring.neg_t
+        for a, b, c, d in map(ops.decode, elems):
+            if add[mul[a * n + d] * n + neg[mul[b * n + c]]] != ring.one_idx:
+                raise ValueError("element set holds a matrix of determinant other than 1")
+        group = cls(ring, ())
+        for x in sorted(elems):
+            if x not in group:
+                group = cls(ring, (*group.gens, x))
+                if group.order > len(elems):
+                    break
+        if group.order != len(elems):
+            raise ValueError("element set is not multiplicatively closed")
+        group._elements = elems
+        return group
+
+    def conjugated_by(self, code):
+        """The subgroup code^-1 * self * code, from its conjugated generators."""
+        ops = _ops(self.ring)
+        inv = ops.minv(code)
+        mmul = ops.mmul
+        return FinMatGroup(self.ring, (mmul(mmul(inv, g), code) for g in self.gens))
 
 
 def sl2_order_formula(modulus):
@@ -429,11 +413,12 @@ def principal_congruence_image(ring, a):
 
 
 def unimodular_columns(ring):
-    """Map each first column (a, c) of SL2(R), that is each coset gU, to the
-    minimum code in it, in increasing code order: (a, b, c, d) with the least
-    b for which 1 + b*c lies in aR, then the least d with a*d = 1 + b*c, both
-    read from a table of the least r with a*r = v, built per a."""
-    if getattr(ring, "_columns", None) is not None:
+    """Map each first column (a, c) of SL2(R), keyed a*n + c, that is each
+    coset gU, to the minimum code in it, in increasing code order:
+    (a, b, c, d) with the least b for which 1 + b*c lies in aR, then the
+    least d with a*d = 1 + b*c, both read from a table of the least r with
+    a*r = v, built per a."""
+    if ring._columns is not None:
         return ring._columns
     ops = _ops(ring)
     n, mul = ring.size, ring.mul_t
@@ -446,7 +431,7 @@ def unimodular_columns(ring):
             for b in range(n):
                 d = solve.get(one_plus[mul[b * n + c]])
                 if d is not None:
-                    columns[(a, c)] = ops.encode(a, b, c, d)
+                    columns[a * n + c] = ops.encode(a, b, c, d)
                     break
     if len(columns) * n != _sl2_total(ring):
         raise InternalCheckError("unimodular columns do not match the order formula")
@@ -464,19 +449,19 @@ def cusp_representatives(group):
     entries of B intersected with g^-1 H g, the same for every column c of
     the class since the scalings commute with H.
     """
-    ring, chain = group.ring, group.chain
-    n, mul, orbit_of = ring.size, ring.mul_t, chain.orbit_of
+    ring, least, orbit_of = group.ring, group.least, group.orbit_of
+    n, mul = ring.size, ring.mul_t
     decode = _ops(ring).decode
     reps = []
     placed = set()
     # taken by least code, a class's first orbit holds its minimum
-    for k in sorted(range(len(chain.least)), key=chain.least.__getitem__):
+    for k in sorted(range(len(least)), key=least.__getitem__):
         if k in placed:
             continue
-        a, _, c, _ = decode(chain.least[k])
+        a, _, c, _ = decode(least[k])
         images = [orbit_of[mul[u * n + a] * n + mul[u * n + c]] for u in ring.domain_unit_image]
         placed.update(images)
-        reps.append((chain.least[k], images.count(k)))
+        reps.append((least[k], images.count(k)))
     return reps
 
 
@@ -523,10 +508,9 @@ def projective_center_is_trivial(ring, cap=DEFAULT_GROUP_CAP):
         signed.append((g, (t, mneg(t))))
     gens = standard_generators(ring)
     projective_center = []
-    for (a, c), code in unimodular_columns(ring).items():
+    for a, b, c, d in map(ops.decode, unimodular_columns(ring).values()):
         if any(ops.conj_translation(a, c, g) not in pm for g, pm in signed):
             continue
-        _, b, _, d = ops.decode(code)
         for r in range(n):
             x = ops.encode(a, add[b * n + mul[a * n + r]], c, add[d * n + mul[c * n + r]])
             if all(mmul(x, s) in (mmul(s, x), mneg(mmul(s, x))) for s in gens):

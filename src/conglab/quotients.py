@@ -23,7 +23,9 @@ from .domains import (
     Ideal,
     IntegerDomain,
     InternalCheckError,
+    factor_ideal,
     ideal_arith,
+    ideal_pow,
     residue_norm,
 )
 
@@ -42,8 +44,11 @@ class QuotientRing:
         self.mul_t = None
         self.neg_t = None
         self._inv_cache = {}
+        # kept for matgroups, each filled on first use
         self._sl2_order = None
         self._full_sl2 = None
+        self._matops = None
+        self._columns = None
         self.memo = defaultdict(dict)  # kind -> input -> result
 
     # -- enumeration (kind-specific, filled in by build_quotient) --
@@ -370,8 +375,6 @@ def local_decompose(ring):
     additive generator and y in R. By induction on a sum of generators that
     makes it additive on all pairs, and with distributivity multiplicative.
     """
-    from .domains import factor_ideal, ideal_pow
-
     pf = factor_ideal(ring.modulus)
     factors = []
     for p, e in pf.pairs:

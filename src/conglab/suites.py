@@ -59,7 +59,13 @@ from .modular import (
     low_index_enumerate,
     psl2_group,
 )
-from .quotients import build_quotient, ideal_image, integer_quotient
+from .quotients import (
+    build_quotient,
+    ideal_image,
+    integer_quotient,
+    largest_ideal_inside,
+    local_decompose,
+)
 from .subgroups import DenseGroup, all_subgroups, subgroup_classes
 
 
@@ -302,8 +308,6 @@ def suite_quotients(caps, seed, families=None):
             for i in range(R.size)
         )
         res.check(units_ok, f"unit predicate mismatch for {spec}/{text}")
-        from .quotients import local_decompose
-
         res.run_guarded(
             f"local decomposition fails for {spec}/{text}",
             lambda R=R: local_decompose(R),
@@ -311,8 +315,6 @@ def suite_quotients(caps, seed, families=None):
         for p, e in factor_ideal(q).pairs:
             for k in range(e + 1):
                 a = ideal_arith("sum", ideal_pow(p, k), q)
-                from .quotients import largest_ideal_inside
-
                 res.check(
                     largest_ideal_inside(ideal_image(R, a)) == a,
                     f"ideal-image fixed point fails for {a} in {spec}/{text}",
@@ -497,16 +499,19 @@ def suite_square_unit_closure(caps, seed, families=None):
     return res
 
 
+def _join_every_cusp_pair(frame):
+    cusp_list = cusps(frame)
+    for c1 in cusp_list:
+        for c2 in cusp_list:
+            amplitude_join_search(frame, c1.rep, c2.rep, c1.amplitude, c2.amplitude)
+
+
 def suite_amplitude_join(caps, seed, families=None):
     res = SuiteResult("amplitude_join")
     for frame in exhaustive_frames("Z/6", caps):
-        def one(frame=frame):
-            cusp_list = cusps(frame)
-            for c1 in cusp_list:
-                for c2 in cusp_list:
-                    amplitude_join_search(frame, c1.rep, c2.rep, c1.amplitude, c2.amplitude)
-
-        res.run_guarded(f"Z/6 frame of order {frame.group.order}", one)
+        res.run_guarded(
+            f"Z/6 frame of order {frame.group.order}", lambda F=frame: _join_every_cusp_pair(F)
+        )
     # sampled subgroups of a larger frame
     Z = parse_domain("Z")
     q0 = Z.parse_ideal("(30)")
@@ -517,14 +522,10 @@ def suite_amplitude_join(caps, seed, families=None):
     for _ in range(6):
         gens = [rng.choice(codes), rng.choice(codes)]
         frame = frame_subgroup(Z, q0, gens, caps)
-
-        def one(frame=frame):
-            cusp_list = cusps(frame)
-            for c1 in cusp_list:
-                for c2 in cusp_list:
-                    amplitude_join_search(frame, c1.rep, c2.rep, c1.amplitude, c2.amplitude)
-
-        res.run_guarded(f"Z/30 sampled frame of order {frame.group.order}", one)
+        res.run_guarded(
+            f"Z/30 sampled frame of order {frame.group.order}",
+            lambda F=frame: _join_every_cusp_pair(F),
+        )
     return res
 
 

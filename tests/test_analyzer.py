@@ -252,15 +252,20 @@ def test_checks_share_one_condition_L_per_frame(monkeypatch):
     assert calls == [level(F) for F in frames]
 
 
-def test_frames_keep_their_quasi_level_and_conjugates_start_empty():
+def test_frames_keep_their_quasi_level_and_conjugates_start_empty(monkeypatch):
     F = build_example("ex2_13")
     assert quasi_level(F) is quasi_level(F)
     assert isinstance(cusps(F), tuple) and cusps(F) is cusps(F)  # no copy per call
     analyze(F)
     k = full_sl2(F.ring).sorted_elements()[5]
     G = F.conjugated_by(k)
-    assert (G._cusps, G._quasi_level, G._condition) == (None, None, None)
+    assert (G._cusps, G._quasi_level, G._level, G._condition) == (None, None, None, None)
     assert quasi_level(G).elements == quasi_level(F).elements
+    # the level is kept too: no further search for the largest ideal inside
+    calls = []
+    monkeypatch.setattr(analyzer, "largest_ideal_inside", calls.append)
+    assert level(F) is level(F) is level_chain(F)[0] == F.modulus
+    assert calls == []
 
 
 def proj_order_filter_by_powers(ring, ambient):
@@ -709,7 +714,7 @@ def test_column_walk_matches_oracles_on_random_frames(i, picks):
         oracle = quasi_amplitude_by_scan(closed, c.rep.code)
         assert c.quasi_amplitude == oracle
         assert c.quasi_amplitude.generators == oracle.generators  # the JSON prints them
-    for code in F.group.chain.least:
+    for code in F.group.least:
         assert quasi_amplitude_at(F, code) == quasi_amplitude_by_scan(closed, code)
     assert_quasi_level_is_the_core_quasi_amplitude(F)
     assert_cusp_representatives_match_oracles(G, F.group, B)

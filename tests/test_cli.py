@@ -161,13 +161,13 @@ def test_whole_sl2_request_never_closes_the_group(capsys, tmp_path, monkeypatch)
     # |SL2(Z/60)| = 138240: order and membership come from the column chain,
     # which never lists the group's elements
     calls = []
-    real = matgroups.ColumnChain.codes
+    real = matgroups.FinMatGroup.codes
 
     def counting(self):
         calls.append(self)
         return real(self)
 
-    monkeypatch.setattr(matgroups.ColumnChain, "codes", counting)
+    monkeypatch.setattr(matgroups.FinMatGroup, "codes", counting)
     argv = ["analyze", "--domain", "Z", "--modulus", "(60)", "--gens", whole_sl2_gens(tmp_path)]
     code, out, _ = run_cli(argv, capsys)
     assert code == EXIT_OK

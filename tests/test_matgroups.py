@@ -459,10 +459,11 @@ def assert_cusp_representatives_match_oracles(G, H, B):
 def test_unimodular_columns_hold_each_coset_minimum(i):
     # oracle: group all of SL2(R) by first column, in increasing code order
     R, G, _ = small_sl2(i)
-    ops = _ops(R)
+    ops, n = _ops(R), R.size
     oracle = {}
     for x in G.sorted_elements():
-        oracle.setdefault(ops.decode(x)[::2], x)
+        a, _, c, _ = ops.decode(x)
+        oracle.setdefault(a * n + c, x)
     assert unimodular_columns(R) == oracle
 
 
@@ -476,9 +477,9 @@ def unimodular_columns_by_bfs(ring):
     queue = [ops.identity]
     for x in queue:  # queue grows as columns are found
         a, b, c, d = ops.decode(x)
-        if (a, c) not in columns:
+        if a * n + c not in columns:
             b, d = min((add[b * n + mul[a * n + r]], add[d * n + mul[c * n + r]]) for r in range(n))
-            columns[(a, c)] = ops.encode(a, b, c, d)
+            columns[a * n + c] = ops.encode(a, b, c, d)
             queue.extend(ops.mmul(s, x) for s in gens)
     return dict(sorted(columns.items(), key=lambda item: item[1]))
 
@@ -493,7 +494,7 @@ def column_rings():
 
 def test_unimodular_columns_match_the_bfs_oracle_in_order(monkeypatch):
     for ring in column_rings():
-        monkeypatch.setattr(ring, "_columns", None, raising=False)
+        monkeypatch.setattr(ring, "_columns", None)
         assert list(unimodular_columns(ring).items()) == list(unimodular_columns_by_bfs(ring).items()), ring
 
 
@@ -504,16 +505,18 @@ def test_unimodular_columns_make_no_matrix_products(monkeypatch):
     rings = column_rings()
     monkeypatch.setattr(matgroups._MatOps, "mmul", refuse)
     for ring in rings:
-        monkeypatch.setattr(ring, "_columns", None, raising=False)
+        monkeypatch.setattr(ring, "_columns", None)
         assert len(unimodular_columns(ring)) * ring.size == matgroups.sl2_order(ring)
 
 
 def translations_in_core(group, xs):
     """Oracle: whether g T(x) g^-1 lies in the group for every g in SL2(R), x in xs;
     it depends on g only through its first column."""
-    conj = _ops(group.ring).conj_translation
+    ops = _ops(group.ring)
     return all(
-        conj(a, c, x) in group.elements for a, c in unimodular_columns(group.ring) for x in xs
+        ops.conj_translation(a, c, x) in group.elements
+        for a, _, c, _ in map(ops.decode, unimodular_columns(group.ring).values())
+        for x in xs
     )
 
 
@@ -534,15 +537,26 @@ def test_translations_in_core_matches_the_core_oracle():
         for x in range(R.size):
             t = make_generator("T", R, x).code
             assert translations_in_core(H, [x]) == (t in core)
-            assert all(x in A for A in H.chain.amplitudes) == (t in core)
+            assert all(x in A for A in H.amplitudes) == (t in core)
         assert frame.is_normal == (core.elements == H.elements)
+
+
+def patch_sl2_order(monkeypatch, ring, order):
+    """Make the order formula read `order`, and clear what the ring keeps of
+    |SL2(R)|, all through monkeypatch, so its undo also drops what the ring
+    cached from the patched formula."""
+    monkeypatch.setattr(matgroups, "sl2_order_formula", lambda modulus: order)
+    for attr in ("_sl2_order", "_full_sl2", "_columns"):
+        monkeypatch.setattr(ring, attr, None)
 
 
 def test_unimodular_columns_order_check_raises_internal_check(monkeypatch):
     ring = build_quotient(Z, Z.parse_ideal("(6)"))
-    monkeypatch.setattr(matgroups, "sl2_order_formula", lambda modulus: 7)
-    with pytest.raises(InternalCheckError, match="unimodular columns"):
-        unimodular_columns(ring)
+    with monkeypatch.context() as patched:
+        patch_sl2_order(patched, ring, 7)
+        with pytest.raises(InternalCheckError, match="unimodular columns"):
+            unimodular_columns(ring)
+    assert len(unimodular_columns(ring)) * 6 == matgroups.sl2_order(ring) == 144
 
 
 def test_double_cosets_examples():
@@ -707,9 +721,11 @@ def test_full_sl2_order_check_raises_internal_check(monkeypatch):
     # the verifier must survive python -O and map to exit 4, not be an assert
     assert conglab.InternalCheckError is InternalCheckError
     ring = build_quotient(Z, Z.parse_ideal("(2)"))
-    monkeypatch.setattr(matgroups, "sl2_order_formula", lambda modulus: 7)
-    with pytest.raises(InternalCheckError):
-        full_sl2(ring)
+    with monkeypatch.context() as patched:
+        patch_sl2_order(patched, ring, 7)
+        with pytest.raises(InternalCheckError):
+            full_sl2(ring)
+    assert full_sl2(ring).order == matgroups.sl2_order(ring) == 6
 
 
 # ---------------------------------------------------------------------------
@@ -717,19 +733,18 @@ def test_full_sl2_order_check_raises_internal_check(monkeypatch):
 
 
 def assert_chain_matches_closure(ring, gens, universe):
-    """The chain of <gens> against closure_codes: order, membership of every
-    code in universe, the orbit of e1 and the translations T(x) in H."""
+    """The column chain of <gens> against closure_codes: order, membership of
+    every code in universe, the orbit of e1 and the translations T(x) in H."""
     H = FinMatGroup.from_generators(ring, gens)
     closed = closure_codes(ring, gens)
-    chain = H.chain
-    assert chain.order == H.order == len(closed)
-    assert [x for x in universe if (x in chain) != (x in closed)] == []
+    assert H.order == len(closed)
+    assert [x for x in universe if (x in H) != (x in closed)] == []
     ops, n = _ops(ring), ring.size
     columns = {a * n + c for a, _, c, _ in map(ops.decode, closed)}
-    assert set(chain.transversal) == columns
-    assert {k for k, orbit in chain.orbit_of.items() if orbit == 0} == columns
+    assert set(H.transversal) == columns
+    assert {k for k, orbit in H.orbit_of.items() if orbit == 0} == columns
     shifts = {b for a, b, c, d in map(ops.decode, closed) if (a, c) == (ring.one_idx, ring.zero_idx)}
-    assert chain.amplitudes[0].elements == shifts
+    assert H.amplitudes[0].elements == shifts
     assert H.sorted_elements() == sorted(closed)  # listed from the chain
 
 
@@ -738,10 +753,21 @@ def test_column_chain_matches_the_closure_on_every_survey_frame(family):
     frames = exhaustive_frames(family)
     ring = frames[0].ring
     universe = full_sl2(ring).sorted_elements()
+    columns = unimodular_columns(ring)
     for F in frames:
         # the frame's group carries the survey's element set; rebuild from its generators
         assert_chain_matches_closure(ring, F.group.gens, universe)
-        assert F.group.chain.order == len(F.group.elements)
+        H = F.group
+        assert H.order == len(H.elements)
+        # each orbit starts at the least code of one of its columns
+        for k, code in enumerate(H.least):
+            assert any(columns[v] == code for v, orbit in H.orbit_of.items() if orbit == k)
+
+
+def test_the_full_transversal_holds_every_unimodular_column():
+    rings = [ring_of(Z, "(12)"), ring_of(Z, "(30)"), ring_of(F3T, "(t^2)"), build_example("ex3_5").ring]
+    for R in rings:
+        assert set(full_sl2(R).transversal) == set(unimodular_columns(R)), R
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -764,7 +790,7 @@ def test_a_prebuilt_element_set_is_checked_against_the_chain():
     with pytest.raises(TypeError):
         FinMatGroup(R, [t1], full_sl2(R).elements)  # a group takes no element set
     F = FinMatGroup.from_elements(R, closure_codes(R, [t1]))
-    assert F.gens == (t1,) and F.chain.order == F.order == 6
+    assert F.gens == (t1,) and F.order == 6
     # the chain of the greedy generators must reach the set's size
     with pytest.raises(ValueError, match="not multiplicatively closed"):
         FinMatGroup.from_elements(R, [_ops(R).identity, t1])
@@ -777,7 +803,7 @@ def test_elements_on_demand_match_the_chain():
     H = FinMatGroup.from_generators(R, [t1, s2])
     order = H.order
     assert t1 in H and H._elements is None  # the chain answered both
-    assert order == len(H.elements) == H.chain.order
+    assert order == len(H.elements)
     assert H.sorted_elements() == sorted(closure_codes(R, [t1, s2]))
     ops = _ops(R)
     K = H.conjugated_by(s2)  # from the conjugated generators only

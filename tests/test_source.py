@@ -63,3 +63,18 @@ def test_matgroups_closes_no_group():
             if name in closures:
                 found.append(f"calls {name}:{node.lineno}")
     assert found == []
+
+
+def test_only_matgroups_knows_the_column_key():
+    # columns are keyed a*|R| + c inside matgroups; other modules ask a group
+    # for what they need at a code (column_amplitude, least) instead
+    keyed = {"orbit_of", "transversal", "unimodular_columns"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "matgroups.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if name in keyed or (isinstance(node, ast.alias) and node.name in keyed):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

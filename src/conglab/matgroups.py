@@ -16,6 +16,7 @@ knows how a column is keyed.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -167,11 +168,11 @@ class FinMatGroup:
     the t(v) T(A_0), so |H| = |orbit 0| * |A_0|, and g lies in H iff its
     column is in orbit 0 and t(v)^-1 g = T(x), x = d*g_b - b*g_d, with x
     in A_0. `elements` lists H from these on first use unless |H| is above
-    `cap`. The other orbits are walked on the first read of `orbit_of`
-    (column -> k), `least` (k -> least code over orbit k) or `amplitudes`
-    (k -> A_k), each from the least code of a column not yet reached, in
-    code order. Raises InternalCheckError unless |H| divides |SL2(R)| and
-    |orbit k| * |A_k| = |H| for every k.
+    `cap`. The other orbits are walked, with no ring product, on the first
+    read of `orbit_of` (column key -> k), `least` (k -> least code over
+    orbit k) or `amplitudes` (k -> A_k), each from the least code of a
+    column not yet reached, in code order. Raises InternalCheckError unless
+    |H| divides |SL2(R)| and |orbit k| * |A_k| = |H| for every k.
     """
 
     def __init__(self, ring, gens):
@@ -210,30 +211,43 @@ class FinMatGroup:
                     walk.append((a2, b2, c2, d2))
                 else:
                     xs.add(add[mul[t[0] + b2] * n + mul[t[1] + d2]])
-        closed = ring.memo["column_amplitudes"]
-        key = frozenset(xs)
-        if key not in closed:
-            closed[key] = additive_closure(additive_closure(xs, ring).elements, ring)
-        return orbit, closed[key]
+        return orbit, _closed_amplitude(ring, xs)
 
     @cached_property
     def _orbits(self):
-        """(orbit_of, least, amplitudes), from a walk of every orbit past e1's."""
-        decode = _ops(self.ring).decode
-        columns = unimodular_columns(self.ring)
-        orbit_of = dict.fromkeys(self.transversal, 0)
+        """(orbit_of, least, amplitudes) past e1's orbit, each walked from the
+        least code m(v) of its first column on the generators' column tables:
+        t(v) = m(v) T(z[v]) gives t(s v) = m(s v) T(z[v] + y_s[v])."""
+        ring = self.ring
+        n, add, neg = ring.size, ring.add_t, ring.neg_t
+        columns = unimodular_columns(ring)
+        tables = [_column_table(ring, g) for g in self.gens]
+        orbit_of, z = [-1] * n ** 2, [0] * n ** 2  # indexed by column key
+        for v in self.transversal:
+            orbit_of[v] = 0
         least = [min(columns[v] for v in self.transversal)]
         amplitudes = [self._amplitude0]
-        for v, g0 in columns.items():
-            if v in orbit_of:
+        for v0, g0 in columns.items():
+            if orbit_of[v0] >= 0:
                 continue
-            orbit, A = self._walk(*decode(g0))
-            if len(orbit) * len(A) != self.order:
+            k = len(least)
+            orbit_of[v0], z[v0] = k, ring.zero_idx
+            walk, xs = [v0], set()
+            for v in walk:  # walk grows as columns are found
+                zv = z[v] * n
+                for perm, ys in tables:
+                    w, x = perm[v], add[zv + ys[v]]
+                    if orbit_of[w] < 0:
+                        orbit_of[w], z[w] = k, x
+                        walk.append(w)
+                    else:
+                        xs.add(add[x * n + neg[z[w]]])
+            A = _closed_amplitude(ring, xs)
+            if len(walk) * len(A) != self.order:
                 raise InternalCheckError("column chain orbits disagree on |H|")
-            orbit_of.update(dict.fromkeys(orbit, len(least)))
             least.append(g0)
             amplitudes.append(A)
-        return orbit_of, least, amplitudes
+        return array("i", orbit_of), least, amplitudes
 
     orbit_of = property(lambda self: self._orbits[0])
     least = property(lambda self: self._orbits[1])
@@ -437,6 +451,38 @@ def unimodular_columns(ring):
         raise InternalCheckError("unimodular columns do not match the order formula")
     ring._columns = columns = dict(sorted(columns.items(), key=lambda item: item[1]))
     return columns
+
+
+def _column_table(ring, s):
+    """(perm, y) for the generator code s, kept on the ring and indexed by
+    column key: column s v is perm[v], and s m(v) = m(s v) T(y[v]) for m(v)
+    the least code of column v, so y[v] = d*g_b - b*g_d for m(s v) = (a, b,
+    c, d) and g = s m(v). Only the walk of every orbit builds them, so rings
+    only ever walked from e1, such as cube_law_check's, never do."""
+    tables = ring.memo["column_tables"]
+    if s not in tables:
+        columns = unimodular_columns(ring)
+        n, n2, add, mul, neg = ring.size, ring.size ** 2, ring.add_t, ring.mul_t, ring.neg_t
+        p, q, r, t = (e * n for e in _ops(ring).decode(s))
+        perm, ys = array("i", [0]) * n2, array("i", [0]) * n2
+        for v, code in columns.items():  # code = ((a*n + b)*n + c)*n + d, v = a*n + c
+            a, c = divmod(v, n)
+            b, d = code // n2 % n, code % n
+            w = perm[v] = add[mul[p + a] * n + mul[q + c]] * n + add[mul[r + a] * n + mul[t + c]]
+            b2 = add[mul[p + b] * n + mul[q + d]]
+            d2 = add[mul[r + b] * n + mul[t + d]]
+            mw = columns[w]
+            ys[v] = add[mul[mw % n * n + b2] * n + neg[mul[mw // n2 % n * n + d2]]]
+        tables[s] = perm, ys
+    return tables[s]
+
+
+def _closed_amplitude(ring, xs):
+    """A_k from its Schreier x's, closed twice for greedy generators; kept on the ring."""
+    closed, key = ring.memo["column_amplitudes"], frozenset(xs)
+    if key not in closed:
+        closed[key] = additive_closure(additive_closure(xs, ring).elements, ring)
+    return closed[key]
 
 
 def cusp_representatives(group):

@@ -7,15 +7,16 @@ Subgroup classes come from cyclic extension by zuppos, the cyclic
 subgroups of prime-power order (Neubüser, Numer. Math. 2, 1960; Holt,
 Eick and O'Brien, Handbook of Computational Group Theory, 4.4): H extends
 by a zuppo <g> of order p^a when g normalises H, g is not in H and g^p
-is. A non-solvable group falls back to joining every class with every
-zuppo; both paths read one zuppo list, built once per group. Each join is
-Dimino's coset extension by one generator (`extend_closure`), the
-library's one group closure.
+is; a class's normaliser order and the subgroups already found spare
+most of the tests and joins. A non-solvable group falls back to joining
+every class with every zuppo; both paths read one zuppo list, built once
+per group. Each join is Dimino's coset extension by one generator
+(`extend_closure`), the library's one group closure.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partial
 
 from .domains import CapExceeded, _factor_int
 from .matgroups import DEFAULT_GROUP_CAP, _ops
@@ -120,16 +121,16 @@ def subgroup_classes(G):
     """
     zuppos = _zuppos(G)
     perms = [(g, [G.conj(x, g) for x in range(G.size)]) for g in G.gens]
-    reps, seen = _classes(G, perms, lambda H, gens: _cyclic_extensions(G, zuppos, H, gens))
+    reps, seen = _classes(G, perms, zuppos, partial(_cyclic_extensions, G, zuppos))
     if frozenset(range(G.size)) not in seen:  # G is not solvable
-        reps, seen = _classes(G, perms, _prime_power_joins(G, zuppos))
+        reps, seen = _classes(G, perms, zuppos, _prime_power_joins(G, zuppos))
     order = sorted(range(len(reps)), key=lambda c: _subgroup_key(reps[c][0]))
     renumber = {c: i for i, c in enumerate(order)}
     return [reps[c] for c in order], {s: renumber[c] for s, c in seen.items()}
 
 
 def _zuppos(G):
-    """(g, g^p) for one generator g of each cyclic subgroup of order p^a > 1,
+    """(g, g^p, p) for one generator g of each cyclic subgroup of order p^a > 1,
     sorted by (order, sorted elements)."""
     cyclics = {}
     for g in range(G.size):
@@ -137,14 +138,18 @@ def _zuppos(G):
             powers = G.powers(g)
             primes = list(_factor_int(len(powers)))
             if len(primes) == 1:
-                cyclics.setdefault(frozenset(powers), (g, powers[primes[0] % len(powers)]))
+                p = primes[0]
+                cyclics.setdefault(frozenset(powers), (g, powers[p % len(powers)], p))
     return [cyclics[c] for c in sorted(cyclics, key=_subgroup_key)]
 
 
-def _classes(G, perms, extensions):
-    """Classes closed under extensions(H, gens), which yields (<H, g>, g);
-    perms pairs each generator g of G with x -> g^-1 x g on indices."""
-    seen, reps = {}, []
+def _classes(G, perms, zuppos, extensions):
+    """Classes closed under extensions(H, gens, |N_G(H)|, known), which
+    yields (<H, g>, g); perms pairs each generator g of G with x -> g^-1 x g
+    on indices, and known maps (order, g) for each zuppo g to the subgroups
+    found so far of that order that hold g."""
+    seen, reps, normalisers, known = {}, [], [], {}
+    zuppo_gens = frozenset(g for g, _, _ in zuppos)
 
     def register(elems, gens):
         if elems in seen:
@@ -160,33 +165,44 @@ def _classes(G, perms, extensions):
                     stack.append(conj)
         for member in conjugator:
             seen[member] = len(reps)
+            for g in member & zuppo_gens:
+                known.setdefault((len(member), g), []).append(member)
         rep = min(conjugator, key=sorted)
         reps.append((rep, tuple(G.conj(h, conjugator[rep]) for h in gens)))
+        normalisers.append(G.size // len(conjugator))  # the orbit-stabiliser theorem
 
     register(frozenset({G.identity}), ())
-    for elems, gens in reps:  # reps grows as classes are found
-        for joined, g in extensions(elems, gens):
+    for c, (elems, gens) in enumerate(reps):  # reps grows as classes are found
+        for joined, g in extensions(elems, gens, normalisers[c], known):
             register(joined, gens + (g,))
     return reps, seen
 
 
-def _cyclic_extensions(G, zuppos, H, gens):
+def _cyclic_extensions(G, zuppos, H, gens, normaliser=None, known=None):
     """<H, g> for each zuppo g normalising H with gH of prime order p, that
     is g not in H and g^p in H. If |K/H| = p, K = <H, g> for g the p-part of
-    any element of K outside H, so the zuppos reach every such K."""
+    any element of K outside H, so the zuppos reach every such K.
+
+    The optional inputs only spare work: <H, g>/H lies in N_G(H)/H, so p
+    divides |N_G(H) : H| for normaliser = |N_G(H)|; and a known S of order
+    p|H| holding H and g holds <H, g>, which has its order, so S = <H, g>."""
     covered = set(H)
-    for g, gp in zuppos:
-        if g in covered or gp not in H or any(G.conj(h, g) not in H for h in gens):
+    index = normaliser // len(H) if normaliser else 0  # 0: every p divides it
+    known = {} if known is None else known  # filled as the search goes on
+    for g, gp, p in zuppos:
+        if g in covered or index % p or gp not in H or any(G.conj(h, g) not in H for h in gens):
             continue
-        joined = frozenset(extend_closure(H, gens, g, G.mul))
+        joined = next((S for S in known.get((p * len(H), g), ()) if H <= S), None)
+        if joined is None:
+            joined = frozenset(extend_closure(H, gens, g, G.mul))
         covered |= joined  # joined/H has prime order: every g' in joined \ H gives joined
         yield joined, g
 
 
 def _prime_power_joins(G, zuppos):
     """<H, g> for every zuppo g outside H; every subgroup is such a join."""
-    return lambda H, gens: (
-        (frozenset(extend_closure(H, gens, g, G.mul)), g) for g, _ in zuppos if g not in H
+    return lambda H, gens, *_: (
+        (frozenset(extend_closure(H, gens, g, G.mul)), g) for g, _, _ in zuppos if g not in H
     )
 
 

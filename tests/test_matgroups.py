@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conglab
-from conglab import matgroups
+from conglab import matgroups, quotients
 from conglab.analyzer import EXAMPLE_NAMES, InternalCheckError, build_example
 from conglab.domains import CapExceeded, factor_ideal, ideal_arith, ideal_pow, parse_domain
 from conglab.matgroups import (
@@ -742,7 +742,7 @@ def assert_chain_matches_closure(ring, gens, universe):
     ops, n = _ops(ring), ring.size
     columns = {a * n + c for a, _, c, _ in map(ops.decode, closed)}
     assert set(H.transversal) == columns
-    assert {k for k, orbit in H.orbit_of.items() if orbit == 0} == columns
+    assert {v for v, orbit in enumerate(H.orbit_of) if orbit == 0} == columns
     shifts = {b for a, b, c, d in map(ops.decode, closed) if (a, c) == (ring.one_idx, ring.zero_idx)}
     assert H.amplitudes[0].elements == shifts
     assert H.sorted_elements() == sorted(closed)  # listed from the chain
@@ -761,7 +761,7 @@ def test_column_chain_matches_the_closure_on_every_survey_frame(family):
         assert H.order == len(H.elements)
         # each orbit starts at the least code of one of its columns
         for k, code in enumerate(H.least):
-            assert any(columns[v] == code for v, orbit in H.orbit_of.items() if orbit == k)
+            assert any(columns[v] == code for v, orbit in enumerate(H.orbit_of) if orbit == k)
 
 
 def test_the_full_transversal_holds_every_unimodular_column():
@@ -782,6 +782,92 @@ def test_column_chain_matches_the_closure_on_random_frames(i, picks):
     codes, bcodes = G.sorted_elements(), B.sorted_elements()
     gens = [bcodes[picks[0] % len(bcodes)]] + [codes[p % len(codes)] for p in picks[1:]]
     assert_chain_matches_closure(R, gens, codes)
+
+
+def orbits_by_matrix_walk(H):
+    """Oracle: H's orbits on the unimodular columns, walked by matrix
+    products, orbit 0 from the identity and each later one from the least
+    code of the first column not yet reached, in code order. Returns the
+    orbit of each column in code order, each orbit's least code and its A_k,
+    the additive closure of the Schreier x with t(s v) T(x) = s t(v)."""
+    ring, ops = H.ring, _ops(H.ring)
+    n = ring.size
+    columns = unimodular_columns(ring)
+
+    def key(g):
+        a, _, c, _ = ops.decode(g)
+        return a * n + c
+
+    orbit_of, least, amplitudes = {}, [], []
+    for g0 in [ops.identity, *columns.values()]:
+        if key(g0) in orbit_of:
+            continue
+        t, xs, walk = {key(g0): g0}, set(), [g0]
+        for g in walk:
+            for s in H.gens:
+                h = ops.mmul(s, g)
+                if key(h) not in t:
+                    t[key(h)] = h
+                    walk.append(h)
+                else:
+                    xs.add(ops.decode(ops.mmul(ops.minv(t[key(h)]), h))[1])
+        orbit_of.update(dict.fromkeys(t, len(least)))
+        least.append(min(columns[v] for v in t))
+        amplitudes.append(additive_closure(xs, ring))
+    return [orbit_of[v] for v in columns], least, amplitudes
+
+
+def assert_orbits_match_matrix_walk(H):
+    orbit_of, least, amplitudes = orbits_by_matrix_walk(H)
+    assert [H.orbit_of[v] for v in unimodular_columns(H.ring)] == orbit_of
+    assert H.least == least
+    assert [A.elements for A in H.amplitudes] == [A.elements for A in amplitudes]
+    # the ring's closure of the Schreier x's lists the set's greedy generators
+    for A in H.amplitudes:
+        assert A.generators == additive_closure(A.elements, H.ring).generators
+
+
+@pytest.mark.parametrize("family", SURVEY_FAMILIES)
+def test_table_walk_matches_the_matrix_walk_on_every_survey_frame(family):
+    # the trivial group's frame is among them: one orbit per column
+    for F in exhaustive_frames(family):
+        assert_orbits_match_matrix_walk(F.group)
+
+
+@pytest.mark.parametrize("i", range(len(SMALL_MODULI)))
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=3))
+def test_table_walk_matches_the_matrix_walk_on_random_frames(i, picks):
+    # one small ring of each random-suite domain; some frames have one orbit
+    R, G, _ = small_sl2(i)
+    codes = G.sorted_elements()
+    H = FinMatGroup.from_generators(R, [codes[p % len(codes)] for p in picks])
+    assert_orbits_match_matrix_walk(H)
+
+
+def fresh_ring(D, modulus, ring_cap=None):
+    """D/q built anew, not the interned ring, so no other test has used it."""
+    return quotients._quotient.__wrapped__(D, modulus.data)
+
+
+def test_cube_law_and_congruence_images_build_no_column_tables(monkeypatch):
+    # only the walk of every orbit reads the columns and the generator
+    # tables; a ring only ever walked from e1 must not pay for them (Z/81
+    # has 6,480 columns)
+    built = []
+
+    def build(*args):
+        built.append(fresh_ring(*args))
+        return built[-1]
+
+    monkeypatch.setattr(matgroups, "build_quotient", build)
+    assert cube_law_check(Z, Z.parse_ideal("(9)"), Z.parse_ideal("(81)"))
+    assert cube_law_check(F3T, F3T.parse_ideal("(t)"), F3T.parse_ideal("(t^2)"))
+    R = fresh_ring(Z, Z.parse_ideal("(8)"))
+    assert principal_congruence_image(R, Z.parse_ideal("(2)")).order == 64
+    for ring in [*built, R]:
+        assert ring._columns is None, ring
+        assert "column_tables" not in ring.memo, ring
 
 
 def test_a_prebuilt_element_set_is_checked_against_the_chain():

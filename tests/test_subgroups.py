@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 
@@ -242,12 +243,12 @@ def test_zuppos_are_one_generator_per_prime_power_cyclic_subgroup(name):
     cyclics = {frozenset(G.powers(g)) for g in range(G.size)}
     oracle = {c for c in cyclics if len(_factor_int(len(c))) == 1}
     zuppos = subgroups._zuppos(G)
-    listed = [frozenset(G.powers(g)) for g, _ in zuppos]
+    listed = [frozenset(G.powers(g)) for g, _, _ in zuppos]
     assert len(listed) == len(oracle)
     assert set(listed) == oracle
     assert listed == sorted(listed, key=lambda c: (len(c), sorted(c)))
-    for (g, gp), c in zip(zuppos, listed):
-        (p,) = _factor_int(len(c))
+    for (g, gp, p), c in zip(zuppos, listed):
+        assert _factor_int(len(c)).keys() == {p}
         assert gp == functools.reduce(G.mul, [g] * p)
 
 
@@ -269,6 +270,30 @@ def test_cyclic_extensions_are_the_normal_overgroups_of_prime_index(name):
         }
         assert len(found) == len(set(found))
         assert set(found) == oracle
+
+
+@pytest.mark.parametrize("name", sorted(set(ORACLE_GROUPS) - NOT_SOLVABLE))
+def test_pruned_cyclic_extensions_yield_what_the_unpruned_path_yields(name, monkeypatch):
+    # the normaliser order and the known subgroups only spare work; with
+    # every subgroup known, no class rep closes a group again
+    G = ORACLE_GROUPS[name]()
+    reps, seen = subgroup_classes(G)
+    zuppos = subgroups._zuppos(G)
+    zuppo_gens = {g for g, _, _ in zuppos}
+    known = {}
+    for S in seen:
+        for g in S & zuppo_gens:
+            known.setdefault((len(S), g), []).append(S)
+    class_size = collections.Counter(seen.values())
+    joins, closure = [], subgroups.extend_closure
+    monkeypatch.setattr(subgroups, "extend_closure", lambda *a: joins.append(a) or closure(*a))
+    for cid, (H, gens) in enumerate(reps):
+        unpruned = list(subgroups._cyclic_extensions(G, zuppos, H, gens))
+        normaliser = G.size // class_size[cid]
+        joins.clear()
+        pruned = list(subgroups._cyclic_extensions(G, zuppos, H, gens, normaliser, known))
+        assert pruned == unpruned
+        assert joins == []
 
 
 RANDOM_GROUP_CAP = 200

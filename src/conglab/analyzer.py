@@ -32,9 +32,11 @@ from .matgroups import (
     _sl2_total,
     cusp_representatives,
     full_sl2,
+    group_cap_check,
     make_generator,
     principal_congruence_image,
     sl2_order,
+    sl2_order_formula,
     standard_generators,
 )
 from .quotients import (
@@ -45,6 +47,7 @@ from .quotients import (
     ideal_image,
     largest_ideal_inside,
     local_decompose,
+    quotient_size,
 )
 
 
@@ -105,10 +108,19 @@ class FramedSubgroup:
         )
 
 
+def frame_ring(domain, modulus, caps=DEFAULT_CAPS):
+    """D/q0, built only once the caps allow a frame over it: |D/q0| against
+    the ring cap comes first, since it bounds q0 before q0 is factored, then
+    |SL2(D/q0)| by the order formula against the group cap."""
+    n = quotient_size(modulus, caps.ring)
+    if n ** 3 > caps.group:  # |SL2(D/q0)| < |D/q0|^3: smaller rings need no factoring
+        group_cap_check(sl2_order_formula(modulus), caps.group)
+    return build_quotient(domain, modulus, ring_cap=caps.ring)
+
+
 def frame_subgroup(domain, modulus, gens, caps=DEFAULT_CAPS, info=None):
     """Frame the subgroup generated by gens together with the level-q0 kernel."""
-    ring = build_quotient(domain, modulus, ring_cap=caps.ring)
-    sl2_order(ring, cap=caps.group)
+    ring = frame_ring(domain, modulus, caps)
     # from_generators checks det 1 on each generator, so H lies in SL2(R)
     group = FinMatGroup.from_generators(ring, gens)
     return FramedSubgroup(domain, modulus, ring, group, info)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -26,6 +27,7 @@ from .analyzer import (
     TranslationSubspace,
     analyze,
     build_example,
+    frame_ring,
     frame_subgroup,
     screen_translation_subspace,
 )
@@ -37,7 +39,6 @@ from .modular import (
     parse_permrep,
     screen_permrep,
 )
-from .quotients import build_quotient
 from .suites import DEFAULT_SUITE_NAMES, SUITE_ALIASES, SUITES, run_suite
 
 EXIT_OK = 0
@@ -56,6 +57,13 @@ class RunConfig:
     args: argparse.Namespace
 
 
+def decimal(text):
+    """An optional '-' and ASCII digits as an int; int() also takes '_' and other digits."""
+    if re.fullmatch(r"-?[0-9]+", text) is None:
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def _parse_caps(args):
     caps = {"ring": DEFAULT_CAPS.ring, "group": DEFAULT_CAPS.group, "factor": DEFAULT_CAPS.factor}
     for part in os.environ.get("CONGLAB_CAPS", "").split(","):
@@ -66,7 +74,7 @@ def _parse_caps(args):
         if key not in caps:
             raise ParseError(f"unknown cap {key!r} in CONGLAB_CAPS")
         try:
-            caps[key] = int(value)
+            caps[key] = decimal(value)
         except ValueError:
             raise ParseError(f"bad cap value in CONGLAB_CAPS: {part!r}")
     for key in caps:
@@ -153,7 +161,7 @@ def cmd_analyze(config):
             raise ParseError("analyze needs --example or both --domain and --modulus")
         domain = parse_domain(args.domain)
         modulus = domain.parse_ideal(args.modulus)
-        ring = build_quotient(domain, modulus, ring_cap=config.caps.ring)
+        ring = frame_ring(domain, modulus, config.caps)
         gens = _gens_from_file(args.gens, ring) if args.gens else []
         frame = frame_subgroup(domain, modulus, gens, config.caps)
     report = analyze(frame).to_json()
@@ -249,10 +257,10 @@ def _add_global_options(parser, suppress):
         return argparse.SUPPRESS if suppress else value
 
     parser.add_argument("--format", choices=("text", "json"), default=dflt("json"))
-    parser.add_argument("--seed", type=int, default=dflt(0))
-    parser.add_argument("--ring-cap", type=int, default=dflt(None))
-    parser.add_argument("--group-cap", type=int, default=dflt(None))
-    parser.add_argument("--factor-cap", type=int, default=dflt(None))
+    parser.add_argument("--seed", type=decimal, default=dflt(0))
+    parser.add_argument("--ring-cap", type=decimal, default=dflt(None))
+    parser.add_argument("--group-cap", type=decimal, default=dflt(None))
+    parser.add_argument("--factor-cap", type=decimal, default=dflt(None))
 
 
 def build_parser():
@@ -288,7 +296,7 @@ def build_parser():
     p.set_defaults(func=cmd_screen_subspace)
 
     p = add_command("enumerate-modular", help="low-index subgroups up to conjugacy")
-    p.add_argument("--max-index", type=int, required=True)
+    p.add_argument("--max-index", type=decimal, required=True)
     p.add_argument("--screen", action="store_true", help="attach screen results")
     p.set_defaults(func=cmd_enumerate_modular)
 
@@ -299,7 +307,7 @@ def build_parser():
         action="append",
         help="restrict exhaustive suites to a family, e.g. Z/12 (repeatable)",
     )
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=decimal, default=1)
     p.set_defaults(func=cmd_verify_suite)
     return parser
 

@@ -1,8 +1,8 @@
 """SL2 over a finite quotient ring.
 
 Matrices are packed into a single integer code (four ring-element indices,
-base |R|), so element sets of 10^5..10^6 matrices hash compactly. The
-ring's flat arithmetic tables are required and built on demand.
+base |R|), so element sets of 10^5..10^6 matrices hash compactly, and
+multiplied by reads of the ring's flat arithmetic tables.
 
 A subgroup (`FinMatGroup`) is its generators read through its orbits on
 the unimodular columns, a stabiliser chain of length 2. The walk of e1's
@@ -30,13 +30,11 @@ class _MatOps:
     """Packed-code matrix arithmetic bound to one ring."""
 
     def __init__(self, ring):
-        ring.ensure_tables()
         n = ring.size
         self.ring = ring
         self.n = n
         self.n2 = n * n
         self.n3 = n * n * n
-        self.neg_t = ring.neg_t
         self.identity = self.encode(ring.one_idx, ring.zero_idx, ring.zero_idx, ring.one_idx)
 
     def encode(self, a, b, c, d):
@@ -69,17 +67,17 @@ class _MatOps:
     def minv(self, x):
         # inverse of a determinant-1 matrix is its adjugate
         a, b, c, d = self.decode(x)
-        neg = self.neg_t
+        neg = self.ring.neg_t
         return self.encode(d, neg[b], neg[c], a)
 
     def mneg(self, x):
         a, b, c, d = self.decode(x)
-        neg = self.neg_t
+        neg = self.ring.neg_t
         return self.encode(neg[a], neg[b], neg[c], neg[d])
 
     def conj_translation(self, a, c, x):
         """g T(x) g^-1 for any g with first column (a, c): [[1-xac, xa^2], [-xc^2, 1+xac]]."""
-        n, add, mul, neg = self.n, self.ring.add_t, self.ring.mul_t, self.neg_t
+        n, add, mul, neg = self.n, self.ring.add_t, self.ring.mul_t, self.ring.neg_t
         one = self.ring.one_idx
         xa = mul[x * n + a]
         xac = mul[xa * n + c]
@@ -365,12 +363,16 @@ def _sl2_total(ring):
     return ring._sl2_order
 
 
+def group_cap_check(order, cap):
+    """order, an |SL2(R)|; CapExceeded when it is above cap."""
+    if order > cap:
+        raise CapExceeded(f"|SL2(R)| = {order} exceeds cap {cap}")
+    return order
+
+
 def sl2_order(ring, cap=DEFAULT_GROUP_CAP):
     """|SL2(R)| by the order formula; CapExceeded when it is above cap."""
-    expected = _sl2_total(ring)
-    if expected > cap:
-        raise CapExceeded(f"|SL2(R)| = {expected} exceeds cap {cap}")
-    return expected
+    return group_cap_check(_sl2_total(ring), cap)
 
 
 def standard_generators(ring):

@@ -188,10 +188,9 @@ class CongruenceVerdict:
     level: int
 
 
-def exact_congruence_test(rep, split=None, cap=DEFAULT_GROUP_CAP, kernel_index=None):
+def exact_congruence_test(rep, split=None, cap=DEFAULT_GROUP_CAP):
     """Whether the subgroup contains the level-N kernel, N the lcm of the
-    cusp widths; by Wohlfahrt's theorem that decides congruence.  A kernel
-    index found by index_level_checks under the same cap skips its cap check.
+    cusp widths; by Wohlfahrt's theorem that decides congruence.
 
     Hsu's test (Proc. AMS 124, 1996) on L = T and R = S*T^-1*S = [[1,0],[1,1]].
     N = e*m, e a power of 2 and m odd; c = 1 mod m, c = 0 mod e, d = 1 - c;
@@ -204,8 +203,7 @@ def exact_congruence_test(rep, split=None, cap=DEFAULT_GROUP_CAP, kernel_index=N
     """
     split = cusp_split(rep) if split is None else split
     N = split.level
-    if kernel_index is None:
-        projective_group_order(N, cap)
+    projective_group_order(N, cap)
     e = N & -N
     m = N // e
     c = e * pow(e, -1, m) % N
@@ -452,7 +450,7 @@ def screen_permrep(rep, run_all=False, cap=DEFAULT_GROUP_CAP):
         if not run_all:
             out["verdict"] = verdict
             return out
-    exact = exact_congruence_test(rep, split, cap, il.projective_order)
+    exact = exact_congruence_test(rep, split, cap)
     screens["exact"] = exact.congruence
     if verdict is None:
         verdict = (

@@ -3,12 +3,15 @@
 Elements of a quotient are referenced by dense integer indices; the ring
 holds the canonical-representative scheme (residues 0..n-1, polynomials
 of degree < deg f, or HNF-box coordinate pairs) and transports elements
-between D and R via lift/reduce.  `build_quotient` interns rings, the 32
-used last, one per (domain, modulus), and checks its caps on every call;
-`integer_quotient` finds the same Z/(n) by n alone, with the same checks.
-A ring's tables and the caches other layers hang off it are pure functions
-of the ring, so each is built once per process and safe to share; `memo`
-holds those results per kind and input, and lives and dies with the ring.
+between D and R via lift/reduce.  Its add/mul/neg tables are built with
+the ring and are its only arithmetic, so a ring of more than 2048
+elements is refused before anything is listed.  `build_quotient` interns
+rings, the 32 used last, one per (domain, modulus), and checks its caps
+on every call; `integer_quotient` finds the same Z/(n) by n alone, with
+the same checks.  A ring's tables and the caches other layers hang off it
+are pure functions of the ring, so each is built once per process and
+safe to share; `memo` holds those results per kind and input, and lives
+and dies with the ring.
 """
 
 from __future__ import annotations
@@ -34,16 +37,12 @@ _Z = IntegerDomain()
 
 
 class QuotientRing:
-    """The finite ring D/q with element enumeration and index arithmetic."""
+    """The finite ring D/q with element enumeration and table arithmetic."""
 
     def __init__(self, domain, modulus, size):
         self.domain = domain
         self.modulus = modulus
         self.size = size
-        self.add_t = None
-        self.mul_t = None
-        self.neg_t = None
-        self._inv_cache = {}
         # kept for matgroups, each filled on first use
         self._sl2_order = None
         self._full_sl2 = None
@@ -59,68 +58,30 @@ class QuotientRing:
     def reduce(self, value):
         raise NotImplementedError
 
-    # -- arithmetic on indices --
+    # -- arithmetic on indices: reads of the flat tables built with the ring --
 
     def add(self, i, j):
-        if self.add_t is not None:
-            return self.add_t[i * self.size + j]
-        return self.reduce(self.domain.add(self.lift(i), self.lift(j)))
+        return self.add_t[i * self.size + j]
 
     def mul(self, i, j):
-        if self.mul_t is not None:
-            return self.mul_t[i * self.size + j]
-        return self.reduce(self.domain.mul(self.lift(i), self.lift(j)))
+        return self.mul_t[i * self.size + j]
 
     def neg(self, i):
-        if self.neg_t is not None:
-            return self.neg_t[i]
-        return self.reduce(self.domain.neg(self.lift(i)))
+        return self.neg_t[i]
 
     def sub(self, i, j):
-        return self.add(i, self.neg(j))
+        return self.add_t[i * self.size + self.neg_t[j]]
 
     def is_unit(self, i):
         return i in self._unit_set
 
-    @property
-    def units(self):
-        return self._units
-
     def inv(self, i):
-        if i in self._inv_cache:
-            return self._inv_cache[i]
         if not self.is_unit(i):
             raise ZeroDivisionError(f"element {i} is not a unit")
-        for j in range(self.size):
-            if self.mul(i, j) == self.one_idx:
-                self._inv_cache[i] = j
-                return j
-        raise InternalCheckError("unit without inverse")
-
-    def ensure_tables(self):
-        """Build flat add/mul/neg tables (required by the matrix-group layer)."""
-        if self.mul_t is not None:
-            return
-        n = self.size
-        if n > _TABLE_LIMIT:
-            raise CapExceeded(f"ring of size {n} above arithmetic-table limit")
-        lifts = [self.lift(i) for i in range(n)]
-        D = self.domain
-        add_t = [0] * (n * n)
-        mul_t = [0] * (n * n)
-        for i in range(n):
-            xi = lifts[i]
-            row = i * n
-            for j in range(i, n):
-                s = self.reduce(D.add(xi, lifts[j]))
-                p = self.reduce(D.mul(xi, lifts[j]))
-                add_t[row + j] = s
-                add_t[j * n + i] = s
-                mul_t[row + j] = p
-                mul_t[j * n + i] = p
-        self.neg_t = [self.reduce(D.neg(x)) for x in lifts]
-        self.add_t = add_t
-        self.mul_t = mul_t
+        row = self.mul_t[i * self.size:(i + 1) * self.size]
+        if self.one_idx not in row:
+            raise InternalCheckError("unit without inverse")
+        return row.index(self.one_idx)
 
     def element_str(self, idx):
         return self.domain.element_str(self.lift(idx))
@@ -145,15 +106,6 @@ class _IntQuotient(QuotientRing):
 
     def reduce(self, value):
         return value % self.size
-
-    def add(self, i, j):
-        return (i + j) % self.size
-
-    def mul(self, i, j):
-        return i * j % self.size
-
-    def neg(self, i):
-        return -i % self.size
 
 
 class _PolyQuotient(QuotientRing):
@@ -195,28 +147,36 @@ class _QuadQuotient(QuotientRing):
         return x * self._c + y
 
 
-def build_quotient(domain, modulus, ring_cap=DEFAULT_RING_CAP):
-    """D/q with full enumeration and unit detection, interned: one ring per
-    (domain, modulus), at most 32 per process.
-
-    The zero-modulus and ring_cap checks run on every call, warm or cold.
-    """
+def quotient_size(modulus, ring_cap):
+    """|D/q| once q is nonzero and |D/q| is at most ring_cap: the first check
+    of every ring build, made before q is factored or any ring is listed."""
     if modulus.is_zero():
         raise ValueError("cannot form a quotient by the zero ideal")
     n = residue_norm(modulus)
     if n > ring_cap:
         raise CapExceeded(f"quotient of size {n} exceeds cap {ring_cap}")
+    return n
+
+
+def build_quotient(domain, modulus, ring_cap=DEFAULT_RING_CAP):
+    """D/q with full enumeration, unit detection and arithmetic tables,
+    interned: one ring per (domain, modulus), at most 32 per process.
+
+    The zero-modulus, ring_cap and table-limit checks run on every call,
+    warm or cold, and a ring past them is never built.
+    """
+    n = quotient_size(modulus, ring_cap)
+    if n > _TABLE_LIMIT:
+        raise CapExceeded(f"ring of size {n} above arithmetic-table limit")
     return _quotient(domain, modulus.data)
 
 
 def integer_quotient(n, ring_cap=DEFAULT_RING_CAP):
     """Z/(n) for an integer n >= 1: the ring build_quotient(Z, (n)) interns,
-    with the same checks, looked up by n without forming the ideal."""
+    with the same checks."""
     if n < 1:
         raise ValueError("Z/(n) needs n >= 1")
-    if n > ring_cap:
-        raise CapExceeded(f"quotient of size {n} exceeds cap {ring_cap}")
-    return _quotient(_Z, n)
+    return build_quotient(_Z, Ideal(_Z, n), ring_cap)
 
 
 @lru_cache(maxsize=32)
@@ -233,12 +193,29 @@ def _quotient(domain, data):
         ring = _QuadQuotient(domain, modulus, n)
     ring.zero_idx = ring.reduce(domain.zero())
     ring.one_idx = ring.reduce(domain.one())
-    units = []
+    # flat add/mul tables, index i*n + j, and the neg table, from the domain's
+    # arithmetic on lifts
+    lifts = [ring.lift(i) for i in range(n)]
+    add_t = [0] * (n * n)
+    mul_t = [0] * (n * n)
     for i in range(n):
-        lifted = domain.principal_ideal(ring.lift(i))
-        if ideal_arith("sum", lifted, modulus).is_unit_ideal():
+        xi = lifts[i]
+        row = i * n
+        for j in range(i, n):
+            s = ring.reduce(domain.add(xi, lifts[j]))
+            p = ring.reduce(domain.mul(xi, lifts[j]))
+            add_t[row + j] = s
+            add_t[j * n + i] = s
+            mul_t[row + j] = p
+            mul_t[j * n + i] = p
+    ring.add_t, ring.mul_t = add_t, mul_t
+    ring.neg_t = [ring.reduce(domain.neg(x)) for x in lifts]
+    # units by ideal sums, independent of the tables
+    units = []
+    for i, x in enumerate(lifts):
+        if ideal_arith("sum", domain.principal_ideal(x), modulus).is_unit_ideal():
             units.append(i)
-    ring._units = tuple(units)
+    ring.units = tuple(units)
     ring._unit_set = frozenset(units)
     ring.domain_unit_image = tuple(sorted({ring.reduce(u) for u in domain.units}))
     ring.domain_unit_squares_image = tuple(
@@ -258,8 +235,6 @@ def _quotient(domain, data):
     else:
         gens = sorted({ring.reduce((1, 0)), ring.reduce((0, 1))})
     ring.additive_generators = tuple(g for g in gens if g != ring.zero_idx)
-    if n <= 256:
-        ring.ensure_tables()
     return ring
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conglab import analyzer, matgroups, modular
 from conglab.analyzer import (
+    Caps,
     FramedSubgroup,
     InternalCheckError,
     quasi_level,
@@ -22,6 +23,7 @@ from conglab.analyzer import (
     cusp_split_check,
     cusps,
     frame_from_group,
+    frame_ring,
     frame_subgroup,
     index_level_inequality_check,
     level,
@@ -33,7 +35,7 @@ from conglab.analyzer import (
     standard_screen_subspace,
     unit_square_closure_check,
 )
-from conglab.domains import factor_ideal, ideal_arith, parse_domain, residue_norm
+from conglab.domains import CapExceeded, factor_ideal, ideal_arith, parse_domain, residue_norm
 from conglab.matgroups import (
     FinMatGroup,
     Mat2,
@@ -105,6 +107,22 @@ def test_frames_refuse_a_group_over_another_ring():
     F = frame_subgroup(Z, Z.parse_ideal("(6)"), [t1])
     assert F.ring is not z6 and F.index == 144 // 6
     assert frame_from_group(Z, Z.parse_ideal("(6)"), F.group).index == 24
+
+
+def test_frame_ring_factors_the_modulus_only_past_the_cube_of_its_size(monkeypatch):
+    # |SL2(Z/30)| = 17280 < 30^3 = 27000; the formula is read only when the
+    # group cap is below 27000, and then it decides
+    q0 = Z.parse_ideal("(30)")
+    calls = []
+    real = analyzer.sl2_order_formula
+    monkeypatch.setattr(analyzer, "sl2_order_formula", lambda q: calls.append(q) or real(q))
+    for cap in (5 * 10 ** 6, 27000):
+        assert frame_ring(Z, q0, Caps(group=cap)).size == 30
+    assert calls == []
+    assert frame_ring(Z, q0, Caps(group=17280)).size == 30
+    with pytest.raises(CapExceeded, match=r"\|SL2\(R\)\| = 17280 exceeds cap 17279"):
+        frame_ring(Z, q0, Caps(group=17279))
+    assert calls == [q0, q0]
 
 
 def test_frame_trivial_image_is_kernel_itself():

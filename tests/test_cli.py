@@ -475,6 +475,47 @@ def test_analyze_gens_with_a_huge_power_exits_3(capsys, tmp_path, text):
     assert "degree above the cap 1024" in err
 
 
+@pytest.mark.parametrize(
+    "domain,modulus,order",
+    [("Q(sqrt(-1)) maximal", "(250)", 168750000000000), ("Z", "(2000)", 5760000000)],
+)
+def test_analyze_checks_the_group_cap_before_building_the_ring(capsys, domain, modulus, order):
+    # |D/q0| passes the ring cap (62,500 and 2,000 elements), |SL2(D/q0)| fails the
+    # group cap; the ring's units were listed for 2 s, its tables would fill 4M entries
+    argv = ["analyze", "--domain", domain, "--modulus", modulus]
+    code, out, err = run_timed(argv, capsys)
+    assert (code, out) == (EXIT_CAP, "")
+    assert err == f"error: cap: |SL2(R)| = {order} exceeds cap 5000000\n"
+    assert _quotient.cache_info().misses == 0
+
+
+@pytest.mark.parametrize("value", ["\u0666\u0665", "6_5", "+65", " 65"])
+def test_cap_values_in_the_environment_are_ascii_decimal(capsys, monkeypatch, value):
+    monkeypatch.setenv("CONGLAB_CAPS", f"ring={value}")
+    code, out, err = run_cli(["analyze", "--example", "ex2_13"], capsys)
+    assert (code, out) == (EXIT_PARSE, "")
+    assert "bad cap value in CONGLAB_CAPS" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--ring-cap", "\u0666\u0665", "analyze", "--example", "ex2_13"],
+        ["--group-cap", "5_000_000", "analyze", "--example", "ex2_13"],
+        ["analyze", "--factor-cap", "+7", "--example", "ex2_13"],
+        ["--seed", "\uff17", "verify-suite", "--suite", "crt"],
+        ["enumerate-modular", "--max-index", "1_2"],
+        ["verify-suite", "--suite", "crt", "--jobs", "\u0662"],
+    ],
+)
+def test_integer_flags_are_ascii_decimal(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "invalid decimal value" in captured.err
+
+
 @pytest.mark.parametrize("doc", [
     {"k": 3, "f": "t^2", "basis": ["(t+1)^9999999"]},
     {"k": 3, "f": "t^1025", "basis": []},

@@ -139,15 +139,55 @@ def test_unit_predicate_matches_invertibility(D, text):
 
 
 def test_arith_tables_agree_with_domain_ops():
-    R = ring_of(F9T, "(t^2)")
-    R.ensure_tables()
-    D = F9T
-    for i in range(R.size):
-        assert R.neg(i) == R.reduce(D.neg(R.lift(i)))
-        for j in range(R.size):
-            assert R.sub(i, j) == R.reduce(D.sub(R.lift(i), R.lift(j)))
-            assert R.add(i, j) == R.reduce(D.add(R.lift(i), R.lift(j)))
-            assert R.mul(i, j) == R.reduce(D.mul(R.lift(i), R.lift(j)))
+    for D, text in [(Z, "(12)"), (F9T, "(t^2)"), (ZSQ2, "(6)")]:
+        R = ring_of(D, text)
+        for i in range(R.size):
+            assert R.neg(i) == R.reduce(D.neg(R.lift(i)))
+            for j in range(R.size):
+                assert R.sub(i, j) == R.reduce(D.sub(R.lift(i), R.lift(j)))
+                assert R.add(i, j) == R.reduce(D.add(R.lift(i), R.lift(j)))
+                assert R.mul(i, j) == R.reduce(D.mul(R.lift(i), R.lift(j)))
+            if R.is_unit(i):
+                assert R.mul(i, R.inv(i)) == R.one_idx
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    R.inv(i)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ring_of(Z, "(30)"),
+        lambda: quotients.integer_quotient(300),
+        lambda: ring_of(F3T, "(t^2+1)"),
+        lambda: ring_of(ZSQ13, "(3)"),
+        lambda: ring_of(ZSQ2, "(6)"),
+    ],
+)
+def test_every_ring_is_built_with_its_tables(build):
+    R = build()
+    n = R.size
+    assert len(R.add_t) == len(R.mul_t) == n * n and len(R.neg_t) == n
+
+
+def test_rings_above_the_table_limit_are_refused_before_they_are_built(monkeypatch):
+    built = []
+    monkeypatch.setattr(quotients, "_quotient", lambda D, data: built.append(data) or data)
+    message = "ring of size 2049 above arithmetic-table limit"
+    with pytest.raises(CapExceeded, match=message):
+        build_quotient(Z, Z.parse_ideal("(2049)"), ring_cap=10 ** 6)
+    with pytest.raises(CapExceeded, match=message):
+        quotients.integer_quotient(2049, ring_cap=10 ** 6)
+    with pytest.raises(CapExceeded, match="ring of size 2187 above"):
+        ring_of(F3T, "(t^7)")
+    with pytest.raises(CapExceeded, match="ring of size 2500 above"):
+        ring_of(ZSQ2, "(50)")
+    assert built == []
+    # the ring cap is checked first, with its own message
+    with pytest.raises(CapExceeded, match="quotient of size 2049 exceeds cap 2000"):
+        quotients.integer_quotient(2049, ring_cap=2000)
+    # 2048 elements pass both checks
+    assert quotients.integer_quotient(2048) == 2048 and built == [2048]
 
 
 def test_additive_generators_span():

@@ -78,3 +78,24 @@ def test_only_matgroups_knows_the_column_key():
             if name in keyed or (isinstance(node, ast.alias) and node.name in keyed):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_only_quotients_builds_ring_tables():
+    # a ring's add/mul/neg tables are built with it and are its only
+    # arithmetic; other modules read them and never build or ask for them
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "ensure_tables":
+                found.append(f"{path.name}:{node.lineno} reads ensure_tables")
+            elif (
+                path.name != "quotients.py"
+                and isinstance(node, ast.Attribute)
+                and node.attr in {"add_t", "mul_t", "neg_t"}
+                and isinstance(node.ctx, ast.Store)
+            ):
+                found.append(f"{path.name}:{node.lineno} stores {node.attr}")
+    assert found == []
+    from conglab.quotients import _IntQuotient
+
+    assert sorted(k for k in vars(_IntQuotient) if not k.startswith("__")) == ["lift", "reduce"]

@@ -838,7 +838,7 @@ def screen_translation_subspace(ts):
             contains_poly(D.mul(h, _variable_pow(i))) for i in range(d)
         ):
             best = h
-    lvl = Ideal(D, D.monic(best))
+    lvl = D.principal_ideal(best)
     codim = d - dim
     t_poly = _variable_pow(1)
     invertible = D.gcd(t_poly, f) == D.one()
@@ -861,7 +861,7 @@ def screen_translation_subspace(ts):
 
 
 def _monic_divisors(D, f):
-    pf = factor_ideal(Ideal(D, D.monic(f)))
+    pf = factor_ideal(D.principal_ideal(f))
     divisors = [D.one()]
     for p, e in pf.pairs:
         divisors = [

@@ -50,7 +50,6 @@ EXIT_INTERNAL = 4
 
 @dataclass
 class RunConfig:
-    command: str
     caps: Caps
     fmt: str
     seed: int
@@ -317,7 +316,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         caps = _parse_caps(args)
-        config = RunConfig(args.command, caps, args.format, args.seed, args)
+        config = RunConfig(caps, args.format, args.seed, args)
         return args.func(config)
     except ParseError as exc:
         print(f"error: parse: {exc}", file=sys.stderr)

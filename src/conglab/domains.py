@@ -11,10 +11,15 @@ Elements are plain immutable values interpreted by their owning Domain:
 an int, a tuple of F_q coefficient values (low degree first, no trailing
 zeros), or an integer pair ``(a, b)`` meaning ``a + b*w``.
 
-Ideals of the PID kinds are stored by canonical generator (nonnegative
-integer, monic polynomial, zero allowed).  Ideals of a quadratic order
-are stored as the Hermite normal form ``[[a, b], [0, c]]`` of a Z-basis
-of the ideal as a sublattice of ``Z*1 + Z*w`` (diagonal positive,
+Each kind's class owns the format of its ideals' data, and in this
+module only that class reads it: ``Ideal`` and the module-level ideal
+functions delegate to the domain.  Z and F_q[t] share one Euclidean path
+(``_EuclideanDomain``): an ideal is its canonical generator (nonnegative
+integer, monic polynomial, zero allowed), and sum, product, intersection
+and Bezout pairs come from one gcd and one extended gcd over the kind's
+own ``divmod`` and ``normalise``.  Ideals of a quadratic order are
+stored as the Hermite normal form ``[[a, b], [0, c]]`` of a Z-basis of
+the ideal as a sublattice of ``Z*1 + Z*w`` (diagonal positive,
 ``0 <= b < c``, multiplicative closure under ``w`` checked on
 construction).
 """
@@ -61,21 +66,6 @@ _FQ_TABLE_LIMIT = 512
 
 # ---------------------------------------------------------------------------
 # small integer helpers
-
-
-def _ext_gcd(a, b):
-    """Return (g, x, y) with g = gcd(a, b) = a*x + b*y, g >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 def _factor_int(n, cap=DEFAULT_FACTOR_CAP):
@@ -190,14 +180,6 @@ def _monic_polys(q, d):
 def _variable_pow(k):
     """The k-th power of the polynomial variable."""
     return (0,) * k + (1,)
-
-
-def _p_is_irreducible(f, Fp):
-    """Trial division over Fp = F_p[u] by all lower-degree monic polynomials."""
-    d = len(f) - 1
-    return d >= 1 and not any(
-        Fp.divmod(f, g)[1] == () for k in range(1, d // 2 + 1) for g in _monic_polys(Fp.q, k)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -356,42 +338,21 @@ def _evaluate(text, domain, symbols):
 
 
 class Domain:
-    """Base class; concrete kinds implement the arithmetic hooks."""
+    """Base class of the three kinds.
+
+    A kind supplies its element arithmetic (zero, one, add, neg, mul,
+    from_int, element_str) and owns the data of its ideals: ideal_zero and
+    ideal_one, the data of (0) and (1); ideal_from_gens; and the hooks that
+    Ideal and the module-level ideal functions call on that data:
+    ideal_generators, ideal_contains, ideal_str, ideal_sum, ideal_product,
+    ideal_intersect, ideal_bezout, ideal_norm and ideal_factors.
+    """
 
     kind = None
     symbols = {}  # name -> (k -> name^k) for the names element texts may use
 
-    # -- element arithmetic (implemented by subclasses) --
-
-    def zero(self):
-        raise NotImplementedError
-
-    def one(self):
-        raise NotImplementedError
-
-    def add(self, x, y):
-        raise NotImplementedError
-
-    def neg(self, x):
-        raise NotImplementedError
-
-    def mul(self, x, y):
-        raise NotImplementedError
-
     def sub(self, x, y):
         return self.add(x, self.neg(y))
-
-    def from_int(self, n):
-        raise NotImplementedError
-
-    def is_zero(self, x):
-        return x == self.zero()
-
-    def is_unit(self, x):
-        return x in self.units
-
-    def element_str(self, x):
-        raise NotImplementedError
 
     def parse_element(self, text):
         return _evaluate(text, self, self.symbols)
@@ -399,16 +360,13 @@ class Domain:
     # -- ideals --
 
     def zero_ideal(self):
-        raise NotImplementedError
+        return Ideal(self, self.ideal_zero)
 
     def unit_ideal(self):
-        return self.principal_ideal(self.one())
+        return Ideal(self, self.ideal_one)
 
     def principal_ideal(self, x):
         return self.ideal_from_gens([x])
-
-    def ideal_from_gens(self, elems):
-        raise NotImplementedError
 
     def parse_ideal(self, text):
         text = text.strip()
@@ -420,8 +378,72 @@ class Domain:
         return f"<Domain {self}>"
 
 
-class IntegerDomain(Domain):
+class _EuclideanDomain(Domain):
+    """Z and F_q[t]: an ideal's data is its canonical generator, the gcd of
+    any generating set scaled by a unit to be nonnegative or monic, so every
+    ideal operation is Euclid's algorithm on the kind's own divmod. A kind
+    adds divmod, normalise ((c, c*x) for the unit c that makes c*x
+    nonnegative or monic, c = 1 for x = 0), ideal_norm and ideal_factors."""
+
+    def gcd(self, x, y):
+        """The canonical generator of the ideal (x, y)."""
+        while y:
+            x, y = y, self.divmod(x, y)[1]
+        return self.normalise(x)[1]
+
+    def ext_gcd(self, x, y):
+        """(g, a, b) with g = a*x + b*y = gcd(x, y), nonnegative or monic."""
+        old_r, r = x, y
+        old_s, s = self.one(), self.zero()
+        old_t, t = self.zero(), self.one()
+        while r:
+            q, rem = self.divmod(old_r, r)
+            old_r, r = r, rem
+            old_s, s = s, self.sub(old_s, self.mul(q, s))
+            old_t, t = t, self.sub(old_t, self.mul(q, t))
+        c, g = self.normalise(old_r)
+        return g, self.mul(c, old_s), self.mul(c, old_t)
+
+    def ideal_from_gens(self, elems):
+        g = self.zero()
+        for x in elems:
+            g = self.gcd(g, x)
+        return Ideal(self, g)
+
+    def ideal_generators(self, g):
+        return [g]
+
+    def ideal_contains(self, g, x):
+        if not g:
+            return not x  # (0) holds only 0
+        return not self.divmod(x, g)[1]
+
+    def ideal_str(self, g):
+        return f"({self.element_str(g)})"
+
+    def ideal_sum(self, g, h):
+        return self.ideal_from_gens([g, h])
+
+    def ideal_product(self, g, h):
+        return Ideal(self, self.mul(g, h))
+
+    def ideal_intersect(self, g, h):
+        lcm, rem = self.divmod(self.mul(g, h), self.gcd(g, h))
+        if rem:
+            raise InternalCheckError("gcd does not divide the product")
+        return Ideal(self, lcm)
+
+    def ideal_bezout(self, g, h):
+        d, s, t = self.ext_gcd(g, h)
+        if d != self.one():
+            raise InternalCheckError("coprime ideals with gcd other than 1")
+        return self.mul(s, g), self.mul(t, h)
+
+
+class IntegerDomain(_EuclideanDomain):
     kind = "integers"
+    ideal_zero, ideal_one = 0, 1
+    gcd = math.gcd  # the C loop; a builtin, so it is not bound to the instance
 
     def __init__(self):
         self.units = (1, -1)
@@ -442,20 +464,23 @@ class IntegerDomain(Domain):
     def mul(self, x, y):
         return x * y
 
+    def divmod(self, x, y):
+        return divmod(x, y)
+
+    def normalise(self, x):
+        return (-1, -x) if x < 0 else (1, x)
+
     def from_int(self, n):
         return n
 
     def element_str(self, x):
         return str(x)
 
-    def zero_ideal(self):
-        return Ideal(self, 0)
+    def ideal_norm(self, n):
+        return n
 
-    def ideal_from_gens(self, elems):
-        g = 0
-        for x in elems:
-            g = math.gcd(g, x)
-        return Ideal(self, g)
+    def ideal_factors(self, n, cap):
+        return [(Ideal(self, p), e) for p, e in sorted(_factor_int(n, cap).items())]
 
     def __str__(self):
         return "Z"
@@ -467,10 +492,11 @@ class IntegerDomain(Domain):
         return hash("Z")
 
 
-class PolynomialDomain(Domain):
+class PolynomialDomain(_EuclideanDomain):
     """F_q[t]; elements are tuples of F_q values (ints in range(q))."""
 
     kind = "polynomials"
+    ideal_zero, ideal_one = (), (1,)
 
     def __init__(self, p, e, field_modulus=None):
         if not _is_prime(p):
@@ -491,7 +517,7 @@ class PolynomialDomain(Domain):
                 raise ParseError("field modulus degree does not match q")
             if fm[-1] != 1:
                 raise ParseError("field modulus must be monic")
-            if not _p_is_irreducible(fm, Fp):
+            if Fp.ideal_factors(fm, DEFAULT_FACTOR_CAP) != [(Ideal(Fp, fm), 1)]:
                 raise ParseError("field modulus is reducible")
             if self.q > _FQ_TABLE_LIMIT:
                 raise CapExceeded(f"field size {self.q} above table limit")
@@ -637,34 +663,11 @@ class PolynomialDomain(Domain):
                     rem[i + j] = self.fq_add(rem[i + j], self.fq_neg(self.fq_mul(c, b)))
         return self._norm(quo), self._norm(rem)
 
-    def monic(self, x):
+    def normalise(self, x):
         if not x:
-            return x
+            return (1,), x
         inv = self.fq_inv(x[-1])
-        return tuple(self.fq_mul(c, inv) for c in x)
-
-    def gcd(self, x, y):
-        while y:
-            x, y = y, self.divmod(x, y)[1]
-        return self.monic(x)
-
-    def ext_gcd(self, x, y):
-        """Return (g, a, b) with g = gcd monic = a*x + b*y."""
-        old_r, r = x, y
-        old_s, s = self.one(), self.zero()
-        old_t, t = self.zero(), self.one()
-        while r:
-            q, rem = self.divmod(old_r, r)
-            old_r, r = r, rem
-            old_s, s = s, self.sub(old_s, self.mul(q, s))
-            old_t, t = t, self.sub(old_t, self.mul(q, t))
-        if old_r:
-            inv = self.fq_inv(old_r[-1])
-            scale = (inv,)
-            old_r = self.mul(old_r, scale)
-            old_s = self.mul(old_s, scale)
-            old_t = self.mul(old_t, scale)
-        return old_r, old_s, old_t
+        return (inv,), tuple(self.fq_mul(c, inv) for c in x)
 
     def from_int(self, n):
         c = self.fq_embed_int(n)
@@ -708,14 +711,32 @@ class PolynomialDomain(Domain):
             return "0", 1
         return "+".join(parts), len(parts)
 
-    def zero_ideal(self):
-        return Ideal(self, ())
+    def ideal_norm(self, f):
+        return self.q ** self.deg(f)
 
-    def ideal_from_gens(self, elems):
-        g = ()
-        for x in elems:
-            g = self.gcd(g, x)
-        return Ideal(self, g)
+    def ideal_factors(self, f, cap):
+        """Trial division by monic polynomials of increasing degree; once all
+        factors of degree < d are removed, any degree-d divisor is irreducible."""
+        pairs = []
+        d = 1
+        while self.deg(f) >= 1:
+            if 2 * d > self.deg(f):
+                pairs.append((Ideal(self, f), 1))
+                break
+            if self.q ** d > 10 ** 6:
+                raise CapExceeded("polynomial factor search too large")
+            for cand in _monic_polys(self.q, d):
+                e = 0
+                while True:
+                    quo, r = self.divmod(f, cand)
+                    if r != ():
+                        break
+                    f = quo
+                    e += 1
+                if e:
+                    pairs.append((Ideal(self, cand), e))
+            d += 1
+        return pairs
 
     def __str__(self):
         if self.e == 1:
@@ -741,6 +762,7 @@ class QuadraticDomain(Domain):
     """Maximal order of Q(sqrt(m)), m < 0 squarefree; elements (a, b) = a + b*w."""
 
     kind = "quadratic"
+    ideal_zero, ideal_one = (0, 0, 0), (1, 0, 1)
 
     def __init__(self, m):
         if m >= 0:
@@ -805,9 +827,6 @@ class QuadraticDomain(Domain):
     def _w_pow(self, k):
         return _power((0, 1), k, self.mul, self.one())
 
-    def zero_ideal(self):
-        return Ideal(self, (0, 0, 0))
-
     def ideal_from_gens(self, elems):
         rows = []
         for x in elems:
@@ -819,7 +838,7 @@ class QuadraticDomain(Domain):
         """HNF of the given coordinate rows; validates closure under w."""
         piv = _row_hnf(rows, 2)
         if not piv:
-            return Ideal(self, (0, 0, 0))
+            return self.zero_ideal()
         if len(piv) != 2 or piv[0][0] == 0 or piv[1][1] == 0:
             raise ValueError("lattice is not of full rank")
         a, b = piv[0]
@@ -835,7 +854,7 @@ class QuadraticDomain(Domain):
         self._check_ideal_lattice(data)
         return Ideal(self, data)
 
-    def _lattice_contains(self, data, x):
+    def ideal_contains(self, data, x):
         a, b, c = data
         u, v = x
         if a == 0:
@@ -848,8 +867,80 @@ class QuadraticDomain(Domain):
         a, b, c = data
         for row in ((a, b), (0, c)):
             wrow = self.mul(row, (0, 1))
-            if not self._lattice_contains(data, wrow):
+            if not self.ideal_contains(data, wrow):
                 raise ValueError("lattice is not closed under multiplication by w")
+
+    def ideal_generators(self, data):
+        a, b, c = data
+        return [(a, b), (0, c)]
+
+    def ideal_str(self, data):
+        return "(0)" if data == self.ideal_zero else "[[{},{}],[0,{}]]".format(*data)
+
+    def ideal_sum(self, L, M):
+        return self.ideal_from_lattice(self.ideal_generators(L) + self.ideal_generators(M))
+
+    def ideal_product(self, L, M):
+        gens = self.ideal_generators(M)
+        return self.ideal_from_lattice(
+            [self.mul(x, y) for x in self.ideal_generators(L) for y in gens]
+        )
+
+    def _pair_rows(self, L, M):
+        """Rows (g, g) for the generators g of L and (h, 0) for those of M. In
+        their HNF the rows (0, x) span the intersection, and a pivot row
+        (1, 0, x) gives x in L with 1 - x in M."""
+        return [g + g for g in self.ideal_generators(L)] + [
+            h + (0, 0) for h in self.ideal_generators(M)
+        ]
+
+    def ideal_intersect(self, L, M):
+        piv = _row_hnf(self._pair_rows(L, M), 4)
+        return self.ideal_from_lattice([r[2:] for r in piv if r[0] == 0 and r[1] == 0])
+
+    def ideal_bezout(self, L, M):
+        piv = _row_hnf(self._pair_rows(L, M), 4)
+        lead = [r for r in piv if r[0] != 0]
+        if not (lead and lead[0][0] == 1 and lead[0][1] == 0):
+            raise InternalCheckError("coprime ideal sum has no unit pivot")
+        x = (lead[0][2], lead[0][3])
+        y = self.sub(self.one(), x)
+        if not (self.ideal_contains(L, x) and self.ideal_contains(M, y)):
+            raise InternalCheckError("Bezout pair lies outside the ideals")
+        return (x, y)
+
+    def ideal_norm(self, data):
+        a, _, c = data
+        return a * c
+
+    def _primes_above(self, ell):
+        """Prime ideals of the maximal order above the rational prime ell: one
+        for each root of w's minimal polynomial mod ell, or (ell) if none."""
+        c0, c1 = self.c0, self.c1
+        if ell == 2:
+            roots = [r for r in (0, 1) if (r * r - c1 * r - c0) % 2 == 0]
+        else:
+            s = _sqrt_mod_prime((c1 * c1 + 4 * c0) % ell, ell)
+            inv2 = pow(2, ell - 2, ell)
+            roots = [] if s is None else sorted({(c1 + s) * inv2 % ell, (c1 - s) * inv2 % ell})
+        if not roots:
+            return [self.principal_ideal(self.from_int(ell))]
+        return [self.ideal_from_gens([self.from_int(ell), (-r, 1)]) for r in roots]
+
+    def ideal_factors(self, data, cap):
+        I = Ideal(self, data)
+        pairs = []
+        for ell in sorted(_factor_int(self.ideal_norm(data), cap)):
+            for P in self._primes_above(ell):
+                e = 0
+                Pk = P
+                while Pk.contains_ideal(I):
+                    e += 1
+                    Pk = ideal_arith("product", Pk, P)
+                if e:
+                    pairs.append((P, e))
+        pairs.sort(key=lambda pe: (self.ideal_norm(pe[0].data), pe[0].data))
+        return pairs
 
     def __str__(self):
         return f"Q(sqrt({self.m})) maximal"
@@ -885,50 +976,32 @@ class Ideal:
     """Canonical ideal of a supported domain.
 
     data is a nonnegative integer, a monic polynomial tuple, or an HNF
-    triple (a, b, c) for the lattice rows (a, b), (0, c).
+    triple (a, b, c) for the lattice rows (a, b), (0, c); only the
+    domain's class reads it.
     """
 
     domain: Domain
     data: object
 
     def is_zero(self):
-        if self.domain.kind == "quadratic":
-            return self.data == (0, 0, 0)
-        return self.data == self.domain.zero()
+        return self.data == self.domain.ideal_zero
 
     def is_unit_ideal(self):
-        if self.domain.kind == "quadratic":
-            return self.data == (1, 0, 1)
-        return self.data == self.domain.one()
+        return self.data == self.domain.ideal_one
 
     def generators(self):
-        """Elements generating the ideal (one for PID kinds, two lattice rows)."""
-        if self.domain.kind == "quadratic":
-            a, b, c = self.data
-            return [(a, b), (0, c)]
-        return [self.data]
+        """Elements generating the ideal (one for Z and F_q[t], two lattice rows)."""
+        return self.domain.ideal_generators(self.data)
 
     def contains(self, x):
-        D = self.domain
-        if D.kind == "quadratic":
-            return D._lattice_contains(self.data, x)
-        if self.is_zero():
-            return D.is_zero(x)
-        if D.kind == "integers":
-            return x % self.data == 0
-        return D.divmod(x, self.data)[1] == ()
+        return self.domain.ideal_contains(self.data, x)
 
     def contains_ideal(self, other):
         """True iff other is a subset of self."""
         return all(self.contains(g) for g in other.generators())
 
     def __str__(self):
-        if self.domain.kind == "quadratic":
-            if self.is_zero():
-                return "(0)"
-            a, b, c = self.data
-            return f"[[{a},{b}],[0,{c}]]"
-        return f"({self.domain.element_str(self.data)})"
+        return self.domain.ideal_str(self.data)
 
     def __repr__(self):
         return f"<Ideal {self} of {self.domain}>"
@@ -972,68 +1045,22 @@ def ideal_arith(mode, I, J):
             return J
         if J.is_zero():
             return I
-        if D.kind == "quadratic":
-            return D.ideal_from_lattice(list(I.generators()) + list(J.generators()))
-        return D.ideal_from_gens([I.data, J.data])
+        return D.ideal_sum(I.data, J.data)
+    if mode not in ("product", "intersect"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if I.is_zero() or J.is_zero():
+        return D.zero_ideal()
     if mode == "product":
-        if I.is_zero() or J.is_zero():
-            return D.zero_ideal()
-        if D.kind == "quadratic":
-            rows = [D.mul(x, y) for x in I.generators() for y in J.generators()]
-            return D.ideal_from_lattice(rows)
-        return Ideal(D, D.mul(I.data, J.data) if D.kind == "polynomials" else I.data * J.data)
-    if mode == "intersect":
-        if I.is_zero() or J.is_zero():
-            return D.zero_ideal()
-        if D.kind == "integers":
-            return Ideal(D, I.data * J.data // math.gcd(I.data, J.data))
-        if D.kind == "polynomials":
-            g = D.gcd(I.data, J.data)
-            quo, rem = D.divmod(D.mul(I.data, J.data), g)
-            if rem != ():
-                raise InternalCheckError("gcd does not divide the product")
-            return Ideal(D, D.monic(quo))
-        rows = _quad_pair_rows(I, J)
-        piv = _row_hnf(rows, 4)
-        inter = [r[2:] for r in piv if r[0] == 0 and r[1] == 0]
-        return D.ideal_from_lattice(inter)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _quad_pair_rows(I, J):
-    rows = []
-    for g in I.generators():
-        rows.append((g[0], g[1], g[0], g[1]))
-    for g in J.generators():
-        rows.append((g[0], g[1], 0, 0))
-    return rows
+        return D.ideal_product(I.data, J.data)
+    return D.ideal_intersect(I.data, J.data)
 
 
 def ideal_bezout(I, J):
     """For coprime I + J = D, return (x, y) with x in I, y in J, x + y = 1."""
     _check_same_domain(I, J)
-    D = I.domain
     if not ideal_arith("sum", I, J).is_unit_ideal():
         raise ValueError("ideals are not coprime")
-    if D.kind == "integers":
-        g, s, t = _ext_gcd(I.data, J.data)
-        if g != 1:
-            raise InternalCheckError("coprime ideals with gcd other than 1")
-        return (s * I.data, t * J.data)
-    if D.kind == "polynomials":
-        g, s, t = D.ext_gcd(I.data, J.data)
-        if g != D.one():
-            raise InternalCheckError("coprime ideals with gcd other than 1")
-        return (D.mul(s, I.data), D.mul(t, J.data))
-    piv = _row_hnf(_quad_pair_rows(I, J), 4)
-    lead = [r for r in piv if r[0] != 0]
-    if not (lead and lead[0][0] == 1 and lead[0][1] == 0):
-        raise InternalCheckError("coprime ideal sum has no unit pivot")
-    x = (lead[0][2], lead[0][3])
-    y = D.sub(D.one(), x)
-    if not (I.contains(x) and J.contains(y)):
-        raise InternalCheckError("Bezout pair lies outside the ideals")
-    return (x, y)
+    return I.domain.ideal_bezout(I.data, J.data)
 
 
 def ideal_pow(I, k):
@@ -1044,109 +1071,22 @@ def residue_norm(I):
     """|D/I| for a nonzero ideal."""
     if I.is_zero():
         raise ValueError("residue norm of the zero ideal")
-    D = I.domain
-    if D.kind == "integers":
-        return abs(I.data)
-    if D.kind == "polynomials":
-        return D.q ** D.deg(I.data)
-    a, _, c = I.data
-    return a * c
+    return I.domain.ideal_norm(I.data)
 
 
 def factor_ideal(I, cap=DEFAULT_FACTOR_CAP):
     """Complete prime factorization of a nonzero ideal."""
     if I.is_zero():
         raise ValueError("cannot factor the zero ideal")
-    D = I.domain
-    if residue_norm(I) > cap:
-        raise CapExceeded(f"ideal norm {residue_norm(I)} exceeds factoring cap {cap}")
-    if D.kind == "integers":
-        pairs = [
-            (Ideal(D, p), e) for p, e in sorted(_factor_int(abs(I.data), cap).items())
-        ]
-    elif D.kind == "polynomials":
-        pairs = _factor_poly_ideal(D, I)
-    else:
-        pairs = _factor_quad_ideal(D, I, cap)
-    pf = PrimeFactorization(tuple(pairs))
+    n = residue_norm(I)
+    if n > cap:
+        raise CapExceeded(f"ideal norm {n} exceeds factoring cap {cap}")
+    pf = PrimeFactorization(tuple(I.domain.ideal_factors(I.data, cap)))
     if not I.is_unit_ideal():
         product = pf.product()
         if product is None or product.data != I.data:
             raise InternalCheckError("factorization mismatch")
     return pf
-
-
-def _factor_poly_ideal(D, I):
-    # trial division by monic polynomials of increasing degree; once all
-    # factors of degree < d are removed, any degree-d divisor is irreducible
-    rem = I.data
-    pairs = []
-    d = 1
-    while D.deg(rem) >= 1:
-        if 2 * d > D.deg(rem):
-            pairs.append((Ideal(D, D.monic(rem)), 1))
-            break
-        if D.q ** d > 10 ** 6:
-            raise CapExceeded("polynomial factor search too large")
-        for cand in _monic_polys(D.q, d):
-            e = 0
-            while True:
-                quo, r = D.divmod(rem, cand)
-                if r != ():
-                    break
-                rem = quo
-                e += 1
-            if e:
-                pairs.append((Ideal(D, cand), e))
-        d += 1
-    return pairs
-
-
-def _quad_primes_above(D, ell):
-    """Prime ideals of the maximal order above the rational prime ell."""
-    c0, c1 = D.c0, D.c1
-    if ell == 2:
-        roots = [r for r in (0, 1) if (r * r - c1 * r - c0) % 2 == 0]
-        if len(roots) == 2:
-            kind = "split"
-        elif len(roots) == 1:
-            kind = "ramified"
-        else:
-            kind = "inert"
-    else:
-        disc = (c1 * c1 + 4 * c0) % ell
-        if disc == 0:
-            kind = "ramified"
-            inv2 = pow(2, ell - 2, ell)
-            roots = [c1 * inv2 % ell]
-        else:
-            s = _sqrt_mod_prime(disc, ell)
-            if s is None:
-                kind = "inert"
-                roots = []
-            else:
-                kind = "split"
-                inv2 = pow(2, ell - 2, ell)
-                roots = sorted({(c1 + s) * inv2 % ell, (c1 - s) * inv2 % ell})
-    if kind == "inert":
-        return [D.principal_ideal(D.from_int(ell))]
-    return [D.ideal_from_gens([D.from_int(ell), (-r, 1)]) for r in roots]
-
-
-def _factor_quad_ideal(D, I, cap):
-    pairs = []
-    n = residue_norm(I)
-    for ell in sorted(_factor_int(n, cap)):
-        for P in _quad_primes_above(D, ell):
-            e = 0
-            Pk = P
-            while Pk.contains_ideal(I):
-                e += 1
-                Pk = ideal_arith("product", Pk, P)
-            if e:
-                pairs.append((P, e))
-    pairs.sort(key=lambda pe: (residue_norm(pe[0]), pe[0].data))
-    return pairs
 
 
 def crt_select(factors):

@@ -45,6 +45,7 @@ from conglab.matgroups import (
     sl2_order_formula,
 )
 from conglab.quotients import _quotient, additive_closure, build_quotient, ideal_image
+from conglab.subgroups import DenseGroup, subgroup_classes
 from conglab.suites import exhaustive_frames
 
 from test_matgroups import (
@@ -708,6 +709,49 @@ def test_quasi_level_matches_core_oracle_on_every_frame(family):
 def test_quasi_level_matches_core_oracle_on_examples():
     for name in analyzer.EXAMPLE_NAMES:
         assert_quasi_level_is_the_core_quasi_amplitude(build_example(name))
+
+
+def frames_of_every_class(spec, text):
+    """One frame per subgroup conjugacy class of SL2(D/q), built the way
+    exhaustive_frames builds its families' frames."""
+    D = parse_domain(spec)
+    q0 = D.parse_ideal(text)
+    ring = build_quotient(D, q0)
+    dense = DenseGroup.from_matgroup(full_sl2(ring))
+    frames = []
+    for elems, gens in subgroup_classes(dense)[0]:
+        grp = FinMatGroup(ring, [dense.labels[i] for i in gens])
+        assert grp.order == len(elems)
+        frames.append(frame_from_group(D, q0, grp))
+    return frames
+
+
+# quotients whose domain has units beyond -1 and 1: F4* and F5* of orders 3
+# and 4, and the fourth and sixth roots of unity of Z[i] and Z[w]
+UNIT_GROUP_FAMILIES = (
+    ("Fq[t] q=4", "(t)"),
+    ("Fq[t] q=5", "(t)"),
+    ("Q(sqrt(-1)) maximal", "(2)"),
+    ("Q(sqrt(-3)) maximal", "(2)"),
+)
+
+
+@pytest.mark.parametrize("spec, text", UNIT_GROUP_FAMILIES)
+def test_theorems_hold_on_every_frame_over_larger_unit_groups(spec, text):
+    frames = frames_of_every_class(spec, text)
+    assert len(frames[0].domain.units) > 2
+    ring = frames[0].ring
+    G, (B, _) = full_sl2(ring), borel_and_unipotent(ring)
+    for F in frames:
+        assert_cusp_representatives_match_oracles(G, F.group, B)
+        assert_quasi_level_is_the_core_quasi_amplitude(F)
+        assert unit_square_closure_check(F)
+        quasi_level_ideal_check(F)  # raises when condition L holds and ql != l
+        # Theorem A: the least cusp amplitude is attained and is the level
+        assert amplitude_extrema_check(F).c_min == level(F)
+        assert cusp_split_check(F)
+        # Theorem C: raises when condition L holds at the level and fails
+        level_index_divisibility_check(F)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

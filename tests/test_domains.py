@@ -68,6 +68,18 @@ def test_f9_modulus_is_irreducible_by_root_scan():
         parse_domain("Fq[t] q=9 mod=u^2+2")
 
 
+def test_field_modulus_is_irreducible_by_trial_division():
+    # u^4 + u^2 + 1 = (u^2 + u + 1)^2 over F_2 has no root, so only a
+    # degree-2 trial divisor shows that it is reducible
+    assert all((r ** 4 + r ** 2 + 1) % 2 for r in range(2))
+    with pytest.raises(ParseError, match="field modulus is reducible"):
+        parse_domain("Fq[t] q=16 mod=u^4+u^2+1")
+    with pytest.raises(ParseError, match="field modulus is reducible"):
+        PolynomialDomain(2, 4, (1, 0, 1, 0, 1))
+    F8 = parse_domain("Fq[t] q=8 mod=u^3+u+1")
+    assert F8.field_modulus == (1, 1, 0, 1) and len(F8.units) == 7
+
+
 def test_quadratic_multiplication_rule_vs_numeric_oracle():
     # oracle: embed w into the complex numbers and check w^2 = c0 + c1*w
     for D in (QSQ7, ZSQ13, ZSQ2, parse_domain("Q(sqrt(-1)) maximal"),
@@ -752,6 +764,54 @@ def test_zero_ideal_behaviour():
         residue_norm(zero)
     with pytest.raises(ValueError):
         factor_ideal(zero)
+
+
+def _ext_gcd(a, b):
+    """Oracle: (g, x, y) with g = gcd(a, b) = a*x + b*y, g >= 0."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def euclidean_elements(D):
+    if D is Z:
+        return st.integers(-10 ** 6, 10 ** 6)
+    return st.lists(st.integers(0, D.q - 1), max_size=6).map(D._norm)
+
+
+EUCLIDEAN_PAIRS = st.sampled_from([Z, F3T, F9T]).flatmap(
+    lambda D: st.tuples(st.just(D), euclidean_elements(D), euclidean_elements(D))
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=EUCLIDEAN_PAIRS)
+def test_euclidean_ideals_follow_ext_gcd(case):
+    # Z and F_q[t] share one extended gcd and one ideal path
+    D, a, b = case
+    g, x, y = D.ext_gcd(a, b)
+    assert g == D.add(D.mul(a, x), D.mul(b, y))
+    I, J = D.principal_ideal(a), D.principal_ideal(b)
+    total = ideal_arith("sum", I, J)
+    prod = ideal_arith("product", I, J)
+    inter = ideal_arith("intersect", I, J)
+    assert total == Ideal(D, g)
+    if D is Z:
+        assert g >= 0 and (g, x, y) == _ext_gcd(a, b)
+        assert total.data == math.gcd(a, b)
+        assert prod.data == abs(a * b)
+        assert inter.data == math.lcm(a, b)
+    else:
+        assert g == () or g[-1] == 1
+        assert ideal_arith("product", total, inter) == prod
 
 
 # ---------------------------------------------------------------------------

@@ -99,3 +99,19 @@ def test_only_quotients_builds_ring_tables():
     from conglab.quotients import _IntQuotient
 
     assert sorted(k for k in vars(_IntQuotient) if not k.startswith("__")) == ["lift", "reduce"]
+
+
+def test_domains_ideal_layer_never_switches_on_kind():
+    # each kind's class owns its ideal data; Z and F_q[t] share one
+    # Euclidean path, so no second gcd or irreducibility test may return
+    path = SRC / "domains.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Compare) and any(
+            isinstance(side, ast.Attribute) and side.attr == "kind"
+            for side in [node.left, *node.comparators]
+        ):
+            found.append(f"compares .kind:{node.lineno}")
+        elif isinstance(node, ast.FunctionDef) and node.name in ("_ext_gcd", "_p_is_irreducible"):
+            found.append(f"defines {node.name}:{node.lineno}")
+    assert found == []

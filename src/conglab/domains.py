@@ -30,6 +30,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 class ParseError(ValueError):
@@ -345,7 +346,8 @@ class Domain:
     ideal_one, the data of (0) and (1); ideal_from_gens; and the hooks that
     Ideal and the module-level ideal functions call on that data:
     ideal_generators, ideal_contains, ideal_str, ideal_sum, ideal_product,
-    ideal_intersect, ideal_bezout, ideal_norm and ideal_factors.
+    ideal_intersect, ideal_bezout, ideal_norm and ideal_factors.  It names
+    the class of its quotient rings and their additive generators.
     """
 
     kind = None
@@ -376,6 +378,10 @@ class Domain:
 
     def __repr__(self):
         return f"<Domain {self}>"
+
+
+def _nonzero_images(ring, elements):
+    return tuple(sorted({ring.reduce(x) for x in elements} - {ring.zero_idx}))
 
 
 class _EuclideanDomain(Domain):
@@ -482,6 +488,13 @@ class IntegerDomain(_EuclideanDomain):
     def ideal_factors(self, n, cap):
         return [(Ideal(self, p), e) for p, e in sorted(_factor_int(n, cap).items())]
 
+    def quotient_class(self):
+        from .quotients import _IntQuotient  # quotients imports this module
+        return _IntQuotient
+
+    def additive_generators(self, ring, modulus):
+        return _nonzero_images(ring, [1])
+
     def __str__(self):
         return "Z"
 
@@ -534,17 +547,10 @@ class PolynomialDomain(_EuclideanDomain):
     # F_q internals: values are ints in range(q), base-p digit encoding
 
     def _fq_tuple(self, v):
-        digits = []
-        for _ in range(self.e):
-            digits.append(v % self.p)
-            v //= self.p
-        return self._norm(digits)
+        return self._norm(v // self.p ** k % self.p for k in range(self.e))
 
     def _fq_value(self, tup):
-        v = 0
-        for c in reversed(tup):
-            v = v * self.p + c
-        return v
+        return sum(c * self.p ** k for k, c in enumerate(tup))
 
     def _build_field_tables(self, Fp):
         """Multiplication and inverse tables of F_q = Fp[u]/(field modulus)."""
@@ -557,14 +563,8 @@ class PolynomialDomain(_EuclideanDomain):
                 v = self._fq_value(r)
                 mul[a * q + b] = v
                 mul[b * q + a] = v
-        inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if mul[a * q + b] == 1:
-                    inv[a] = b
-                    break
         self._mul_table = mul
-        self._inv_table = inv
+        self._inv_table = [0] + [mul[a * q:(a + 1) * q].index(1) for a in range(1, q)]
 
     def fq_add(self, a, b):
         if self.e == 1:
@@ -628,13 +628,7 @@ class PolynomialDomain(_EuclideanDomain):
         return len(x) - 1
 
     def add(self, x, y):
-        n = max(len(x), len(y))
-        out = []
-        for i in range(n):
-            a = x[i] if i < len(x) else 0
-            b = y[i] if i < len(y) else 0
-            out.append(self.fq_add(a, b))
-        return self._norm(out)
+        return self._norm(itertools.starmap(self.fq_add, itertools.zip_longest(x, y, fillvalue=0)))
 
     def neg(self, x):
         return tuple(self.fq_neg(c) for c in x)
@@ -737,6 +731,16 @@ class PolynomialDomain(_EuclideanDomain):
                     pairs.append((Ideal(self, cand), e))
             d += 1
         return pairs
+
+    def quotient_class(self):
+        from .quotients import _PolyQuotient  # quotients imports this module
+        return _PolyQuotient
+
+    def additive_generators(self, ring, modulus):
+        # p^i is u^i in F_q: t^j u^i for j < deg f and i < e
+        d = self.deg(modulus.data)
+        basis = [(0,) * j + (self.p ** i,) for j in range(d) for i in range(self.e)]
+        return _nonzero_images(ring, basis)
 
     def __str__(self):
         if self.e == 1:
@@ -941,6 +945,13 @@ class QuadraticDomain(Domain):
                     pairs.append((P, e))
         pairs.sort(key=lambda pe: (self.ideal_norm(pe[0].data), pe[0].data))
         return pairs
+
+    def quotient_class(self):
+        from .quotients import _QuadQuotient  # quotients imports this module
+        return _QuadQuotient
+
+    def additive_generators(self, ring, modulus):
+        return _nonzero_images(ring, [(1, 0), (0, 1)])
 
     def __str__(self):
         return f"Q(sqrt({self.m})) maximal"
@@ -1184,8 +1195,10 @@ _POLY_SPEC_RE = re.compile(r"^Fq\[t\]\s+q=([0-9]+)(?:\s+mod=(\S+))?$")
 _QUAD_SPEC_RE = re.compile(r"^Q\(sqrt\((-?[0-9]+)\)\)\s+maximal$")
 
 
+@lru_cache(maxsize=64)
 def parse_domain(spec):
-    """Parse a domain description: "Z", "Fq[t] q=.. [mod=..]", "Q(sqrt(m)) maximal"."""
+    """Parse a domain description: "Z", "Fq[t] q=.. [mod=..]", "Q(sqrt(m)) maximal";
+    domains are frozen values, so each spec is parsed once per process."""
     spec = spec.strip()
     if spec == "Z":
         return IntegerDomain()

@@ -3,14 +3,19 @@
 Elements of a quotient are referenced by dense integer indices; the ring
 holds the canonical-representative scheme (residues 0..n-1, polynomials
 of degree < deg f, or HNF-box coordinate pairs) and transports elements
-between D and R via lift/reduce.  Its add/mul/neg tables are built with
-the ring and are its only arithmetic, so a ring of more than 2048
-elements is refused before anything is listed.  `build_quotient` interns
-rings, the 32 used last, one per (domain, modulus), and checks its caps
-on every call; `integer_quotient` finds the same Z/(n) by n alone, with
-the same checks.  A ring's tables and the caches other layers hang off it
-are pure functions of the ring, so each is built once per process and
-safe to share; `memo` holds those results per kind and input, and lives
+between D and R via lift/reduce.  The domain names the ring's class and
+its additive generators, so nothing here switches on the kind.  A ring's
+add/mul/neg tables are built with it and are its only arithmetic, so a
+ring of more than 2048 elements is refused before anything is listed.
+The add and mul tables come by additive recursion: a breadth-first walk
+from 0 along the additive generators asks the domain only for x + g and
+x * g, n * |gens| of each, and every other row is read off its parent's
+by bilinearity.  `build_quotient` interns rings, the 32 used last, one
+per (domain, modulus), and checks its caps on every call;
+`integer_quotient` finds the same Z/(n) by n alone, with the same
+checks.  A ring's tables and the caches other layers hang off it are
+pure functions of the ring, so each is built once per process and safe
+to share; `memo` holds those results per kind and input, and lives
 and dies with the ring.
 """
 
@@ -19,6 +24,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import mul
 
 from .domains import (
     DEFAULT_RING_CAP,
@@ -37,7 +43,8 @@ _Z = IntegerDomain()
 
 
 class QuotientRing:
-    """The finite ring D/q with element enumeration and table arithmetic."""
+    """The finite ring D/q with element enumeration and table arithmetic; the
+    subclass the domain names as its quotient_class supplies lift and reduce."""
 
     def __init__(self, domain, modulus, size):
         self.domain = domain
@@ -49,14 +56,6 @@ class QuotientRing:
         self._matops = None
         self._columns = None
         self.memo = defaultdict(dict)  # kind -> input -> result
-
-    # -- enumeration (kind-specific, filled in by build_quotient) --
-
-    def lift(self, idx):
-        raise NotImplementedError
-
-    def reduce(self, value):
-        raise NotImplementedError
 
     # -- arithmetic on indices: reads of the flat tables built with the ring --
 
@@ -109,26 +108,18 @@ class _IntQuotient(QuotientRing):
 
 
 class _PolyQuotient(QuotientRing):
+    """Residues of degree < deg f, indexed by their coefficients read as
+    base-q digits, low degree first."""
+
     def __init__(self, domain, modulus, size):
         super().__init__(domain, modulus, size)
-        self._f = modulus.data
-        self._d = domain.deg(self._f)
+        self._places = [domain.q ** k for k in range(domain.deg(modulus.data))]
 
     def lift(self, idx):
-        digits = []
-        q = self.domain.q
-        for _ in range(self._d):
-            digits.append(idx % q)
-            idx //= q
-        return self.domain._norm(digits)
+        return self.domain._norm(idx // place % self.domain.q for place in self._places)
 
     def reduce(self, value):
-        rem = self.domain.divmod(value, self._f)[1]
-        q = self.domain.q
-        idx = 0
-        for c in reversed(range(self._d)):
-            idx = idx * q + (rem[c] if c < len(rem) else 0)
-        return idx
+        return sum(map(mul, self.domain.divmod(value, self.modulus.data)[1], self._places))
 
 
 class _QuadQuotient(QuotientRing):
@@ -137,14 +128,11 @@ class _QuadQuotient(QuotientRing):
         self._a, self._b, self._c = modulus.data
 
     def lift(self, idx):
-        x, y = divmod(idx, self._c)
-        return (x, y)
+        return divmod(idx, self._c)
 
     def reduce(self, value):
         u, v = value
-        x = u % self._a
-        y = (v - (u // self._a) * self._b) % self._c
-        return x * self._c + y
+        return u % self._a * self._c + (v - u // self._a * self._b) % self._c
 
 
 def quotient_size(modulus, ring_cap):
@@ -185,57 +173,55 @@ def _quotient(domain, data):
     equal data, so the key is as fine as the ideal itself and cheaper to hash."""
     modulus = Ideal(domain, data)
     n = residue_norm(modulus)
-    if domain.kind == "integers":
-        ring = _IntQuotient(domain, modulus, n)
-    elif domain.kind == "polynomials":
-        ring = _PolyQuotient(domain, modulus, n)
-    else:
-        ring = _QuadQuotient(domain, modulus, n)
+    ring = domain.quotient_class()(domain, modulus, n)
     ring.zero_idx = ring.reduce(domain.zero())
     ring.one_idx = ring.reduce(domain.one())
-    # flat add/mul tables, index i*n + j, and the neg table, from the domain's
-    # arithmetic on lifts
+    ring.additive_generators = domain.additive_generators(ring, modulus)
     lifts = [ring.lift(i) for i in range(n)]
-    add_t = [0] * (n * n)
-    mul_t = [0] * (n * n)
-    for i in range(n):
-        xi = lifts[i]
-        row = i * n
-        for j in range(i, n):
-            s = ring.reduce(domain.add(xi, lifts[j]))
-            p = ring.reduce(domain.mul(xi, lifts[j]))
-            add_t[row + j] = s
-            add_t[j * n + i] = s
-            mul_t[row + j] = p
-            mul_t[j * n + i] = p
-    ring.add_t, ring.mul_t = add_t, mul_t
+    ring.add_t, ring.mul_t = _tables(ring, lifts)
     ring.neg_t = [ring.reduce(domain.neg(x)) for x in lifts]
     # units by ideal sums, independent of the tables
-    units = []
-    for i, x in enumerate(lifts):
-        if ideal_arith("sum", domain.principal_ideal(x), modulus).is_unit_ideal():
-            units.append(i)
-    ring.units = tuple(units)
-    ring._unit_set = frozenset(units)
-    ring.domain_unit_image = tuple(sorted({ring.reduce(u) for u in domain.units}))
-    ring.domain_unit_squares_image = tuple(
-        sorted({ring.reduce(u) for u in domain.unit_squares})
+    ring.units = tuple(
+        i
+        for i, x in enumerate(lifts)
+        if ideal_arith("sum", domain.principal_ideal(x), modulus).is_unit_ideal()
     )
-    if domain.kind == "integers":
-        gens = [ring.reduce(1)]
-    elif domain.kind == "polynomials":
-        gens = set()
-        d = domain.deg(modulus.data)
-        for j in range(d):
-            for i in range(domain.e):
-                coeffs = [0] * (j + 1)
-                coeffs[j] = domain.p ** i
-                gens.add(ring.reduce(tuple(coeffs)))
-        gens = sorted(gens)
-    else:
-        gens = sorted({ring.reduce((1, 0)), ring.reduce((0, 1))})
-    ring.additive_generators = tuple(g for g in gens if g != ring.zero_idx)
+    ring._unit_set = frozenset(ring.units)
+    ring.domain_unit_image = tuple(sorted({ring.reduce(u) for u in domain.units}))
+    ring.domain_unit_squares_image = tuple(sorted({ring.reduce(u) for u in domain.unit_squares}))
     return ring
+
+
+def _tables(ring, lifts):
+    """The flat add and mul tables, index i*n + j, by additive recursion: the
+    domain gives x + g and x * g for each generator g, a breadth-first walk
+    from 0 gives each j != 0 a parent j' = j - g, and as R is commutative,
+    row j is column j: add(i, j) = add(i, j') + g, mul(i, j) = mul(i, j') + i*g.
+    """
+    D, n, zero = ring.domain, ring.size, ring.zero_idx
+    plus, times = {}, {}  # g -> [x + g for x in R], [x * g for x in R]
+    for g in ring.additive_generators:
+        plus[g] = [ring.reduce(D.add(x, lifts[g])) for x in lifts]
+        times[g] = [ring.reduce(D.mul(x, lifts[g])) for x in lifts]
+    order, parent = [zero], {zero: None}
+    for x in order:
+        for g, row in plus.items():
+            if row[x] not in parent:
+                parent[row[x]] = (x, g)
+                order.append(row[x])
+    if len(order) != n:
+        raise InternalCheckError(f"additive generators reach {len(order)} of {n} elements")
+    add_t = [0] * (n * n)
+    mul_t = [zero] * (n * n)
+    add_t[zero * n:(zero + 1) * n] = range(n)
+    for j in order[1:]:
+        jp, g = parent[j]
+        add_t[j * n:(j + 1) * n] = map(plus[g].__getitem__, add_t[jp * n:(jp + 1) * n])
+    for j in order[1:]:
+        jp, g = parent[j]
+        row = zip(mul_t[jp * n:(jp + 1) * n], times[g])
+        mul_t[j * n:(j + 1) * n] = [add_t[m * n + t] for m, t in row]
+    return add_t, mul_t
 
 
 @dataclass(frozen=True, slots=True)

@@ -640,6 +640,23 @@ matgroups.additive_closure = short
 sys.exit(cli.main(["analyze", "--domain", "Z", "--modulus", "(6)", "--gens", sys.argv[1]]))
 """
 
+# Z[w]/(4), w = (1+sqrt(-7))/2, with its first additive generator only:
+# the walk that builds the tables reaches 4 of its 16 elements
+PATCHED_GENERATORS = """
+import sys
+from conglab import cli, domains, quotients
+real = domains.QuadraticDomain.additive_generators
+domains.QuadraticDomain.additive_generators = lambda self, ring, modulus: real(self, ring, modulus)[:1]
+D = domains.parse_domain("Q(sqrt(-7)) maximal")
+try:
+    quotients.build_quotient(D, D.parse_ideal("(4)"))
+except domains.InternalCheckError:
+    pass
+else:
+    sys.exit("a ring was built from generators that do not span it")
+sys.exit(cli.main(["analyze", "--domain", "Q(sqrt(-7)) maximal", "--modulus", "(4)"]))
+"""
+
 # the whole gate through cli.main, one JSON document per line
 GATE = """
 import json, sys
@@ -740,4 +757,12 @@ def test_a_broken_column_chain_exits_internal_check_under_python_O(tmp_path):
     assert broken.returncode == EXIT_INTERNAL
     assert broken.stdout == b""
     assert b"internal-check: column chain" in broken.stderr
+    assert b"Traceback" not in broken.stderr
+
+
+def test_generators_that_miss_part_of_the_ring_exit_internal_check_under_python_O():
+    broken = run_python("-O", "-c", PATCHED_GENERATORS)
+    assert broken.returncode == EXIT_INTERNAL
+    assert broken.stdout == b""
+    assert b"internal-check: additive generators reach 4 of 16 elements" in broken.stderr
     assert b"Traceback" not in broken.stderr

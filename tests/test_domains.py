@@ -127,6 +127,14 @@ def test_parse_domain_errors():
         parse_domain("Q(sqrt(-3))")  # only maximal orders are supported
 
 
+def test_each_spec_is_parsed_once_and_a_bad_spec_raises_every_time():
+    spec = "Fq[t] q=9 mod=u^2+1"
+    assert parse_domain(spec) is parse_domain(spec) == F9T
+    for _ in range(2):
+        with pytest.raises(ParseError, match="not a prime power"):
+            parse_domain("Fq[t] q=6")
+
+
 def test_squarefree_check_matches_factoring():
     rng = random.Random(7)
     for n in [*range(1, 3000), *(rng.randrange(1, 10 ** 9) for _ in range(500))]:

@@ -1,9 +1,13 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from conglab.analyzer import DEFAULT_CAPS, EXAMPLE_NAMES, analyze, build_example
 from conglab.domains import (
     CapExceeded,
+    QuadraticDomain,
     factor_ideal,
     ideal_arith,
     ideal_pow,
@@ -19,6 +23,7 @@ from conglab.quotients import (
     largest_ideal_inside,
     local_decompose,
 )
+from conglab.suites import _RANDOM_DOMAINS, DEFAULT_SUITE_NAMES, run_suite
 
 
 Z = parse_domain("Z")
@@ -195,6 +200,98 @@ def test_additive_generators_span():
         R = ring_of(D, text)
         span = additive_closure(R.additive_generators, R)
         assert len(span) == R.size
+
+
+def pairwise_tables(R):
+    """The oracle: the add and mul tables from one domain add and mul on
+    lifts per pair of elements, n^2/2 of each."""
+    D, n = R.domain, R.size
+    lifts = [R.lift(i) for i in range(n)]
+    add_t = [0] * (n * n)
+    mul_t = [0] * (n * n)
+    for i in range(n):
+        for j in range(i, n):
+            add_t[i * n + j] = add_t[j * n + i] = R.reduce(D.add(lifts[i], lifts[j]))
+            mul_t[i * n + j] = mul_t[j * n + i] = R.reduce(D.mul(lifts[i], lifts[j]))
+    return add_t, mul_t
+
+
+def assert_tables_match_the_oracle(R):
+    add_t, mul_t = pairwise_tables(R)
+    assert R.add_t == add_t, f"add table of {R}"
+    assert R.mul_t == mul_t, f"mul table of {R}"
+    # units come from ideal sums; the tables must agree with them
+    n = R.size
+    assert set(R.units) == {i for i in range(n) if R.one_idx in R.mul_t[i * n:(i + 1) * n]}
+
+
+# the seven rings of the benchmark's frames workload
+FRAME_RINGS = (
+    ("Z", "(20)"),
+    ("Z", "(24)"),
+    ("Z", "(30)"),
+    ("Fq[t] q=3", "(t^3)"),
+    ("Fq[t] q=5", "(t^2)"),
+    ("Fq[t] q=2", "(t^4)"),
+    ("Q(sqrt(-7)) maximal", "(4)"),
+)
+
+
+def test_tables_of_every_suite_example_and_frame_ring_match_the_oracle(monkeypatch):
+    built = {}
+    real = quotients._quotient
+
+    def record(domain, data):
+        built[domain, data] = None
+        return real(domain, data)
+
+    monkeypatch.setattr(quotients, "_quotient", record)
+    for name in DEFAULT_SUITE_NAMES:
+        run_suite(name)
+    for name in EXAMPLE_NAMES:
+        analyze(build_example(name, DEFAULT_CAPS))
+    for spec, text in FRAME_RINGS:
+        D = parse_domain(spec)
+        build_quotient(D, D.parse_ideal(text))
+    assert (F9T, F9T.parse_ideal("(t^2)").data) in built
+    assert len(built) >= 30
+    for domain, data in built:
+        assert_tables_match_the_oracle(real(domain, data))
+
+
+@st.composite
+def small_moduli(draw):
+    """A nonzero ideal of one of the random suites' domains; |D/q| <= 256 over
+    Z and F_q[t], and mostly so over the quadratic orders."""
+    D = parse_domain(draw(st.sampled_from(_RANDOM_DOMAINS)))
+    if D.kind == "integers":
+        return D.principal_ideal(draw(st.integers(1, 256)))
+    if D.kind == "polynomials":
+        degree = draw(st.integers(0, max(d for d in range(9) if D.q ** d <= 256)))
+        coeffs = draw(st.lists(st.integers(0, D.q - 1), min_size=degree, max_size=degree))
+        return D.principal_ideal(tuple(coeffs) + (draw(st.integers(1, D.q - 1)),))
+    elements = st.tuples(st.integers(-12, 12), st.integers(-3, 3)).filter(any)
+    ideal = D.principal_ideal(draw(elements))
+    if draw(st.booleans()):
+        ideal = ideal_arith("sum", ideal, D.principal_ideal(draw(elements)))
+    return ideal
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(small_moduli())
+def test_tables_of_random_rings_match_the_oracle(modulus):
+    assume(residue_norm(modulus) <= 256)
+    assert_tables_match_the_oracle(build_quotient(modulus.domain, modulus))
+
+
+def test_generators_that_miss_part_of_the_ring_are_an_internal_check_error(monkeypatch):
+    real = QuadraticDomain.additive_generators
+    monkeypatch.setattr(
+        QuadraticDomain, "additive_generators", lambda self, ring, modulus: real(self, ring, modulus)[:1]
+    )
+    with pytest.raises(InternalCheckError, match="additive generators reach 6 of 36 elements"):
+        ring_of(ZSQ2, "(6)")
+    assert quotients._quotient.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------------------------

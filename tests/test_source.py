@@ -101,17 +101,29 @@ def test_only_quotients_builds_ring_tables():
     assert sorted(k for k in vars(_IntQuotient) if not k.startswith("__")) == ["lift", "reduce"]
 
 
+def kind_comparisons(node):
+    """One entry, with its line, per comparison of a .kind attribute under node."""
+    return [
+        f"compares .kind:{n.lineno}"
+        for n in ast.walk(node)
+        if isinstance(n, ast.Compare)
+        and any(isinstance(side, ast.Attribute) and side.attr == "kind" for side in [n.left, *n.comparators])
+    ]
+
+
 def test_domains_ideal_layer_never_switches_on_kind():
     # each kind's class owns its ideal data; Z and F_q[t] share one
     # Euclidean path, so no second gcd or irreducibility test may return
     path = SRC / "domains.py"
-    found = []
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        if isinstance(node, ast.Compare) and any(
-            isinstance(side, ast.Attribute) and side.attr == "kind"
-            for side in [node.left, *node.comparators]
-        ):
-            found.append(f"compares .kind:{node.lineno}")
-        elif isinstance(node, ast.FunctionDef) and node.name in ("_ext_gcd", "_p_is_irreducible"):
+    tree = ast.parse(path.read_text(), str(path))
+    found = kind_comparisons(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in ("_ext_gcd", "_p_is_irreducible"):
             found.append(f"defines {node.name}:{node.lineno}")
     assert found == []
+
+
+def test_quotients_never_switches_on_kind():
+    # each domain class names its quotient class and its additive generators
+    path = SRC / "quotients.py"
+    assert kind_comparisons(ast.parse(path.read_text(), str(path))) == []

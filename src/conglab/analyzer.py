@@ -414,10 +414,9 @@ class IndexLevelInequality:
 
 def index_level_inequality_check(frame):
     """|D/l| <= index^d over number-ring kinds (d = field degree)."""
-    kind = frame.domain.kind
-    if kind == "polynomials":
+    degree = frame.domain.field_degree
+    if degree is None:
         return IndexLevelInequality(False, 0, 0, 0, False)
-    degree = 1 if kind == "integers" else 2
     res = residue_norm(level(frame))
     bound = frame.index ** degree
     if res > bound:

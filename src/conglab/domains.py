@@ -218,7 +218,7 @@ def _row_hnf(rows, ncols):
                 piv = tuple(-x for x in piv)
             pivots.append(piv)
         work = rest
-    for i in range(len(pivots) - 1, -1, -1):
+    for i in range(1, len(pivots)):  # top-down: reducing by pivot i moves only later columns
         p = pivots[i]
         pcol = next(j for j in range(ncols) if p[j] != 0)
         for k in range(i):
@@ -227,6 +227,29 @@ def _row_hnf(rows, ncols):
                 q = r[pcol] // p[pcol]
                 pivots[k] = tuple(x - q * y for x, y in zip(r, p))
     return pivots
+
+
+def _hnf2(rows):
+    """The HNF (a, b, c), basis (a, b), (0, c) with a, c > 0 <= b < c, of the lattice the rows
+    (x, y) span; (0, 0, 0) if it is zero, ValueError if its rank is 1. A row with x != 0 meets
+    the pivot (a, b) in the unimodular step [[s, t], [-v, u]], g = gcd(a, x) = s*a + t*x,
+    u = a/g, v = x/g, whose second row has x = 0; c is the gcd of the y of all rows with x = 0."""
+    a = b = c = 0
+    for x, y in rows:
+        if x:
+            g = math.gcd(a, x)
+            u, v = a // g, x // g
+            s = pow(u, -1, v)  # 0 when v = +-1, as for the first row, a = 0
+            t = (g - s * a) // x
+            c = math.gcd(c, v * b - u * y)
+            a, b = g, s * b + t * y
+        else:
+            c = math.gcd(c, y)
+    if not (a or c):
+        return 0, 0, 0
+    if not (a and c):
+        raise ValueError("lattice is not of full rank")
+    return a, b % c, c
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +374,7 @@ class Domain:
     """
 
     kind = None
+    field_degree = None  # of the fraction field over Q; None for F_q[t]
     symbols = {}  # name -> (k -> name^k) for the names element texts may use
 
     def sub(self, x, y):
@@ -448,6 +472,7 @@ class _EuclideanDomain(Domain):
 
 class IntegerDomain(_EuclideanDomain):
     kind = "integers"
+    field_degree = 1
     ideal_zero, ideal_one = 0, 1
     gcd = math.gcd  # the C loop; a builtin, so it is not bound to the instance
 
@@ -766,6 +791,7 @@ class QuadraticDomain(Domain):
     """Maximal order of Q(sqrt(m)), m < 0 squarefree; elements (a, b) = a + b*w."""
 
     kind = "quadratic"
+    field_degree = 2
     ideal_zero, ideal_one = (0, 0, 0), (1, 0, 1)
 
     def __init__(self, m):
@@ -832,31 +858,18 @@ class QuadraticDomain(Domain):
         return _power((0, 1), k, self.mul, self.one())
 
     def ideal_from_gens(self, elems):
-        rows = []
-        for x in elems:
-            rows.append(x)
-            rows.append(self.mul(x, (0, 1)))
-        return self.ideal_from_lattice(rows)
+        return self.ideal_from_lattice([r for x in elems for r in (x, self.mul(x, (0, 1)))])
 
     def ideal_from_lattice(self, rows):
-        """HNF of the given coordinate rows; validates closure under w."""
-        piv = _row_hnf(rows, 2)
-        if not piv:
-            return self.zero_ideal()
-        if len(piv) != 2 or piv[0][0] == 0 or piv[1][1] == 0:
-            raise ValueError("lattice is not of full rank")
-        a, b = piv[0]
-        c = piv[1][1]
-        data = (a, b, c)
+        """The ideal the given coordinate rows span; validates closure under w."""
+        data = _hnf2(rows)
         self._check_ideal_lattice(data)
         return Ideal(self, data)
 
     def ideal_from_hnf(self, a, b, c):
         if a <= 0 or c <= 0 or not 0 <= b < c:
             raise ParseError("HNF must have positive diagonal and reduced offset")
-        data = (a, b, c)
-        self._check_ideal_lattice(data)
-        return Ideal(self, data)
+        return self.ideal_from_lattice([(a, b), (0, c)])
 
     def ideal_contains(self, data, x):
         a, b, c = data

@@ -51,6 +51,13 @@ class PermRep:
         if len(reached) != n:
             raise ParseError("the action is not transitive")
 
+    @classmethod
+    def _built(cls, n, S, T):
+        """A permrep whose builder guarantees what __post_init__ checks."""
+        rep = object.__new__(cls)
+        rep.__dict__.update(n=n, S=S, T=T)
+        return rep
+
     def to_json(self):
         return {"n": self.n, "S": list(self.S), "T": list(self.T)}
 
@@ -268,9 +275,12 @@ def coset_permrep(G, subgroup_indices):
 
     The subgroup's own coset is point 0, the base point, and the others
     follow by least element.  Cosets are pushed as blocks, Kx·g being the
-    block [y·g for y in Kx].  Raises InternalCheckError unless the set holds
-    the identity and its blocks tile G, every block moving as one.
+    block [y·g for y in Kx].  Raises InternalCheckError unless S^2 = (ST)^3 = 1
+    in G and the set holds the identity and its blocks tile G, moving as one.
     """
+    s, t = G.gens
+    if G.mul(s, s) != G.identity or len(G.powers(G.mul(s, t))) not in (1, 3):
+        raise InternalCheckError("the generators of G are not S, T of the modular group")
     K = sorted(subgroup_indices)
     label = [-1] * G.size
     for y in K:
@@ -292,7 +302,7 @@ def coset_permrep(G, subgroup_indices):
     order = [0, *filter(None, dict.fromkeys(label))]  # then by least element
     point = dict(zip(order, range(len(order))))
     S, T = (tuple(point[perm[c]] for c in order) for perm in perms)
-    return PermRep(len(blocks), S, T)
+    return PermRep._built(len(blocks), S, T)  # transitive: the blocks are one orbit
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +366,8 @@ def low_index_enumerate(max_index, cap=DEFAULT_ENUM_CAP, up_to_conjugacy=True):
         if slot is None:
             x, z = sx[:ncos], sy[:ncos]
             if not up_to_conjugacy or _is_canonical(x, z):
-                out.append(PermRep(ncos, tuple(x), tuple(z[j] for j in x)))  # T = x * z
+                # T = x * z; x^2 = z^3 = 1 and the table is connected, so no check
+                out.append(PermRep._built(ncos, tuple(x), tuple(z[j] for j in x)))
             return
         i, kind = slot
         limit = min(ncos + 1, max_index)

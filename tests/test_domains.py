@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import random
 import re
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conglab import domains
+from conglab.cli import main
 from conglab.domains import (
     CapExceeded,
     Ideal,
@@ -34,6 +36,7 @@ from conglab.domains import (
     parse_domain,
     residue_norm,
 )
+from conglab.suites import DEFAULT_SUITE_NAMES, run_suite
 
 
 Z = parse_domain("Z")
@@ -714,8 +717,163 @@ def test_quad_hnf_canonical():
     assert str(I) == "[[3,0],[0,3]]"
     J = ZSQ13.parse_ideal("[[3,0],[0,3]]")
     assert I == J
-    with pytest.raises(ValueError):
-        ZSQ13.ideal_from_hnf(1, 0, 3)  # not closed under w
+    with pytest.raises(ValueError, match="not closed under multiplication by w"):
+        ZSQ13.ideal_from_hnf(1, 0, 3)
+    with pytest.raises(ValueError, match="not closed under multiplication by w"):
+        ZSQ13.ideal_from_lattice([(1, 0), (0, 3)])
+
+
+def is_row_hnf(piv, ncols):
+    """Positive pivots in strictly increasing columns, zeros left of each
+    pivot, and every entry above a pivot in [0, pivot)."""
+    cols = [next((j for j in range(ncols) if r[j]), None) for r in piv]
+    if None in cols or cols != sorted(set(cols)):
+        return False
+    return all(
+        r[col] > 0 and all(0 <= upper[col] < r[col] for upper in piv[:i])
+        for i, (r, col) in enumerate(zip(piv, cols))
+    )
+
+
+def determinantal_divisor(rows, r):
+    """The gcd of the r x r minors of the matrix with these rows."""
+    def det(m):
+        return sum(
+            math.prod(m[i][j] for i, j in enumerate(perm)) * (-1) ** sum(
+                perm[i] > perm[k] for i in range(r) for k in range(i + 1, r)
+            )
+            for perm in itertools.permutations(range(r))
+        )
+
+    return math.gcd(*(
+        det([[row[j] for j in cols] for row in sub])
+        for sub in itertools.combinations(rows, r)
+        for cols in itertools.combinations(range(len(rows[0])), r)
+    ))
+
+
+def in_row_lattice(piv, ncols, row):
+    """Whether row is an integer combination of the echelon rows piv."""
+    for p in piv:
+        col = next(j for j in range(ncols) if p[j])
+        q, rem = divmod(row[col], p[col])
+        if rem:
+            return False
+        row = tuple(x - q * y for x, y in zip(row, p))
+    return not any(row)
+
+
+HNF_ENTRY = st.one_of(
+    st.just(0), st.integers(-3, 3), st.integers(-60, 60), st.integers(-10 ** 6, 10 ** 6)
+)
+HNF_CASES = st.integers(2, 4).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.tuples(*[HNF_ENTRY] * n), max_size=6))
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(case=HNF_CASES)
+def test_row_hnf_is_a_reduced_basis_of_the_same_lattice(case):
+    # the pair lattices of intersect and bezout are four columns wide; with
+    # three or more pivots the back-reduction must run top-down
+    ncols, rows = case
+    piv = domains._row_hnf(rows, ncols)
+    assert is_row_hnf(piv, ncols)
+    assert all(in_row_lattice(piv, ncols, row) for row in rows)
+    # rows lie in the lattice of piv; equal determinantal divisors make them span it
+    if piv:
+        assert determinantal_divisor(rows, len(piv)) == determinantal_divisor(piv, len(piv))
+    else:
+        assert not any(map(any, rows))
+
+
+def test_row_hnf_reduces_above_every_pivot():
+    # reducing row 0 by the pivot in column 1 pushes its column-2 entry out
+    # of range unless column 2 is reduced afterwards
+    piv = domains._row_hnf([(1, 1, 0), (0, 1, 3), (0, 0, 5)], 3)
+    assert piv == [(1, 0, 2), (0, 1, 3), (0, 0, 5)]
+
+
+def row_hnf_reading(rows):
+    """The data (a, b, c) read off the generic two-column _row_hnf."""
+    piv = domains._row_hnf(rows, 2)
+    if not piv:
+        return (0, 0, 0)
+    if len(piv) != 2 or piv[0][0] == 0 or piv[1][1] == 0:
+        raise ValueError("lattice is not of full rank")
+    return (*piv[0], piv[1][1])
+
+
+def hnf_oracle(D, rows):
+    """ideal_from_lattice as it reads _row_hnf, with the same w check."""
+    data = row_hnf_reading(rows)
+    D._check_ideal_lattice(data)
+    return data
+
+
+def data_or_error(f, *args):
+    """The value, or the message of the ValueError raised."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def assert_kernel_matches_oracle(D, rows):
+    mine = data_or_error(lambda: D.ideal_from_lattice(rows).data)
+    assert mine == data_or_error(hnf_oracle, D, rows), rows
+    assert data_or_error(domains._hnf2, rows) == data_or_error(row_hnf_reading, rows), rows
+
+
+QUAD_DOMAINS = [ZSQ13, ZSQ2, QSQ7, *(parse_domain(f"Q(sqrt({m})) maximal") for m in (-1, -3))]
+PAIR = st.tuples(HNF_ENTRY, HNF_ENTRY)
+
+
+@st.composite
+def kernel_cases(draw):
+    D = draw(st.sampled_from(QUAD_DOMAINS))
+    base = draw(st.lists(PAIR, max_size=6))
+    how = draw(st.sampled_from(["raw", "ideal", "rank1", "repeat"]))
+    if how == "ideal":  # closed under w, so most reach the w check and pass it
+        rows = [r for x in base[:3] for r in (x, D.mul(x, (0, 1)))]
+    elif how == "rank1":
+        k = draw(st.lists(st.integers(-50, 50), max_size=6))
+        x = base[0] if base else (0, 0)
+        rows = [(m * x[0], m * x[1]) for m in k]
+    elif how == "repeat":
+        rows = (base[:3] * 2)[:6]
+    else:
+        rows = base
+    return D, draw(st.permutations(rows))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(case=kernel_cases())
+def test_rank2_kernel_matches_row_hnf(case):
+    # ideal_from_lattice runs its own rank-2 kernel; _row_hnf is the oracle
+    D, rows = case
+    assert_kernel_matches_oracle(D, rows)
+
+
+def test_rank2_kernel_matches_row_hnf_on_recorded_traffic(monkeypatch, capsys):
+    # every row list that the default suites (seed 0) and analyze --example
+    # ex3_5 hand to ideal_from_lattice
+    seen = {}
+    original = domains.QuadraticDomain.ideal_from_lattice
+
+    def recording(self, rows):
+        seen[self, tuple(map(tuple, rows))] = None
+        return original(self, rows)
+
+    monkeypatch.setattr(domains.QuadraticDomain, "ideal_from_lattice", recording)
+    for name in DEFAULT_SUITE_NAMES:
+        assert run_suite(name, seed=0).failures == []
+    assert main(["analyze", "--example", "ex3_5"]) == 0
+    capsys.readouterr()
+    monkeypatch.undo()
+    assert len(seen) > 1000  # distinct (domain, rows) pairs; about 1,400 at seed 0
+    for D, rows in seen:
+        assert_kernel_matches_oracle(D, list(rows))
 
 
 def random_ideal(D, rng):

@@ -23,8 +23,8 @@ from conglab.modular import (
     screen_permrep,
 )
 from conglab.quotients import _quotient
-from conglab.subgroups import all_subgroups
-from conglab.suites import psl_subgroups
+from conglab.subgroups import DenseGroup, all_subgroups
+from conglab.suites import SOUNDNESS_LEVELS, psl_subgroups
 
 from test_matgroups import coset_labels
 from test_subgroups import dense_closure_by_bfs
@@ -126,6 +126,36 @@ def test_coset_permrep_rejects_a_non_subgroup():
     for elems in ([G.identity, T], [T, G.inv[T]], [T], *sixes):
         with pytest.raises(InternalCheckError):
             coset_permrep(G, elems)
+
+
+def test_coset_permrep_refuses_generators_off_the_modular_relations():
+    G = DenseGroup(range(4), lambda x, y: (x + y) % 4, 0, [1, 2])  # "S" = 1 has order 4
+    with pytest.raises(InternalCheckError, match="not S, T"):
+        coset_permrep(G, [0])
+
+
+def test_built_permreps_pass_every_public_check():
+    # coset_permrep and low_index_enumerate build permreps without
+    # PermRep's checks, which hold by construction; the public
+    # constructor re-runs all of them as the oracle
+    reps = low_index_enumerate(12) + low_index_enumerate(12, up_to_conjugacy=False)
+    for n in SOUNDNESS_LEVELS:
+        P, _, seen = psl_subgroups(n)
+        reps += [coset_permrep(P, subgroup) for subgroup in all_subgroups(seen)]
+    for rep in reps:
+        checked = PermRep(rep.n, rep.S, rep.T)
+        assert checked == rep and hash(checked) == hash(rep)
+
+
+def test_only_parsed_permreps_run_the_checks(monkeypatch):
+    checked = []
+    original = PermRep.__post_init__
+    monkeypatch.setattr(PermRep, "__post_init__", lambda rep: checked.append(rep) or original(rep))
+    low_index_enumerate(6)
+    gamma0_2_rep()
+    assert checked == []
+    rep = parse_permrep({"n": 3, "S": [1, 0, 2], "T": [0, 2, 1]})
+    assert checked == [rep]
 
 
 # ---------------------------------------------------------------------------

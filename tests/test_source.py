@@ -127,3 +127,38 @@ def test_quotients_never_switches_on_kind():
     # each domain class names its quotient class and its additive generators
     path = SRC / "quotients.py"
     assert kind_comparisons(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_index_level_inequality_check_never_switches_on_kind():
+    # each domain class names its field degree, None for F_q[t]
+    path = SRC / "analyzer.py"
+    tree = ast.parse(path.read_text(), str(path))
+    (check,) = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "index_level_inequality_check"
+    ]
+    assert kind_comparisons(check) == []
+
+
+def callers(tree, name):
+    """The name of the function around each call of name, None at module level."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            func = getattr(child, "func", None)
+            if getattr(func, "id", getattr(func, "attr", None)) == name:
+                found.append(function)
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else function)
+
+    visit(tree, None)
+    return found
+
+
+def test_two_column_lattices_have_one_hnf():
+    # a quadratic ideal's lattice goes through the rank-2 kernel _hnf2; the
+    # generic _row_hnf serves only the four-column pair lattices
+    path = SRC / "domains.py"
+    tree = ast.parse(path.read_text(), str(path))
+    assert sorted(callers(tree, "_row_hnf")) == ["ideal_bezout", "ideal_intersect"]
+    assert callers(tree, "_hnf2") == ["ideal_from_lattice"]

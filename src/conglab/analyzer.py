@@ -559,10 +559,10 @@ def build_example(name, caps=DEFAULT_CAPS):
     if name == "ex2_13":
         return _example_borel_plus_kernel(caps)
     if name == "ex3_2":
-        return _example_icosahedral(parse_domain("Fq[t] q=9 mod=u^2+1"), "(t)", caps)
+        return _example_icosahedral(name, parse_domain("Fq[t] q=9 mod=u^2+1"), "(t)", caps)
     if name == "ex3_5":
         D = parse_domain("Q(sqrt(-13)) maximal")
-        return _example_icosahedral(D, None, caps)
+        return _example_icosahedral(name, D, None, caps)
     if name == "ex4_9":
         return _example_square_coordinates(caps)
     if name == "ex4_10":
@@ -608,7 +608,7 @@ def _proj_order_filter(ring, ambient):
     return invol, third, center
 
 
-def _example_icosahedral(D, modulus_text, caps):
+def _example_icosahedral(name, D, modulus_text, caps):
     # the lexicographically first (2,3,5)-generated subgroup of order 120
     if modulus_text is None:
         q0 = D.principal_ideal(D.from_int(3))
@@ -632,7 +632,7 @@ def _example_icosahedral(D, modulus_text, caps):
             if group.order == 120:
                 frame = frame_from_group(
                     D, q0, group, caps,
-                    info={"name": "ex3_2" if D.kind == "polynomials" else "ex3_5",
+                    info={"name": name,
                           "generators": (str(Mat2.from_code(ring, x)),
                                          str(Mat2.from_code(ring, y)))},
                 )

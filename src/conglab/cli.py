@@ -31,7 +31,7 @@ from .analyzer import (
     frame_subgroup,
     screen_translation_subspace,
 )
-from .domains import CapExceeded, ParseError, parse_domain
+from .domains import CapExceeded, ParseError, PolynomialDomain, parse_domain
 from .matgroups import Mat2
 from .modular import (
     cusp_split,
@@ -189,7 +189,7 @@ def cmd_screen_subspace(config):
     if not isinstance(basis, list):
         raise ParseError(f'subspace "basis" must be a JSON array, not {basis!r}')
     domain = parse_domain(kspec if isinstance(kspec, str) else f"Fq[t] q={kspec}")
-    if domain.kind != "polynomials":
+    if not isinstance(domain, PolynomialDomain):
         raise ParseError("subspace screening needs a polynomial domain")
     f = domain.parse_element(_element_text(data["f"]))
     if domain.deg(f) < 1:

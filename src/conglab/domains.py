@@ -2,14 +2,16 @@
 
 * ``Z``            -- the rational integers,
 * ``Fq[t]``        -- univariate polynomials over a finite field F_q,
-  q = p^e, with a fixed irreducible modulus polynomial in ``u`` defining
-  the field when e > 1,
+  q = p^e, with a fixed irreducible modulus polynomial m in ``u`` defining
+  the field when e > 1: F_q is then the quotient ring F_p[u]/(m), whose
+  indices, the base-p digits of a value low degree first, are F_q's
+  values and whose tables are its arithmetic,
 * ``Q(sqrt(m))``   -- the maximal order of an imaginary quadratic field,
   m < 0 squarefree, with Z-basis {1, w}.
 
 Elements are plain immutable values interpreted by their owning Domain:
-an int, a tuple of F_q coefficient values (low degree first, no trailing
-zeros), or an integer pair ``(a, b)`` meaning ``a + b*w``.
+an int, a tuple of F_q values (ints in range(q); low degree first, no
+trailing zeros), or an integer pair ``(a, b)`` meaning ``a + b*w``.
 
 Each kind's class owns the format of its ideals' data, and in this
 module only that class reads it: ``Ideal`` and the module-level ideal
@@ -373,7 +375,6 @@ class Domain:
     the class of its quotient rings and their additive generators.
     """
 
-    kind = None
     field_degree = None  # of the fraction field over Q; None for F_q[t]
     symbols = {}  # name -> (k -> name^k) for the names element texts may use
 
@@ -471,7 +472,6 @@ class _EuclideanDomain(Domain):
 
 
 class IntegerDomain(_EuclideanDomain):
-    kind = "integers"
     field_degree = 1
     ideal_zero, ideal_one = 0, 1
     gcd = math.gcd  # the C loop; a builtin, so it is not bound to the instance
@@ -533,7 +533,6 @@ class IntegerDomain(_EuclideanDomain):
 class PolynomialDomain(_EuclideanDomain):
     """F_q[t]; elements are tuples of F_q values (ints in range(q))."""
 
-    kind = "polynomials"
     ideal_zero, ideal_one = (), (1,)
 
     def __init__(self, p, e, field_modulus=None):
@@ -544,8 +543,7 @@ class PolynomialDomain(_EuclideanDomain):
         self.q = p ** e
         self.symbols = {"t": _variable_pow}
         if e == 1:
-            self.field_modulus = None
-            self._mul_table = self._inv_table = None
+            self.field_modulus = self._field = None
         else:
             if field_modulus is None:
                 raise ParseError(f"a field modulus is required for q={self.q}")
@@ -559,8 +557,10 @@ class PolynomialDomain(_EuclideanDomain):
                 raise ParseError("field modulus is reducible")
             if self.q > _FQ_TABLE_LIMIT:
                 raise CapExceeded(f"field size {self.q} above table limit")
+            from .quotients import build_quotient  # quotients imports this module
             self.field_modulus = fm
-            self._build_field_tables(Fp)
+            # F_q = F_p[u]/(fm); its indices are the base-p digits, low degree first
+            self._field = build_quotient(Fp, Ideal(Fp, fm))
             self.symbols["u"] = self._u_pow
         if self.q - 1 > DEFAULT_RING_CAP:
             raise CapExceeded(f"F_{self.q} has more units than the ring cap {DEFAULT_RING_CAP}")
@@ -569,62 +569,23 @@ class PolynomialDomain(_EuclideanDomain):
             sorted({(self.fq_mul(c, c),) for c in range(1, self.q)})
         )
 
-    # F_q internals: values are ints in range(q), base-p digit encoding
-
-    def _fq_tuple(self, v):
-        return self._norm(v // self.p ** k % self.p for k in range(self.e))
-
-    def _fq_value(self, tup):
-        return sum(c * self.p ** k for k, c in enumerate(tup))
-
-    def _build_field_tables(self, Fp):
-        """Multiplication and inverse tables of F_q = Fp[u]/(field modulus)."""
-        q = self.q
-        mul = [0] * (q * q)
-        for a in range(q):
-            ta = self._fq_tuple(a)
-            for b in range(a, q):
-                r = Fp.divmod(Fp.mul(ta, self._fq_tuple(b)), self.field_modulus)[1]
-                v = self._fq_value(r)
-                mul[a * q + b] = v
-                mul[b * q + a] = v
-        self._mul_table = mul
-        self._inv_table = [0] + [mul[a * q:(a + 1) * q].index(1) for a in range(1, q)]
+    # F_q values are ints in range(q): residues mod p, or indices of F_p[u]/(fm)
 
     def fq_add(self, a, b):
-        if self.e == 1:
-            return (a + b) % self.p
-        out = 0
-        shift = 1
-        for _ in range(self.e):
-            out += ((a % self.p + b % self.p) % self.p) * shift
-            a //= self.p
-            b //= self.p
-            shift *= self.p
-        return out
+        return (a + b) % self.p if self.e == 1 else self._field.add(a, b)
 
     def fq_neg(self, a):
-        if self.e == 1:
-            return (-a) % self.p
-        out = 0
-        shift = 1
-        for _ in range(self.e):
-            out += ((-a) % self.p) * shift
-            a //= self.p
-            shift *= self.p
-        return out
+        return (-a) % self.p if self.e == 1 else self._field.neg(a)
 
     def fq_mul(self, a, b):
-        if self.e == 1:
-            return a * b % self.p
-        return self._mul_table[a * self.q + b]
+        return a * b % self.p if self.e == 1 else self._field.mul(a, b)
 
     def fq_inv(self, a):
         if a == 0:
             raise ZeroDivisionError("field inverse of zero")
         if self.e == 1:
             return pow(a, self.p - 2, self.p)
-        return self._inv_table[a]
+        return self._field.inv(a)
 
     def fq_pow(self, a, k):
         return _power(a, k, self.fq_mul, 1)
@@ -715,20 +676,8 @@ class PolynomialDomain(_EuclideanDomain):
 
     def _fq_str(self, c):
         """Render an F_q value as a u-polynomial; returns (text, #terms)."""
-        tup = self._fq_tuple(c) if self.e > 1 else (c,)
-        parts = []
-        for k in range(len(tup) - 1, -1, -1):
-            a = tup[k]
-            if a == 0:
-                continue
-            if k == 0:
-                parts.append(str(a))
-            else:
-                upart = "u" if k == 1 else f"u^{k}"
-                parts.append(upart if a == 1 else f"{a}*{upart}")
-        if not parts:
-            return "0", 1
-        return "+".join(parts), len(parts)
+        text = str(c) if self.e == 1 else self._field.element_str(c).replace("t", "u")
+        return text, text.count("+") + 1
 
     def ideal_norm(self, f):
         return self.q ** self.deg(f)
@@ -790,7 +739,6 @@ class PolynomialDomain(_EuclideanDomain):
 class QuadraticDomain(Domain):
     """Maximal order of Q(sqrt(m)), m < 0 squarefree; elements (a, b) = a + b*w."""
 
-    kind = "quadratic"
     field_degree = 2
     ideal_zero, ideal_one = (0, 0, 0), (1, 0, 1)
 
@@ -823,6 +771,7 @@ class QuadraticDomain(Domain):
                 if self.mul(x, y) not in squares:
                     raise InternalCheckError("unit squares not closed")
         self.unit_squares = tuple(squares)
+        self._primes = {}  # rational prime -> the prime ideals above it
 
     def zero(self):
         return (0, 0)
@@ -948,7 +897,9 @@ class QuadraticDomain(Domain):
         I = Ideal(self, data)
         pairs = []
         for ell in sorted(_factor_int(self.ideal_norm(data), cap)):
-            for P in self._primes_above(ell):
+            if ell not in self._primes:
+                self._primes[ell] = self._primes_above(ell)
+            for P in self._primes[ell]:
                 e = 0
                 Pk = P
                 while Pk.contains_ideal(I):

@@ -32,6 +32,9 @@ from .analyzer import (
     unit_square_closure_check,
 )
 from .domains import (
+    IntegerDomain,
+    PolynomialDomain,
+    QuadraticDomain,
     _monic_polys,
     condition_L,
     crt_select,
@@ -141,9 +144,9 @@ def _pick_families(families):
 
 
 def _random_ideal(D, rng):
-    if D.kind == "integers":
+    if isinstance(D, IntegerDomain):
         return D.principal_ideal(rng.randrange(2, 400))
-    if D.kind == "polynomials":
+    if isinstance(D, PolynomialDomain):
         deg = rng.randrange(1, 4)
         coeffs = [rng.randrange(D.q) for _ in range(deg)] + [1]
         return D.principal_ideal(tuple(coeffs))
@@ -196,7 +199,7 @@ def suite_ideal_laws(caps, seed, families=None):
                 and total.contains_ideal(I),
                 f"containment chain fails over {spec}",
             )
-            if D.kind != "quadratic":
+            if not isinstance(D, QuadraticDomain):
                 res.check(
                     ideal_arith("product", total, inter) == prod,
                     f"sum*intersection identity fails over {spec}",

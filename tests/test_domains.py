@@ -1,10 +1,14 @@
+import collections
 import gc
 import itertools
 import math
+import os
 import random
 import re
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +19,10 @@ from conglab.cli import main
 from conglab.domains import (
     CapExceeded,
     Ideal,
+    IntegerDomain,
     ParseError,
     PolynomialDomain,
+    QuadraticDomain,
     TEXT_DEGREE_CAP,
     TEXT_NESTING_CAP,
     _evaluate,
@@ -36,7 +42,7 @@ from conglab.domains import (
     parse_domain,
     residue_norm,
 )
-from conglab.suites import DEFAULT_SUITE_NAMES, run_suite
+from conglab.suites import _RANDOM_DOMAINS, DEFAULT_SUITE_NAMES, run_suite
 
 
 Z = parse_domain("Z")
@@ -56,10 +62,10 @@ def ideal(D, text):
 
 
 def test_parse_domain_kinds():
-    assert Z.kind == "integers"
-    assert F3T.kind == "polynomials" and F3T.q == 3
-    assert F9T.kind == "polynomials" and F9T.q == 9 and F9T.e == 2
-    assert ZSQ13.kind == "quadratic"
+    assert isinstance(Z, IntegerDomain)
+    assert isinstance(F3T, PolynomialDomain) and F3T.q == 3
+    assert isinstance(F9T, PolynomialDomain) and F9T.q == 9 and F9T.e == 2
+    assert isinstance(ZSQ13, QuadraticDomain)
 
 
 def test_f9_modulus_is_irreducible_by_root_scan():
@@ -354,11 +360,11 @@ def oracle_element(D, text):
     """The element text's value in D: its monomials over Z[u, t, w], then
     each monomial converted by D's kind."""
     monos = _parse_monomials(text)
-    if D.kind == "integers":
+    if isinstance(D, IntegerDomain):
         if any(k != (0, 0, 0) for k in monos):
             raise ParseError("integer elements cannot use symbols")
         return monos.get((0, 0, 0), 0)
-    if D.kind == "polynomials":
+    if isinstance(D, PolynomialDomain):
         coeffs = {}
         u_elt = D.p if D.e > 1 else None  # the field generator u
         for (ue, te, we), c in monos.items():
@@ -664,11 +670,21 @@ def test_monic_polys_in_base_q_digit_order():
         assert spelled == list(range(q ** d))
 
 
-@pytest.mark.parametrize("q", [4, 8, 9])
+FIELD_SPECS = {
+    4: "Fq[t] q=4",
+    8: "Fq[t] q=8",
+    9: "Fq[t] q=9",
+    25: "Fq[t] q=25 mod=u^2+u+2",
+    27: "Fq[t] q=27 mod=u^3+2*u+1",
+}
+
+
+@pytest.mark.parametrize("q", sorted(FIELD_SPECS))
 def test_field_tables_match_brute_force_products(q):
     # oracle: a*b is the v with a*b = v + g*m over F_p[u] for some g of
-    # degree < e - 1, found by trying every v and g
-    D = parse_domain(f"Fq[t] q={q}")
+    # degree < e - 1, found by trying every v and g; a + b and -a act on
+    # the base-p digits one by one
+    D = parse_domain(FIELD_SPECS[q])
     p, e, m = D.p, D.e, D.field_modulus
 
     def poly(v, n):  # the base-p digits of v, n of them
@@ -681,21 +697,70 @@ def test_field_tables_match_brute_force_products(q):
                 out[i + j] += a * b
         return out
 
+    values = [poly(v, 2 * e - 1) for v in range(q)]
+    multiples = [times(poly(g, e - 1), list(m)) for g in range(p ** (e - 1))]
     for a in range(q):
+        assert poly(D.fq_neg(a), e) == [-x % p for x in poly(a, e)]
         for b in range(q):
+            assert poly(D.fq_add(a, b), e) == [(x + y) % p for x, y in zip(poly(a, e), poly(b, e))]
             ab = times(poly(a, e), poly(b, e))
             found = [
                 v
                 for v in range(q)
-                for g in range(p ** (e - 1))
-                if all(
-                    (x - y - z) % p == 0
-                    for x, y, z in zip(ab, poly(v, 2 * e - 1), times(poly(g, e - 1), list(m)))
-                )
+                for gm in multiples
+                if all((x - y - z) % p == 0 for x, y, z in zip(ab, values[v], gm))
             ]
             assert found == [D.fq_mul(a, b)]
         if a:
             assert D.fq_mul(a, D.fq_inv(a)) == 1
+    with pytest.raises(ZeroDivisionError, match="field inverse of zero"):
+        D.fq_inv(0)
+
+
+def digit_loop_fq_str(D, c):
+    """The u-polynomial text of an F_q value and its number of terms, read
+    off the value's base-p digits (low degree first)."""
+    digits = [c // D.p ** k % D.p for k in range(D.e)]
+    parts = []
+    for k in range(D.e - 1, -1, -1):
+        a = digits[k]
+        if a == 0:
+            continue
+        if k == 0:
+            parts.append(str(a))
+        else:
+            upart = "u" if k == 1 else f"u^{k}"
+            parts.append(upart if a == 1 else f"{a}*{upart}")
+    if not parts:
+        return "0", 1
+    return "+".join(parts), len(parts)
+
+
+@pytest.mark.parametrize("q", sorted(FIELD_SPECS))
+def test_field_values_render_as_their_digits(q):
+    D = parse_domain(FIELD_SPECS[q])
+    assert D._fq_str(0) == digit_loop_fq_str(D, 0) == ("0", 1)
+    for c in range(1, q):
+        text, nterms = digit_loop_fq_str(D, c)
+        assert D._fq_str(c) == (text, nterms)
+        if nterms > 1:
+            text = f"({text})"
+        assert D.element_str((c,)) == text
+        assert D.element_str((0, c)) == ("t" if c == 1 else f"{text}*t")
+        assert D.element_str((c, 0, 1)) == f"t^2+{text}"
+
+
+def test_extension_fields_build_in_an_interpreter_that_imported_only_domains():
+    # F_q for e > 1 is a quotient ring, and quotients imports domains
+    code = (
+        "from conglab.domains import PolynomialDomain\n"
+        "D = PolynomialDomain(3, 2, (1, 0, 1))\n"
+        "print(D, D.fq_mul(3, 3), D.fq_inv(3), D.element_str((4, 3)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(domains.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=120)
+    assert done.stderr == b""
+    assert done.stdout == b"Fq[t] q=9 mod=u^2+1 2 6 u*t+(u+1)\n"
 
 
 # ---------------------------------------------------------------------------
@@ -876,10 +941,37 @@ def test_rank2_kernel_matches_row_hnf_on_recorded_traffic(monkeypatch, capsys):
         assert_kernel_matches_oracle(D, list(rows))
 
 
+def test_primes_above_are_built_once_per_domain_and_prime(monkeypatch):
+    quadratic = [D for D in map(parse_domain, _RANDOM_DOMAINS) if isinstance(D, QuadraticDomain)]
+    for D in quadratic:
+        monkeypatch.setattr(D, "_primes", {})  # cold, as in a fresh process
+    built = []
+    real = QuadraticDomain._primes_above
+
+    def counting(self, ell):
+        built.append((id(self), ell))
+        return real(self, ell)
+
+    monkeypatch.setattr(QuadraticDomain, "_primes_above", counting)
+    for name in DEFAULT_SUITE_NAMES:
+        assert run_suite(name, seed=0).failures == []
+    counts = collections.Counter(built)
+    assert len(counts) >= 6 and set(counts.values()) == {1}
+    # a warm domain factors as a cold one does
+    rng = random.Random(29)
+    for D in quadratic:
+        for _ in range(40):
+            I = random_ideal(D, rng)
+            if not I.is_zero():
+                cold = QuadraticDomain(D.m)
+                assert factor_ideal(I).pairs == factor_ideal(Ideal(cold, I.data)).pairs
+    assert len(built) > len(counts)  # the cold domains built theirs again
+
+
 def random_ideal(D, rng):
-    if D.kind == "integers":
+    if isinstance(D, IntegerDomain):
         return Ideal(D, rng.randrange(1, 500))
-    if D.kind == "polynomials":
+    if isinstance(D, PolynomialDomain):
         deg = rng.randrange(0, 4)
         coeffs = [rng.randrange(D.q) for _ in range(deg)] + [1]
         return Ideal(D, tuple(coeffs))
@@ -916,7 +1008,7 @@ def test_ideal_laws(D):
         assert total.contains_ideal(I)
         assert ideal_arith("sum", I, I) == I
         assert ideal_arith("intersect", I, I) == I
-        if D.kind != "quadratic":
+        if not isinstance(D, QuadraticDomain):
             assert ideal_arith("product", total, inter) == prod
 
 

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from conglab.analyzer import DEFAULT_CAPS, EXAMPLE_NAMES, analyze, build_example
 from conglab.domains import (
     CapExceeded,
+    IntegerDomain,
+    PolynomialDomain,
     QuadraticDomain,
     factor_ideal,
     ideal_arith,
@@ -264,9 +266,9 @@ def small_moduli(draw):
     """A nonzero ideal of one of the random suites' domains; |D/q| <= 256 over
     Z and F_q[t], and mostly so over the quadratic orders."""
     D = parse_domain(draw(st.sampled_from(_RANDOM_DOMAINS)))
-    if D.kind == "integers":
+    if isinstance(D, IntegerDomain):
         return D.principal_ideal(draw(st.integers(1, 256)))
-    if D.kind == "polynomials":
+    if isinstance(D, PolynomialDomain):
         degree = draw(st.integers(0, max(d for d in range(9) if D.q ** d <= 256)))
         coeffs = draw(st.lists(st.integers(0, D.q - 1), min_size=degree, max_size=degree))
         return D.principal_ideal(tuple(coeffs) + (draw(st.integers(1, D.q - 1)),))

@@ -4,7 +4,14 @@ import ast
 from pathlib import Path
 
 import conglab
-from conglab.domains import TEXT_DEGREE_CAP, TEXT_NESTING_CAP
+from conglab.domains import (
+    TEXT_DEGREE_CAP,
+    TEXT_NESTING_CAP,
+    Domain,
+    IntegerDomain,
+    PolynomialDomain,
+    QuadraticDomain,
+)
 
 SRC = Path(conglab.__file__).parent
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -113,31 +120,30 @@ def kind_comparisons(node):
 
 def test_domains_ideal_layer_never_switches_on_kind():
     # each kind's class owns its ideal data; Z and F_q[t] share one
-    # Euclidean path, so no second gcd or irreducibility test may return
+    # Euclidean path, so no second gcd or irreducibility test may return;
+    # F_q for e > 1 is the quotient ring F_p[u]/(m), so no second field
+    # table builder or digit codec may return either
     path = SRC / "domains.py"
     tree = ast.parse(path.read_text(), str(path))
     found = kind_comparisons(tree)
+    retired = ("_ext_gcd", "_p_is_irreducible", "_build_field_tables", "_fq_tuple", "_fq_value")
     for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name in ("_ext_gcd", "_p_is_irreducible"):
+        if isinstance(node, ast.FunctionDef) and node.name in retired:
             found.append(f"defines {node.name}:{node.lineno}")
+        elif isinstance(node, ast.Attribute) and node.attr in ("_mul_table", "_inv_table"):
+            found.append(f"names {node.attr}:{node.lineno}")
     assert found == []
 
 
-def test_quotients_never_switches_on_kind():
-    # each domain class names its quotient class and its additive generators
-    path = SRC / "quotients.py"
-    assert kind_comparisons(ast.parse(path.read_text(), str(path))) == []
-
-
-def test_index_level_inequality_check_never_switches_on_kind():
-    # each domain class names its field degree, None for F_q[t]
-    path = SRC / "analyzer.py"
-    tree = ast.parse(path.read_text(), str(path))
-    (check,) = [
-        node for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef) and node.name == "index_level_inequality_check"
-    ]
-    assert kind_comparisons(check) == []
+def test_no_module_reads_a_domain_kind():
+    # each domain class names its quotient class, additive generators and
+    # field degree; code that needs a domain's class asks isinstance
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found += [f"{path.name}: {entry}" for entry in kind_comparisons(tree)]
+    assert found == []
+    assert not any(hasattr(cls, "kind") for cls in (Domain, IntegerDomain, PolynomialDomain, QuadraticDomain))
 
 
 def callers(tree, name):

@@ -135,6 +135,23 @@ def test_domains_ideal_layer_never_switches_on_kind():
     assert found == []
 
 
+def test_quotients_never_switches_on_kind():
+    # each domain class names its quotient class and its additive generators
+    path = SRC / "quotients.py"
+    assert kind_comparisons(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_index_level_inequality_check_never_switches_on_kind():
+    # each domain class names its field degree, None for F_q[t]
+    path = SRC / "analyzer.py"
+    tree = ast.parse(path.read_text(), str(path))
+    (check,) = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "index_level_inequality_check"
+    ]
+    assert kind_comparisons(check) == []
+
+
 def test_no_module_reads_a_domain_kind():
     # each domain class names its quotient class, additive generators and
     # field degree; code that needs a domain's class asks isinstance

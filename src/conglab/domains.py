@@ -561,6 +561,7 @@ class PolynomialDomain(_EuclideanDomain):
             self.field_modulus = fm
             # F_q = F_p[u]/(fm); its indices are the base-p digits, low degree first
             self._field = build_quotient(Fp, Ideal(Fp, fm))
+            self._inv = [0, *map(self._field.inv, range(1, self.q))]  # by value; 0 has none
             self.symbols["u"] = self._u_pow
         if self.q - 1 > DEFAULT_RING_CAP:
             raise CapExceeded(f"F_{self.q} has more units than the ring cap {DEFAULT_RING_CAP}")
@@ -583,9 +584,7 @@ class PolynomialDomain(_EuclideanDomain):
     def fq_inv(self, a):
         if a == 0:
             raise ZeroDivisionError("field inverse of zero")
-        if self.e == 1:
-            return pow(a, self.p - 2, self.p)
-        return self._field.inv(a)
+        return pow(a, self.p - 2, self.p) if self.e == 1 else self._inv[a]
 
     def fq_pow(self, a, k):
         return _power(a, k, self.fq_mul, 1)
@@ -771,7 +770,7 @@ class QuadraticDomain(Domain):
                 if self.mul(x, y) not in squares:
                     raise InternalCheckError("unit squares not closed")
         self.unit_squares = tuple(squares)
-        self._primes = {}  # rational prime -> the prime ideals above it
+        self._primes = {}  # rational prime -> for each prime P above it, [P, P^2, ...] so far
 
     def zero(self):
         return (0, 0)
@@ -898,15 +897,15 @@ class QuadraticDomain(Domain):
         pairs = []
         for ell in sorted(_factor_int(self.ideal_norm(data), cap)):
             if ell not in self._primes:
-                self._primes[ell] = self._primes_above(ell)
-            for P in self._primes[ell]:
+                self._primes[ell] = [[P] for P in self._primes_above(ell)]
+            for powers in self._primes[ell]:
                 e = 0
-                Pk = P
-                while Pk.contains_ideal(I):
+                while powers[e].contains_ideal(I):
                     e += 1
-                    Pk = ideal_arith("product", Pk, P)
+                    if e == len(powers):
+                        powers.append(ideal_arith("product", powers[-1], powers[0]))
                 if e:
-                    pairs.append((P, e))
+                    pairs.append((powers[0], e))
         pairs.sort(key=lambda pe: (self.ideal_norm(pe[0].data), pe[0].data))
         return pairs
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import gcd, lcm
 
 from .domains import CapExceeded, InternalCheckError, ParseError, _factor_int
@@ -143,16 +144,20 @@ def larcher_check(split):
 def projective_group_order(n, cap=DEFAULT_GROUP_CAP):
     """|PSL2(Z) : level-n kernel| = |SL2(Z/n)|, halved for n > 2; n >= 1.
 
-    n is factored directly, with no ideal formed: every screen calls this.
+    n is factored directly, with no ideal formed, once per n in a bounded
+    cache; n and the cap are checked on every call, as every screen calls this.
     """
     if n < 1:
         raise ValueError("the level must be at least 1")
-    order = sl2_order_from_factors(_factor_int(n).items())
-    if n > 2:
-        order //= 2
+    order = _projective_order(n)
     if order > cap:
         raise CapExceeded(f"PSL2(Z/{n}) of order {order} exceeds cap {cap}")
     return order
+
+
+@lru_cache(maxsize=64)
+def _projective_order(n):
+    return sl2_order_from_factors(_factor_int(n).items()) // (2 if n > 2 else 1)
 
 
 def psl2_group(n, cap=DEFAULT_GROUP_CAP):
@@ -199,41 +204,48 @@ def exact_congruence_test(rep, split=None, cap=DEFAULT_GROUP_CAP):
     """Whether the subgroup contains the level-N kernel, N the lcm of the
     cusp widths; by Wohlfahrt's theorem that decides congruence.
 
-    Hsu's test (Proc. AMS 124, 1996) on L = T and R = S*T^-1*S = [[1,0],[1,1]].
+    Hsu's test (Proc. AMS 124, 1996) on L = T and R = S*T^-1*S = [[1,0],[1,1]],
+    with the relations of _hsu_relations(N), built once per level.  L^k sends
+    cyc[i] to cyc[(i + k) % len(cyc)] on each T-cycle, and R^k = S L^-k S;
+    each relation builds the tables it first uses and is checked point by point.
+    """
+    split = cusp_split(rep) if split is None else split
+    N = split.level
+    projective_group_order(N, cap)
+    S = rep.S
+    where = [None] * rep.n  # each point's T-cycle, offset in it, and its length
+    for cyc in split.cycles or _cycles(rep.T):
+        for i, x in enumerate(cyc):
+            where[x] = cyc, i, len(cyc)
+    tables = []
+    for first, lhs, rhs in _hsu_relations(N):
+        tables += [
+            [cyc[(i + k) % m] for cyc, i, m in where]
+            if g == "L"
+            else [S[cyc[(i - k) % m]] for cyc, i, m in map(where.__getitem__, S)]
+            for g, k in first
+        ]
+        if not _acts_alike(rep.n, [tables[j] for j in lhs], [tables[j] for j in rhs]):
+            return CongruenceVerdict(False, N)
+    return CongruenceVerdict(True, N)
+
+
+@lru_cache(maxsize=64)
+def _hsu_relations(N):
+    """Hsu's relations at level N: per relation, the powers (generator, k mod N)
+    it is the first to use, and its two words as places among all powers so far.
+
     N = e*m, e a power of 2 and m odd; c = 1 mod m, c = 0 mod e, d = 1 - c;
     h = 1/2 mod m, f = 1/5 mod e.  With a = L^c, b = R^c, l = L^d, r = R^d,
     s = l^20 r^f l^-4 r^-1 and u = l r^-1 l, the subgroup is congruence iff
     a^-1 r^-1 a r = 1, (a b^-1 a)^4 = 1, (a b^-1 a)^2 = (b^-1 a)^3 =
     (b^2 a^-h)^3, u^-1 s u s = 1, s^-1 r s = r^25 and u^2 = (s r^5 l r^-1 l)^3.
-    Powers are read off the cycles of L and R, whose orders divide N, and
-    each relation is checked point by point.
     """
-    split = cusp_split(rep) if split is None else split
-    N = split.level
-    projective_group_order(N, cap)
     e = N & -N
     m = N // e
     c = e * pow(e, -1, m) % N
     d = (1 - c) % N
     h, f = pow(2, -1, m), pow(5, -1, e)
-    # R = S^-1 T^-1 S: S carries each T-cycle, reversed, onto an R-cycle
-    L_cycles = split.cycles or _cycles(rep.T)
-    cycles = {"L": L_cycles, "R": [[rep.S[x] for x in reversed(cyc)] for cyc in L_cycles]}
-    powers = {}
-
-    def tables(word):  # the tables of the word's powers g^k, identities dropped
-        out = []
-        for g, k in word:
-            k %= N
-            if k:
-                if (g, k) not in powers:
-                    p = powers[g, k] = [0] * rep.n
-                    for cyc in cycles[g]:
-                        for x, y in zip(cyc, cyc[k % len(cyc) :] + cyc[: k % len(cyc)]):
-                            p[x] = y
-                out.append(powers[g, k])
-        return out
-
     a, l, r = ("L", c), ("L", d), ("R", d)
     a_, b_, l_, r_ = ("L", -c), ("R", -c), ("L", -d), ("R", -d)  # x_ = x^-1
     s = [("L", 20 * d), ("R", f * d), ("L", -4 * d), r_]
@@ -253,8 +265,16 @@ def exact_congruence_test(rep, split=None, cap=DEFAULT_GROUP_CAP):
             (s_ + [r] + s, [("R", 25 * d)]),
             (u * 2, (s + [("R", 5 * d)] + u) * 3),
         ]
-    congruence = all(_acts_alike(rep.n, tables(lhs), tables(rhs)) for lhs, rhs in relations)
-    return CongruenceVerdict(congruence, N)
+    places = {}  # (generator, k mod N) -> its place, in order of first use; k = 0 is dropped
+    out = []
+    for lhs, rhs in relations:
+        known = len(places)
+        words = [
+            tuple(places.setdefault((g, k % N), len(places)) for g, k in w if k % N)
+            for w in (lhs, rhs)
+        ]
+        out.append((tuple(places)[known:], *words))
+    return tuple(out)
 
 
 def _acts_alike(n, lhs, rhs):

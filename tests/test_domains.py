@@ -717,6 +717,22 @@ def test_field_tables_match_brute_force_products(q):
         D.fq_inv(0)
 
 
+@pytest.mark.parametrize(
+    "spec", [*FIELD_SPECS.values(), "Fq[t] q=256 mod=u^8+u^4+u^3+u+1", "Fq[t] q=512 mod=u^9+u^4+1"]
+)
+def test_field_inverses_are_read_from_a_list_built_with_the_field(spec, monkeypatch):
+    D = parse_domain(spec)
+
+    def no_row_search(ring, i):
+        raise AssertionError("fq_inv searched a row of the field ring")
+
+    monkeypatch.setattr(type(D._field), "inv", no_row_search)
+    for a in range(1, D.q):
+        assert D.fq_mul(a, D.fq_inv(a)) == 1
+    with pytest.raises(ZeroDivisionError, match="field inverse of zero"):
+        D.fq_inv(0)
+
+
 def digit_loop_fq_str(D, c):
     """The u-polynomial text of an F_q value and its number of terms, read
     off the value's base-p digits (low degree first)."""
@@ -966,6 +982,60 @@ def test_primes_above_are_built_once_per_domain_and_prime(monkeypatch):
                 cold = QuadraticDomain(D.m)
                 assert factor_ideal(I).pairs == factor_ideal(Ideal(cold, I.data)).pairs
     assert len(built) > len(counts)  # the cold domains built theirs again
+
+
+def rebuilt_powers_ideal_factors(D, I):
+    """Oracle: the prime factorization of I, with every power P^k that is
+    tested for containment rebuilt by products on each call."""
+    pairs = []
+    for ell in sorted(domains._factor_int(D.ideal_norm(I.data))):
+        for P in D._primes_above(ell):
+            e = 0
+            Pk = P
+            while Pk.contains_ideal(I):
+                e += 1
+                Pk = ideal_arith("product", Pk, P)
+            if e:
+                pairs.append((P, e))
+    return sorted(pairs, key=lambda pe: (D.ideal_norm(pe[0].data), pe[0].data))
+
+
+def test_prime_powers_are_built_once_per_domain(monkeypatch):
+    # every lattice built under ideal_factors in the default suites is new:
+    # the powers P^k stay beside the primes, so no product is formed twice
+    quadratic = [D for D in map(parse_domain, _RANDOM_DOMAINS) if isinstance(D, QuadraticDomain)]
+    for D in quadratic:
+        monkeypatch.setattr(D, "_primes", {})  # cold, as in a fresh process
+    depth, built = [], []
+    real_factors = QuadraticDomain.ideal_factors
+    real_lattice = QuadraticDomain.ideal_from_lattice
+
+    def factors(self, data, cap):
+        depth.append(data)
+        try:
+            return real_factors(self, data, cap)
+        finally:
+            depth.pop()
+
+    def lattice(self, rows):
+        if depth:
+            built.append((self.m, tuple(map(tuple, rows))))
+        return real_lattice(self, rows)
+
+    monkeypatch.setattr(QuadraticDomain, "ideal_factors", factors)
+    monkeypatch.setattr(QuadraticDomain, "ideal_from_lattice", lattice)
+    for name in DEFAULT_SUITE_NAMES:
+        assert run_suite(name, seed=0).failures == []
+    counts = collections.Counter(built)
+    assert len(counts) > 50 and set(counts.values()) == {1}
+    # warm domains factor as the oracle that rebuilds every power does
+    rng = random.Random(30)
+    for D in quadratic:
+        for _ in range(40):
+            I = random_ideal(D, rng)
+            if not I.is_zero():
+                pairs = D.ideal_factors(I.data, domains.DEFAULT_FACTOR_CAP)
+                assert pairs == rebuilt_powers_ideal_factors(D, I)
 
 
 def random_ideal(D, rng):

@@ -1,5 +1,6 @@
 import functools
 import itertools
+from math import inf, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,9 +9,12 @@ from hypothesis import strategies as st
 from conglab.domains import CapExceeded, InternalCheckError, ParseError, parse_domain
 from conglab.matgroups import _MatOps, sl2_order_formula
 from conglab.modular import (
+    CongruenceVerdict,
     CuspSplit,
     PermRep,
+    _hsu_relations,
     _is_canonical,
+    _projective_order,
     coset_permrep,
     cusp_split,
     exact_congruence_test,
@@ -213,8 +217,9 @@ def test_projective_orders_match_the_ideal_order_formula():
     for n in range(1, 500):
         order = sl2_order_formula(Z.principal_ideal(n))
         assert projective_group_order(n, cap=order) == (order if n <= 2 else order // 2)
-    with pytest.raises(ValueError):
-        projective_group_order(0)
+    for n in (0, 0, -1):  # refused on every call, though results are cached per level
+        with pytest.raises(ValueError):
+            projective_group_order(n)
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +308,10 @@ RANDOM_ORDER_BOUND = 10_000  # |PSL2(Z/N)| the oracle walks per random rep
 
 
 @st.composite
-def transitive_reps(draw):
-    """A transitive rep on S, an involution, and T = S*Z, Z of order 3."""
-    n = draw(st.integers(4, 16))
+def transitive_reps(draw, max_points=16, order_bound=RANDOM_ORDER_BOUND):
+    """A transitive rep on S, an involution, and T = S*Z, Z of order 3;
+    |PSL2(Z/N)| at its level N is at most order_bound unless that is None."""
+    n = draw(st.integers(4, max_points))
     pairs = draw(st.permutations(range(n)))
     triples = draw(st.permutations(range(n)))
     S = list(range(n))
@@ -319,10 +325,11 @@ def transitive_reps(draw):
         rep = PermRep(n, tuple(S), tuple(Z[x] for x in S))
     except ParseError:  # intransitive
         assume(False)
-    try:
-        projective_group_order(cusp_split(rep).level, RANDOM_ORDER_BOUND)
-    except CapExceeded:
-        assume(False)
+    if order_bound is not None:
+        try:
+            projective_group_order(cusp_split(rep).level, order_bound)
+        except CapExceeded:
+            assume(False)
     return rep
 
 
@@ -331,6 +338,116 @@ def transitive_reps(draw):
 def test_exact_test_matches_oracle_on_random_reps(rep):
     v = exact_congruence_test(rep, cap=RANDOM_ORDER_BOUND)
     assert v.congruence == oracle_exact_test(rep, v.level)
+
+
+# ---------------------------------------------------------------------------
+# oracle: Hsu's test as a single call, rebuilding every level datum and
+# every power table per rep
+
+
+def percall_exact_test(rep):
+    """(congruence, level) by Hsu's relations, with no state kept between calls."""
+    cycles_T = cusp_split(rep).cycles
+    N = lcm(*map(len, cycles_T))
+    e = N & -N
+    m = N // e
+    c = e * pow(e, -1, m) % N
+    d = (1 - c) % N
+    h, f = pow(2, -1, m), pow(5, -1, e)
+    cycles = {"L": cycles_T, "R": [[rep.S[x] for x in reversed(cyc)] for cyc in cycles_T]}
+
+    def power(g, k):
+        p = [0] * rep.n
+        for cyc in cycles[g]:
+            for x, y in zip(cyc, cyc[k % len(cyc) :] + cyc[: k % len(cyc)]):
+                p[x] = y
+        return tuple(p)
+
+    def act(word):
+        return functools.reduce(perm_mul, (power(g, k % N) for g, k in word), tuple(range(rep.n)))
+
+    a, l, r = ("L", c), ("L", d), ("R", d)
+    a_, b_, l_, r_ = ("L", -c), ("R", -c), ("L", -d), ("R", -d)
+    s = [("L", 20 * d), ("R", f * d), ("L", -4 * d), r_]
+    s_ = [r, ("L", 4 * d), ("R", -f * d), ("L", -20 * d)]
+    u, u_ = [l, r_, l], [l_, r, l_]
+    relations = [([a_, r_, a, r], [])] if c and d else []
+    if c:
+        relations += [
+            ([a, b_, a] * 4, []),
+            ([a, b_, a] * 2, [b_, a] * 3),
+            ([a, b_, a] * 2, [("R", 2 * c), ("L", -c * h)] * 3),
+        ]
+    if d:
+        relations += [
+            (u_ + s + u + s, []),
+            (s_ + [r] + s, [("R", 25 * d)]),
+            (u * 2, (s + [("R", 5 * d)] + u) * 3),
+        ]
+    return all(act(lhs) == act(rhs) for lhs, rhs in relations), N
+
+
+def test_exact_test_matches_the_per_call_oracle():
+    reps = low_index_enumerate(12) + low_index_enumerate(12, up_to_conjugacy=False)
+    for n in SOUNDNESS_LEVELS:
+        P, _, seen = psl_subgroups(n)
+        reps += [coset_permrep(P, subgroup) for subgroup in all_subgroups(seen)]
+    assert len(reps) == 175 + 1558 + 516
+    for rep in reps:
+        v = exact_congruence_test(rep)
+        assert (v.congruence, v.level) == percall_exact_test(rep)
+
+
+def test_exact_test_matches_the_per_call_oracle_on_random_reps():
+    # the oracle walks no group, so the level is bounded only by the degree
+    seen = []
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(transitive_reps(max_points=40, order_bound=None))
+    def check(rep):
+        v = exact_congruence_test(rep, cap=inf)
+        assert (v.congruence, v.level) == percall_exact_test(rep)
+        seen.append((v.level, v.congruence))
+
+    check()
+    levels = {N for N, _ in seen}
+    assert any(N % 2 == 0 and N & (N - 1) for N in levels)  # c and d both nonzero
+    assert max(levels) > 1000 and {True, False} <= {congruence for _, congruence in seen}
+
+
+def test_exact_test_needs_the_commutator_at_mixed_levels():
+    # index 18, level 12 = 4 * 3, cusp widths (2, 4, 12): of Hsu's relations
+    # only a^-1 r^-1 a r = 1 fails, the one that ties the 2-part to the odd part
+    reps = [
+        PermRep(
+            18,
+            (1, 0, 3, 2, 5, 4, 7, 6, 9, 8, 12, 13, 10, 11, 15, 14, 17, 16),
+            (2, 0, 5, 4, 6, 1, 8, 3, 11, 10, 9, 14, 7, 12, 15, 16, 17, 13),
+        ),
+        PermRep(
+            18,
+            (1, 0, 3, 2, 6, 7, 4, 5, 10, 11, 8, 9, 14, 15, 12, 13, 17, 16),
+            (3, 2, 5, 4, 8, 9, 0, 1, 13, 6, 11, 12, 17, 14, 7, 16, 15, 10),
+        ),
+    ]
+    for rep in reps:
+        assert cusp_split(rep).lengths == (2, 4, 12)
+        assert exact_congruence_test(rep) == CongruenceVerdict(False, 12)
+        assert not oracle_exact_test(rep, 12)
+        assert percall_exact_test(rep) == (False, 12)
+
+
+def test_level_data_is_built_once_per_level():
+    reps = low_index_enumerate(12)
+    levels = {cusp_split(rep).level for rep in reps}
+    _hsu_relations.cache_clear()
+    _projective_order.cache_clear()
+    for _ in range(2):
+        for rep in reps:
+            screen_permrep(rep, run_all=True)
+    for cached in (_hsu_relations, _projective_order):
+        info = cached.cache_info()
+        assert info.misses == info.currsize == len(levels) == 23
 
 
 def test_index_level_examples():
@@ -394,6 +511,8 @@ def test_warm_level_still_honours_the_cap(run_all):
     assert exact_congruence_test(rep).congruence
     with pytest.raises(CapExceeded):
         exact_congruence_test(rep, cap=5)
+    with pytest.raises(CapExceeded):
+        projective_group_order(2, cap=5)
     with pytest.raises(CapExceeded):
         screen_permrep(rep, run_all=run_all, cap=5)
 

@@ -8,7 +8,7 @@ and pulled back to D.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .domains import (
     DEFAULT_FACTOR_CAP,
@@ -355,15 +355,7 @@ class DivisibilityVerdict:
     divides_index: bool
     normal: bool
 
-    def to_json(self):
-        return {
-            "status": self.status,
-            "residue": self.residue,
-            "index": self.index,
-            "divides_factorial": self.divides_factorial,
-            "divides_index": self.divides_index,
-            "normal": self.normal,
-        }
+    to_json = asdict
 
 
 def _divides_factorial(m, n):
@@ -402,14 +394,7 @@ class IndexLevelInequality:
     bound: int
     tight: bool
 
-    def to_json(self):
-        return {
-            "applicable": self.applicable,
-            "degree": self.degree,
-            "residue": self.residue,
-            "bound": self.bound,
-            "tight": self.tight,
-        }
+    to_json = asdict
 
 
 def index_level_inequality_check(frame):

@@ -23,7 +23,8 @@ own ``divmod`` and ``normalise``.  Ideals of a quadratic order are
 stored as the Hermite normal form ``[[a, b], [0, c]]`` of a Z-basis of
 the ideal as a sublattice of ``Z*1 + Z*w`` (diagonal positive,
 ``0 <= b < c``, multiplicative closure under ``w`` checked on
-construction).
+construction); intersections and Bezout pairs are read off these rows
+in closed form.
 """
 
 from __future__ import annotations
@@ -186,49 +187,7 @@ def _variable_pow(k):
 
 
 # ---------------------------------------------------------------------------
-# integer row HNF for small lattices
-
-
-def _row_hnf(rows, ncols):
-    """Hermite normal form (row style) of an integer matrix given as rows.
-
-    Returns the list of pivot rows ordered by pivot column; entries above
-    each pivot are reduced into [0, pivot).
-    """
-    work = [tuple(r) for r in rows if any(r)]
-    pivots = []
-    for col in range(ncols):
-        rest = []
-        piv = None
-        for r in work:
-            if r[col] == 0:
-                rest.append(r)
-                continue
-            if piv is None:
-                piv = r
-                continue
-            a, b = piv, r
-            while b[col] != 0:
-                q = a[col] // b[col]
-                a = tuple(x - q * y for x, y in zip(a, b))
-                a, b = b, a
-            piv = a
-            if any(b):
-                rest.append(b)
-        if piv is not None:
-            if piv[col] < 0:
-                piv = tuple(-x for x in piv)
-            pivots.append(piv)
-        work = rest
-    for i in range(1, len(pivots)):  # top-down: reducing by pivot i moves only later columns
-        p = pivots[i]
-        pcol = next(j for j in range(ncols) if p[j] != 0)
-        for k in range(i):
-            r = pivots[k]
-            if r[pcol] != 0:
-                q = r[pcol] // p[pcol]
-                pivots[k] = tuple(x - q * y for x, y in zip(r, p))
-    return pivots
+# Hermite normal form of a rank-2 lattice
 
 
 def _hnf2(rows):
@@ -851,24 +810,39 @@ class QuadraticDomain(Domain):
             [self.mul(x, y) for x in self.ideal_generators(L) for y in gens]
         )
 
-    def _pair_rows(self, L, M):
-        """Rows (g, g) for the generators g of L and (h, 0) for those of M. In
-        their HNF the rows (0, x) span the intersection, and a pivot row
-        (1, 0, x) gives x in L with 1 - x in M."""
-        return [g + g for g in self.ideal_generators(L)] + [
-            h + (0, 0) for h in self.ideal_generators(M)
-        ]
-
     def ideal_intersect(self, L, M):
-        piv = _row_hnf(self._pair_rows(L, M), 4)
-        return self.ideal_from_lattice([r[2:] for r in piv if r[0] == 0 and r[1] == 0])
+        """L cap M = L*M*conj(S)/N(S) for S = L + M: L*M = (L cap M)*S in a Dedekind
+        ring, and S*conj(S) = (N(S)), conj(x + y*w) = (x + c1*y) - y*w."""
+        S = self.ideal_sum(L, M).data
+        n = self.ideal_norm(S)
+        conj_S = self.ideal_from_lattice(
+            [(x + self.c1 * y, -y) for x, y in self.ideal_generators(S)]
+        )
+        a, b, c = self.ideal_product(self.ideal_product(L, M).data, conj_S.data).data
+        if a % n or b % n or c % n:
+            raise InternalCheckError("norm of L + M does not divide L*M*conj(L + M)")
+        return self.ideal_from_lattice([(a // n, b // n), (0, c // n)])
 
     def ideal_bezout(self, L, M):
-        piv = _row_hnf(self._pair_rows(L, M), 4)
-        lead = [r for r in piv if r[0] != 0]
-        if not (lead and lead[0][0] == 1 and lead[0][1] == 0):
-            raise InternalCheckError("coprime ideal sum has no unit pivot")
-        x = (lead[0][2], lead[0][3])
+        """x = i*(a, b) + j*(0, c) in L = [(a, b), (0, c)] with 1 - x in M = [(a2, b2), (0, c2)].
+        a2 | 1 - i*a fixes i = i0 mod a2, i0 = 1/a mod a2; with i = i0 + k*a2, 1 - x lies in M
+        iff A*k - c*j = r mod c2, A = a*b2 - a2*b, r = i0*b + (1 - i0*a)/a2*b2, solved mod
+        g = gcd(c, c2) for k, then mod c2 for j. L + M = D makes gcd(a, a2) = 1, and A prime
+        to every p | g, since (a, b) and (a2, b2) span D/pD."""
+        if M == self.ideal_zero:  # so L = D
+            return self.one(), self.zero()
+        a, b, c = L
+        a2, b2, c2 = M
+        A = a * b2 - a2 * b
+        g = math.gcd(c, c2)
+        if math.gcd(a, a2) != 1 or math.gcd(A, g) != 1:
+            raise InternalCheckError("coprime ideals have no Bezout pair")
+        i0 = pow(a, -1, a2)
+        r = i0 * b + (1 - i0 * a) // a2 * b2
+        k = r * pow(A, -1, g) % g
+        j = (A * k - r) // g * pow(c // g, -1, c2 // g) % (c2 // g)
+        i = i0 + k * a2
+        x = (i * a, i * b + j * c)
         y = self.sub(self.one(), x)
         if not (self.ideal_contains(L, x) and self.ideal_contains(M, y)):
             raise InternalCheckError("Bezout pair lies outside the ideals")

@@ -804,6 +804,47 @@ def test_quad_hnf_canonical():
         ZSQ13.ideal_from_lattice([(1, 0), (0, 3)])
 
 
+def row_hnf(rows, ncols):
+    """Hermite normal form (row style) of an integer matrix given as rows:
+    the pivot rows ordered by pivot column, with the entries above each pivot
+    reduced into [0, pivot). The generic oracle of the rank-2 kernel _hnf2
+    and of the four-column pair lattices below."""
+    work = [tuple(r) for r in rows if any(r)]
+    pivots = []
+    for col in range(ncols):
+        rest = []
+        piv = None
+        for r in work:
+            if r[col] == 0:
+                rest.append(r)
+                continue
+            if piv is None:
+                piv = r
+                continue
+            a, b = piv, r
+            while b[col] != 0:
+                q = a[col] // b[col]
+                a = tuple(x - q * y for x, y in zip(a, b))
+                a, b = b, a
+            piv = a
+            if any(b):
+                rest.append(b)
+        if piv is not None:
+            if piv[col] < 0:
+                piv = tuple(-x for x in piv)
+            pivots.append(piv)
+        work = rest
+    for i in range(1, len(pivots)):  # top-down: reducing by pivot i moves only later columns
+        p = pivots[i]
+        pcol = next(j for j in range(ncols) if p[j] != 0)
+        for k in range(i):
+            r = pivots[k]
+            if r[pcol] != 0:
+                q = r[pcol] // p[pcol]
+                pivots[k] = tuple(x - q * y for x, y in zip(r, p))
+    return pivots
+
+
 def is_row_hnf(piv, ncols):
     """Positive pivots in strictly increasing columns, zeros left of each
     pivot, and every entry above a pivot in [0, pivot)."""
@@ -855,10 +896,10 @@ HNF_CASES = st.integers(2, 4).flatmap(
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(case=HNF_CASES)
 def test_row_hnf_is_a_reduced_basis_of_the_same_lattice(case):
-    # the pair lattices of intersect and bezout are four columns wide; with
-    # three or more pivots the back-reduction must run top-down
+    # the pair lattices of the intersection oracle are four columns wide;
+    # with three or more pivots the back-reduction must run top-down
     ncols, rows = case
-    piv = domains._row_hnf(rows, ncols)
+    piv = row_hnf(rows, ncols)
     assert is_row_hnf(piv, ncols)
     assert all(in_row_lattice(piv, ncols, row) for row in rows)
     # rows lie in the lattice of piv; equal determinantal divisors make them span it
@@ -871,13 +912,13 @@ def test_row_hnf_is_a_reduced_basis_of_the_same_lattice(case):
 def test_row_hnf_reduces_above_every_pivot():
     # reducing row 0 by the pivot in column 1 pushes its column-2 entry out
     # of range unless column 2 is reduced afterwards
-    piv = domains._row_hnf([(1, 1, 0), (0, 1, 3), (0, 0, 5)], 3)
+    piv = row_hnf([(1, 1, 0), (0, 1, 3), (0, 0, 5)], 3)
     assert piv == [(1, 0, 2), (0, 1, 3), (0, 0, 5)]
 
 
 def row_hnf_reading(rows):
-    """The data (a, b, c) read off the generic two-column _row_hnf."""
-    piv = domains._row_hnf(rows, 2)
+    """The data (a, b, c) read off the generic two-column row_hnf."""
+    piv = row_hnf(rows, 2)
     if not piv:
         return (0, 0, 0)
     if len(piv) != 2 or piv[0][0] == 0 or piv[1][1] == 0:
@@ -886,7 +927,7 @@ def row_hnf_reading(rows):
 
 
 def hnf_oracle(D, rows):
-    """ideal_from_lattice as it reads _row_hnf, with the same w check."""
+    """ideal_from_lattice as it reads row_hnf, with the same w check."""
     data = row_hnf_reading(rows)
     D._check_ideal_lattice(data)
     return data
@@ -931,7 +972,7 @@ def kernel_cases(draw):
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(case=kernel_cases())
 def test_rank2_kernel_matches_row_hnf(case):
-    # ideal_from_lattice runs its own rank-2 kernel; _row_hnf is the oracle
+    # ideal_from_lattice runs its own rank-2 kernel; row_hnf is the oracle
     D, rows = case
     assert_kernel_matches_oracle(D, rows)
 
@@ -955,6 +996,78 @@ def test_rank2_kernel_matches_row_hnf_on_recorded_traffic(monkeypatch, capsys):
     assert len(seen) > 1000  # distinct (domain, rows) pairs; about 1,400 at seed 0
     for D, rows in seen:
         assert_kernel_matches_oracle(D, list(rows))
+
+
+def pair_rows(D, L, M):
+    """Rows (g, g) for the generators g of L and (h, 0) for those of M: in
+    their HNF the rows (0, 0, x) span the intersection of L and M."""
+    return [g + g for g in D.ideal_generators(L)] + [h + (0, 0) for h in D.ideal_generators(M)]
+
+
+def pair_lattice_intersect(D, L, M):
+    """Oracle: L cap M read off the four-column row HNF of the pair lattice."""
+    piv = row_hnf(pair_rows(D, L.data, M.data), 4)
+    return D.ideal_from_lattice([r[2:] for r in piv if r[0] == 0 and r[1] == 0])
+
+
+# class number 2 for -5, -13 and -15; units beyond +-1 for -1 and -3
+IDEAL_FIELDS = tuple(parse_domain(f"Q(sqrt({m})) maximal") for m in (-1, -2, -3, -5, -7, -13, -15))
+SPLIT_PRIMES = tuple(
+    (D, ell) for D in IDEAL_FIELDS for ell in (2, 3, 5, 7, 11, 13) if len(D._primes_above(ell)) == 2
+)
+ELEMENT = st.tuples(st.integers(-40, 40), st.integers(-40, 40)).filter(any)
+
+
+@st.composite
+def quadratic_ideal_pairs(draw):
+    """(D, L, M, split): nonzero ideals from one or two random generators
+    each, or L = P^e and M = Pbar^f for the two primes above a split prime."""
+    if draw(st.booleans()):
+        D, ell = draw(st.sampled_from(SPLIT_PRIMES))
+        P, Pbar = draw(st.permutations(D._primes_above(ell)))
+        return D, ideal_pow(P, draw(st.integers(1, 4))), ideal_pow(Pbar, draw(st.integers(1, 4))), True
+    D = draw(st.sampled_from(IDEAL_FIELDS))
+    L, M = (D.ideal_from_gens(draw(st.lists(ELEMENT, min_size=1, max_size=2))) for _ in "LM")
+    return D, L, M, False
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(case=quadratic_ideal_pairs())
+def test_quadratic_intersections_match_the_pair_lattice_oracle(case):
+    # L cap M = L*M*conj(L + M)/N(L + M) against the generic four-column HNF
+    D, L, M, split = case
+    meet = ideal_arith("intersect", L, M)
+    assert meet == pair_lattice_intersect(D, L, M)
+    if split:  # coprime, so the intersection is the product
+        assert meet == ideal_arith("product", L, M)
+
+
+def test_quadratic_bezout_pairs_lie_in_their_ideals_and_stay_small():
+    seen = []
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(case=quadratic_ideal_pairs())
+    def check(case):
+        D, L, M, split = case
+        if not ideal_arith("sum", L, M).is_unit_ideal():
+            with pytest.raises(ValueError, match="not coprime"):
+                ideal_bezout(L, M)
+            return
+        x, y = ideal_bezout(L, M)
+        assert L.contains(x) and M.contains(y) and D.add(x, y) == D.one()
+        assert max(map(abs, x)) <= residue_norm(L) * residue_norm(M)
+        seen.append((D.m, split))
+
+    check()
+    # every field and both kinds of pair reach the solver
+    assert {m for m, _ in seen} == {D.m for D in IDEAL_FIELDS}
+    assert {split for _, split in seen} == {True, False} and len(seen) >= 300
+
+
+def test_quadratic_bezout_with_the_zero_ideal():
+    for D in IDEAL_FIELDS:
+        assert ideal_bezout(D.zero_ideal(), D.unit_ideal()) == (D.zero(), D.one())
+        assert ideal_bezout(D.unit_ideal(), D.zero_ideal()) == (D.one(), D.zero())
 
 
 def test_primes_above_are_built_once_per_domain_and_prime(monkeypatch):

@@ -1,0 +1,118 @@
+"""One subgroup over two domain kinds.
+
+The invariants of H in SL2(D/q0) depend only on the ring D/q0 and on the
+image of D's units in it. So a ring isomorphism phi: D1/q1 -> D2/q2 that
+carries one unit image onto the other carries every subgroup frame over
+D1/q1 to one over D2/q2 with the same index, cusps, level, quasi-level,
+extreme amplitudes and theorem verdicts, although the ideal norms, the
+HNFs and the ideal arithmetic behind them differ by kind.
+"""
+
+import pytest
+
+from conglab.analyzer import (
+    amplitude_extrema_check,
+    cusps,
+    frame_from_group,
+    frame_subgroup,
+    level,
+    level_index_divisibility_check,
+    quasi_level,
+    quasi_level_ideal_check,
+)
+from conglab.domains import parse_domain, residue_norm
+from conglab.matgroups import FinMatGroup, _ops
+from conglab.quotients import build_quotient
+
+from test_analyzer import frames_of_every_class
+
+
+def quotient(spec, text):
+    D = parse_domain(spec)
+    return build_quotient(D, D.parse_ideal(text))
+
+
+def ring_isomorphism(R1, R2):
+    """phi[i], the index in R2 of R1's element text i read in R2, with t and
+    u read as w when R2 is quadratic. Checks that phi is an additive,
+    multiplicative bijection; ValueError unless it carries the unit image
+    of R1's domain onto that of R2's."""
+    def text(i):
+        s = R1.element_str(i)
+        return s.replace("t", "w").replace("u", "w") if "w" in R2.domain.symbols else s
+
+    phi = [R2.reduce(R2.domain.parse_element(text(i))) for i in range(R1.size)]
+    assert sorted(phi) == list(range(R2.size))
+    for i in range(R1.size):
+        for j in range(R1.size):
+            assert phi[R1.add(i, j)] == R2.add(phi[i], phi[j])
+            assert phi[R1.mul(i, j)] == R2.mul(phi[i], phi[j])
+    if {phi[u] for u in R1.domain_unit_image} != set(R2.domain_unit_image):
+        raise ValueError(f"phi does not carry the unit image of {R1.domain} onto that of {R2.domain}")
+    return phi
+
+
+def transported(F, phi, R2):
+    """The frame over R2 generated by the phi-images of F's generators."""
+    ops1, ops2 = _ops(F.ring), _ops(R2)
+    gens = [ops2.encode(*(phi[x] for x in ops1.decode(g))) for g in F.group.gens]
+    return frame_from_group(R2.domain, R2.modulus, FinMatGroup(R2, gens))
+
+
+def invariants(F, phi):
+    """What a frame's ring isomorphism class fixes: ring elements are read
+    through phi, ideals by their norms |D/I|."""
+    def image(subgroup):
+        return frozenset(phi[x] for x in subgroup.elements)
+
+    extrema = amplitude_extrema_check(F)
+    return {
+        "index": F.index,
+        "cusps": sorted(
+            (c.width, c.m_factor, len(c.quasi_amplitude), residue_norm(c.amplitude))
+            for c in cusps(F)
+        ),
+        "cusp orbits": sorted(sorted(map(sorted, map(image, c.orbit))) for c in cusps(F)),
+        "level": residue_norm(level(F)),
+        "quasi-level": sorted(image(quasi_level(F))),
+        "c_min": residue_norm(extrema.c_min),
+        "c_max": residue_norm(extrema.c_max),
+        "theorem B": quasi_level_ideal_check(F).status,
+        "theorem C": level_index_divisibility_check(F).to_json(),
+    }
+
+
+# isomorphic quotients of two kinds whose units have the same image: +-1
+# for the first four, all of F5* and F4* for the last two
+TRANSPORT_PAIRS = (
+    (("Z", "(5)"), ("Q(sqrt(-5)) maximal", "(w)")),
+    (("Z", "(6)"), ("Q(sqrt(-2)) maximal", "(w*(1+w))")),
+    (("Z", "(9)"), ("Q(sqrt(-2)) maximal", "(-1+2*w)")),
+    (("Fq[t] q=2", "(t^2)"), ("Q(sqrt(-2)) maximal", "(2)")),
+    (("Fq[t] q=5", "(t)"), ("Q(sqrt(-1)) maximal", "(2+w)")),
+    (("Fq[t] q=4", "(t)"), ("Q(sqrt(-3)) maximal", "(2)")),
+)
+
+
+@pytest.mark.parametrize(
+    "first, second", TRANSPORT_PAIRS, ids=["Z/5", "Z/6", "Z/9", "F2[t]/(t^2)", "F5[t]/(t)", "F4[t]/(t)"]
+)
+def test_isomorphic_quotients_frame_every_subgroup_alike(first, second):
+    R2 = quotient(*second)
+    frames = frames_of_every_class(*first)
+    phi = ring_isomorphism(frames[0].ring, R2)
+    for F in frames:
+        G = transported(F, phi, R2)
+        assert G.group.order == F.group.order
+        assert invariants(G, range(R2.size)) == invariants(F, phi), F.group.gens
+    assert len(frames) > 5
+
+
+def test_quotients_with_different_unit_images_are_refused():
+    # Z/5 and F5[t]/(t) are one ring, but Z's units map onto +-1 and
+    # F5[t]'s onto all of F5*, so the Borel images and the cusps differ
+    Z5, F5 = quotient("Z", "(5)"), quotient("Fq[t] q=5", "(t)")
+    with pytest.raises(ValueError, match="unit image"):
+        ring_isomorphism(Z5, F5)
+    trivial = [frame_subgroup(R.domain, R.modulus, []) for R in (Z5, F5)]
+    assert [sorted(c.width for c in cusps(F)) for F in trivial] == [[10] * 12, [20] * 6]

@@ -66,18 +66,20 @@ DEFAULT_CAPS = Caps()
 
 
 class FramedSubgroup:
-    """A congruence subgroup encoded by its modulus and image in SL2(D/q0)."""
+    """A congruence subgroup H >= SL2(D, q0) encoded by its image in SL2(D/q0).
 
-    def __init__(self, domain, modulus, ring, group, info=None):
-        self.domain = domain
-        self.modulus = modulus
-        self.ring = ring
+    The image group names its ring D/q0, so the domain, modulus and ring
+    are read off it; the group has already checked that its order divides
+    |SL2(D/q0)|.
+    """
+
+    def __init__(self, group, info=None):
+        self.ring = ring = group.ring
+        self.domain = ring.domain
+        self.modulus = ring.modulus
         self.group = group
         self.info = dict(info or {})
-        total = _sl2_total(ring)
-        if total % group.order:
-            raise InternalCheckError("frame image order does not divide |SL2(R)|")
-        self.index = total // group.order
+        self.index = _sl2_total(ring) // group.order
         self._cusps = None
         self._quasi_level = None
         self._level = None
@@ -94,13 +96,7 @@ class FramedSubgroup:
         )
 
     def conjugated_by(self, code):
-        return FramedSubgroup(
-            self.domain,
-            self.modulus,
-            self.ring,
-            self.group.conjugated_by(code),
-            info=self.info,
-        )
+        return FramedSubgroup(self.group.conjugated_by(code), info=self.info)
 
     def __repr__(self):
         return (
@@ -121,21 +117,14 @@ def frame_ring(domain, modulus, caps=DEFAULT_CAPS):
 def frame_subgroup(domain, modulus, gens, caps=DEFAULT_CAPS, info=None):
     """Frame the subgroup generated by gens together with the level-q0 kernel."""
     ring = frame_ring(domain, modulus, caps)
-    # from_generators checks det 1 on each generator, so H lies in SL2(R)
-    group = FinMatGroup.from_generators(ring, gens)
-    return FramedSubgroup(domain, modulus, ring, group, info)
+    return FramedSubgroup(FinMatGroup.from_generators(ring, gens), info)
 
 
-def frame_from_group(domain, modulus, group, caps=DEFAULT_CAPS, info=None):
-    """Frame a prebuilt FinMatGroup; its generators must lie in SL2(R)."""
-    ring = group.ring
-    if ring.modulus != modulus:
-        raise ValueError("group lies over a ring with a different modulus")
-    sl2_order(ring, cap=caps.group)
-    for a, b, c, d in map(_ops(ring).decode, group.gens):
-        if ring.mul(a, d) != ring.add(ring.one_idx, ring.mul(b, c)):
-            raise InternalCheckError("frame image leaves SL2(R)")
-    return FramedSubgroup(domain, modulus, ring, group, info)
+def frame_from_group(group, caps=DEFAULT_CAPS, info=None):
+    """Frame a prebuilt FinMatGroup, once |SL2(R)| over its ring is within
+    the group cap."""
+    sl2_order(group.ring, cap=caps.group)
+    return FramedSubgroup(group, info)
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +605,7 @@ def _example_icosahedral(name, D, modulus_text, caps):
             group = FinMatGroup(ring, (x, y))
             if group.order == 120:
                 frame = frame_from_group(
-                    D, q0, group, caps,
+                    group, caps,
                     info={"name": name,
                           "generators": (str(Mat2.from_code(ring, x)),
                                          str(Mat2.from_code(ring, y)))},
@@ -644,7 +633,7 @@ def _example_square_coordinates(caps):
         if b in squares and c in squares:
             codes.append(code)
     group = FinMatGroup.from_elements(ring, codes)
-    return frame_from_group(D, q0, group, caps, info={"name": "ex4_9", "prime": str(p)})
+    return frame_from_group(group, caps, info={"name": "ex4_9", "prime": str(p)})
 
 
 def _matrix_projector(ring, factor):
@@ -692,7 +681,7 @@ def _example_translation_join(caps):
         "index_of_join_base": ambient.order // n_group.order,
         "order_of_join_base": n_group.order,
     }
-    return frame_from_group(D, q0, m_group, caps, info=info)
+    return frame_from_group(m_group, caps, info=info)
 
 
 def _example_split_two(caps):
@@ -719,7 +708,7 @@ def _example_split_two(caps):
         if _sign_product(code, signs) == 1
     ]
     group = FinMatGroup.from_elements(ring, codes)
-    return frame_from_group(D, q0, group, caps, info={"name": "ex5_4", "degree": 2})
+    return frame_from_group(group, caps, info={"name": "ex5_4", "degree": 2})
 
 
 def _sign_product(code, signs):

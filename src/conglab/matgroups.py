@@ -165,30 +165,35 @@ class FinMatGroup:
     for the second column (b, d) of t(v) in H. H is the disjoint union of
     the t(v) T(A_0), so |H| = |orbit 0| * |A_0|, and g lies in H iff its
     column is in orbit 0 and t(v)^-1 g = T(x), x = d*g_b - b*g_d, with x
-    in A_0. `elements` lists H from these on first use unless |H| is above
-    `cap`. The other orbits are walked, with no ring product, on the first
-    read of `orbit_of` (column key -> k), `least` (k -> least code over
-    orbit k) or `amplitudes` (k -> A_k), each from the least code of a
-    column not yet reached, in code order. Raises InternalCheckError unless
-    |H| divides |SL2(R)| and |orbit k| * |A_k| = |H| for every k.
+    in A_0. `elements` lists H from these on first use. The other orbits
+    are walked, with no ring product, on the first read of `orbit_of`
+    (column key -> k), `least` (k -> least code over orbit k) or
+    `amplitudes` (k -> A_k), each from the least code of a column not yet
+    reached, in code order. Raises ValueError unless every generator has
+    determinant 1, and InternalCheckError unless |H| divides |SL2(R)| and
+    |orbit k| * |A_k| = |H| for every k.
     """
 
     def __init__(self, ring, gens):
         ops, n = _ops(ring), ring.size
+        add, mul, neg = ring.add_t, ring.mul_t, ring.neg_t
         self.ring = ring
         self.gens = tuple(gens)
-        self.cap = DEFAULT_GROUP_CAP
         self._elements = None
         self._sorted = None
         # each action is a matrix [[p, q], [r, s]], its entries stored times n
-        self._acts = [tuple(e * n for e in ops.decode(g)) for g in self.gens]
+        self._acts = []
+        for a, b, c, d in map(ops.decode, self.gens):
+            if add[mul[a * n + d] * n + neg[mul[b * n + c]]] != ring.one_idx:
+                raise ValueError("generator has determinant other than 1")
+            self._acts.append((a * n, b * n, c * n, d * n))
         self.transversal, self._amplitude0 = self._walk(*ops.decode(ops.identity))
         self.order = len(self.transversal) * len(self._amplitude0)
         if _sl2_total(ring) % self.order:
             raise InternalCheckError("column chain order does not divide |SL2(R)|")
         self._shifts = self._amplitude0.elements
         self._n, self._n2, self._n3 = n, n * n, n * n * n
-        self._add, self._mul = ring.add_t, ring.mul_t
+        self._add, self._mul = add, mul
 
     def _walk(self, a, b, c, d):
         """The orbit walked from g0 = (a, b, c, d): column -> (d*n, -b*n) of t(v), and A_k."""
@@ -284,8 +289,6 @@ class FinMatGroup:
     @property
     def elements(self):
         if self._elements is None:
-            if self.order > self.cap:
-                raise CapExceeded(f"group of order {self.order} exceeds cap {self.cap}")
             self._elements = frozenset(self.codes())
         return self._elements
 
@@ -302,10 +305,7 @@ class FinMatGroup:
         gens = list(gens)
         if any(isinstance(g, Mat2) and g.ring != ring for g in gens):
             raise ValueError("generator matrix lies over a different ring")
-        codes = [g.code if isinstance(g, Mat2) else g for g in gens]
-        for code in codes:
-            Mat2.from_code(ring, code)  # validates det = 1
-        return cls(ring, codes)
+        return cls(ring, [g.code if isinstance(g, Mat2) else g for g in gens])
 
     @classmethod
     def from_elements(cls, ring, codes):
@@ -389,7 +389,6 @@ def full_sl2(ring, cap=DEFAULT_GROUP_CAP):
         grp = FinMatGroup(ring, standard_generators(ring))
         if grp.order != expected:
             raise InternalCheckError("SL2 column chain does not match the order formula")
-        grp.cap = expected  # sl2_order bounds it by each caller's cap
         ring._full_sl2 = grp
     return ring._full_sl2
 

@@ -129,7 +129,7 @@ def exhaustive_frames(family, caps=DEFAULT_CAPS):
             grp = FinMatGroup(ring, [dense.labels[i] for i in gens])
             if grp.order != len(elems):
                 raise InternalCheckError("subgroup class does not match its column chain")
-            frames.append(frame_from_group(D, q0, grp, caps))
+            frames.append(frame_from_group(grp, caps))
         cache[caps] = frames
     return cache[caps]
 
@@ -270,10 +270,10 @@ def suite_residue_norm(caps, seed, families=None):
 def suite_condition_L(caps, seed, families=None):
     res = SuiteResult("condition_L")
     Z = parse_domain("Z")
-    res.check(not condition_L(Z.parse_ideal("(3)")).holds, "(3) must fail")
-    res.check(condition_L(Z.parse_ideal("(9)")).holds, "(9) must hold")
+    res.check(not condition_L(Z.parse_ideal("(3)"), caps.factor).holds, "(3) must fail")
+    res.check(condition_L(Z.parse_ideal("(9)"), caps.factor).holds, "(9) must hold")
     F2T = parse_domain("Fq[t] q=2")
-    r = condition_L(F2T.parse_ideal("(t)"))
+    r = condition_L(F2T.parse_ideal("(t)"), caps.factor)
     res.check(not r.holds and r.failed_clause == "i", "(t) over F2 must fail clause i")
     for spec in _RANDOM_DOMAINS:
         D = parse_domain(spec)
@@ -283,7 +283,8 @@ def suite_condition_L(caps, seed, families=None):
             q = _random_ideal(D, rng)
             if ideal_arith("sum", q, six).is_unit_ideal():
                 res.check(
-                    condition_L(q).holds, f"coprime-to-6 ideal {q} fails over {spec}"
+                    condition_L(q, caps.factor).holds,
+                    f"coprime-to-6 ideal {q} fails over {spec}",
                 )
     return res
 
@@ -647,7 +648,7 @@ def suite_exact_soundness(caps, seed, families=None):
             verdict = exact_congruence_test(rep, cap=caps.group)
             res.check(verdict.congruence, f"PSL(Z/{n}) subgroup tests non-congruence")
             grp = FinMatGroup.from_elements(ring, _sl2_preimage(P, mneg, subgroup))
-            frame = frame_from_group(Z, q0, grp, caps)
+            frame = frame_from_group(grp, caps)
             lvl = level(frame)
             res.check(
                 lvl.data == verdict.level,

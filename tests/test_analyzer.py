@@ -2,7 +2,6 @@ import hashlib
 import json
 import random
 from math import gcd, prod
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -87,27 +86,36 @@ def test_frame_borel_mod_t():
     assert F.index == 24 // 6 == 4
 
 
-def test_frame_refuses_an_image_whose_order_does_not_divide_sl2():
-    ring = build_quotient(Z, Z.parse_ideal("(6)"))
-    # a group's chain certifies that its order divides |SL2(R)|, so the frame's
-    # own check is reached through a stand-in of order 7, which no subgroup of
-    # a 144-group has
-    group = SimpleNamespace(order=7)
-    with pytest.raises(InternalCheckError, match="does not divide"):
-        FramedSubgroup(Z, ring.modulus, ring, group)
-
-
 def test_frames_refuse_a_group_over_another_ring():
     z6 = _quotient.__wrapped__(Z, 6)  # not the interned ring
     t1 = make_generator("T", z6, z6.one_idx)
     with pytest.raises(ValueError, match="different ring"):
         frame_subgroup(Z, Z.parse_ideal("(5)"), [t1])
-    with pytest.raises(ValueError, match="different modulus"):
-        frame_from_group(Z, Z.parse_ideal("(7)"), FinMatGroup.from_generators(z6, [t1]))
     # a ring built separately but equal is accepted
     F = frame_subgroup(Z, Z.parse_ideal("(6)"), [t1])
     assert F.ring is not z6 and F.index == 144 // 6
-    assert frame_from_group(Z, Z.parse_ideal("(6)"), F.group).index == 24
+    assert frame_from_group(F.group).index == 24
+
+
+def test_frame_from_group_holds_only_the_group_cap():
+    # |SL2(Z/30)| = 17280
+    F = z30_frame()
+    with pytest.raises(CapExceeded, match=r"^\|SL2\(R\)\| = 17280 exceeds cap 17279$"):
+        frame_from_group(F.group, Caps(group=17279))
+    assert frame_from_group(F.group, Caps(group=17280)).index == F.index
+
+
+def test_a_frame_reads_its_domain_modulus_and_ring_off_its_group():
+    ring = build_quotient(F3T, F3T.parse_ideal("(t^2)"))
+    group = FinMatGroup.from_generators(ring, [make_generator("T", ring, ring.one_idx)])
+    F = FramedSubgroup(group, info={"name": "t1"})
+    assert (F.domain, F.modulus, F.ring, F.group) == (ring.domain, ring.modulus, ring, group)
+    assert F.index * group.order == sl2_order_formula(ring.modulus)
+    s = make_generator("S", ring, ring.one_idx).code
+    G = F.conjugated_by(s)
+    assert G.info == {"name": "t1"} and G.info is not F.info
+    assert (G.domain, G.modulus, G.ring, G.index) == (F.domain, F.modulus, ring, F.index)
+    assert FramedSubgroup(group).info == {}
 
 
 def test_frame_ring_factors_the_modulus_only_past_the_cube_of_its_size(monkeypatch):
@@ -693,7 +701,7 @@ def test_square_coordinate_quasi_level_is_the_square_set():
 
 
 def assert_quasi_level_is_the_core_quasi_amplitude(F):
-    core = FramedSubgroup(F.domain, F.modulus, F.ring, core_of(F.group, full_sl2(F.ring)))
+    core = FramedSubgroup(core_of(F.group, full_sl2(F.ring)))
     oracle = quasi_amplitude_at(core, _ops(F.ring).identity)
     ql = quasi_level(F)
     assert ql == oracle
@@ -722,7 +730,7 @@ def frames_of_every_class(spec, text):
     for elems, gens in subgroup_classes(dense)[0]:
         grp = FinMatGroup(ring, [dense.labels[i] for i in gens])
         assert grp.order == len(elems)
-        frames.append(frame_from_group(D, q0, grp))
+        frames.append(frame_from_group(grp))
     return frames
 
 
@@ -765,7 +773,7 @@ def test_column_walk_matches_oracles_on_random_frames(i, picks):
     B, _ = borel_and_unipotent(R)
     codes, bcodes = G.sorted_elements(), B.sorted_elements()
     gens = [bcodes[picks[0] % len(bcodes)]] + [codes[p % len(codes)] for p in picks[1:]]
-    F = frame_from_group(R.domain, R.modulus, FinMatGroup.from_generators(R, gens))
+    F = frame_from_group(FinMatGroup.from_generators(R, gens))
     # raises unless the column check passes on the true quasi-level, the cusp
     # split holds and c_min == level
     analyze(F)
@@ -806,7 +814,7 @@ def test_frames_never_build_sl2(monkeypatch):
     for frame, digest in (
         (build_example("ex2_13"), ex2_13),
         (F, z30),
-        (frame_from_group(Z, F.modulus, F.group), z30),
+        (frame_from_group(F.group), z30),
     ):
         report = json.dumps(analyze(frame).to_json(), sort_keys=True).encode()
         assert hashlib.sha256(report).hexdigest() == digest

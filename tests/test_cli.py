@@ -357,6 +357,14 @@ def test_zero_cap_flag_is_rejected(capsys, flag):
     assert "caps must be positive" in err
 
 
+@pytest.mark.parametrize("suite", ["condition_L", "factor_roundtrip", "crt"])
+def test_factor_cap_bounds_the_suites_factoring_of_random_ideals(capsys, suite):
+    code, out, err = run_cli(["--factor-cap", "10", "verify-suite", "--suite", suite], capsys)
+    assert (code, out) == (EXIT_CAP, "")
+    assert err.startswith("error: cap: ideal norm ")
+    assert err.endswith(" exceeds factoring cap 10\n")
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_verify_suite_rejects_jobs_below_one(capsys, jobs):
     code, out, err = run_cli(["verify-suite", "--suite", "lemma4_5", "--jobs", jobs], capsys)

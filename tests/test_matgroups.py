@@ -942,6 +942,20 @@ def test_from_elements_refuses_a_matrix_of_determinant_other_than_one():
         FinMatGroup.from_elements(R, [ops.identity, diag])
 
 
+@pytest.mark.parametrize("D, text, entry", [(Z, "(6)", "5"), (ZSQ2, "(3)", "w")])
+def test_groups_refuse_a_generator_of_determinant_other_than_one(D, text, entry):
+    # diag(x, 1) has determinant x: 5 over Z/6, and w over Z[sqrt(-2)]/(3)
+    R = ring_of(D, text)
+    ops = _ops(R)
+    diag = ops.encode(R.reduce(D.parse_element(entry)), R.zero_idx, R.zero_idx, R.one_idx)
+    t1 = make_generator("T", R, R.one_idx).code
+    with pytest.raises(ValueError, match="determinant other than 1"):
+        FinMatGroup(R, [t1, diag])
+    with pytest.raises(ValueError, match="determinant other than 1"):
+        FinMatGroup.from_generators(R, [diag])
+    assert t1 in FinMatGroup.from_generators(R, [t1])
+
+
 def greedy_generators_by_closure(ring, codes):
     """Oracle: the codes, in increasing order, outside the Dimino closure of
     the codes picked before them."""

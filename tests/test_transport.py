@@ -56,7 +56,7 @@ def transported(F, phi, R2):
     """The frame over R2 generated by the phi-images of F's generators."""
     ops1, ops2 = _ops(F.ring), _ops(R2)
     gens = [ops2.encode(*(phi[x] for x in ops1.decode(g))) for g in F.group.gens]
-    return frame_from_group(R2.domain, R2.modulus, FinMatGroup(R2, gens))
+    return frame_from_group(FinMatGroup(R2, gens))
 
 
 def invariants(F, phi):

@@ -12,6 +12,7 @@ from dataclasses import asdict, dataclass
 
 from .domains import (
     DEFAULT_FACTOR_CAP,
+    CapExceeded,
     Ideal,
     InternalCheckError,
     _factor_int,
@@ -104,11 +105,19 @@ class FramedSubgroup:
         )
 
 
+def _factor_cap_check(n, caps):
+    """Every ideal a frame factors contains q0, so its norm divides n = |D/q0|."""
+    if n > caps.factor:
+        raise CapExceeded(f"ideal norm {n} exceeds factoring cap {caps.factor}")
+
+
 def frame_ring(domain, modulus, caps=DEFAULT_CAPS):
     """D/q0, built only once the caps allow a frame over it: |D/q0| against
     the ring cap comes first, since it bounds q0 before q0 is factored, then
-    |SL2(D/q0)| by the order formula against the group cap."""
+    against the factor cap, then |SL2(D/q0)| by the order formula against
+    the group cap."""
     n = quotient_size(modulus, caps.ring)
+    _factor_cap_check(n, caps)
     if n ** 3 > caps.group:  # |SL2(D/q0)| < |D/q0|^3: smaller rings need no factoring
         group_cap_check(sl2_order_formula(modulus), caps.group)
     return build_quotient(domain, modulus, ring_cap=caps.ring)
@@ -121,8 +130,9 @@ def frame_subgroup(domain, modulus, gens, caps=DEFAULT_CAPS, info=None):
 
 
 def frame_from_group(group, caps=DEFAULT_CAPS, info=None):
-    """Frame a prebuilt FinMatGroup, once |SL2(R)| over its ring is within
-    the group cap."""
+    """Frame a prebuilt FinMatGroup, once |D/q0| is within the factor cap
+    and |SL2(R)| over its ring within the group cap."""
+    _factor_cap_check(group.ring.size, caps)
     sl2_order(group.ring, cap=caps.group)
     return FramedSubgroup(group, info)
 
@@ -276,19 +286,19 @@ class AmplitudeExtremaVerdict:
     amplitudes: tuple
     c_min: Ideal
     c_max: Ideal
-    passed: bool
 
     def to_json(self):
         return {
             "amplitudes": [str(a) for a in self.amplitudes],
             "c_min": str(self.c_min),
             "c_max": str(self.c_max),
-            "passed": self.passed,
+            "passed": True,
         }
 
 
 def amplitude_extrema_check(frame):
-    """Intersection and sum of all cusp amplitudes must be attained."""
+    """Intersection and sum of all cusp amplitudes must be attained, and the
+    intersection must be the level (Theorem A)."""
     amplitudes = []
     seen = set()
     for c in cusps(frame):
@@ -300,14 +310,15 @@ def amplitude_extrema_check(frame):
     for a in amplitudes[1:]:
         c_min = ideal_arith("intersect", c_min, a)
         c_max = ideal_arith("sum", c_max, a)
-    passed = any(c_min == a for a in amplitudes) and any(c_max == a for a in amplitudes)
-    if not passed:
+    if not (any(c_min == a for a in amplitudes) and any(c_max == a for a in amplitudes)):
         raise InternalCheckError(
             f"amplitude extrema not attained (min {c_min}, max {c_max}, "
             f"set {[str(a) for a in amplitudes]})"
         )
+    if c_min != level(frame):
+        raise InternalCheckError("amplitude intersection differs from the level")
     amplitudes.sort(key=lambda a: (residue_norm(a), str(a)), reverse=True)
-    return AmplitudeExtremaVerdict(tuple(amplitudes), c_min, c_max, passed)
+    return AmplitudeExtremaVerdict(tuple(amplitudes), c_min, c_max)
 
 
 @dataclass
@@ -328,11 +339,9 @@ def quasi_level_ideal_check(frame):
     """Under condition L at the level the quasi-level must equal the level."""
     cond = _level_condition(frame)
     equal = ideal_image(frame.ring, level(frame)).elements == quasi_level(frame).elements
-    if cond.holds:
-        if not equal:
-            raise InternalCheckError("quasi-level differs from level despite the level condition")
-        return QuasiLevelVerdict("pass", cond, True)
-    return QuasiLevelVerdict("not_applicable", cond, equal)
+    if cond.holds and not equal:
+        raise InternalCheckError("quasi-level differs from level despite the level condition")
+    return QuasiLevelVerdict("pass" if cond.holds else "not_applicable", cond, equal)
 
 
 @dataclass
@@ -368,11 +377,10 @@ def level_index_divisibility_check(frame):
     fact = _divides_factorial(res, idx)
     div = idx % res == 0
     normal = frame.is_normal
-    if cond.holds:
-        if not fact or (normal and not div):
-            raise InternalCheckError("level-index divisibility fails despite the level condition")
-        return DivisibilityVerdict("pass", res, idx, fact, div, normal)
-    return DivisibilityVerdict("not_applicable", res, idx, fact, div, normal)
+    if cond.holds and (not fact or (normal and not div)):
+        raise InternalCheckError("level-index divisibility fails despite the level condition")
+    status = "pass" if cond.holds else "not_applicable"
+    return DivisibilityVerdict(status, res, idx, fact, div, normal)
 
 
 @dataclass
@@ -400,30 +408,33 @@ def index_level_inequality_check(frame):
 
 def cusp_split_check(frame):
     """index = sum over cusps of m * |D : b|."""
-    return frame.index == sum(c.term for c in cusps(frame))
+    if frame.index != sum(c.term for c in cusps(frame)):
+        raise InternalCheckError("cusp split equation fails")
 
 
 def unit_square_closure_check(frame):
     """Squared units stabilize the quasi-level, and map quasi-amplitude
-    elements into the quasi-amplitude family of some cusp."""
+    elements into the quasi-amplitude family of some cusp.
+
+    x -> s*x is additive, so the quasi-level is tested on its generators;
+    the family is a union of subgroups, so quasi-amplitudes are tested
+    element by element."""
     ring = frame.ring
     ql = quasi_level(frame)
-    for alpha in ring.units:
-        sq = ring.mul(alpha, alpha)
-        if not all(ring.mul(sq, x) in ql.elements for x in ql.elements):
-            return False
+    squares = {ring.mul(alpha, alpha) for alpha in ring.units}
     cusp_list = cusps(frame)
     family = set()
     for c in cusp_list:
         for member in c.orbit:
             family |= member.elements
-    for c in cusp_list:
-        for alpha in ring.units:
-            sq = ring.mul(alpha, alpha)
-            for x in c.quasi_amplitude.elements:
-                if ring.mul(sq, x) not in family:
-                    return False
-    return True
+    stable = all(ring.mul(sq, x) in ql.elements for sq in squares for x in ql.generators)
+    if not stable or any(
+        ring.mul(sq, x) not in family
+        for c in cusp_list
+        for x in c.quasi_amplitude.elements
+        for sq in squares
+    ):
+        raise InternalCheckError("squared-unit closure fails on a frame")
 
 
 def amplitude_join_search(frame, g1, g2, q1, q2):
@@ -461,8 +472,6 @@ class AnalysisReport:
     quasi_verdict: QuasiLevelVerdict
     divisibility: DivisibilityVerdict
     inequality: IndexLevelInequality
-    cusp_split_ok: bool
-    unit_square_ok: bool
 
     def to_json(self):
         return {
@@ -481,30 +490,23 @@ class AnalysisReport:
                 "A": self.extrema.to_json(),
                 "B": self.quasi_verdict.to_json(),
                 "C": self.divisibility.to_json(),
-                "cusp_split": self.cusp_split_ok,
-                "unit_square": self.unit_square_ok,
+                "cusp_split": True,
+                "unit_square": True,
                 "index_level": self.inequality.to_json(),
             },
         }
 
 
 def analyze(frame):
-    """Compute every frame invariant and run all verdicts."""
-    extrema = amplitude_extrema_check(frame)
+    """Compute every frame invariant and run all verdicts; each check raises
+    InternalCheckError on the contradiction it finds."""
     lvl, ql, o_ideal = level_chain(frame)
-    if extrema.c_min != lvl:
-        raise InternalCheckError(
-            "amplitude intersection differs from the level"
-        )
+    extrema = amplitude_extrema_check(frame)
     quasi_verdict = quasi_level_ideal_check(frame)
     divisibility = level_index_divisibility_check(frame)
     inequality = index_level_inequality_check(frame)
-    split_ok = cusp_split_check(frame)
-    if not split_ok:
-        raise InternalCheckError("cusp split equation fails")
-    unit_ok = unit_square_closure_check(frame)
-    if not unit_ok:
-        raise InternalCheckError("squared-unit closure fails on a frame")
+    cusp_split_check(frame)
+    unit_square_closure_check(frame)
     return AnalysisReport(
         frame,
         cusps(frame),
@@ -516,8 +518,6 @@ def analyze(frame):
         quasi_verdict,
         divisibility,
         inequality,
-        split_ok,
-        unit_ok,
     )
 
 

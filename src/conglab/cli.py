@@ -17,7 +17,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 
 from .analyzer import (
     Caps,
@@ -39,21 +38,13 @@ from .modular import (
     parse_permrep,
     screen_permrep,
 )
-from .suites import DEFAULT_SUITE_NAMES, SUITE_ALIASES, SUITES, run_suite
+from .suites import DEFAULT_SUITE_NAMES, SUITE_ALIASES, SUITES, pick_families, run_suite
 
 EXIT_OK = 0
 EXIT_SUITE_FAILURE = 1
 EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_INTERNAL = 4
-
-
-@dataclass
-class RunConfig:
-    caps: Caps
-    fmt: str
-    seed: int
-    args: argparse.Namespace
 
 
 def decimal(text):
@@ -147,39 +138,36 @@ def _gens_from_file(path, ring):
     return gens
 
 
-def cmd_analyze(config):
-    args = config.args
+def cmd_analyze(args):
     if args.example:
         if args.example not in EXAMPLE_NAMES:
             raise ParseError(
                 f"unknown example {args.example!r}; known: {', '.join(EXAMPLE_NAMES)}"
             )
-        frame = build_example(args.example, config.caps)
+        frame = build_example(args.example, args.caps)
     else:
         if not args.domain or not args.modulus:
             raise ParseError("analyze needs --example or both --domain and --modulus")
         domain = parse_domain(args.domain)
         modulus = domain.parse_ideal(args.modulus)
-        ring = frame_ring(domain, modulus, config.caps)
+        ring = frame_ring(domain, modulus, args.caps)
         gens = _gens_from_file(args.gens, ring) if args.gens else []
-        frame = frame_subgroup(domain, modulus, gens, config.caps)
+        frame = frame_subgroup(domain, modulus, gens, args.caps)
     report = analyze(frame).to_json()
     if frame.info:
         report["info"] = {k: v for k, v in sorted(frame.info.items())}
-    _emit(report, config.fmt)
+    _emit(report, args.format)
     return EXIT_OK
 
 
-def cmd_screen_perm(config):
-    args = config.args
+def cmd_screen_perm(args):
     rep = parse_permrep(_load_json_file(args.permrep))
-    out = screen_permrep(rep, run_all=args.all, cap=config.caps.group)
-    _emit(out, config.fmt)
+    out = screen_permrep(rep, run_all=args.all, cap=args.caps.group)
+    _emit(out, args.format)
     return EXIT_OK
 
 
-def cmd_screen_subspace(config):
-    args = config.args
+def cmd_screen_subspace(args):
     data = _load_json_file(args.subspace)
     if not isinstance(data, dict) or not {"k", "f", "basis"} <= set(data):
         raise ParseError('subspace JSON needs keys "k", "f", "basis"')
@@ -196,12 +184,11 @@ def cmd_screen_subspace(config):
         raise ParseError("modulus polynomial must be non-constant")
     basis = tuple(domain.parse_element(_element_text(b)) for b in basis)
     report = screen_translation_subspace(TranslationSubspace(domain, f, basis))
-    _emit(report.to_json(), config.fmt)
+    _emit(report.to_json(), args.format)
     return EXIT_OK
 
 
-def cmd_enumerate_modular(config):
-    args = config.args
+def cmd_enumerate_modular(args):
     reps = low_index_enumerate(args.max_index)
     payload = []
     for rep in reps:
@@ -210,11 +197,11 @@ def cmd_enumerate_modular(config):
         entry["cusp_split"] = list(split.lengths)
         entry["level"] = split.level
         if args.screen:
-            entry["screens"] = screen_permrep(rep, run_all=True, cap=config.caps.group)[
+            entry["screens"] = screen_permrep(rep, run_all=True, cap=args.caps.group)[
                 "screens"
             ]
         payload.append(entry)
-    _emit({"max_index": args.max_index, "count": len(reps), "reps": payload}, config.fmt)
+    _emit({"max_index": args.max_index, "count": len(reps), "reps": payload}, args.format)
     return EXIT_OK
 
 
@@ -224,8 +211,7 @@ def _run_suite_job(job):
     return (result.name, result.checks, result.failures)
 
 
-def cmd_verify_suite(config):
-    args = config.args
+def cmd_verify_suite(args):
     if args.jobs < 1:
         raise ParseError("--jobs must be at least 1")
     names = [args.suite] if args.suite else list(DEFAULT_SUITE_NAMES)
@@ -233,7 +219,8 @@ def cmd_verify_suite(config):
         if SUITE_ALIASES.get(name, name) not in SUITES:
             raise ParseError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
     families = args.exhaustive or None
-    jobs = [(name, config.caps, config.seed, families) for name in names]
+    pick_families(families)  # unknown names exit 2 before any suite starts
+    jobs = [(name, args.caps, args.seed, families) for name in names]
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -245,7 +232,7 @@ def cmd_verify_suite(config):
         {"name": name, "checks": checks, "passed": checks - len(failures), "failures": failures}
         for name, checks, failures in results
     ]
-    _emit({"seed": config.seed, "suites": suites}, config.fmt)
+    _emit({"seed": args.seed, "suites": suites}, args.format)
     return EXIT_SUITE_FAILURE if any(s["failures"] for s in suites) else EXIT_OK
 
 
@@ -315,9 +302,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        caps = _parse_caps(args)
-        config = RunConfig(caps, args.format, args.seed, args)
-        return args.func(config)
+        args.caps = _parse_caps(args)
+        return args.func(args)
     except ParseError as exc:
         print(f"error: parse: {exc}", file=sys.stderr)
         return EXIT_PARSE

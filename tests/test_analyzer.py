@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -105,6 +106,16 @@ def test_frame_from_group_holds_only_the_group_cap():
     assert frame_from_group(F.group, Caps(group=17280)).index == F.index
 
 
+def test_frames_hold_the_factor_cap_on_the_size_of_their_ring():
+    # every ideal a frame factors contains q0, so its norm divides |D/q0| = 30
+    q0 = Z.parse_ideal("(30)")
+    F = z30_frame()
+    for build in (lambda caps: frame_ring(Z, q0, caps), lambda caps: frame_from_group(F.group, caps)):
+        with pytest.raises(CapExceeded, match=r"^ideal norm 30 exceeds factoring cap 29$"):
+            build(Caps(factor=29))
+        build(Caps(factor=30))
+
+
 def test_a_frame_reads_its_domain_modulus_and_ring_off_its_group():
     ring = build_quotient(F3T, F3T.parse_ideal("(t^2)"))
     group = FinMatGroup.from_generators(ring, [make_generator("T", ring, ring.one_idx)])
@@ -155,7 +166,7 @@ def test_example_borel_kernel_facts():
     amps = sorted(str(c.amplitude) for c in cs)
     assert amps == ["(1)", "(t)"]
     assert sorted(c.term for c in cs) == [1, 3]
-    assert cusp_split_check(F)
+    cusp_split_check(F)
     assert level(F) == F3T.parse_ideal("(t)")
     v = amplitude_extrema_check(F)
     assert str(v.c_min) == "(t)" and str(v.c_max) == "(1)"
@@ -330,7 +341,7 @@ def test_cusp_term_equals_width_everywhere():
         F = build_example(name)
         for c in cusps(F):
             assert c.term == c.width
-        assert cusp_split_check(F)
+        cusp_split_check(F)
 
 
 @pytest.mark.parametrize("family", ["Z/6", "F3[t]/(t^2)"])
@@ -468,7 +479,54 @@ def test_conjugation_invariance_of_amplitudes():
 def test_unit_square_closure_on_examples():
     for name in ("ex2_13", "ex3_2", "ex3_5", "ex4_9", "ex4_10", "ex5_4"):
         F = build_example(name)
-        assert unit_square_closure_check(F)
+        unit_square_closure_check(F)
+
+
+def test_cusp_split_check_raises_when_the_index_moves():
+    F = frame_subgroup(Z, Z.parse_ideal("(6)"), [])
+    assert cusp_split_check(F) is None
+    F.index += 1
+    with pytest.raises(InternalCheckError, match="^cusp split equation fails$"):
+        cusp_split_check(F)
+
+
+def t2_kernel_frame():
+    """The kernel frame over F3[t]/(t^2), whose additive subgroups are not all
+    ideals: the squared units are 1, 1+t and 1+2t, and (1+t)*1 leaves F3."""
+    return frame_subgroup(F3T, F3T.parse_ideal("(t^2)"), [])
+
+
+def test_unit_square_closure_check_raises_on_an_unstable_quasi_level(monkeypatch):
+    F = t2_kernel_frame()
+    assert unit_square_closure_check(F) is None
+    prime_field = additive_closure({F.ring.one_idx}, F.ring)
+    monkeypatch.setattr(analyzer, "quasi_level", lambda frame: prime_field)
+    with pytest.raises(InternalCheckError, match="^squared-unit closure fails on a frame$"):
+        unit_square_closure_check(F)
+
+
+def test_unit_square_closure_check_raises_off_the_quasi_amplitude_family(monkeypatch):
+    F = t2_kernel_frame()
+    quasi_level(F)
+    real = cusps(F)
+    # with every orbit emptied no quasi-amplitude element lies in the family
+    monkeypatch.setattr(
+        analyzer, "cusps", lambda frame: tuple(dataclasses.replace(c, orbit=()) for c in real)
+    )
+    with pytest.raises(InternalCheckError, match="^squared-unit closure fails on a frame$"):
+        unit_square_closure_check(F)
+
+
+def test_amplitude_extrema_check_raises_when_the_intersection_is_not_the_level(monkeypatch):
+    F = frame_subgroup(Z, Z.parse_ideal("(6)"), [])
+    verdict = amplitude_extrema_check(F)
+    assert verdict.c_min == level(F) == Z.parse_ideal("(6)")
+    assert verdict.to_json()["passed"] is True
+    monkeypatch.setattr(analyzer, "level", lambda frame: Z.parse_ideal("(3)"))
+    with pytest.raises(
+        InternalCheckError, match="^amplitude intersection differs from the level$"
+    ):
+        amplitude_extrema_check(F)
 
 
 def test_amplitude_join_search():
@@ -753,11 +811,11 @@ def test_theorems_hold_on_every_frame_over_larger_unit_groups(spec, text):
     for F in frames:
         assert_cusp_representatives_match_oracles(G, F.group, B)
         assert_quasi_level_is_the_core_quasi_amplitude(F)
-        assert unit_square_closure_check(F)
+        unit_square_closure_check(F)
         quasi_level_ideal_check(F)  # raises when condition L holds and ql != l
         # Theorem A: the least cusp amplitude is attained and is the level
         assert amplitude_extrema_check(F).c_min == level(F)
-        assert cusp_split_check(F)
+        cusp_split_check(F)
         # Theorem C: raises when condition L holds at the level and fails
         level_index_divisibility_check(F)
 

@@ -20,10 +20,12 @@ from conglab.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_SUITE_FAILURE,
     main,
 )
 from conglab.domains import parse_domain
 from conglab.quotients import _quotient, build_quotient
+from conglab.suites import SURVEY_FAMILIES
 
 
 def run_cli(argv, capsys):
@@ -363,6 +365,51 @@ def test_factor_cap_bounds_the_suites_factoring_of_random_ideals(capsys, suite):
     assert (code, out) == (EXIT_CAP, "")
     assert err.startswith("error: cap: ideal norm ")
     assert err.endswith(" exceeds factoring cap 10\n")
+
+
+def test_factor_cap_bounds_analyze(capsys, tmp_path):
+    # every ideal a frame factors contains q0, so |D/q0| = 30 above the cap is refused
+    gens = tmp_path / "empty.json"
+    gens.write_text("[]")
+    argv = ["analyze", "--domain", "Z", "--modulus", "(30)", "--gens", str(gens)]
+    refused = (EXIT_CAP, "", "error: cap: ideal norm 30 exceeds factoring cap 2\n")
+    assert run_cli(["--factor-cap", "2", *argv], capsys) == refused
+    code, plain, _ = run_cli(argv, capsys)
+    assert code == EXIT_OK
+    assert run_cli(["--factor-cap", "30", *argv], capsys) == (EXIT_OK, plain, "")
+
+
+@pytest.mark.parametrize("example", ["ex2_13", "ex4_9", "ex4_10"])
+def test_factor_cap_bounds_the_examples(capsys, example):
+    code, out, err = run_cli(["--factor-cap", "2", "analyze", "--example", example], capsys)
+    assert (code, out) == (EXIT_CAP, "")
+    assert err.startswith("error: cap: ideal norm ") and err.endswith(" exceeds factoring cap 2\n")
+
+
+def test_factor_cap_bounds_the_exhaustive_frames(capsys):
+    code, out, err = run_cli(
+        ["--factor-cap", "3", "verify-suite", "--suite", "theoremA", "--exhaustive", "Z/4"], capsys
+    )
+    assert (code, out, err) == (EXIT_CAP, "", "error: cap: ideal norm 4 exceeds factoring cap 3\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--suite", "crt"], [], ["--jobs", "2"], ["--suite", "theoremA", "--exhaustive", "Z/4"]],
+)
+def test_unknown_exhaustive_family_exits_before_any_suite(capsys, monkeypatch, argv):
+    import concurrent.futures
+
+    def refuse(*args):
+        raise AssertionError("a suite started")
+
+    monkeypatch.setattr(SerialExecutor, "workers", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialExecutor)
+    monkeypatch.setattr("conglab.cli.run_suite", refuse)
+    code, out, err = run_cli(["verify-suite", *argv, "--exhaustive", "Z/99"], capsys)
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.startswith("error: parse: unknown families ['Z/99']; known: ")
+    assert SerialExecutor.workers == []
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])
@@ -766,6 +813,42 @@ def test_a_broken_column_chain_exits_internal_check_under_python_O(tmp_path):
     assert broken.stdout == b""
     assert b"internal-check: column chain" in broken.stderr
     assert b"Traceback" not in broken.stderr
+
+
+# every cusp's m * |D:b| term one too large, or its squared-unit orbit emptied
+PATCHED_CUSPS = """
+import dataclasses, sys
+from conglab import analyzer, cli
+real = analyzer.cusps
+change = {"term": lambda c: {"term": c.term + 1}, "orbit": lambda c: {"orbit": ()}}[sys.argv[1]]
+analyzer.cusps = lambda frame: tuple(dataclasses.replace(c, **change(c)) for c in real(frame))
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def test_a_failed_cusp_split_exits_internal_check_under_python_O(tmp_path):
+    argv = ["analyze", "--domain", "Z", "--modulus", "(6)", "--gens", whole_sl2_gens(tmp_path)]
+    broken = run_python("-O", "-c", PATCHED_CUSPS, "term", *argv)
+    assert broken.returncode == EXIT_INTERNAL
+    assert broken.stdout == b""
+    assert broken.stderr == b"error: internal-check: cusp split equation fails\n"
+
+
+@pytest.mark.parametrize(
+    "suite, change, checks, families, message",
+    [
+        ("theoremA", "term", 531, SURVEY_FAMILIES, "cusp split equation fails"),
+        ("square_unit_closure", "orbit", 193, ("Z/6", "Z/8", "F3[t]/(t^2)"),
+         "squared-unit closure fails on a frame"),
+    ],
+)
+def test_survey_suites_record_a_failed_check(suite, change, checks, families, message):
+    broken = run_python("-c", PATCHED_CUSPS, change, "verify-suite", "--suite", suite)
+    assert (broken.returncode, broken.stderr) == (EXIT_SUITE_FAILURE, b"")
+    (report,) = json.loads(broken.stdout)["suites"]
+    assert (report["checks"], report["passed"], len(report["failures"])) == (checks, 0, checks)
+    assert {f.split(" frame of order ")[0] for f in report["failures"]} == set(families)
+    assert all(f.endswith(f": {message}") for f in report["failures"])
 
 
 def test_generators_that_miss_part_of_the_ring_exit_internal_check_under_python_O():

@@ -187,3 +187,24 @@ def test_two_column_lattices_have_one_hnf():
     defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     assert not defined & {"_row_hnf", "_pair_rows"}
     assert callers(tree, "_hnf2") == ["ideal_from_lattice"]
+
+
+def _functions(module):
+    path = SRC / f"{module}.py"
+    tree = ast.parse(path.read_text(), str(path))
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def test_theorem_checks_raise_and_their_callers_do_not():
+    # each analyzer check raises InternalCheckError on the contradiction it
+    # finds, so the report and the survey suites never re-check its result
+    callers = [("analyzer", "analyze"), ("suites", "suite_amplitude_extrema"),
+               ("suites", "suite_square_unit_closure")]
+    for module, name in callers:
+        node = _functions(module)[name]
+        assert not any(isinstance(n, ast.Raise) for n in ast.walk(node)), f"{module}.{name}"
+    checks = _functions("analyzer")
+    for name in ("cusp_split_check", "unit_square_closure_check"):
+        assert any(isinstance(n, ast.Raise) for n in ast.walk(checks[name])), name
+        returns = [n for n in ast.walk(checks[name]) if isinstance(n, ast.Return)]
+        assert all(n.value is None for n in returns), name

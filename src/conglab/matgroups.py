@@ -24,6 +24,7 @@ from .domains import CapExceeded, InternalCheckError, factor_ideal, ideal_arith,
 from .quotients import DEFAULT_RING_CAP, additive_closure, build_quotient, ideal_image
 
 DEFAULT_GROUP_CAP = 5 * 10 ** 6
+_OFF_ORBIT = array("i", [-1])  # repeated, never written: cheaper than a new array per walk
 
 
 class _MatOps:
@@ -161,8 +162,9 @@ class FinMatGroup:
     ones; the ring keeps these closures, keyed by the Schreier x's.
 
     A column (a, c) is keyed a*n + c. The constructor walks e1's orbit 0
-    from the identity; `transversal` maps each of its columns to (d*n, -b*n)
-    for the second column (b, d) of t(v) in H. H is the disjoint union of
+    from the identity; `transversal` is two arrays indexed by column key
+    that hold (d*n, -b*n) for the second column (b, d) of t(v) in H at
+    each column of orbit 0, and -1 off it. H is the disjoint union of
     the t(v) T(A_0), so |H| = |orbit 0| * |A_0|, and g lies in H iff its
     column is in orbit 0 and t(v)^-1 g = T(x), x = d*g_b - b*g_d, with x
     in A_0. `elements` lists H from these on first use. The other orbits
@@ -187,8 +189,8 @@ class FinMatGroup:
             if add[mul[a * n + d] * n + neg[mul[b * n + c]]] != ring.one_idx:
                 raise ValueError("generator has determinant other than 1")
             self._acts.append((a * n, b * n, c * n, d * n))
-        self.transversal, self._amplitude0 = self._walk(*ops.decode(ops.identity))
-        self.order = len(self.transversal) * len(self._amplitude0)
+        self.transversal, size, self._amplitude0 = self._walk(*ops.decode(ops.identity))
+        self.order = size * len(self._amplitude0)
         if _sl2_total(ring) % self.order:
             raise InternalCheckError("column chain order does not divide |SL2(R)|")
         self._shifts = self._amplitude0.elements
@@ -196,10 +198,12 @@ class FinMatGroup:
         self._add, self._mul = add, mul
 
     def _walk(self, a, b, c, d):
-        """The orbit walked from g0 = (a, b, c, d): column -> (d*n, -b*n) of t(v), and A_k."""
+        """The orbit walked from g0 = (a, b, c, d): the arrays (d*n, -b*n) of
+        t(v) by column key, the orbit's size, and A_k."""
         ring = self.ring
         n, add, mul, neg = ring.size, ring.add_t, ring.mul_t, ring.neg_t
-        orbit = {a * n + c: (d * n, neg[b] * n)}
+        dns, nbns = _OFF_ORBIT * n ** 2, _OFF_ORBIT * n ** 2
+        dns[a * n + c], nbns[a * n + c] = d * n, neg[b] * n
         walk = [(a, b, c, d)]
         xs = set()
         for a, b, c, d in walk:  # walk grows as columns are found
@@ -208,13 +212,14 @@ class FinMatGroup:
                 c2 = add[mul[r + a] * n + mul[s + c]]
                 b2 = add[mul[p + b] * n + mul[q + d]]
                 d2 = add[mul[r + b] * n + mul[s + d]]
-                t = orbit.get(a2 * n + c2)
-                if t is None:
-                    orbit[a2 * n + c2] = (d2 * n, neg[b2] * n)
+                v = a2 * n + c2
+                dn = dns[v]
+                if dn < 0:
+                    dns[v], nbns[v] = d2 * n, neg[b2] * n
                     walk.append((a2, b2, c2, d2))
                 else:
-                    xs.add(add[mul[t[0] + b2] * n + mul[t[1] + d2]])
-        return orbit, _closed_amplitude(ring, xs)
+                    xs.add(add[mul[dn + b2] * n + mul[nbns[v] + d2]])
+        return (dns, nbns), len(walk), _closed_amplitude(ring, xs)
 
     @cached_property
     def _orbits(self):
@@ -225,13 +230,15 @@ class FinMatGroup:
         n, add, neg = ring.size, ring.add_t, ring.neg_t
         columns = unimodular_columns(ring)
         tables = [_column_table(ring, g) for g in self.gens]
+        dns = self.transversal[0]
         orbit_of, z = [-1] * n ** 2, [0] * n ** 2  # indexed by column key
-        for v in self.transversal:
-            orbit_of[v] = 0
-        least = [min(columns[v] for v in self.transversal)]
+        least = [next(g0 for v0, g0 in columns.items() if dns[v0] >= 0)]  # in code order
         amplitudes = [self._amplitude0]
         for v0, g0 in columns.items():
             if orbit_of[v0] >= 0:
+                continue
+            if dns[v0] >= 0:  # orbit 0, which no other orbit's walk reaches
+                orbit_of[v0] = 0
                 continue
             k = len(least)
             orbit_of[v0], z[v0] = k, ring.zero_idx
@@ -268,11 +275,12 @@ class FinMatGroup:
         a, r = divmod(code, self._n3)
         b, r = divmod(r, self._n2)
         c, d = divmod(r, n)
-        t = self.transversal.get(a * n + c)
-        if t is None:
+        dns, nbns = self.transversal
+        dn = dns[a * n + c]
+        if dn < 0:
             return False
         mul = self._mul
-        return self._add[mul[t[0] + b] * n + mul[t[1] + d]] in self._shifts
+        return self._add[mul[dn + b] * n + mul[nbns[a * n + c] + d]] in self._shifts
 
     def codes(self):
         """Every code of H: t(v) T(x) = (a, b + a*x, c, d + c*x) for each
@@ -280,7 +288,9 @@ class FinMatGroup:
         n, n2, add, mul = self._n, self._n2, self._add, self._mul
         neg, shifts = self.ring.neg_t, self._shifts
         out = []
-        for v, (dn, nbn) in self.transversal.items():
+        for v, (dn, nbn) in enumerate(zip(*self.transversal)):
+            if dn < 0:
+                continue
             a, c = divmod(v, n)
             head, bn, an, cn = a * self._n3 + c * n, neg[nbn // n] * n, a * n, c * n
             out.extend(head + add[bn + mul[an + x]] * n2 + add[dn + mul[cn + x]] for x in shifts)

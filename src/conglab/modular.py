@@ -173,7 +173,11 @@ def psl2_group(n, cap=DEFAULT_GROUP_CAP):
     gens = [label(ops.encode(*map(r, m))) for m in ((0, -1, 1, 0), (1, 1, 0, 1))]  # S, T
     # |SL2(Z/n)| <= 2 |PSL2(Z/n)|, which the order check bounded by cap
     labels = sorted({label(x) for x in full_sl2(ring, 2 * cap).elements})
-    return DenseGroup(labels, lambda x, y: label(ops.mmul(x, y)), label(ops.identity), gens)
+    index = {x: i for i, x in enumerate(labels)}
+    signed = {ops.mneg(x): i for x, i in index.items()} | index  # +-x -> the index of its label
+    return DenseGroup(
+        index, lambda i, j: signed[ops.mmul(labels[i], labels[j])], label(ops.identity), gens
+    )
 
 
 @dataclass(frozen=True)

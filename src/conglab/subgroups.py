@@ -1,8 +1,12 @@
 """Dense finite-group utilities for exhaustive subgroup surveys.
 
-A DenseGroup re-indexes any finite group's elements as 0..n-1 and caches
-the products it computes, so subgroup-lattice enumeration runs on small
-integers in memory that grows with the products used, not with n^2.
+A DenseGroup re-indexes any finite group's elements as 0..n-1 and has one
+product path, a function on these indices; `mul` keeps the products it
+computes, so subgroup-lattice enumeration runs on small integers in
+memory that grows with the products used, not with n^2. A group of matrices
+multiplies the decoded entries of its elements through the ring tables.
+One walk of each maximal cyclic subgroup gives every inverse and every
+cyclic subgroup's least generator.
 Subgroup classes come from cyclic extension by zuppos, the cyclic
 subgroups of prime-power order (Neubüser, Numer. Math. 2, 1960; Holt,
 Eick and O'Brien, Handbook of Computational Group Theory, 4.4): H extends
@@ -16,51 +20,64 @@ per group. Each join is Dimino's coset extension by one generator
 
 from __future__ import annotations
 
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 
 from .domains import CapExceeded, _factor_int
 from .matgroups import DEFAULT_GROUP_CAP, _ops
 
 
 class DenseGroup:
-    """A finite group on dense indices whose products are computed from
-    mul_label on first use and kept in a dict keyed by i*n + j."""
+    """A finite group on dense indices: index maps each label to its place
+    0..n-1 and kernel(i, j) is the index of the product. mul keeps each
+    product it computes in a dict keyed by i*n + j."""
 
-    def __init__(self, labels, mul_label, identity_label, gen_labels):
-        self.labels = list(labels)
-        self.index = {x: i for i, x in enumerate(self.labels)}
-        n = len(self.labels)
-        self.size = n
-        self._mul_label = mul_label
+    def __init__(self, index, kernel, identity_label, gen_labels):
+        self.index = index
+        self.labels = list(index)
+        self.size = len(self.labels)
+        self.kernel = kernel
         self.products = {}
-        self.identity = self.index[identity_label]
-        self.inv = [-1] * n
-        for g in range(n):
-            if self.inv[g] < 0:  # (g^k)^-1 = g^(m-k) in the cyclic group <g> of order m
-                powers = self.powers(g)
-                for k, x in enumerate(powers):
-                    self.inv[x] = powers[-k]
-        self.gens = [self.index[g] for g in gen_labels]
+        self.identity = index[identity_label]
+        self.gens = [index[g] for g in gen_labels]
 
     @classmethod
     def from_matgroup(cls, group):
-        ops = _ops(group.ring)
-        return cls(
-            group.sorted_elements(), ops.mmul, ops.identity, group.gens or
-            [ops.identity]
-        )
+        """The group on its sorted codes. A product reads the decoded entries
+        of both factors, the left one's premultiplied by |R|, through the
+        ring tables, scaled once per group so that the products come
+        premultiplied by |R| and the sums by their place in a code: 12
+        table reads and one index lookup."""
+        ring = group.ring
+        ops = _ops(ring)
+        n, add, mul = ring.size, ring.add_t, ring.mul_t
+        labels = group.sorted_elements()
+        index = {x: i for i, x in enumerate(labels)}
+        entries = [ops.decode(x) for x in labels]
+        rows = [(a * n, b * n, c * n, d * n) for a, b, c, d in entries]
+        muln = [x * n for x in mul]
+        add3, add2, add1 = ([x * n ** k for x in add] for k in (3, 2, 1))
+
+        def kernel(i, j):
+            an, bn, cn, dn = rows[i]
+            e, f, g, h = entries[j]
+            return index[
+                add3[muln[an + e] + mul[bn + g]] + add2[muln[an + f] + mul[bn + h]]
+                + add1[muln[cn + e] + mul[dn + g]] + add[muln[cn + f] + mul[dn + h]]
+            ]
+
+        return cls(index, kernel, ops.identity, group.gens or [ops.identity])
 
     def mul(self, i, j):
         k = i * self.size + j
         v = self.products.get(k)
         if v is None:
-            v = self.products[k] = self.index[self._mul_label(self.labels[i], self.labels[j])]
+            v = self.products[k] = self.kernel(i, j)
         return v
 
     @cached_property
     def right_actions(self):
-        """For each generator g, the map x -> xg on indices."""
-        return [[self.mul(x, g) for x in range(self.size)] for g in self.gens]
+        """For each generator g, the map x -> xg on indices, by the kernel uncached."""
+        return [[self.kernel(x, g) for x in range(self.size)] for g in self.gens]
 
     def conj(self, x, g):
         return self.mul(self.mul(self.inv[g], x), g)
@@ -73,6 +90,40 @@ class DenseGroup:
             out.append(acc)
             acc = self.mul(acc, g)
         return out
+
+    @cached_property
+    def _cyclic(self):
+        """(inv, zuppos) from one walk P = [1, g, ..., g^(m-1)] of <g> for each
+        g, in index order, outside the cyclic subgroups already walked, so
+        each maximal cyclic subgroup is walked once, by the kernel uncached.
+        On it (g^k)^-1 = g^(m-k), and the subgroup of order q | m is the
+        P[s*j], s = m/q, generated by those with j prime to q. zuppos holds
+        (x, x^p, p, q) for the least generator x of each cyclic subgroup of
+        order q = p^a > 1, sorted by (order, sorted elements)."""
+        e, kernel = self.identity, self.kernel
+        inv = [-1] * self.size
+        found = {}  # least generator -> (zuppo, sort key)
+        for g in range(self.size):
+            if inv[g] >= 0:
+                continue
+            P, x = [e], g
+            while x != e:
+                P.append(x)
+                x = kernel(x, g)
+            m = len(P)
+            for k, x in enumerate(P):
+                inv[x] = P[-k]
+            for p, a in _factor_int(m).items():
+                for q in (p ** i for i in range(1, a + 1)):
+                    s = m // q
+                    k = min((s * j for j in range(1, q) if j % p), key=P.__getitem__)
+                    if P[k] not in found:
+                        key = _subgroup_key([P[s * j] for j in range(q)])
+                        found[P[k]] = (P[k], P[k * p % m], p, q), key
+        return inv, [z for z, _ in sorted(found.values(), key=lambda item: item[1])]
+
+    inv = property(lambda self: self._cyclic[0])
+    zuppos = property(lambda self: self._cyclic[1])
 
 
 def extend_closure(group, gens, g, mul, cap=DEFAULT_GROUP_CAP):
@@ -119,8 +170,11 @@ def subgroup_classes(G):
     represented by its member of least sorted elements, and reps are sorted
     by (order, sorted elements), so neither depends on the search.
     """
-    zuppos = _zuppos(G)
-    perms = [(g, [G.conj(x, g) for x in range(G.size)]) for g in G.gens]
+    zuppos, inv = G.zuppos, G.inv
+    perms = [  # g^-1 x g = (x^-1 g)^-1 g, from the map x -> xg alone
+        (g, [right[inv[right[inv[x]]]] for x in range(G.size)])
+        for g, right in zip(G.gens, G.right_actions)
+    ]
     reps, seen = _classes(G, perms, zuppos, partial(_cyclic_extensions, G, zuppos))
     if frozenset(range(G.size)) not in seen:  # G is not solvable
         reps, seen = _classes(G, perms, zuppos, _prime_power_joins(G, zuppos))
@@ -129,47 +183,39 @@ def subgroup_classes(G):
     return [reps[c] for c in order], {s: renumber[c] for s, c in seen.items()}
 
 
-def _zuppos(G):
-    """(g, g^p, p) for one generator g of each cyclic subgroup of order p^a > 1,
-    sorted by (order, sorted elements)."""
-    cyclics = {}
-    for g in range(G.size):
-        if G.inv[g] >= g:  # <g^-1> = <g>
-            powers = G.powers(g)
-            primes = list(_factor_int(len(powers)))
-            if len(primes) == 1:
-                p = primes[0]
-                cyclics.setdefault(frozenset(powers), (g, powers[p % len(powers)], p))
-    return [cyclics[c] for c in sorted(cyclics, key=_subgroup_key)]
-
-
 def _classes(G, perms, zuppos, extensions):
     """Classes closed under extensions(H, gens, |N_G(H)|, known), which
     yields (<H, g>, g); perms pairs each generator g of G with x -> g^-1 x g
     on indices, and known maps (order, g) for each zuppo g to the subgroups
     found so far of that order that hold g."""
     seen, reps, normalisers, known = {}, [], [], {}
-    zuppo_gens = frozenset(g for g, _, _ in zuppos)
+    zuppo_gens = frozenset(g for g, *_ in zuppos)
 
     def register(elems, gens):
         if elems in seen:
             return
-        conjugator = {elems: G.identity}  # member -> x with member = x^-1 elems x
+        parent = {elems: None}  # member -> (member, g) it is the g-conjugate of
         stack = [elems]
         while stack:
             current = stack.pop()
             for g, perm in perms:
                 conj = frozenset(map(perm.__getitem__, current))
-                if conj not in conjugator:
-                    conjugator[conj] = G.mul(conjugator[current], g)
+                if conj not in parent:
+                    parent[conj] = current, g
                     stack.append(conj)
-        for member in conjugator:
+        for member in parent:
             seen[member] = len(reps)
             for g in member & zuppo_gens:
                 known.setdefault((len(member), g), []).append(member)
-        rep = min(conjugator, key=sorted)
-        reps.append((rep, tuple(G.conj(h, conjugator[rep]) for h in gens)))
-        normalisers.append(G.size // len(conjugator))  # the orbit-stabiliser theorem
+        least = min(map(min, parent))  # the least sorted member starts with it
+        rep = min((member for member in parent if least in member), key=sorted)
+        path, member = [], rep
+        while parent[member] is not None:
+            member, g = parent[member]
+            path.append(g)
+        conjugator = reduce(G.mul, reversed(path), G.identity)  # rep = c^-1 elems c
+        reps.append((rep, tuple(G.conj(h, conjugator) for h in gens)))
+        normalisers.append(G.size // len(parent))  # the orbit-stabiliser theorem
 
     register(frozenset({G.identity}), ())
     for c, (elems, gens) in enumerate(reps):  # reps grows as classes are found
@@ -185,16 +231,41 @@ def _cyclic_extensions(G, zuppos, H, gens, normaliser=None, known=None):
 
     The optional inputs only spare work: <H, g>/H lies in N_G(H)/H, so p
     divides |N_G(H) : H| for normaliser = |N_G(H)|; and a known S of order
-    p|H| holding H and g holds <H, g>, which has its order, so S = <H, g>."""
+    p|H| holding H and g holds <H, g> when g normalises H, which has its
+    order, so S = <H, g>. When p is also the least prime dividing |S|, H
+    has index p in S, so it is normal there and g needs no test."""
     covered = set(H)
     index = normaliser // len(H) if normaliser else 0  # 0: every p divides it
     known = {} if known is None else known  # filled as the search goes on
-    for g, gp, p in zuppos:
-        if g in covered or index % p or gp not in H or any(G.conj(h, g) not in H for h in gens):
+    least = next(iter(_factor_int(len(H))), 0)  # least prime dividing |H|; 0: H is trivial, no gens
+    products, size, kernel, inv = G.products, G.size, G.kernel, G.inv
+
+    def normalises(g):  # g^-1 h g in H for each generator h, through the product cache
+        for h in gens:
+            k = inv[g] * size + h
+            x = products.get(k)
+            if x is None:
+                x = products[k] = kernel(inv[g], h)
+            k = x * size + g
+            y = products.get(k)
+            if y is None:
+                y = products[k] = kernel(x, g)
+            if y not in H:
+                return False
+        return True
+
+    for g, gp, p, _ in zuppos:
+        if g in covered or index % p or gp not in H:
             continue
-        joined = next((S for S in known.get((p * len(H), g), ()) if H <= S), None)
-        if joined is None:
-            joined = frozenset(extend_closure(H, gens, g, G.mul))
+        joined = None  # a loop, as a generator per candidate cost 5 % of the search
+        for S in known.get((p * len(H), g), ()):
+            if H <= S:
+                joined = S
+                break
+        if (joined is None or p > least) and not normalises(g):
+            continue
+        if joined is None:  # its products seldom recur, unlike those of the fallback's joins
+            joined = frozenset(extend_closure(H, gens, g, G.kernel))
         covered |= joined  # joined/H has prime order: every g' in joined \ H gives joined
         yield joined, g
 
@@ -202,7 +273,7 @@ def _cyclic_extensions(G, zuppos, H, gens, normaliser=None, known=None):
 def _prime_power_joins(G, zuppos):
     """<H, g> for every zuppo g outside H; every subgroup is such a join."""
     return lambda H, gens, *_: (
-        (frozenset(extend_closure(H, gens, g, G.mul)), g) for g, _, _ in zuppos if g not in H
+        (frozenset(extend_closure(H, gens, g, G.mul)), g) for g, *_ in zuppos if g not in H
     )
 
 

@@ -741,7 +741,11 @@ def assert_chain_matches_closure(ring, gens, universe):
     assert [x for x in universe if (x in H) != (x in closed)] == []
     ops, n = _ops(ring), ring.size
     columns = {a * n + c for a, _, c, _ in map(ops.decode, closed)}
-    assert set(H.transversal) == columns
+    dns, nbns = H.transversal
+    assert {v for v, dn in enumerate(dns) if dn >= 0} == columns
+    for v in columns:  # (d*n, -b*n) of a t(v) = (a, b, c, d) in H
+        a, c = divmod(v, n)
+        assert ops.encode(a, ring.neg_t[nbns[v] // n], c, dns[v] // n) in closed
     assert {v for v, orbit in enumerate(H.orbit_of) if orbit == 0} == columns
     shifts = {b for a, b, c, d in map(ops.decode, closed) if (a, c) == (ring.one_idx, ring.zero_idx)}
     assert H.amplitudes[0].elements == shifts
@@ -767,7 +771,8 @@ def test_column_chain_matches_the_closure_on_every_survey_frame(family):
 def test_the_full_transversal_holds_every_unimodular_column():
     rings = [ring_of(Z, "(12)"), ring_of(Z, "(30)"), ring_of(F3T, "(t^2)"), build_example("ex3_5").ring]
     for R in rings:
-        assert set(full_sl2(R).transversal) == set(unimodular_columns(R)), R
+        dns, _ = full_sl2(R).transversal
+        assert {v for v, dn in enumerate(dns) if dn >= 0} == set(unimodular_columns(R)), R
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

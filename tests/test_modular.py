@@ -133,7 +133,7 @@ def test_coset_permrep_rejects_a_non_subgroup():
 
 
 def test_coset_permrep_refuses_generators_off_the_modular_relations():
-    G = DenseGroup(range(4), lambda x, y: (x + y) % 4, 0, [1, 2])  # "S" = 1 has order 4
+    G = DenseGroup({x: x for x in range(4)}, lambda x, y: (x + y) % 4, 0, [1, 2])  # "S" = 1 has order 4
     with pytest.raises(InternalCheckError, match="not S, T"):
         coset_permrep(G, [0])
 

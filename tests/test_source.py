@@ -72,6 +72,21 @@ def test_matgroups_closes_no_group():
     assert found == []
 
 
+def test_dense_group_has_one_product_path():
+    # every DenseGroup product is its kernel's, a function on dense indices;
+    # no label product or matrix product is kept beside it
+    path = SRC / "subgroups.py"
+    tree = ast.parse(path.read_text(), str(path))
+    (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "DenseGroup"]
+    banned = {"mul_label", "_mul_label", "mmul"}
+    found = []
+    for node in ast.walk(cls):
+        name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "arg", None)
+        if name in banned:
+            found.append(f"{name}:{node.lineno}")
+    assert found == []
+
+
 def test_only_matgroups_knows_the_column_key():
     # columns are keyed a*|R| + c inside matgroups; other modules ask a group
     # for what they need at a code (column_amplitude, least) instead

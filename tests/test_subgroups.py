@@ -1,5 +1,6 @@
 import collections
 import functools
+import hashlib
 import itertools
 
 import pytest
@@ -12,7 +13,7 @@ from conglab.matgroups import DEFAULT_GROUP_CAP, FinMatGroup, _ops, full_sl2
 from conglab.modular import psl2_group
 from conglab.quotients import build_quotient, integer_quotient
 from conglab.subgroups import DenseGroup, all_subgroups, extend_closure, subgroup_classes
-from conglab.suites import _RANDOM_DOMAINS
+from conglab.suites import _RANDOM_DOMAINS, FAMILY_SPECS, SOUNDNESS_LEVELS, SURVEY_FAMILIES
 
 Z = parse_domain("Z")
 F3T = parse_domain("Fq[t] q=3")
@@ -73,6 +74,39 @@ def closure_codes(ring, gen_codes, cap=DEFAULT_GROUP_CAP):
             elems = extend_closure(elems, gens, g, ops.mmul, cap)
             gens.append(g)
     return elems
+
+
+def inverses_by_powers(G):
+    """Oracle: each inverse read off the powers of the first element, in
+    index order, of a cyclic group holding it: (g^k)^-1 = g^(m-k)."""
+    inv = [-1] * G.size
+    for g in range(G.size):
+        if inv[g] < 0:
+            powers = G.powers(g)
+            for k, x in enumerate(powers):
+                inv[x] = powers[-k]
+    return inv
+
+
+def zuppos_by_powers(G):
+    """Oracle: (g, g^p, p, order) for the least generator g of each cyclic
+    subgroup of order p^a > 1, from the powers of every element g with
+    g^-1 >= g, sorted by (order, sorted elements)."""
+    inv = inverses_by_powers(G)
+    cyclics = {}
+    for g in range(G.size):
+        if inv[g] >= g:  # <g^-1> = <g>
+            powers = G.powers(g)
+            primes = list(_factor_int(len(powers)))
+            if len(primes) == 1:
+                p = primes[0]
+                cyclics.setdefault(frozenset(powers), (g, powers[p % len(powers)], p, len(powers)))
+    return [cyclics[c] for c in sorted(cyclics, key=lambda c: (len(c), sorted(c)))]
+
+
+def assert_cyclic_pass_matches_the_powers(G):
+    assert G.inv == inverses_by_powers(G)
+    assert G.zuppos == zuppos_by_powers(G)
 
 
 def dense_closure_by_bfs(G, gens):
@@ -242,14 +276,29 @@ def test_zuppos_are_one_generator_per_prime_power_cyclic_subgroup(name):
     G = ORACLE_GROUPS[name]()
     cyclics = {frozenset(G.powers(g)) for g in range(G.size)}
     oracle = {c for c in cyclics if len(_factor_int(len(c))) == 1}
-    zuppos = subgroups._zuppos(G)
-    listed = [frozenset(G.powers(g)) for g, _, _ in zuppos]
+    zuppos = G.zuppos
+    listed = [frozenset(G.powers(g)) for g, *_ in zuppos]
     assert len(listed) == len(oracle)
     assert set(listed) == oracle
     assert listed == sorted(listed, key=lambda c: (len(c), sorted(c)))
-    for (g, gp, p), c in zip(zuppos, listed):
+    for (g, gp, p, q), c in zip(zuppos, listed):
         assert _factor_int(len(c)).keys() == {p}
+        assert q == len(c)
         assert gp == functools.reduce(G.mul, [g] * p)
+
+
+SURVEY_GROUPS = {
+    family: (lambda spec=spec, text=text: dense_sl2(parse_domain(spec), text))
+    for family, (spec, text) in FAMILY_SPECS.items()
+    if family in SURVEY_FAMILIES
+}
+
+
+@pytest.mark.parametrize("name", [*sorted(ORACLE_GROUPS), *SURVEY_GROUPS])
+def test_cyclic_pass_matches_the_powers_of_every_element(name):
+    # one walk per maximal cyclic subgroup gives what walking every
+    # element's powers gives: inverses, and the zuppos with their orders
+    assert_cyclic_pass_matches_the_powers({**ORACLE_GROUPS, **SURVEY_GROUPS}[name]())
 
 
 @pytest.mark.parametrize("name", sorted(set(ORACLE_GROUPS) - NOT_SOLVABLE))
@@ -258,7 +307,7 @@ def test_cyclic_extensions_are_the_normal_overgroups_of_prime_index(name):
     # H normal in K and |K : H| prime, each once
     G = ORACLE_GROUPS[name]()
     reps, seen = subgroup_classes(G)
-    zuppos = subgroups._zuppos(G)
+    zuppos = G.zuppos
     for H, gens in reps:
         found = [K for K, _ in subgroups._cyclic_extensions(G, zuppos, H, gens)]
         oracle = {
@@ -278,8 +327,8 @@ def test_pruned_cyclic_extensions_yield_what_the_unpruned_path_yields(name, monk
     # every subgroup known, no class rep closes a group again
     G = ORACLE_GROUPS[name]()
     reps, seen = subgroup_classes(G)
-    zuppos = subgroups._zuppos(G)
-    zuppo_gens = {g for g, _, _ in zuppos}
+    zuppos = G.zuppos
+    zuppo_gens = {g for g, *_ in zuppos}
     known = {}
     for S in seen:
         for g in S & zuppo_gens:
@@ -316,14 +365,25 @@ def test_join_oracle_on_random_groups(i, picks):
     except CapExceeded:
         assume(False)
     G = DenseGroup.from_matgroup(FinMatGroup.from_elements(R, closed))
+    assert_cyclic_pass_matches_the_powers(G)
     reps, seen, fallbacks = classes_counting_fallbacks(G)
     assert fallbacks == (not solvable_by_derived_series(G))
     assert_matches_join_oracle(G, reps, seen)
 
 
+# SL2 over a ring of each kind: Z/n, F_p[t] mod a prime power, F_q with
+# q = p^e, e > 1, and an order of a quadratic field
+KERNEL_RINGS = (
+    ("Z", "(4)"), ("Fq[t] q=2", "(t^2)"), ("Fq[t] q=4", "(t)"), ("Q(sqrt(-1)) maximal", "(2)")
+)
+
+
 def lazy_table_cases():
-    ops = _ops(build_quotient(Z, Z.parse_ideal("(4)")))
-    yield dense_sl2(Z, "(4)"), ops.mmul, ops.minv
+    # the kernel on decoded entries against the packed-code arithmetic
+    for spec, text in KERNEL_RINGS:
+        D = parse_domain(spec)
+        ops = _ops(build_quotient(D, D.parse_ideal(text)))
+        yield dense_sl2(D, text), ops.mmul, ops.minv
     ops = _ops(integer_quotient(6))
 
     def label(x):
@@ -343,8 +403,44 @@ def test_lazy_table_agrees_with_label_arithmetic():
 
 
 def test_subgroup_classes_read_few_products():
-    # the product cache grows with the products used: under 5 % of |G|^2
+    # the product cache grows with the products used, under 1 % of |G|^2;
+    # the cyclic pass, the conjugation maps and the cyclic-extension joins
+    # bypass it
     G = dense_sl2(Z, "(12)")
     reps, _ = subgroup_classes(G)
     assert (G.size, len(reps)) == (1152, 271)
-    assert len(G.products) < 0.05 * G.size ** 2
+    assert len(G.products) <= 8282
+
+
+def class_search_digest(reps, seen):
+    h = hashlib.sha256()
+    h.update(repr([(sorted(elems), gens) for elems, gens in reps]).encode())
+    h.update(repr(sorted((sorted(s), c) for s, c in seen.items())).encode())
+    return h.hexdigest()
+
+
+# sha256 of each class search's representatives with their generator
+# tuples and its map of subgroups to classes, on dense indices
+CLASS_SEARCH_DIGESTS = {
+    "Z/4": "fbdd92ec367de26f196164c21642705ac5eb987cb7e29af08f0a794819c121a8",
+    "Z/6": "a32de130bcbb782433409af2dc9cbc906373add66428b767933a2fab03edad55",
+    "Z/8": "5713007cc75b497b335c49537d2cfde421816f9fb95dfdf89f915f6c6e46623d",
+    "Z/9": "4fd15ca279415044dec4faeb0b5febbbdfc20235ca8ef2e0ae9c9d65e15ef75a",
+    "Z/12": "fdc65f45c4a5dc229a5578628e51e42856de752dc87cfe3246bca2301531ba5a",
+    "F3[t]/(t^2)": "8bcf97a7ef1563bfc8aa32b7beaf3bb45d5b9d42d02c01e5eb58faedb46d2835",
+    "PSL2(Z/2)": "fa02cee0f37299b881315ef7ec10432df33688f200a19a2d615e1a3be390dae7",
+    "PSL2(Z/3)": "9cc3588a196d353b5e7e5604c4c1cf791e6931590ae129aa1df8c466797ba47f",
+    "PSL2(Z/4)": "4d1c7f26726dd704102ec4eb15946a93f24934d9b3310f3dd065d2242087e0cb",
+    "PSL2(Z/5)": "8f5215aa3325c3cae4b41e6eb838bb1bab202f48f07b0587ec811a846562c35f",
+    "PSL2(Z/6)": "fda59084f938d1e3fb2c7f28b7ae95b2f4bb2295442504c9bb22db6ab98eebd2",
+    "PSL2(Z/8)": "4e0ee0d8ad932032143d1dec05dd8f5fbef3a5fee4721220ae8360248a779673",
+}
+
+
+def test_class_search_output_is_pinned():
+    # every frame of the survey and of the exact-test soundness suite comes
+    # from these searches, so their reps, generators and classes stay fixed
+    groups = {**SURVEY_GROUPS, **{f"PSL2(Z/{n})": (lambda n=n: psl2_group(n)) for n in SOUNDNESS_LEVELS}}
+    assert set(groups) == set(CLASS_SEARCH_DIGESTS)
+    for name, group in groups.items():
+        assert class_search_digest(*subgroup_classes(group())) == CLASS_SEARCH_DIGESTS[name], name

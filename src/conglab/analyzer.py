@@ -595,12 +595,7 @@ def _example_icosahedral(name, D, modulus_text, caps):
     for x in invol:
         for y in third:
             z = ops.mmul(x, y)
-            if z in center:
-                continue
-            acc = z
-            for _ in range(4):
-                acc = ops.mmul(acc, z)
-            if acc not in center:
+            if z in center or _power(z, 5, ops.mmul, ops.identity) not in center:
                 continue
             group = FinMatGroup(ring, (x, y))
             if group.order == 120:
@@ -659,13 +654,7 @@ def _example_translation_join(caps):
     for f in local_decompose(ring):
         lg = full_sl2(f.ring, cap=caps.group)
         fops = _ops(f.ring)
-        syl = set()
-        for x in lg.elements:
-            acc = x
-            for _ in range(3):
-                acc = fops.mmul(acc, x)
-            if acc == fops.identity:
-                syl.add(x)
+        syl = {x for x in lg.elements if _power(x, 4, fops.mmul, fops.identity) == fops.identity}
         locals_.append((syl, _matrix_projector(ring, f)))
     n_codes = [
         code
@@ -693,14 +682,11 @@ def _example_split_two(caps):
     signs = []
     for f in local_decompose(ring):
         fops = _ops(f.ring)
-        table = {}
-        for x in full_sl2(f.ring, cap=caps.group).elements:
-            order = 1
-            acc = x
-            while acc != fops.identity:
-                acc = fops.mmul(acc, x)
-                order += 1
-            table[x] = 1 if order % 2 else -1
+        # each local ring is F2, and SL2(F2) is S3, where x has odd order iff x^3 = I
+        table = {
+            x: 1 if _power(x, 3, fops.mmul, fops.identity) == fops.identity else -1
+            for x in full_sl2(f.ring, cap=caps.group).elements
+        }
         signs.append((table, _matrix_projector(ring, f)))
     codes = [
         code

@@ -132,11 +132,13 @@ def _prime_power(q):
 
 
 def _power(x, k, mul, one):
-    """x^k by square-and-multiply, never multiplying by one."""
+    """x^k by square-and-multiply, never multiplying by one. Each product
+    puts the higher power on the left, so in a group that caches products
+    it makes the x^i * x^j, i >= j, of repeated right multiplication."""
     out = None
     while k:
         if k & 1:
-            out = x if out is None else mul(out, x)
+            out = x if out is None else mul(x, out)
         k >>= 1
         x = mul(x, x) if k else x
     return one if out is None else out

@@ -189,7 +189,7 @@ class FinMatGroup:
             if add[mul[a * n + d] * n + neg[mul[b * n + c]]] != ring.one_idx:
                 raise ValueError("generator has determinant other than 1")
             self._acts.append((a * n, b * n, c * n, d * n))
-        self.transversal, size, self._amplitude0 = self._walk(*ops.decode(ops.identity))
+        self.transversal, size, self._amplitude0 = self._walk()
         self.order = size * len(self._amplitude0)
         if _sl2_total(ring) % self.order:
             raise InternalCheckError("column chain order does not divide |SL2(R)|")
@@ -197,14 +197,15 @@ class FinMatGroup:
         self._n, self._n2, self._n3 = n, n * n, n * n * n
         self._add, self._mul = add, mul
 
-    def _walk(self, a, b, c, d):
-        """The orbit walked from g0 = (a, b, c, d): the arrays (d*n, -b*n) of
-        t(v) by column key, the orbit's size, and A_k."""
+    def _walk(self):
+        """e1's orbit, walked from the identity: the arrays (d*n, -b*n) of
+        t(v) by column key, the orbit's size, and A_0."""
         ring = self.ring
         n, add, mul, neg = ring.size, ring.add_t, ring.mul_t, ring.neg_t
+        one, zero = ring.one_idx, ring.zero_idx
         dns, nbns = _OFF_ORBIT * n ** 2, _OFF_ORBIT * n ** 2
-        dns[a * n + c], nbns[a * n + c] = d * n, neg[b] * n
-        walk = [(a, b, c, d)]
+        dns[one * n + zero], nbns[one * n + zero] = one * n, zero * n
+        walk = [(one, zero, zero, one)]
         xs = set()
         for a, b, c, d in walk:  # walk grows as columns are found
             for p, q, r, s in self._acts:
@@ -306,6 +307,33 @@ class FinMatGroup:
         if self._sorted is None:
             self._sorted = sorted(self.elements)
         return self._sorted
+
+    def index_kernel(self):
+        """(index, kernel) on the sorted codes: index maps each code to its
+        place and kernel(i, j) is the place of the product. A product reads
+        the decoded entries of both factors, the left one's premultiplied by
+        |R|, through the ring tables, scaled once per group so that the
+        products come premultiplied by |R| and the sums by their place in a
+        code: 12 table reads and one index lookup."""
+        ring = self.ring
+        ops = _ops(ring)
+        n, add, mul = ring.size, ring.add_t, ring.mul_t
+        labels = self.sorted_elements()
+        index = {x: i for i, x in enumerate(labels)}
+        entries = [ops.decode(x) for x in labels]
+        rows = [(a * n, b * n, c * n, d * n) for a, b, c, d in entries]
+        muln = [x * n for x in mul]
+        add3, add2, add1 = ([x * n ** k for x in add] for k in (3, 2, 1))
+
+        def kernel(i, j):
+            an, bn, cn, dn = rows[i]
+            e, f, g, h = entries[j]
+            return index[
+                add3[muln[an + e] + mul[bn + g]] + add2[muln[an + f] + mul[bn + h]]
+                + add1[muln[cn + e] + mul[dn + g]] + add[muln[cn + f] + mul[dn + h]]
+            ]
+
+        return index, kernel
 
     def __repr__(self):
         return f"<FinMatGroup of order {self.order} over {self.ring!r}>"

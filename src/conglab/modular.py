@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, lcm
 
-from .domains import CapExceeded, InternalCheckError, ParseError, _factor_int
+from .domains import CapExceeded, InternalCheckError, ParseError, _factor_int, _power
 from .matgroups import DEFAULT_GROUP_CAP, _ops, full_sl2, sl2_order_from_factors
 from .quotients import integer_quotient
 from .subgroups import DenseGroup
@@ -180,6 +180,14 @@ def psl2_group(n, cap=DEFAULT_GROUP_CAP):
     )
 
 
+def sl2_preimage(ring, P, elems):
+    """The codes +-x over ring = Z/n of the labels at the indices elems of
+    P = psl2_group(n): the SL2(Z/n) preimage of a set of PSL2 elements."""
+    mneg = _ops(ring).mneg
+    labels = [P.labels[e] for e in elems]
+    return set(labels) | {mneg(x) for x in labels}
+
+
 @dataclass(frozen=True)
 class IndexLevelVerdict:
     index_at_least_level: bool
@@ -303,7 +311,7 @@ def coset_permrep(G, subgroup_indices):
     in G and the set holds the identity and its blocks tile G, moving as one.
     """
     s, t = G.gens
-    if G.mul(s, s) != G.identity or len(G.powers(G.mul(s, t))) not in (1, 3):
+    if G.mul(s, s) != G.identity or _power(G.mul(s, t), 3, G.mul, G.identity) != G.identity:
         raise InternalCheckError("the generators of G are not S, T of the modular group")
     K = sorted(subgroup_indices)
     label = [-1] * G.size

@@ -13,10 +13,11 @@ x * g, n * |gens| of each, and every other row is read off its parent's
 by bilinearity.  `build_quotient` interns rings, the 32 used last, one
 per (domain, modulus), and checks its caps on every call;
 `integer_quotient` finds the same Z/(n) by n alone, with the same
-checks.  A ring's tables and the caches other layers hang off it are
-pure functions of the ring, so each is built once per process and safe
-to share; `memo` holds those results per kind and input, and lives
-and dies with the ring.
+checks.  Besides this module only matgroups reads the tables, to pack
+and multiply matrix codes.  A ring's tables and the caches other layers
+hang off it are pure functions of the ring, so each is built once per
+process and safe to share; `memo` holds those results per kind and
+input, and lives and dies with the ring.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ A DenseGroup re-indexes any finite group's elements as 0..n-1 and has one
 product path, a function on these indices; `mul` keeps the products it
 computes, so subgroup-lattice enumeration runs on small integers in
 memory that grows with the products used, not with n^2. A group of matrices
-multiplies the decoded entries of its elements through the ring tables.
+takes its kernel from matgroups (`FinMatGroup.index_kernel`), so this
+module never reads a ring table or a packed code.
 One walk of each maximal cyclic subgroup gives every inverse and every
 cyclic subgroup's least generator.
 Subgroup classes come from cyclic extension by zuppos, the cyclic
@@ -42,30 +43,9 @@ class DenseGroup:
 
     @classmethod
     def from_matgroup(cls, group):
-        """The group on its sorted codes. A product reads the decoded entries
-        of both factors, the left one's premultiplied by |R|, through the
-        ring tables, scaled once per group so that the products come
-        premultiplied by |R| and the sums by their place in a code: 12
-        table reads and one index lookup."""
-        ring = group.ring
-        ops = _ops(ring)
-        n, add, mul = ring.size, ring.add_t, ring.mul_t
-        labels = group.sorted_elements()
-        index = {x: i for i, x in enumerate(labels)}
-        entries = [ops.decode(x) for x in labels]
-        rows = [(a * n, b * n, c * n, d * n) for a, b, c, d in entries]
-        muln = [x * n for x in mul]
-        add3, add2, add1 = ([x * n ** k for x in add] for k in (3, 2, 1))
-
-        def kernel(i, j):
-            an, bn, cn, dn = rows[i]
-            e, f, g, h = entries[j]
-            return index[
-                add3[muln[an + e] + mul[bn + g]] + add2[muln[an + f] + mul[bn + h]]
-                + add1[muln[cn + e] + mul[dn + g]] + add[muln[cn + f] + mul[dn + h]]
-            ]
-
-        return cls(index, kernel, ops.identity, group.gens or [ops.identity])
+        """The group on its sorted codes, multiplied by its index kernel."""
+        identity = _ops(group.ring).identity
+        return cls(*group.index_kernel(), identity, group.gens or [identity])
 
     def mul(self, i, j):
         k = i * self.size + j
@@ -81,15 +61,6 @@ class DenseGroup:
 
     def conj(self, x, g):
         return self.mul(self.mul(self.inv[g], x), g)
-
-    def powers(self, g):
-        """[1, g, g^2, ...], one entry per element of the cyclic group <g>."""
-        out = [self.identity]
-        acc = g
-        while acc != self.identity:
-            out.append(acc)
-            acc = self.mul(acc, g)
-        return out
 
     @cached_property
     def _cyclic(self):

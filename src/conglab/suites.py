@@ -61,11 +61,11 @@ from .modular import (
     larcher_check,
     low_index_enumerate,
     psl2_group,
+    sl2_preimage,
 )
 from .quotients import (
     build_quotient,
     ideal_image,
-    integer_quotient,
     largest_ideal_inside,
     local_decompose,
 )
@@ -613,18 +613,9 @@ def suite_modular_screens(caps, seed, families=None):
 
 
 def psl_subgroups(n, caps=DEFAULT_CAPS):
-    """PSL2(Z/n) and its subgroup classes, kept on the ring Z/n per caps."""
-    cache = integer_quotient(n, caps.ring).memo["psl_subgroups"]
-    if caps not in cache:
-        P = psl2_group(n, cap=caps.group)
-        cache[caps] = (P, *subgroup_classes(P))
-    return cache[caps]
-
-
-def _sl2_preimage(P, mneg, elems):
-    """The SL2 codes +-x of a set of PSL2 labels."""
-    labels = [P.labels[e] for e in elems]
-    return set(labels) | {mneg(x) for x in labels}
+    """(P, reps, seen): P = PSL2(Z/n) and its subgroup classes."""
+    P = psl2_group(n, cap=caps.group)
+    return (P, *subgroup_classes(P))
 
 
 SOUNDNESS_LEVELS = (2, 3, 4, 5, 6, 8)
@@ -634,16 +625,14 @@ def suite_exact_soundness(caps, seed, families=None):
     res = SuiteResult("exact_soundness")
     Z = parse_domain("Z")
     for n in SOUNDNESS_LEVELS:
+        ring = build_quotient(Z, Z.principal_ideal(n), ring_cap=caps.ring)
         P, reps, seen = psl_subgroups(n, caps)
-        q0 = Z.principal_ideal(n)
-        ring = build_quotient(Z, q0, ring_cap=caps.ring)
-        mneg = _ops(ring).mneg
         classes = {elems: None for elems, _ in reps}  # (permrep, frame) per class rep
         for subgroup in all_subgroups(seen):
             rep = coset_permrep(P, subgroup)
             verdict = exact_congruence_test(rep, cap=caps.group)
             res.check(verdict.congruence, f"PSL(Z/{n}) subgroup tests non-congruence")
-            grp = FinMatGroup.from_elements(ring, _sl2_preimage(P, mneg, subgroup))
+            grp = FinMatGroup.from_elements(ring, sl2_preimage(ring, P, subgroup))
             frame = frame_from_group(grp, caps)
             lvl = level(frame)
             res.check(

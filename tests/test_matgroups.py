@@ -22,12 +22,12 @@ from conglab.matgroups import (
     sl2_order_formula,
     unimodular_columns,
 )
+from conglab.modular import sl2_preimage
 from conglab.quotients import additive_closure, build_quotient, ideal_image
 from conglab.subgroups import all_subgroups, extend_closure
 from conglab.suites import (
     SOUNDNESS_LEVELS,
     SURVEY_FAMILIES,
-    _sl2_preimage,
     exhaustive_frames,
     psl_subgroups,
 )
@@ -979,9 +979,8 @@ def test_from_elements_finds_the_closure_greedy_generators_on_every_soundness_su
     for n in SOUNDNESS_LEVELS:
         P, _, seen = psl_subgroups(n)
         R = build_quotient(Z, Z.principal_ideal(n))
-        mneg = _ops(R).mneg
         for subgroup in all_subgroups(seen):
-            codes = _sl2_preimage(P, mneg, subgroup)
+            codes = sl2_preimage(R, P, subgroup)
             H = FinMatGroup.from_elements(R, codes)
             assert H.gens == greedy_generators_by_closure(R, codes)
             assert H.elements == codes

@@ -31,7 +31,7 @@ from conglab.subgroups import DenseGroup, all_subgroups
 from conglab.suites import SOUNDNESS_LEVELS, psl_subgroups
 
 from test_matgroups import coset_labels
-from test_subgroups import dense_closure_by_bfs
+from test_subgroups import dense_closure_by_bfs, powers
 
 FULL = PermRep(1, (0,), (0,))
 
@@ -124,7 +124,7 @@ def test_coset_permrep_matches_the_labelling_oracle():
 def test_coset_permrep_rejects_a_non_subgroup():
     G = psl2_group(3)  # A4, which has no subgroup of order 6
     _, T = G.gens  # order 3
-    C = frozenset(G.powers(T))
+    C = frozenset(powers(G, T))
     # some unions of two cosets of <T> tile G by their translates
     sixes = {C | {G.mul(c, x) for c in C} for x in range(G.size) if x not in C}
     for elems in ([G.identity, T], [T, G.inv[T]], [T], *sixes):
@@ -134,6 +134,13 @@ def test_coset_permrep_rejects_a_non_subgroup():
 
 def test_coset_permrep_refuses_generators_off_the_modular_relations():
     G = DenseGroup({x: x for x in range(4)}, lambda x, y: (x + y) % 4, 0, [1, 2])  # "S" = 1 has order 4
+    with pytest.raises(InternalCheckError, match="not S, T"):
+        coset_permrep(G, [0])
+
+
+def test_coset_permrep_refuses_st_of_order_other_than_1_or_3():
+    # "S" = 3 squares to the identity, but "ST" = 5 has order 6
+    G = DenseGroup({x: x for x in range(6)}, lambda x, y: (x + y) % 6, 0, [3, 2])
     with pytest.raises(InternalCheckError, match="not S, T"):
         coset_permrep(G, [0])
 

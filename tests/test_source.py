@@ -223,3 +223,32 @@ def test_theorem_checks_raise_and_their_callers_do_not():
         assert any(isinstance(n, ast.Raise) for n in ast.walk(checks[name])), name
         returns = [n for n in ast.walk(checks[name]) if isinstance(n, ast.Return)]
         assert all(n.value is None for n in returns), name
+
+
+def test_only_quotients_and_matgroups_read_ring_tables():
+    # quotients builds the add/mul/neg tables and matgroups packs codes
+    # over them; every other module asks these two for what it needs
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("quotients.py", "matgroups.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in {"add_t", "mul_t", "neg_t"}:
+                found.append(f"{path.name}:{node.lineno} reads {node.attr}")
+    assert found == []
+
+
+def test_dense_group_computes_no_powers():
+    # element powers go through domains._power; the powers list of a
+    # cyclic subgroup is a test oracle
+    path = SRC / "subgroups.py"
+    tree = ast.parse(path.read_text(), str(path))
+    (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "DenseGroup"]
+    assert "powers" not in {n.name for n in cls.body if isinstance(n, ast.FunctionDef)}
+
+
+def test_suites_reads_no_psl2_labels():
+    # a PSL2(Z/n) label is the smaller code of +-x; modular, which defines
+    # the labels, gives a subgroup's SL2 preimage
+    path = SRC / "suites.py"
+    assert callers(ast.parse(path.read_text(), str(path)), "mneg") == []

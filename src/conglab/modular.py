@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from .domains import CapExceeded, InternalCheckError, ParseError, _factor_int, _power
-from .matgroups import DEFAULT_GROUP_CAP, _ops, full_sl2, sl2_order_from_factors
+from .matgroups import DEFAULT_GROUP_CAP, FinMatGroup, _ops, full_sl2, sl2_order_from_factors
 from .quotients import integer_quotient
 from .subgroups import DenseGroup
 
@@ -165,12 +165,11 @@ def psl2_group(n, cap=DEFAULT_GROUP_CAP):
     projective_group_order(n, cap)
     ring = integer_quotient(n)
     ops = _ops(ring)
-    r = ring.reduce
 
     def label(x):
         return min(x, ops.mneg(x))
 
-    gens = [label(ops.encode(*map(r, m))) for m in ((0, -1, 1, 0), (1, 1, 0, 1))]  # S, T
+    gens = [label(ops.encode(*map(ring.reduce, m))) for m in ((0, -1, 1, 0), (1, 1, 0, 1))]  # S, T
     # |SL2(Z/n)| <= 2 |PSL2(Z/n)|, which the order check bounded by cap
     labels = sorted({label(x) for x in full_sl2(ring, 2 * cap).elements})
     index = {x: i for i, x in enumerate(labels)}
@@ -180,12 +179,15 @@ def psl2_group(n, cap=DEFAULT_GROUP_CAP):
     )
 
 
-def sl2_preimage(ring, P, elems):
-    """The codes +-x over ring = Z/n of the labels at the indices elems of
-    P = psl2_group(n): the SL2(Z/n) preimage of a set of PSL2 elements."""
-    mneg = _ops(ring).mneg
-    labels = [P.labels[e] for e in elems]
-    return set(labels) | {mneg(x) for x in labels}
+def sl2_preimage(ring, P, elems, gens):
+    """The SL2(Z/n) preimage over ring = Z/n of the subgroup elems = <gens> of P = psl2_group(n):
+    <labels of gens, -I>, which lies in it; raises InternalCheckError unless it has its order."""
+    ops = _ops(ring)
+    signs = {ops.identity, ops.mneg(ops.identity)}
+    group = FinMatGroup(ring, [P.labels[g] for g in gens] + sorted(signs - {ops.identity}))
+    if group.order != len(elems) * len(signs):
+        raise InternalCheckError("the generators do not give the SL2 preimage of the subgroup")
+    return group
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ per group. Each join is Dimino's coset extension by one generator
 
 from __future__ import annotations
 
-from functools import cached_property, partial, reduce
+from functools import cached_property, partial
 
 from .domains import CapExceeded, _factor_int
 from .matgroups import DEFAULT_GROUP_CAP, _ops
@@ -59,8 +59,11 @@ class DenseGroup:
         """For each generator g, the map x -> xg on indices, by the kernel uncached."""
         return [[self.kernel(x, g) for x in range(self.size)] for g in self.gens]
 
-    def conj(self, x, g):
-        return self.mul(self.mul(self.inv[g], x), g)
+    @cached_property
+    def conjugations(self):
+        """For each generator g, x -> g^-1 x g = (x^-1 g)^-1 g, read off right_actions."""
+        inv = self.inv
+        return [[r[inv[r[inv[x]]]] for x in range(self.size)] for r in self.right_actions]
 
     @cached_property
     def _cyclic(self):
@@ -141,52 +144,46 @@ def subgroup_classes(G):
     represented by its member of least sorted elements, and reps are sorted
     by (order, sorted elements), so neither depends on the search.
     """
-    zuppos, inv = G.zuppos, G.inv
-    perms = [  # g^-1 x g = (x^-1 g)^-1 g, from the map x -> xg alone
-        (g, [right[inv[right[inv[x]]]] for x in range(G.size)])
-        for g, right in zip(G.gens, G.right_actions)
-    ]
-    reps, seen = _classes(G, perms, zuppos, partial(_cyclic_extensions, G, zuppos))
+    reps, seen = _classes(G, partial(_cyclic_extensions, G, G.zuppos))
     if frozenset(range(G.size)) not in seen:  # G is not solvable
-        reps, seen = _classes(G, perms, zuppos, _prime_power_joins(G, zuppos))
+        reps, seen = _classes(G, _prime_power_joins(G, G.zuppos))
     order = sorted(range(len(reps)), key=lambda c: _subgroup_key(reps[c][0]))
     renumber = {c: i for i, c in enumerate(order)}
     return [reps[c] for c in order], {s: renumber[c] for s, c in seen.items()}
 
 
-def _classes(G, perms, zuppos, extensions):
-    """Classes closed under extensions(H, gens, |N_G(H)|, known), which
-    yields (<H, g>, g); perms pairs each generator g of G with x -> g^-1 x g
-    on indices, and known maps (order, g) for each zuppo g to the subgroups
-    found so far of that order that hold g."""
+def conjugates(G, elems, gens):
+    """{member: generators} over the class of the subgroup elems = <gens>: a
+    walk along G.conjugations that carries each member's generators with it."""
+    walk, stack = {elems: tuple(gens)}, [elems]
+    while stack:
+        current = stack.pop()
+        for perm in G.conjugations:
+            conj = frozenset(map(perm.__getitem__, current))
+            if conj not in walk:
+                walk[conj] = tuple(map(perm.__getitem__, walk[current]))
+                stack.append(conj)
+    return walk
+
+
+def _classes(G, extensions):
+    """Classes closed under extensions(H, gens, |N_G(H)|, known) -> (<H, g>, g), each walked
+    by `conjugates`; known maps (order, zuppo g) to the subgroups found of that order holding g."""
     seen, reps, normalisers, known = {}, [], [], {}
-    zuppo_gens = frozenset(g for g, *_ in zuppos)
+    zuppo_gens = frozenset(g for g, *_ in G.zuppos)
 
     def register(elems, gens):
         if elems in seen:
             return
-        parent = {elems: None}  # member -> (member, g) it is the g-conjugate of
-        stack = [elems]
-        while stack:
-            current = stack.pop()
-            for g, perm in perms:
-                conj = frozenset(map(perm.__getitem__, current))
-                if conj not in parent:
-                    parent[conj] = current, g
-                    stack.append(conj)
-        for member in parent:
+        members = conjugates(G, elems, gens)
+        for member in members:
             seen[member] = len(reps)
             for g in member & zuppo_gens:
                 known.setdefault((len(member), g), []).append(member)
-        least = min(map(min, parent))  # the least sorted member starts with it
-        rep = min((member for member in parent if least in member), key=sorted)
-        path, member = [], rep
-        while parent[member] is not None:
-            member, g = parent[member]
-            path.append(g)
-        conjugator = reduce(G.mul, reversed(path), G.identity)  # rep = c^-1 elems c
-        reps.append((rep, tuple(G.conj(h, conjugator) for h in gens)))
-        normalisers.append(G.size // len(parent))  # the orbit-stabiliser theorem
+        least = min(map(min, members))  # the least sorted member starts with it
+        rep = min((member for member in members if least in member), key=sorted)
+        reps.append((rep, members[rep]))
+        normalisers.append(G.size // len(members))  # the orbit-stabiliser theorem
 
     register(frozenset({G.identity}), ())
     for c, (elems, gens) in enumerate(reps):  # reps grows as classes are found

@@ -69,7 +69,7 @@ from .quotients import (
     largest_ideal_inside,
     local_decompose,
 )
-from .subgroups import DenseGroup, all_subgroups, subgroup_classes
+from .subgroups import DenseGroup, all_subgroups, conjugates, subgroup_classes
 
 
 @dataclass
@@ -628,12 +628,14 @@ def suite_exact_soundness(caps, seed, families=None):
         ring = build_quotient(Z, Z.principal_ideal(n), ring_cap=caps.ring)
         P, reps, seen = psl_subgroups(n, caps)
         classes = {elems: None for elems, _ in reps}  # (permrep, frame) per class rep
+        gens = dict.fromkeys(seen, ())  # keys stay seen's sets, so each walk's copies go;
+        for c in reps:  # a subgroup no walk reaches keeps (), which sl2_preimage refuses
+            gens.update(conjugates(P, *c))
         for subgroup in all_subgroups(seen):
             rep = coset_permrep(P, subgroup)
             verdict = exact_congruence_test(rep, cap=caps.group)
             res.check(verdict.congruence, f"PSL(Z/{n}) subgroup tests non-congruence")
-            grp = FinMatGroup.from_elements(ring, sl2_preimage(ring, P, subgroup))
-            frame = frame_from_group(grp, caps)
+            frame = frame_from_group(sl2_preimage(ring, P, subgroup, gens[subgroup]), caps)
             lvl = level(frame)
             res.check(
                 lvl.data == verdict.level,
@@ -645,8 +647,7 @@ def suite_exact_soundness(caps, seed, families=None):
             )
             if subgroup in classes:
                 classes[subgroup] = rep, frame
-        # widths against T-cycles per class representative, off the cusps level() filled
-        for rep, frame in classes.values():
+        for rep, frame in classes.values():  # widths against T-cycles, off level()'s cusps
             widths = sorted(c.width for c in cusps(frame))
             res.check(
                 tuple(widths) == cusp_split(rep).lengths,

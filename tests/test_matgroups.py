@@ -22,7 +22,6 @@ from conglab.matgroups import (
     sl2_order_formula,
     unimodular_columns,
 )
-from conglab.modular import sl2_preimage
 from conglab.quotients import additive_closure, build_quotient, ideal_image
 from conglab.subgroups import all_subgroups, extend_closure
 from conglab.suites import (
@@ -974,13 +973,22 @@ def greedy_generators_by_closure(ring, codes):
     return tuple(found)
 
 
+def sl2_preimage_codes(ring, P, elems):
+    """Oracle: the codes +-x over ring = Z/n of the labels at the indices
+    elems of P = psl2_group(n), the SL2(Z/n) preimage of a set of PSL2
+    elements."""
+    mneg = _ops(ring).mneg
+    labels = [P.labels[e] for e in elems]
+    return set(labels) | {mneg(x) for x in labels}
+
+
 def test_from_elements_finds_the_closure_greedy_generators_on_every_soundness_subgroup():
     count = 0
     for n in SOUNDNESS_LEVELS:
         P, _, seen = psl_subgroups(n)
         R = build_quotient(Z, Z.principal_ideal(n))
         for subgroup in all_subgroups(seen):
-            codes = sl2_preimage(R, P, subgroup)
+            codes = sl2_preimage_codes(R, P, subgroup)
             H = FinMatGroup.from_elements(R, codes)
             assert H.gens == greedy_generators_by_closure(R, codes)
             assert H.elements == codes

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conglab.analyzer import frame_from_group
+from conglab.analyzer import level as frame_level
 from conglab.domains import CapExceeded, InternalCheckError, ParseError, parse_domain
-from conglab.matgroups import _MatOps, sl2_order_formula
+from conglab.matgroups import FinMatGroup, _MatOps, sl2_order_formula
 from conglab.modular import (
     CongruenceVerdict,
     CuspSplit,
@@ -25,12 +27,13 @@ from conglab.modular import (
     projective_group_order,
     psl2_group,
     screen_permrep,
+    sl2_preimage,
 )
-from conglab.quotients import _quotient
-from conglab.subgroups import DenseGroup, all_subgroups
+from conglab.quotients import _quotient, integer_quotient
+from conglab.subgroups import DenseGroup, all_subgroups, conjugates
 from conglab.suites import SOUNDNESS_LEVELS, psl_subgroups
 
-from test_matgroups import coset_labels
+from test_matgroups import coset_labels, sl2_preimage_codes
 from test_subgroups import dense_closure_by_bfs, powers
 
 FULL = PermRep(1, (0,), (0,))
@@ -297,6 +300,46 @@ def test_psl2_group_matches_oracle_group():
         G = psl2_group(n)
         assert G.size == len(oracle_psl2(n)[0])
         assert dense_closure_by_bfs(G, G.gens) == frozenset(range(G.size))
+
+
+def soundness_subgroups():
+    """(ring, P, subgroup, generators) for each subgroup of the exact-test
+    soundness suite, its generators conjugated from its class rep's."""
+    for n in SOUNDNESS_LEVELS:
+        P, reps, seen = psl_subgroups(n)
+        gens = {}
+        for elems, rep_gens in reps:
+            gens.update(conjugates(P, elems, rep_gens))
+        for subgroup in all_subgroups(seen):
+            yield integer_quotient(n), P, subgroup, gens[subgroup]
+
+
+def test_sl2_preimage_from_generators_is_the_element_preimage():
+    count = 0
+    for ring, P, subgroup, gens in soundness_subgroups():
+        codes = sl2_preimage_codes(ring, P, subgroup)
+        H = sl2_preimage(ring, P, subgroup, gens)
+        assert H.elements == codes
+        frame = frame_from_group(H)
+        oracle = frame_from_group(FinMatGroup.from_elements(ring, codes))
+        assert frame_level(frame) == frame_level(oracle)
+        assert frame.index == oracle.index
+        count += 1
+    assert count == 516
+
+
+def test_sl2_preimage_refuses_generators_of_a_proper_subgroup():
+    # a class rep's last generator is the one its cyclic extension added,
+    # so the others generate a proper subgroup
+    refused = 0
+    for n in SOUNDNESS_LEVELS:
+        P, reps, _ = psl_subgroups(n)
+        ring = integer_quotient(n)
+        for elems, gens in reps[1:]:
+            with pytest.raises(InternalCheckError, match="SL2 preimage"):
+                sl2_preimage(ring, P, elems, gens[:-1])
+            refused += 1
+    assert refused == sum(len(psl_subgroups(n)[1]) - 1 for n in SOUNDNESS_LEVELS)
 
 
 def test_exact_test_matches_oracle():

@@ -252,3 +252,26 @@ def test_suites_reads_no_psl2_labels():
     # the labels, gives a subgroup's SL2 preimage
     path = SRC / "suites.py"
     assert callers(ast.parse(path.read_text(), str(path)), "mneg") == []
+
+
+def test_suites_builds_no_group_from_elements():
+    # the soundness suite frames each SL2 preimage from its conjugated
+    # class generators; FinMatGroup.from_elements is not on its path
+    path = SRC / "suites.py"
+    assert callers(ast.parse(path.read_text(), str(path)), "from_elements") == []
+
+
+def test_one_walk_conjugates_subgroups():
+    # DenseGroup keeps the conjugation maps and conjugates alone applies
+    # them to a subgroup, so the class search and the suite share one walk
+    path = SRC / "subgroups.py"
+    tree = ast.parse(path.read_text(), str(path))
+    (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "DenseGroup"]
+    assert "conj" not in {n.name for n in cls.body if isinstance(n, ast.FunctionDef)}
+    readers = {
+        function.name: {n.attr for n in ast.walk(function) if isinstance(n, ast.Attribute)}
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+    }
+    assert [name for name, attrs in readers.items() if "conjugations" in attrs] == ["conjugates"]
+    assert [name for name, attrs in readers.items() if "right_actions" in attrs] == ["conjugations"]

@@ -12,7 +12,13 @@ from conglab.domains import CapExceeded, _factor_int, parse_domain
 from conglab.matgroups import DEFAULT_GROUP_CAP, FinMatGroup, _ops, full_sl2
 from conglab.modular import psl2_group
 from conglab.quotients import build_quotient, integer_quotient
-from conglab.subgroups import DenseGroup, all_subgroups, extend_closure, subgroup_classes
+from conglab.subgroups import (
+    DenseGroup,
+    all_subgroups,
+    conjugates,
+    extend_closure,
+    subgroup_classes,
+)
 from conglab.suites import _RANDOM_DOMAINS, FAMILY_SPECS, SOUNDNESS_LEVELS, SURVEY_FAMILIES
 
 Z = parse_domain("Z")
@@ -27,6 +33,11 @@ def powers(G, g):
         out.append(acc)
         acc = G.mul(acc, g)
     return out
+
+
+def conj(G, x, g):
+    """g^-1 x g through the product cache."""
+    return G.mul(G.mul(G.inv[g], x), g)
 
 
 def subgroup_classes_by_join(G):
@@ -51,10 +62,10 @@ def subgroup_classes_by_join(G):
         while stack:
             current = stack.pop()
             for g in G.gens:
-                conj = frozenset(G.conj(x, g) for x in current)
-                if conj not in orbit:
-                    orbit.add(conj)
-                    stack.append(conj)
+                image = frozenset(conj(G, x, g) for x in current)
+                if image not in orbit:
+                    orbit.add(image)
+                    stack.append(image)
         for member in orbit:
             seen[member] = cid
         reps.append((elems, tuple(gens)))
@@ -325,7 +336,7 @@ def test_cyclic_extensions_are_the_normal_overgroups_of_prime_index(name):
             for K in seen
             if H < K
             and _factor_int(len(K) // len(H)) == {len(K) // len(H): 1}
-            and all(G.conj(h, k) in H for h in gens for k in K)
+            and all(conj(G, h, k) in H for h in gens for k in K)
         }
         assert len(found) == len(set(found))
         assert set(found) == oracle
@@ -454,3 +465,30 @@ def test_class_search_output_is_pinned():
     assert set(groups) == set(CLASS_SEARCH_DIGESTS)
     for name, group in groups.items():
         assert class_search_digest(*subgroup_classes(group())) == CLASS_SEARCH_DIGESTS[name], name
+
+
+def closure_by_extension(G, gens):
+    """The subgroup <gens>, closed by extend_closure one generator at a time."""
+    elems, found = {G.identity}, []
+    for g in gens:
+        elems = extend_closure(elems, found, g, G.mul)
+        found.append(g)
+    return elems
+
+
+def test_conjugates_walk_each_class_with_generators_of_each_member():
+    # the walk from a class rep reaches exactly its class, and carries
+    # generators that close to each member it reaches
+    psl2 = {f"PSL2(Z/{n})": (lambda n=n: psl2_group(n)) for n in SOUNDNESS_LEVELS}
+    for name, group in {**SURVEY_GROUPS, **psl2}.items():
+        G = group()
+        reps, seen = subgroup_classes(G)
+        members = {}
+        for s, c in seen.items():
+            members.setdefault(c, set()).add(s)
+        for c, (elems, gens) in enumerate(reps):
+            walk = conjugates(G, elems, gens)
+            assert set(walk) == members[c], name
+            assert walk[elems] == gens
+            for member, member_gens in walk.items():
+                assert closure_by_extension(G, member_gens) == member, name

@@ -8,7 +8,7 @@ from conglab.quotients import _quotient, build_quotient
 from conglab.suites import exhaustive_frames, psl_subgroups, run_suite
 
 
-def test_psl_subgroups_cache_respects_caps():
+def test_psl_subgroups_respects_the_group_cap():
     P, _, _ = psl_subgroups(8)
     assert P.size == 192
     with pytest.raises(CapExceeded):
@@ -56,6 +56,22 @@ def test_survey_frames_check_each_class_order_against_its_chain(monkeypatch):
     monkeypatch.setattr(suites, "subgroup_classes", short_generators)
     with pytest.raises(InternalCheckError, match="column chain"):
         exhaustive_frames("Z/6")
+
+
+def test_exact_soundness_refuses_a_class_walk_that_misses_a_subgroup(monkeypatch):
+    # a subgroup no walk reaches keeps no generators, and its SL2 preimage
+    # from none is {+-I}, whose order is not the preimage's
+    real = suites.conjugates
+
+    def short_walk(G, elems, gens):
+        walk = real(G, elems, gens)
+        if len(walk) > 1:
+            del walk[list(walk)[-1]]  # a member other than the rep
+        return walk
+
+    monkeypatch.setattr(suites, "conjugates", short_walk)
+    with pytest.raises(InternalCheckError, match="SL2 preimage"):
+        run_suite("exact_soundness")
 
 
 @pytest.mark.parametrize(

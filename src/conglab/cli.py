@@ -32,13 +32,6 @@ from .analyzer import (
 )
 from .domains import CapExceeded, ParseError, PolynomialDomain, parse_domain
 from .matgroups import Mat2
-from .modular import (
-    cusp_split,
-    low_index_enumerate,
-    parse_permrep,
-    screen_permrep,
-)
-from .suites import DEFAULT_SUITE_NAMES, SUITE_ALIASES, SUITES, pick_families, run_suite
 
 EXIT_OK = 0
 EXIT_SUITE_FAILURE = 1
@@ -161,6 +154,8 @@ def cmd_analyze(args):
 
 
 def cmd_screen_perm(args):
+    from .modular import parse_permrep, screen_permrep
+
     rep = parse_permrep(_load_json_file(args.permrep))
     out = screen_permrep(rep, run_all=args.all, cap=args.caps.group)
     _emit(out, args.format)
@@ -189,6 +184,8 @@ def cmd_screen_subspace(args):
 
 
 def cmd_enumerate_modular(args):
+    from .modular import cusp_split, low_index_enumerate, screen_permrep
+
     reps = low_index_enumerate(args.max_index)
     payload = []
     for rep in reps:
@@ -206,12 +203,16 @@ def cmd_enumerate_modular(args):
 
 
 def _run_suite_job(job):
+    from .suites import run_suite
+
     name, caps, seed, families = job
     result = run_suite(name, caps, seed, families)
     return (result.name, result.checks, result.failures)
 
 
 def cmd_verify_suite(args):
+    from .suites import DEFAULT_SUITE_NAMES, SUITE_ALIASES, SUITES, pick_families
+
     if args.jobs < 1:
         raise ParseError("--jobs must be at least 1")
     names = [args.suite] if args.suite else list(DEFAULT_SUITE_NAMES)

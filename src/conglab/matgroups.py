@@ -432,31 +432,35 @@ def full_sl2(ring, cap=DEFAULT_GROUP_CAP):
 
 
 def principal_congruence_image(ring, a):
-    """Image of the kernel-of-reduction subgroup for an ideal a containing q.
+    """Image of the kernel-of-reduction subgroup for an ideal a containing q:
+    the I + M in SL2(R) with every entry of M in the image A of a.
 
-    Its elements are I + M with every entry of M in the image A of a: for
-    each (ma, mb, mc) in (1+A) x A x A, every md in 1+A with ma*md = 1 + mb*mc,
-    read from a table of (1+A)^2 keyed by (ma, ma*md).
+    It is generated by T(x) and S(x) for x in A's additive generators, with
+    diag(u, 1/u) for the units u in 1 + A taken in increasing order, each
+    only when the group so far lacks it. On a local factor of R where A is
+    the whole factor, the T(x) and S(x) generate SL2 of it; on the others
+    every element of 1 + A is a unit, and I + M = S(c/u) diag(u, 1/u)
+    T(b/u) with u its (1,1) entry; T and S are additive in x. The order
+    certifies it. R is finite, so a product of local rings, over each of
+    which SL2 is generated by elementary matrices (row reduction), and
+    these lift along R -> D/a; so SL2(R) -> SL2(D/a) is onto, its kernel
+    has order |SL2(R)| / |SL2(D/a)|, and a subgroup of the kernel of that
+    order is the kernel. Raises InternalCheckError unless the chain order
+    is that quotient.
     """
     if not a.contains_ideal(ring.modulus):
         raise ValueError("ideal does not contain the frame modulus")
-    A = ideal_image(ring, a).elements
-    ops = _ops(ring)
-    n, add, mul = ring.size, ring.add_t, ring.mul_t
-    one = ring.one_idx
-    shifted = [add[one * n + x] for x in A]
-    solve = {}
-    for ma in shifted:
-        for md in shifted:
-            solve.setdefault((ma, mul[ma * n + md]), []).append(md)
-    codes = [
-        ops.encode(ma, mb, mc, md)
-        for ma in shifted
-        for mb in A
-        for mc in A
-        for md in solve.get((ma, add[one * n + mul[mb * n + mc]]), ())
-    ]
-    grp = FinMatGroup.from_elements(ring, codes)
+    A = ideal_image(ring, a)
+    gens = [make_generator(kind, ring, x).code for x in sorted(A.generators) for kind in "TS"]
+    grp = FinMatGroup(ring, gens)
+    for u in sorted(ring.add(ring.one_idx, x) for x in A.elements):
+        if ring.is_unit(u):
+            diag = make_generator("Tdiag", ring, u, ring.zero_idx).code
+            if diag not in grp:
+                gens.append(diag)
+                grp = FinMatGroup(ring, gens)
+    if grp.order != _sl2_total(ring) // sl2_order_formula(a):
+        raise InternalCheckError("congruence image generators fall short of the kernel")
     a2 = ideal_arith("product", a, a)
     if ring.modulus.contains_ideal(a2):
         expected = (residue_norm(ring.modulus) // residue_norm(a)) ** 3
@@ -562,9 +566,11 @@ def cube_law_check(domain, q, q_sub, ring_cap=None):
         raise ValueError("q_sub must contain q^2")
     ring = build_quotient(domain, q_sub, ring_cap or DEFAULT_RING_CAP)
     img = principal_congruence_image(ring, q)
+    # S, T and R are additive in x (R(x) = I + xN with N^2 = 0), so the
+    # images over every x in q generate what those over its generators do
     gens = [
         make_generator(kind, ring, x).code
-        for x in ideal_image(ring, q).sorted_elements()
+        for x in sorted(ideal_image(ring, q).generators)
         for kind in ("T", "S", "Runi")
     ]
     # gens lie in img, so they generate it iff <gens> is as large

@@ -405,7 +405,7 @@ def test_unknown_exhaustive_family_exits_before_any_suite(capsys, monkeypatch, a
 
     monkeypatch.setattr(SerialExecutor, "workers", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialExecutor)
-    monkeypatch.setattr("conglab.cli.run_suite", refuse)
+    monkeypatch.setattr("conglab.suites.run_suite", refuse)
     code, out, err = run_cli(["verify-suite", *argv, "--exhaustive", "Z/99"], capsys)
     assert (code, out) == (EXIT_PARSE, "")
     assert err.startswith("error: parse: unknown families ['Z/99']; known: ")

@@ -1,12 +1,16 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conglab
-from conglab import matgroups, quotients
+from conglab import matgroups, quotients, suites
 from conglab.analyzer import EXAMPLE_NAMES, InternalCheckError, build_example
 from conglab.domains import CapExceeded, factor_ideal, ideal_arith, ideal_pow, parse_domain
 from conglab.matgroups import (
@@ -304,6 +308,38 @@ def test_principal_congruence_image_requires_containment():
     R = ring_of(Z, "(4)")
     with pytest.raises(ValueError):
         principal_congruence_image(R, Z.parse_ideal("(3)"))
+
+
+# Z/4 with no unit: the image of (2) gets no diagonal generator, so T(2) and
+# S(2) give a group of order 4 against the kernel's 8
+NO_DIAGONALS = """
+import sys
+from conglab import matgroups, quotients
+from conglab.domains import InternalCheckError, parse_domain
+Z = parse_domain("Z")
+R = quotients._quotient.__wrapped__(Z, Z.parse_ideal("(4)").data)
+R.is_unit = lambda i: False
+try:
+    matgroups.principal_congruence_image(R, Z.parse_ideal("(2)"))
+except InternalCheckError as exc:
+    print(sys.flags.optimize, exc)
+"""
+
+
+def test_principal_congruence_image_refuses_generators_short_of_the_kernel(monkeypatch):
+    R = fresh_ring(Z, Z.parse_ideal("(4)"))
+    two = Z.parse_ideal("(2)")
+    assert principal_congruence_image(R, two).order == 8
+    monkeypatch.setattr(R, "is_unit", lambda i: False)
+    assert FinMatGroup(R, [make_generator(k, R, R.reduce(2)).code for k in "TS"]).order == 4
+    with pytest.raises(InternalCheckError, match="fall short of the kernel"):
+        principal_congruence_image(R, two)
+    env = dict(os.environ, PYTHONPATH=str(Path(conglab.__file__).resolve().parents[1]))
+    optimised = subprocess.run(
+        [sys.executable, "-O", "-c", NO_DIAGONALS], capture_output=True, env=env, timeout=300
+    )
+    assert (optimised.returncode, optimised.stderr) == (0, b"")
+    assert optimised.stdout == b"1 congruence image generators fall short of the kernel\n"
 
 
 # ---------------------------------------------------------------------------
@@ -610,6 +646,34 @@ def test_cube_law_orders():
     p = factor_ideal(ZSQ2.principal_ideal((2, 0))).pairs[0][0]
     R = build_quotient(ZSQ2, ideal_pow(p, 4))
     assert principal_congruence_image(R, ideal_pow(p, 2)).order == (16 // 4) ** 3
+
+
+def cube_law_check_over_every_element(domain, q, q_sub, ring_cap=None):
+    """Oracle: cube_law_check with S(x), T(x), R(x) over every x in q's image."""
+    ring = build_quotient(domain, q_sub, ring_cap or quotients.DEFAULT_RING_CAP)
+    img = principal_congruence_image(ring, q)
+    gens = [
+        make_generator(kind, ring, x).code
+        for x in ideal_image(ring, q).sorted_elements()
+        for kind in ("T", "S", "Runi")
+    ]
+    return all(g in img for g in gens) and FinMatGroup(ring, gens).order == img.order
+
+
+def test_cube_law_check_from_generators_matches_every_element(monkeypatch):
+    # each case of the cube-law suite gets the oracle's verdict
+    verdicts = []
+
+    def both(*args, **kwargs):
+        verdicts.append(
+            (cube_law_check(*args, **kwargs), cube_law_check_over_every_element(*args, **kwargs))
+        )
+        return verdicts[-1][0]
+
+    monkeypatch.setattr(suites, "cube_law_check", both)
+    result = suites.suite_cube_law(suites.DEFAULT_CAPS, 0)
+    assert (result.checks, result.failures) == (9, [])
+    assert verdicts == [(True, True)] * 9
 
 
 def test_cube_law_precondition():

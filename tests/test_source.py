@@ -275,3 +275,27 @@ def test_one_walk_conjugates_subgroups():
     }
     assert [name for name, attrs in readers.items() if "conjugations" in attrs] == ["conjugates"]
     assert [name for name, attrs in readers.items() if "right_actions" in attrs] == ["conjugations"]
+
+
+def loop_depths(node, name, depth=0):
+    """The number of loops around each call of name below node, a
+    comprehension counting one per for clause."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        func = getattr(child, "func", None)
+        if getattr(func, "id", getattr(func, "attr", None)) == name:
+            found.append(depth)
+        inner = depth + isinstance(child, (ast.For, ast.While))
+        if isinstance(child, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            inner += len(child.generators)
+        found += loop_depths(child, name, inner)
+    return found
+
+
+def test_principal_congruence_images_come_from_generators():
+    # the image of a principal congruence subgroup is a chain on its
+    # generators, certified by its order; listing every I + M is the scan
+    # oracle in tests/test_matgroups.py
+    node = _functions("matgroups")["principal_congruence_image"]
+    assert callers(node, "from_elements") == []
+    assert [depth for depth in loop_depths(node, "encode") if depth >= 3] == []

@@ -9,6 +9,7 @@ and pulled back to D.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 from .domains import (
     DEFAULT_FACTOR_CAP,
@@ -84,7 +85,6 @@ class FramedSubgroup:
         self._cusps = None
         self._quasi_level = None
         self._level = None
-        self._condition = None
 
     @property
     def is_normal(self):
@@ -143,13 +143,19 @@ def frame_from_group(group, caps=DEFAULT_CAPS, info=None):
 
 @dataclass
 class CuspData:
-    rep: Mat2
+    code: int  # the cusp's least packed code
     quasi_amplitude: AdditiveSubgroup
     amplitude: Ideal
     m_factor: int
     width: int
     term: int
     orbit: tuple  # quasi-amplitudes of the cusp under squared-unit scaling
+
+    @cached_property
+    def rep(self):
+        """The representative as a Mat2 over the quasi-amplitude's ring, built
+        and checked on first read."""
+        return Mat2.from_code(self.quasi_amplitude.ring, self.code)
 
     def to_json(self):
         return {
@@ -194,7 +200,7 @@ def cusps(frame):
         if term != width:
             raise InternalCheckError("cusp width does not factor as m * |D:b|")
         orbit = _squared_unit_orbit(ring, quasi)
-        out.append(CuspData(Mat2.from_code(ring, code), quasi, amp, m, width, term, orbit))
+        out.append(CuspData(code, quasi, amp, m, width, term, orbit))
     frame._cusps = tuple(out)
     return frame._cusps
 
@@ -234,10 +240,12 @@ def level(frame):
 
 
 def _level_condition(frame):
-    """Condition L at the frame's level, computed once per frame."""
-    if frame._condition is None:
-        frame._condition = condition_L(level(frame))
-    return frame._condition
+    """Condition L at the frame's level, computed once per level over its ring."""
+    lvl = level(frame)
+    cache = frame.ring.memo["condition_L"]
+    if lvl not in cache:
+        cache[lvl] = condition_L(lvl)
+    return cache[lvl]
 
 
 def order_ideal(frame):
@@ -252,10 +260,8 @@ def order_ideal(frame):
     for code in frame.group.gens:
         a, b, c, d = ops.decode(code)
         seeds.update((ring.sub(a, d), b, c))
-    out = ring.modulus
-    for s in seeds - {ring.zero_idx}:
-        out = ideal_arith("sum", out, ring.domain.principal_ideal(ring.lift(s)))
-    return out
+    lifts = [ring.lift(s) for s in sorted(seeds - {ring.zero_idx})]
+    return ring.domain.ideal_from_gens(ring.modulus.generators() + lifts)
 
 
 def level_chain(frame):

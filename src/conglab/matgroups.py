@@ -161,8 +161,15 @@ class FinMatGroup:
     again over its elements so that its generators are the set's greedy
     ones; the ring keeps these closures, keyed by the Schreier x's.
 
-    A column (a, c) is keyed a*n + c. The constructor walks e1's orbit 0
-    from the identity; `transversal` is two arrays indexed by column key
+    A column (a, c) is keyed a*n + c. The constructor sifts the given
+    generators, in order, into one walk of e1's orbit 0 from the identity:
+    it keeps a generator only when the group walked so far lacks it, read
+    by membership (the closure of the Schreier x's so far is needed only
+    when its column is already reached), and then applies it to the
+    columns already reached and every kept generator to the columns newly
+    reached, so each column meets each kept generator once. The closures
+    made while sifting are not kept on the ring. `gens` is the kept
+    subsequence. `transversal` is two arrays indexed by column key
     that hold (d*n, -b*n) for the second column (b, d) of t(v) in H at
     each column of orbit 0, and -1 off it. H is the disjoint union of
     the t(v) T(A_0), so |H| = |orbit 0| * |A_0|, and g lies in H iff its
@@ -171,56 +178,58 @@ class FinMatGroup:
     are walked, with no ring product, on the first read of `orbit_of`
     (column key -> k), `least` (k -> least code over orbit k) or
     `amplitudes` (k -> A_k), each from the least code of a column not yet
-    reached, in code order. Raises ValueError unless every generator has
-    determinant 1, and InternalCheckError unless |H| divides |SL2(R)| and
-    |orbit k| * |A_k| = |H| for every k.
+    reached, in code order. Raises ValueError unless every given
+    generator, kept or not, has determinant 1, and InternalCheckError
+    unless |H| divides |SL2(R)| and |orbit k| * |A_k| = |H| for every k.
     """
 
     def __init__(self, ring, gens):
         ops, n = _ops(ring), ring.size
         add, mul, neg = ring.add_t, ring.mul_t, ring.neg_t
+        one, zero = ring.one_idx, ring.zero_idx
         self.ring = ring
-        self.gens = tuple(gens)
         self._elements = None
         self._sorted = None
-        # each action is a matrix [[p, q], [r, s]], its entries stored times n
-        self._acts = []
-        for a, b, c, d in map(ops.decode, self.gens):
-            if add[mul[a * n + d] * n + neg[mul[b * n + c]]] != ring.one_idx:
+        dns, nbns = _OFF_ORBIT * n ** 2, _OFF_ORBIT * n ** 2
+        dns[one * n + zero], nbns[one * n + zero] = one * n, zero * n
+        walk, xs = [(one, zero, zero, one)], set()
+        kept, acts = [], []  # each action is a matrix [[p, q], [r, s]], its entries stored times n
+        shifts, closed_over = {zero}, 0  # A_0 so far, the closure of xs when it had that size
+        for code in gens:
+            a, b, c, d = ops.decode(code)
+            if add[mul[a * n + d] * n + neg[mul[b * n + c]]] != one:
                 raise ValueError("generator has determinant other than 1")
-            self._acts.append((a * n, b * n, c * n, d * n))
-        self.transversal, size, self._amplitude0 = self._walk()
-        self.order = size * len(self._amplitude0)
+            dn = dns[a * n + c]
+            if dn >= 0:  # a member iff t(v)^-1 code = T(x) with x in A_0
+                if closed_over != len(xs):
+                    shifts, closed_over = additive_closure(xs, ring).elements, len(xs)
+                if add[mul[dn + b] * n + mul[nbns[a * n + c] + d]] in shifts:
+                    continue
+            kept.append(code)
+            acts.append((a * n, b * n, c * n, d * n))
+            reached, new = len(walk), acts[-1:]
+            # the new generator on the columns already reached, every kept one on the rest
+            for i, (a, b, c, d) in enumerate(walk):  # walk grows as columns are found
+                for p, q, r, s in new if i < reached else acts:
+                    a2 = add[mul[p + a] * n + mul[q + c]]
+                    c2 = add[mul[r + a] * n + mul[s + c]]
+                    b2 = add[mul[p + b] * n + mul[q + d]]
+                    d2 = add[mul[r + b] * n + mul[s + d]]
+                    v = a2 * n + c2
+                    dn = dns[v]
+                    if dn < 0:
+                        dns[v], nbns[v] = d2 * n, neg[b2] * n
+                        walk.append((a2, b2, c2, d2))
+                    else:
+                        xs.add(add[mul[dn + b2] * n + mul[nbns[v] + d2]])
+        self.gens = tuple(kept)
+        self.transversal, self._amplitude0 = (dns, nbns), _closed_amplitude(ring, xs)
+        self.order = len(walk) * len(self._amplitude0)
         if _sl2_total(ring) % self.order:
             raise InternalCheckError("column chain order does not divide |SL2(R)|")
         self._shifts = self._amplitude0.elements
         self._n, self._n2, self._n3 = n, n * n, n * n * n
         self._add, self._mul = add, mul
-
-    def _walk(self):
-        """e1's orbit, walked from the identity: the arrays (d*n, -b*n) of
-        t(v) by column key, the orbit's size, and A_0."""
-        ring = self.ring
-        n, add, mul, neg = ring.size, ring.add_t, ring.mul_t, ring.neg_t
-        one, zero = ring.one_idx, ring.zero_idx
-        dns, nbns = _OFF_ORBIT * n ** 2, _OFF_ORBIT * n ** 2
-        dns[one * n + zero], nbns[one * n + zero] = one * n, zero * n
-        walk = [(one, zero, zero, one)]
-        xs = set()
-        for a, b, c, d in walk:  # walk grows as columns are found
-            for p, q, r, s in self._acts:
-                a2 = add[mul[p + a] * n + mul[q + c]]
-                c2 = add[mul[r + a] * n + mul[s + c]]
-                b2 = add[mul[p + b] * n + mul[q + d]]
-                d2 = add[mul[r + b] * n + mul[s + d]]
-                v = a2 * n + c2
-                dn = dns[v]
-                if dn < 0:
-                    dns[v], nbns[v] = d2 * n, neg[b2] * n
-                    walk.append((a2, b2, c2, d2))
-                else:
-                    xs.add(add[mul[dn + b2] * n + mul[nbns[v] + d2]])
-        return (dns, nbns), len(walk), _closed_amplitude(ring, xs)
 
     @cached_property
     def _orbits(self):
@@ -349,25 +358,16 @@ class FinMatGroup:
     def from_elements(cls, ring, codes):
         """Wrap a group given by its elements, which it keeps as its element list.
 
-        The greedy generators are the elements, in increasing order, that
-        the group generated by the earlier ones does not yet contain, read
-        by membership. Raises ValueError unless every element has
-        determinant 1 and the elements are the group they generate.
+        The group is built on the sorted elements, so its generators are
+        the greedy ones: each element, in increasing order, that the group
+        generated by the earlier ones does not yet contain. Raises
+        ValueError unless every element has determinant 1 and the elements
+        are the group they generate.
         """
         elems = frozenset(codes)
-        ops = _ops(ring)
-        if ops.identity not in elems:
+        if _ops(ring).identity not in elems:
             raise ValueError("element set lacks the identity")
-        n, add, mul, neg = ring.size, ring.add_t, ring.mul_t, ring.neg_t
-        for a, b, c, d in map(ops.decode, elems):
-            if add[mul[a * n + d] * n + neg[mul[b * n + c]]] != ring.one_idx:
-                raise ValueError("element set holds a matrix of determinant other than 1")
-        group = cls(ring, ())
-        for x in sorted(elems):
-            if x not in group:
-                group = cls(ring, (*group.gens, x))
-                if group.order > len(elems):
-                    break
+        group = cls(ring, sorted(elems))
         if group.order != len(elems):
             raise ValueError("element set is not multiplicatively closed")
         group._elements = elems
@@ -435,12 +435,13 @@ def principal_congruence_image(ring, a):
     """Image of the kernel-of-reduction subgroup for an ideal a containing q:
     the I + M in SL2(R) with every entry of M in the image A of a.
 
-    It is generated by T(x) and S(x) for x in A's additive generators, with
-    diag(u, 1/u) for the units u in 1 + A taken in increasing order, each
-    only when the group so far lacks it. On a local factor of R where A is
-    the whole factor, the T(x) and S(x) generate SL2 of it; on the others
-    every element of 1 + A is a unit, and I + M = S(c/u) diag(u, 1/u)
-    T(b/u) with u its (1,1) entry; T and S are additive in x. The order
+    It is one FinMatGroup on T(x) and S(x) for x in A's additive
+    generators, then diag(u, 1/u) for the units u in 1 + A in increasing
+    order, which the constructor keeps only when the group so far lacks
+    them. On a local factor of R where A is the whole factor, the T(x) and
+    S(x) generate SL2 of it; on the others every element of 1 + A is a
+    unit, and I + M = S(c/u) diag(u, 1/u) T(b/u) with u its (1,1) entry;
+    T and S are additive in x. The order
     certifies it. R is finite, so a product of local rings, over each of
     which SL2 is generated by elementary matrices (row reduction), and
     these lift along R -> D/a; so SL2(R) -> SL2(D/a) is onto, its kernel
@@ -452,13 +453,10 @@ def principal_congruence_image(ring, a):
         raise ValueError("ideal does not contain the frame modulus")
     A = ideal_image(ring, a)
     gens = [make_generator(kind, ring, x).code for x in sorted(A.generators) for kind in "TS"]
-    grp = FinMatGroup(ring, gens)
     for u in sorted(ring.add(ring.one_idx, x) for x in A.elements):
         if ring.is_unit(u):
-            diag = make_generator("Tdiag", ring, u, ring.zero_idx).code
-            if diag not in grp:
-                gens.append(diag)
-                grp = FinMatGroup(ring, gens)
+            gens.append(make_generator("Tdiag", ring, u, ring.zero_idx).code)
+    grp = FinMatGroup(ring, gens)
     if grp.order != _sl2_total(ring) // sl2_order_formula(a):
         raise InternalCheckError("congruence image generators fall short of the kernel")
     a2 = ideal_arith("product", a, a)

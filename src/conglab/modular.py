@@ -181,10 +181,13 @@ def psl2_group(n, cap=DEFAULT_GROUP_CAP):
 
 def sl2_preimage(ring, P, elems, gens):
     """The SL2(Z/n) preimage over ring = Z/n of the subgroup elems = <gens> of P = psl2_group(n):
-    <labels of gens, -I>, which lies in it; raises InternalCheckError unless it has its order."""
+    <labels of gens, last first, then -I>, which lies in it; raises InternalCheckError unless it
+    has its order. A class rep's later generators extend larger groups, so taken first they
+    leave the constructor more of the earlier ones to drop."""
     ops = _ops(ring)
     signs = {ops.identity, ops.mneg(ops.identity)}
-    group = FinMatGroup(ring, [P.labels[g] for g in gens] + sorted(signs - {ops.identity}))
+    labels = [P.labels[g] for g in reversed(gens)]
+    group = FinMatGroup(ring, labels + sorted(signs - {ops.identity}))
     if group.order != len(elems) * len(signs):
         raise InternalCheckError("the generators do not give the SL2 preimage of the subgroup")
     return group

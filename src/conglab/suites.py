@@ -113,8 +113,10 @@ SURVEY_FAMILIES = ("Z/4", "Z/6", "Z/8", "Z/9", "Z/12", "F3[t]/(t^2)")
 
 def exhaustive_frames(family, caps=DEFAULT_CAPS):
     """All subgroup-conjugacy-class frames over one built-in quotient, kept
-    on its ring per caps. Each frame's group holds only its class's
-    generators; its column chain must reach the class's order."""
+    on its ring per caps. Each frame's group is built on its class's
+    generators, last first, since the later ones extend larger groups and
+    so leave the constructor more of the earlier ones to drop; its column
+    chain must reach the class's order."""
     spec, text = FAMILY_SPECS[family]
     D = parse_domain(spec)
     q0 = D.parse_ideal(text)
@@ -126,7 +128,7 @@ def exhaustive_frames(family, caps=DEFAULT_CAPS):
         reps = subgroup_classes(dense)[0]
         frames = []
         for elems, gens in reps:
-            grp = FinMatGroup(ring, [dense.labels[i] for i in gens])
+            grp = FinMatGroup(ring, [dense.labels[i] for i in reversed(gens)])
             if grp.order != len(elems):
                 raise InternalCheckError("subgroup class does not match its column chain")
             frames.append(frame_from_group(grp, caps))
@@ -503,7 +505,7 @@ def _join_every_cusp_pair(frame):
     cusp_list = cusps(frame)
     for c1 in cusp_list:
         for c2 in cusp_list:
-            amplitude_join_search(frame, c1.rep, c2.rep, c1.amplitude, c2.amplitude)
+            amplitude_join_search(frame, c1.code, c2.code, c1.amplitude, c2.amplitude)
 
 
 def suite_amplitude_join(caps, seed, families=None):

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
@@ -24,10 +25,17 @@ from conglab.matgroups import (
     principal_congruence_image,
     projective_center_is_trivial,
     sl2_order_formula,
+    standard_generators,
     unimodular_columns,
 )
 from conglab.quotients import additive_closure, build_quotient, ideal_image
-from conglab.subgroups import all_subgroups, extend_closure
+from conglab.subgroups import (
+    DenseGroup,
+    all_subgroups,
+    conjugates,
+    extend_closure,
+    subgroup_classes,
+)
 from conglab.suites import (
     SOUNDNESS_LEVELS,
     SURVEY_FAMILIES,
@@ -35,7 +43,13 @@ from conglab.suites import (
     psl_subgroups,
 )
 
-from test_subgroups import SMALL_MODULI, closure_codes, dense_closure_by_bfs, small_sl2
+from test_subgroups import (
+    ORACLE_GROUPS,
+    SMALL_MODULI,
+    closure_codes,
+    dense_closure_by_bfs,
+    small_sl2,
+)
 
 Z = parse_domain("Z")
 F3T = parse_domain("Fq[t] q=3")
@@ -1058,3 +1072,186 @@ def test_from_elements_finds_the_closure_greedy_generators_on_every_soundness_su
             assert H.elements == codes
             count += 1
     assert count == 516
+
+
+# ---------------------------------------------------------------------------
+# generators sifted into the column walk
+
+
+class WalkEveryGenerator(FinMatGroup):
+    """Oracle: the group walked on every given generator, with no sifting:
+    e1's orbit from the identity, each column reached taking every
+    generator in turn. The other orbits are FinMatGroup's own walk, on
+    every generator's column table."""
+
+    def __init__(self, ring, gens):
+        ops, n = _ops(ring), ring.size
+        add, mul, neg = ring.add_t, ring.mul_t, ring.neg_t
+        one, zero = ring.one_idx, ring.zero_idx
+        self.ring, self.gens = ring, tuple(gens)
+        self._elements = self._sorted = None
+        acts = [(a * n, b * n, c * n, d * n) for a, b, c, d in map(ops.decode, self.gens)]
+        dns, nbns = array("i", [-1]) * n ** 2, array("i", [-1]) * n ** 2
+        dns[one * n + zero], nbns[one * n + zero] = one * n, zero * n
+        walk, xs = [(one, zero, zero, one)], set()
+        for a, b, c, d in walk:
+            for p, q, r, s in acts:
+                a2 = add[mul[p + a] * n + mul[q + c]]
+                c2 = add[mul[r + a] * n + mul[s + c]]
+                b2 = add[mul[p + b] * n + mul[q + d]]
+                d2 = add[mul[r + b] * n + mul[s + d]]
+                v = a2 * n + c2
+                if dns[v] < 0:
+                    dns[v], nbns[v] = d2 * n, neg[b2] * n
+                    walk.append((a2, b2, c2, d2))
+                else:
+                    xs.add(add[mul[dns[v] + b2] * n + mul[nbns[v] + d2]])
+        self.transversal = dns, nbns
+        self._amplitude0 = additive_closure(additive_closure(xs, ring).elements, ring)
+        self.order = len(walk) * len(self._amplitude0)
+        self._shifts = self._amplitude0.elements
+        self._n, self._n2, self._n3 = n, n * n, n * n * n
+        self._add, self._mul = add, mul
+
+
+def orbit_zero(H):
+    return {v for v, dn in enumerate(H.transversal[0]) if dn >= 0}
+
+
+def assert_sifted_like_every_generator(ring, gens):
+    """The sifted group against the oracle on the same generators: the
+    same chain, and gens kept exactly where the earlier ones fall short."""
+    gens = list(gens)
+    H, oracle = FinMatGroup(ring, gens), WalkEveryGenerator(ring, gens)
+    assert H.order == oracle.order
+    assert orbit_zero(H) == orbit_zero(oracle)
+    assert H.amplitudes[0].elements == oracle.amplitudes[0].elements  # A_0
+    assert H.least == oracle.least
+    assert [A.elements for A in H.amplitudes] == [A.elements for A in oracle.amplitudes]
+    assert H.orbit_of == oracle.orbit_of
+    before = [WalkEveryGenerator(ring, gens[:i]) for i in range(len(gens))]
+    assert H.gens == tuple(g for g, group in zip(gens, before) if g not in group)
+    return H
+
+
+def class_generators(ring):
+    """(order, generator codes) of each subgroup class rep of SL2(ring), as
+    exhaustive_frames finds them, before it reverses them."""
+    dense = DenseGroup.from_matgroup(full_sl2(ring))
+    reps = subgroup_classes(dense)[0]
+    return [(len(elems), [dense.labels[i] for i in gens]) for elems, gens in reps]
+
+
+ORACLE_SL2_RINGS = {
+    **{f"SL2(Z/{n})": (Z, f"({n})") for n in (4, 5, 6, 8)},
+    "SL2(F3[t]/(t^2))": (F3T, "(t^2)"),
+}
+
+
+def test_sifting_matches_every_generator_on_the_oracle_groups():
+    # the SL2 oracle groups on their standard generators both ways round,
+    # and SL2(Z/5), which no survey holds, on every class rep's generators
+    assert set(ORACLE_SL2_RINGS) == {name for name in ORACLE_GROUPS if name.startswith("SL2")}
+    for name, (D, text) in ORACLE_SL2_RINGS.items():
+        ring = ring_of(D, text)
+        gens = standard_generators(ring)
+        assert assert_sifted_like_every_generator(ring, gens).order == full_sl2(ring).order
+        assert_sifted_like_every_generator(ring, gens[::-1])
+    ring = ring_of(Z, "(5)")
+    for order, gens in class_generators(ring):
+        for ordered in (gens, gens[::-1]):
+            assert assert_sifted_like_every_generator(ring, ordered).order == order
+
+
+@pytest.mark.parametrize("family", SURVEY_FAMILIES)
+def test_sifting_matches_every_generator_on_every_survey_class(family):
+    ring = exhaustive_frames(family)[0].ring
+    classes = class_generators(ring)
+    for (order, gens), F in zip(classes, exhaustive_frames(family)):
+        # the frames take their class's generators last first
+        assert F.group.gens == assert_sifted_like_every_generator(ring, gens[::-1]).gens
+        assert assert_sifted_like_every_generator(ring, gens).order == order
+
+
+def test_sifting_matches_every_generator_on_every_soundness_preimage():
+    # each subgroup's generators conjugated along its class walk, then -I,
+    # as sl2_preimage takes them, and first first
+    count = 0
+    for n in SOUNDNESS_LEVELS:
+        P, reps, seen = psl_subgroups(n)
+        ring = build_quotient(Z, Z.principal_ideal(n))
+        minus = [ops_minus_identity(ring)] if n > 2 else []
+        walked = {}
+        for elems, gens in reps:
+            walked.update(conjugates(P, elems, gens))
+        for subgroup in all_subgroups(seen):
+            labels = [P.labels[g] for g in walked[subgroup]]
+            order = len(subgroup) * (1 + len(minus))
+            assert assert_sifted_like_every_generator(ring, labels[::-1] + minus).order == order
+            assert assert_sifted_like_every_generator(ring, labels + minus).order == order
+            count += 1
+    assert count == 516
+
+
+def ops_minus_identity(ring):
+    ops = _ops(ring)
+    return ops.mneg(ops.identity)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, len(SMALL_MODULI) - 1),
+    st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=5),
+)
+def test_sifting_matches_every_generator_on_random_groups(i, picks):
+    R, G, _ = small_sl2(i)
+    B, _ = borel_and_unipotent(R)
+    codes, bcodes = G.sorted_elements(), B.sorted_elements()
+    # Borel generators first keep some groups small; repeats are dropped
+    gens = [bcodes[p % len(bcodes)] for p in picks[:2]]
+    gens += [codes[p % len(codes)] for p in picks[2:]]
+    assert_sifted_like_every_generator(R, gens + gens[:1])
+
+
+def test_sifting_keeps_only_the_final_amplitude_on_the_ring():
+    # T(2) is sifted against <T(1)>, whose A_0 = R is closed then; S(1)
+    # then adds Schreier x's, so the final A_0 has other ones
+    R = fresh_ring(Z, Z.parse_ideal("(12)"))
+    t1, t2, s1 = (make_generator(k, R, R.reduce(x)).code for k, x in (("T", 1), ("T", 2), ("S", 1)))
+    H = FinMatGroup(R, [t1, t2, s1])
+    assert H.gens == (t1, s1) and H.order == 1152
+    closures = list(R.memo["column_amplitudes"].values())
+    assert closures == [H.amplitudes[0]]
+
+
+DROPPED_DETERMINANT = """
+import sys
+from conglab.domains import parse_domain
+from conglab.matgroups import FinMatGroup, _ops, full_sl2, standard_generators
+from conglab.quotients import build_quotient
+Z = parse_domain("Z")
+R = build_quotient(Z, Z.parse_ideal("(6)"))
+ops = _ops(R)
+diag = ops.encode(R.reduce(5), R.zero_idx, R.zero_idx, R.one_idx)
+try:
+    FinMatGroup(R, standard_generators(R) + [diag])
+except ValueError as exc:
+    print(sys.flags.optimize, exc)
+"""
+
+
+def test_a_generator_of_determinant_other_than_one_is_refused_where_sifting_drops_it():
+    # diag(5, 1) over Z/6 has determinant 5; once the group is SL2(Z/6) its
+    # column and its entry read as those of a member, diag(5, 5^-1)
+    R = ring_of(Z, "(6)")
+    ops, G = _ops(R), full_sl2(R)
+    diag = ops.encode(R.reduce(5), R.zero_idx, R.zero_idx, R.one_idx)
+    assert diag in G and diag not in G.elements
+    with pytest.raises(ValueError, match="determinant other than 1"):
+        FinMatGroup(R, standard_generators(R) + [diag])
+    env = dict(os.environ, PYTHONPATH=str(Path(conglab.__file__).resolve().parents[1]))
+    optimised = subprocess.run(
+        [sys.executable, "-O", "-c", DROPPED_DETERMINANT], capture_output=True, env=env, timeout=300
+    )
+    assert (optimised.returncode, optimised.stderr) == (0, b"")
+    assert optimised.stdout == b"1 generator has determinant other than 1\n"

@@ -299,3 +299,20 @@ def test_principal_congruence_images_come_from_generators():
     node = _functions("matgroups")["principal_congruence_image"]
     assert callers(node, "from_elements") == []
     assert [depth for depth in loop_depths(node, "encode") if depth >= 3] == []
+
+
+def test_groups_from_elements_and_congruence_images_are_one_constructor_call():
+    # the constructor keeps only the generators that enlarge the group, so
+    # neither rebuilds a group for each generator it takes
+    path = SRC / "matgroups.py"
+    tree = ast.parse(path.read_text(), str(path))
+    (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "FinMatGroup"]
+    (from_elements,) = [n for n in cls.body if getattr(n, "name", None) == "from_elements"]
+    assert loop_depths(from_elements, "cls") == [0]
+    assert loop_depths(_functions("matgroups")["principal_congruence_image"], "FinMatGroup") == [0]
+
+
+def test_cusps_build_no_matrix():
+    # a cusp keeps its least code; CuspData.rep builds the Mat2 on first read
+    node = _functions("analyzer")["cusps"]
+    assert [n.lineno for n in ast.walk(node) if isinstance(n, ast.Name) and n.id == "Mat2"] == []

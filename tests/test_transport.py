@@ -83,21 +83,26 @@ def invariants(F, phi):
 
 
 # isomorphic quotients of two kinds whose units have the same image: +-1
-# for the first four, all of F5* and F4* for the last two
+# for the first four and the last two (F2* = 1 = {+-1} and F3* = +-1), all
+# of F5* and F4* for the two between; with the number of subgroup classes
 TRANSPORT_PAIRS = (
-    (("Z", "(5)"), ("Q(sqrt(-5)) maximal", "(w)")),
-    (("Z", "(6)"), ("Q(sqrt(-2)) maximal", "(w*(1+w))")),
-    (("Z", "(9)"), ("Q(sqrt(-2)) maximal", "(-1+2*w)")),
-    (("Fq[t] q=2", "(t^2)"), ("Q(sqrt(-2)) maximal", "(2)")),
-    (("Fq[t] q=5", "(t)"), ("Q(sqrt(-1)) maximal", "(2+w)")),
-    (("Fq[t] q=4", "(t)"), ("Q(sqrt(-3)) maximal", "(2)")),
+    (("Z", "(5)"), ("Q(sqrt(-5)) maximal", "(w)"), 12),
+    (("Z", "(6)"), ("Q(sqrt(-2)) maximal", "(w*(1+w))"), 39),
+    (("Z", "(9)"), ("Q(sqrt(-2)) maximal", "(-1+2*w)"), 48),
+    (("Fq[t] q=2", "(t^2)"), ("Q(sqrt(-2)) maximal", "(2)"), 33),
+    (("Fq[t] q=5", "(t)"), ("Q(sqrt(-1)) maximal", "(2+w)"), 12),
+    (("Fq[t] q=4", "(t)"), ("Q(sqrt(-3)) maximal", "(2)"), 9),
+    (("Z", "(2)"), ("Fq[t] q=2", "(t)"), 4),
+    (("Z", "(3)"), ("Fq[t] q=3", "(t)"), 7),
 )
 
 
 @pytest.mark.parametrize(
-    "first, second", TRANSPORT_PAIRS, ids=["Z/5", "Z/6", "Z/9", "F2[t]/(t^2)", "F5[t]/(t)", "F4[t]/(t)"]
+    "first, second, classes",
+    TRANSPORT_PAIRS,
+    ids=["Z/5", "Z/6", "Z/9", "F2[t]/(t^2)", "F5[t]/(t)", "F4[t]/(t)", "Z/2", "Z/3"],
 )
-def test_isomorphic_quotients_frame_every_subgroup_alike(first, second):
+def test_isomorphic_quotients_frame_every_subgroup_alike(first, second, classes):
     R2 = quotient(*second)
     frames = frames_of_every_class(*first)
     phi = ring_isomorphism(frames[0].ring, R2)
@@ -105,7 +110,7 @@ def test_isomorphic_quotients_frame_every_subgroup_alike(first, second):
         G = transported(F, phi, R2)
         assert G.group.order == F.group.order
         assert invariants(G, range(R2.size)) == invariants(F, phi), F.group.gens
-    assert len(frames) > 5
+    assert len(frames) == classes
 
 
 def test_quotients_with_different_unit_images_are_refused():

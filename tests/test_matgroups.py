@@ -1180,7 +1180,8 @@ def test_sifting_matches_every_generator_on_every_soundness_preimage():
     for n in SOUNDNESS_LEVELS:
         P, reps, seen = psl_subgroups(n)
         ring = build_quotient(Z, Z.principal_ideal(n))
-        minus = [ops_minus_identity(ring)] if n > 2 else []
+        ops = _ops(ring)
+        minus = [ops.mneg(ops.identity)] if n > 2 else []
         walked = {}
         for elems, gens in reps:
             walked.update(conjugates(P, elems, gens))
@@ -1191,11 +1192,6 @@ def test_sifting_matches_every_generator_on_every_soundness_preimage():
             assert assert_sifted_like_every_generator(ring, labels + minus).order == order
             count += 1
     assert count == 516
-
-
-def ops_minus_identity(ring):
-    ops = _ops(ring)
-    return ops.mneg(ops.identity)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -248,6 +249,7 @@ def _evaluate(text, domain, symbols):
     polynomial in its numerals and names (exponents multiply, products add)
     may not exceed TEXT_DEGREE_CAP, so no exponent may either: CapExceeded.
     Each "(" pushes the open sum and term; past TEXT_NESTING_CAP: ParseError.
+    Each distinct numeral and name^exponent is evaluated once per text.
     """
     bad = _BAD_CHAR_RE.search(text)
     if bad:
@@ -255,6 +257,7 @@ def _evaluate(text, domain, symbols):
     tokens = _TOKEN_RE.findall(text)
     tokens.append("")  # end marker
     add, neg, mul, from_int = domain.add, domain.neg, domain.mul, domain.from_int
+    numerals, powers = {}, {}  # token -> value; (name, exponent token) -> (value, degree)
     stack = []  # (total, sum_d, sign, value, term_d) of each enclosing sum
     # the open sum: the total and degree of its terms so far and the sign of
     # the term being read; that term: the product and degree of its atoms so far
@@ -275,12 +278,18 @@ def _evaluate(text, domain, symbols):
                 pos += 1
             continue
         if tok.isdecimal():
-            atom, d = from_int(int(tok)), 1
+            atom, d = numerals.get(tok), 1
+            if atom is None:
+                atom = numerals[tok] = from_int(int(tok))
         elif tok in symbols:
-            d = 1
+            key = tok
             if tokens[pos] == "^":
-                d, pos = _exponent(tokens[pos + 1]), pos + 2
-            atom = symbols[tok](d)
+                key, pos = (tok, tokens[pos + 1]), pos + 2
+            atom_d = powers.get(key)
+            if atom_d is None:
+                d = 1 if key is tok else _exponent(key[1])
+                atom_d = powers[key] = symbols[tok](d), d
+            atom, d = atom_d
         elif tok.isalpha():
             raise ParseError(f"symbol {tok!r} is not defined in {domain}")
         else:
@@ -290,7 +299,9 @@ def _evaluate(text, domain, symbols):
                 value, term_d = atom, d
             else:
                 value = mul(value, atom)
-                term_d = _bounded(term_d + d)
+                term_d += d
+                if term_d > TEXT_DEGREE_CAP:
+                    _bounded(term_d)
             op = tokens[pos]
             pos += 1
             if op == "*":
@@ -300,7 +311,9 @@ def _evaluate(text, domain, symbols):
             if total is None:
                 total, sum_d = value, term_d
             else:
-                total, sum_d = add(total, value), max(sum_d, term_d)
+                total = add(total, value)
+                if term_d > sum_d:
+                    sum_d = term_d
             value = None
             if op == "+" or op == "-":
                 sign = op
@@ -316,7 +329,9 @@ def _evaluate(text, domain, symbols):
             total, sum_d, sign, value, term_d = stack.pop()
             if tokens[pos] == "^":
                 k, pos = _exponent(tokens[pos + 1]), pos + 2
-                d = _bounded(d * k)
+                d *= k
+                if d > TEXT_DEGREE_CAP:
+                    _bounded(d)
                 atom = _power(atom, k, mul, domain.one())
 
 
@@ -447,14 +462,7 @@ class IntegerDomain(_EuclideanDomain):
     def one(self):
         return 1
 
-    def add(self, x, y):
-        return x + y
-
-    def neg(self, x):
-        return -x
-
-    def mul(self, x, y):
-        return x * y
+    add, neg, mul = operator.add, operator.neg, operator.mul  # builtins, so not bound
 
     def divmod(self, x, y):
         return divmod(x, y)
@@ -573,35 +581,74 @@ class PolynomialDomain(_EuclideanDomain):
     def deg(self, x):
         return len(x) - 1
 
+    # over F_p the coefficients are plain ints, reduced mod p once each; over
+    # F_q, q = p^e with e > 1, each coefficient operation reads the field tables
+
     def add(self, x, y):
-        return self._norm(itertools.starmap(self.fq_add, itertools.zip_longest(x, y, fillvalue=0)))
+        if self.e > 1:
+            return self._norm(itertools.starmap(self._field.add, itertools.zip_longest(x, y, fillvalue=0)))
+        if not y or not x:
+            return x or y
+        p = self.p
+        if len(x) < len(y):
+            x, y = y, x
+        if len(x) > len(y):
+            return tuple([(a + b) % p for a, b in zip(x, y)]) + x[len(y):]
+        return self._norm([(a + b) % p for a, b in zip(x, y)])
 
     def neg(self, x):
-        return tuple(self.fq_neg(c) for c in x)
+        if self.e > 1:
+            return tuple(map(self._field.neg, x))
+        p = self.p
+        return tuple([-a % p for a in x])
 
     def mul(self, x, y):
         if not x or not y:
             return ()
+        if self.e > 1:
+            add, mul = self._field.add, self._field.mul
+            out = [0] * (len(x) + len(y) - 1)
+            for i, a in enumerate(x):
+                if a:
+                    for j, b in enumerate(y, i):
+                        out[j] = add(out[j], mul(a, b))
+            return self._norm(out)
+        p = self.p
+        if len(y) == 1:
+            x, y = y, x
+        if len(x) == 1:  # a constant times y
+            a = x[0]
+            return tuple([a * b % p for b in y])
         out = [0] * (len(x) + len(y) - 1)
         for i, a in enumerate(x):
             if a:
-                for j, b in enumerate(y):
-                    out[i + j] = self.fq_add(out[i + j], self.fq_mul(a, b))
-        return self._norm(out)
+                for j, b in enumerate(y, i):
+                    out[j] += a * b
+        return tuple([c % p for c in out])  # the leading product is a unit of F_p
 
     def divmod(self, x, y):
         if not y:
             raise ZeroDivisionError("polynomial division by zero")
-        inv = self.fq_inv(y[-1])
+        n, inv = len(y), self.fq_inv(y[-1])
         rem = list(x)
-        quo = [0] * max(0, len(x) - len(y) + 1)
-        for i in range(len(x) - len(y), -1, -1):
-            c = self.fq_mul(rem[i + len(y) - 1], inv)
+        quo = [0] * max(0, len(x) - n + 1)
+        if self.e > 1:
+            add, neg, mul = self._field.add, self._field.neg, self._field.mul
+            for i in range(len(x) - n, -1, -1):
+                c = mul(rem[i + n - 1], inv)
+                if c:
+                    quo[i] = c
+                    for j, b in enumerate(y, i):
+                        rem[j] = add(rem[j], neg(mul(c, b)))
+            return self._norm(quo), self._norm(rem)
+        p = self.p
+        for i in range(len(x) - n, -1, -1):
+            c = rem[i + n - 1] * inv % p
             if c:
                 quo[i] = c
-                for j, b in enumerate(y):
-                    rem[i + j] = self.fq_add(rem[i + j], self.fq_neg(self.fq_mul(c, b)))
-        return self._norm(quo), self._norm(rem)
+                for j, b in enumerate(y, i):
+                    rem[j] -= c * b
+        return tuple(quo), self._norm([r % p for r in rem[:n - 1]])
 
     def normalise(self, x):
         if not x:

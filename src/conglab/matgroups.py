@@ -165,7 +165,8 @@ class FinMatGroup:
     generators, in order, into one walk of e1's orbit 0 from the identity:
     it keeps a generator only when the group walked so far lacks it, read
     by membership (the closure of the Schreier x's so far is needed only
-    when its column is already reached), and then applies it to the
+    when its column is already reached and neither those x's nor their
+    last closure hold its x), and then applies it to the
     columns already reached and every kept generator to the columns newly
     reached, so each column meets each kept generator once. The closures
     made while sifting are not kept on the ring. `gens` is the kept
@@ -201,10 +202,14 @@ class FinMatGroup:
                 raise ValueError("generator has determinant other than 1")
             dn = dns[a * n + c]
             if dn >= 0:  # a member iff t(v)^-1 code = T(x) with x in A_0
+                x = add[mul[dn + b] * n + mul[nbns[a * n + c] + d]]
+                # xs and its last closure lie in A_0; close again only when neither holds x
+                if x in xs or x in shifts:
+                    continue
                 if closed_over != len(xs):
                     shifts, closed_over = additive_closure(xs, ring).elements, len(xs)
-                if add[mul[dn + b] * n + mul[nbns[a * n + c] + d]] in shifts:
-                    continue
+                    if x in shifts:
+                        continue
             kept.append(code)
             acts.append((a * n, b * n, c * n, d * n))
             reached, new = len(walk), acts[-1:]

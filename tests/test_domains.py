@@ -1,6 +1,7 @@
 import collections
 import gc
 import itertools
+import json
 import math
 import os
 import random
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conglab import domains
-from conglab.cli import main
+from conglab.cli import EXIT_CAP, main
 from conglab.domains import (
     CapExceeded,
     Ideal,
@@ -663,6 +664,54 @@ def test_parsing_leaves_no_reference_cycles():
         gc.enable()
 
 
+@pytest.mark.parametrize("D", [Z, F3T, F9T, ZSQ13], ids=str)
+def test_each_distinct_atom_of_a_text_is_evaluated_once(D, monkeypatch):
+    # numerals are told apart by their tokens ("12" and "012"), powers by
+    # name and exponent token; an exponent is not a numeral
+    name = next(iter(D.symbols), None)
+    atom = f"{name}^2*{name}^02*{name}" if name else "5"
+    text = f"2*{atom}+2*({atom}+1)^2-(1+2*{atom})*12+012*{atom}"
+    value = evaluate_by_recursion(text, D, D.symbols)
+    numerals, from_int = [], type(D).from_int
+
+    def counting_from_int(self, n):
+        numerals.append(n)
+        return from_int(self, n)
+
+    powers = []
+    symbols = {s: lambda k, power=power: powers.append(k) or power(k) for s, power in D.symbols.items()}
+    monkeypatch.setattr(type(D), "from_int", counting_from_int)
+    assert _evaluate(text, D, symbols) == value
+    assert sorted(numerals) == ([1, 2, 5, 12, 12] if name is None else [1, 2, 12, 12])
+    assert sorted(powers) == ([] if name is None else [1, 2, 2])
+
+
+@pytest.mark.parametrize("text", ["t^600*t^600", "(t^600)*(t^600)", "t^600*t^2*t^600*t^2", "t+(t^600)^2"])
+def test_cached_powers_keep_the_degree_cap(text, capsys, tmp_path):
+    with pytest.raises(CapExceeded, match=f"cap {TEXT_DEGREE_CAP}"):
+        F3T.parse_element(text)
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps([[["1", text], ["0", "1"]]]))
+    argv = ["analyze", "--domain", "Fq[t] q=3", "--modulus", "(t^2)", "--gens", str(path)]
+    assert main(argv) == EXIT_CAP
+    assert "degree above the cap 1024" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [("t^1025*t^1025", (CapExceeded, "element text of degree above the cap 1024")),
+     ("t^2+t^1025+t^1025 1", (CapExceeded, "element text of degree above the cap 1024")),
+     ("t^u*t^u", (ParseError, "exponent must be an integer")),
+     ("t^2*t^u+1 2", (ParseError, "exponent must be an integer")),
+     ("t^2*t^2 1", (ParseError, "trailing tokens in element text"))],
+)
+def test_a_bad_exponent_raises_at_its_first_occurrence(text, error):
+    # the later errors in each text (its repeat, trailing tokens) are not reached
+    for D, symbols in ((F3T, F3T.symbols), (F9T, F9T.symbols)):
+        assert outcome_or_error(_evaluate, text, D, symbols) == error
+        assert outcome_or_error(evaluate_by_recursion, text, D, symbols) == error
+
+
 def test_monic_polys_in_base_q_digit_order():
     assert list(_monic_polys(2, 2)) == [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
     for q, d in ((3, 3), (4, 2)):
@@ -1253,6 +1302,85 @@ def test_euclidean_ideals_follow_ext_gcd(case):
     else:
         assert g == () or g[-1] == 1
         assert ideal_arith("product", total, inter) == prod
+
+
+# Oracle: F_q[t] arithmetic one field operation per coefficient pair, each
+# result coefficient reduced as it is formed.
+
+
+def loop_add(D, x, y):
+    return D._norm(itertools.starmap(D.fq_add, itertools.zip_longest(x, y, fillvalue=0)))
+
+
+def loop_neg(D, x):
+    return tuple(D.fq_neg(c) for c in x)
+
+
+def loop_mul(D, x, y):
+    if not x or not y:
+        return ()
+    out = [0] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y):
+                out[i + j] = D.fq_add(out[i + j], D.fq_mul(a, b))
+    return D._norm(out)
+
+
+def loop_divmod(D, x, y):
+    if not y:
+        raise ZeroDivisionError("polynomial division by zero")
+    inv = D.fq_inv(y[-1])
+    rem = list(x)
+    quo = [0] * max(0, len(x) - len(y) + 1)
+    for i in range(len(x) - len(y), -1, -1):
+        c = D.fq_mul(rem[i + len(y) - 1], inv)
+        if c:
+            quo[i] = c
+            for j, b in enumerate(y):
+                rem[i + j] = D.fq_add(rem[i + j], D.fq_neg(D.fq_mul(c, b)))
+    return D._norm(quo), D._norm(rem)
+
+
+POLY_FIELDS = [PolynomialDomain(p, 1) for p in (2, 3, 5, 7, 65537)] + [parse_domain("Fq[t] q=4"), F9T]
+
+
+def assert_polynomial_arithmetic_matches_the_loops(D, x, y):
+    assert D.add(x, y) == loop_add(D, x, y)
+    assert D.neg(x) == loop_neg(D, x)
+    assert D.mul(x, y) == loop_mul(D, x, y)
+    for a, b in ((x, y), (y, x)):
+        if b:
+            assert D.divmod(a, b) == loop_divmod(D, a, b)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                D.divmod(a, b)
+
+
+@st.composite
+def polynomial_pairs(draw):
+    D = draw(st.sampled_from(POLY_FIELDS))
+    coefficient = st.one_of(st.sampled_from([0, 1, D.q - 1]), st.integers(0, D.q - 1))
+    x, y = (D._norm(draw(st.lists(coefficient, max_size=8))) for _ in range(2))
+    return D, x, y
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(case=polynomial_pairs())
+def test_polynomial_arithmetic_matches_the_coefficient_loops(case):
+    assert_polynomial_arithmetic_matches_the_loops(*case)
+
+
+@pytest.mark.parametrize("D", POLY_FIELDS, ids=str)
+def test_polynomial_arithmetic_matches_the_coefficient_loops_on_zero_constants_and_long_divisors(D):
+    top = D.q - 1
+    cases = [(), (1,), (top,), (0, 1), (top, top), (1, 0, 0, top), (0, top, 1, 0, 0, 1)]
+    for x, y in itertools.product(map(D._norm, cases), repeat=2):
+        assert_polynomial_arithmetic_matches_the_loops(D, x, y)  # each way round, so deg y > deg x too
+    # a constant times a polynomial, and a product whose raw coefficients pass p many times
+    x = D._norm([top] * 9)
+    assert D.mul((top,), x) == D.mul(x, (top,)) == loop_mul(D, (top,), x)
+    assert D.mul(x, x) == loop_mul(D, x, x)
 
 
 # ---------------------------------------------------------------------------

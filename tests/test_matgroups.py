@@ -1220,6 +1220,37 @@ def test_sifting_keeps_only_the_final_amplitude_on_the_ring():
     assert closures == [H.amplitudes[0]]
 
 
+def test_sifting_closes_the_schreier_xs_only_when_they_and_the_last_closure_miss_the_candidate(monkeypatch):
+    # a sifting membership test reads the candidate's x = d*b' - b*d' for
+    # the transversal t(v) = [[., b], [., d]] at its column and its second
+    # column (b', d'); x in xs or in the closure made last puts it in A_0
+    needed = []
+
+    def closure(xs, ring):
+        frame = sys._getframe(1)
+        if frame.f_code is FinMatGroup.__init__.__code__:
+            names = frame.f_locals
+            n, (a, b, c, d) = ring.size, _ops(ring).decode(names["code"])
+            v = a * n + c
+            x = ring.add(ring.mul(names["dns"][v] // n, b), ring.mul(names["nbns"][v] // n, d))
+            needed.append(x not in names["xs"] and x not in names["shifts"])
+        return additive_closure(xs, ring)
+
+    monkeypatch.setattr(matgroups, "additive_closure", closure)
+    for family in SURVEY_FAMILIES:
+        ring = exhaustive_frames(family)[0].ring
+        for _, gens in class_generators(ring):
+            FinMatGroup(ring, gens[::-1])
+    for n in SOUNDNESS_LEVELS:
+        P, reps, _ = psl_subgroups(n)
+        ring = build_quotient(Z, Z.principal_ideal(n))
+        minus = [_ops(ring).mneg(_ops(ring).identity)] if n > 2 else []
+        for elems, gens in reps:
+            for labels in conjugates(P, elems, gens).values():
+                FinMatGroup(ring, [P.labels[g] for g in labels[::-1]] + minus)
+    assert needed and all(needed), (needed.count(False), len(needed))
+
+
 DROPPED_DETERMINANT = """
 import sys
 from conglab.domains import parse_domain

@@ -17,12 +17,13 @@ from conglab.analyzer import (
     frame_subgroup,
     level,
     level_index_divisibility_check,
+    quasi_amplitude_at,
     quasi_level,
     quasi_level_ideal_check,
 )
 from conglab.domains import parse_domain, residue_norm
 from conglab.matgroups import FinMatGroup, _ops
-from conglab.quotients import build_quotient
+from conglab.quotients import build_quotient, ideal_image
 
 from test_analyzer import frames_of_every_class
 
@@ -66,6 +67,7 @@ def invariants(F, phi):
         return frozenset(phi[x] for x in subgroup.elements)
 
     extrema = amplitude_extrema_check(F)
+    condition = quasi_level_ideal_check(F).condition
     return {
         "index": F.index,
         "cusps": sorted(
@@ -79,7 +81,41 @@ def invariants(F, phi):
         "c_max": residue_norm(extrema.c_max),
         "theorem B": quasi_level_ideal_check(F).status,
         "theorem C": level_index_divisibility_check(F).to_json(),
+        # the clause condition L fails at the level, and the primes that fail it
+        "condition L": (
+            condition.failed_clause,
+            sorted(sorted(image(ideal_image(F.ring, p))) for p in condition.witnesses),
+        ),
     }
+
+
+def cusp_classes(F):
+    """{column key a*n + c: index of the cusp whose class holds (a, c)}."""
+    ring, orbit_of = F.ring, F.group.orbit_of
+    n, decode = ring.size, _ops(ring).decode
+    owner = {}
+    for i, c in enumerate(cusps(F)):
+        a, _, cc, _ = decode(c.code)
+        orbits = {orbit_of[ring.mul(u, a) * n + ring.mul(u, cc)] for u in ring.domain_unit_image}
+        owner.update((v, i) for v, k in enumerate(orbit_of) if k in orbits)
+    return owner
+
+
+def assert_cusp_representatives_correspond(F, G, phi):
+    """phi carries each cusp representative of F to a matrix whose first
+    column lies in one cusp class of G, a different class for each cusp,
+    with the same width, and at which G's quasi-amplitude is the phi-image
+    of F's at the representative."""
+    ops1, ops2, n2 = _ops(F.ring), _ops(G.ring), G.ring.size
+    owner, matched = cusp_classes(G), []
+    for c in cusps(F):
+        code = ops2.encode(*(phi[x] for x in ops1.decode(c.code)))
+        a, _, cc, _ = ops2.decode(code)
+        d = cusps(G)[owner[a * n2 + cc]]
+        assert d.width == c.width
+        assert quasi_amplitude_at(G, code).elements == {phi[x] for x in c.quasi_amplitude.elements}
+        matched.append(owner[a * n2 + cc])
+    assert sorted(matched) == list(range(len(cusps(G))))
 
 
 # isomorphic quotients of two kinds whose units have the same image: +-1
@@ -110,6 +146,7 @@ def test_isomorphic_quotients_frame_every_subgroup_alike(first, second, classes)
         G = transported(F, phi, R2)
         assert G.group.order == F.group.order
         assert invariants(G, range(R2.size)) == invariants(F, phi), F.group.gens
+        assert_cusp_representatives_correspond(F, G, phi)
     assert len(frames) == classes
 
 

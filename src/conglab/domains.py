@@ -257,7 +257,7 @@ def _evaluate(text, domain, symbols):
     tokens = _TOKEN_RE.findall(text)
     tokens.append("")  # end marker
     add, neg, mul, from_int = domain.add, domain.neg, domain.mul, domain.from_int
-    numerals, powers = {}, {}  # token -> value; (name, exponent token) -> (value, degree)
+    numerals, powers = {}, {}  # token -> value; name or (name, exponent token) -> (value, degree)
     stack = []  # (total, sum_d, sign, value, term_d) of each enclosing sum
     # the open sum: the total and degree of its terms so far and the sign of
     # the term being read; that term: the product and degree of its atoms so far

@@ -168,10 +168,10 @@ class CuspData:
         }
 
 
-def quasi_amplitude_at(frame, g):
-    """The additive group {x in R : g T(x) g^-1 in H} at an arbitrary g: the
-    A_k of the H-orbit of g's first column in the frame's column walk."""
-    return frame.group.column_amplitude(g.code if isinstance(g, Mat2) else g)
+def quasi_amplitude_at(frame, code):
+    """The additive group {x in R : g T(x) g^-1 in H} at the element g of this
+    code: the A_k of the H-orbit of g's first column in the frame's column walk."""
+    return frame.group.column_amplitude(code)
 
 
 def amplitude_at(frame, g):
@@ -446,7 +446,7 @@ def unit_square_closure_check(frame):
 def amplitude_join_search(frame, g1, g2, q1, q2):
     """A cusp representative whose amplitude contains q1 + q2.
 
-    q_i must be nonzero ideals inside the amplitudes at g_i; existence is
+    q_i must be nonzero ideals inside the amplitudes at the codes g_i; existence is
     guaranteed for frames, so exhaustion raises an internal error.
     """
     for g, q in ((g1, q1), (g2, q2)):
@@ -542,7 +542,7 @@ def build_example(name, caps=DEFAULT_CAPS):
         return _example_icosahedral(name, parse_domain("Fq[t] q=9 mod=u^2+1"), "(t)", caps)
     if name == "ex3_5":
         D = parse_domain("Q(sqrt(-13)) maximal")
-        return _example_icosahedral(name, D, None, caps)
+        return _example_icosahedral(name, D, "(3)", caps)
     if name == "ex4_9":
         return _example_square_coordinates(caps)
     if name == "ex4_10":
@@ -590,10 +590,7 @@ def _proj_order_filter(ring, ambient):
 
 def _example_icosahedral(name, D, modulus_text, caps):
     # the lexicographically first (2,3,5)-generated subgroup of order 120
-    if modulus_text is None:
-        q0 = D.principal_ideal(D.from_int(3))
-    else:
-        q0 = D.parse_ideal(modulus_text)
+    q0 = D.parse_ideal(modulus_text)
     ring = build_quotient(D, q0, ring_cap=caps.ring)
     ambient = full_sl2(ring, cap=caps.group)
     ops = _ops(ring)
@@ -714,15 +711,6 @@ def _sign_product(code, signs):
 # translation-subspace screen
 
 
-@dataclass(frozen=True)
-class TranslationSubspace:
-    """A k-subspace of k[t]/(f) whose preimage contains (f)."""
-
-    domain: object  # polynomial domain supplying k = F_q
-    modulus: tuple  # monic polynomial f
-    basis: tuple    # polynomials spanning the subspace mod f
-
-
 @dataclass
 class SubspaceScreenReport:
     level: Ideal
@@ -783,14 +771,14 @@ def _in_span(D, rref_rows, pivots, vec):
     return not any(v)
 
 
-def screen_translation_subspace(ts):
-    """Level, quasi-level codimension, and a squared-unit violation screen."""
-    D = ts.domain
-    f = ts.modulus
+def screen_translation_subspace(D, f, basis):
+    """Level, quasi-level codimension, and a squared-unit violation screen of
+    the k-subspace of k[t]/(f) that the polynomials basis span, for D = k[t]
+    a polynomial domain and f monic; the subspace's preimage contains (f)."""
     d = D.deg(f)
     if d < 1:
         raise ValueError("modulus must be non-constant")
-    vectors = [_vec_of(D, D.divmod(b, f)[1], d) for b in ts.basis]
+    vectors = [_vec_of(D, D.divmod(b, f)[1], d) for b in basis]
     span, pivots = _rref(D, vectors)
     dim = len(span)
 
@@ -836,7 +824,5 @@ def _monic_divisors(D, f):
 
 
 def standard_screen_subspace(D, f):
-    """The subspace spanned by t, t^2, ..., t^(deg f - 1) modulo f."""
-    d = D.deg(f)
-    basis = tuple(_variable_pow(i) for i in range(1, d))
-    return TranslationSubspace(D, f, basis)
+    """The basis t, t^2, ..., t^(deg f - 1) of a subspace modulo f."""
+    return tuple(_variable_pow(i) for i in range(1, D.deg(f)))

@@ -23,7 +23,6 @@ from .analyzer import (
     DEFAULT_CAPS,
     EXAMPLE_NAMES,
     InternalCheckError,
-    TranslationSubspace,
     analyze,
     build_example,
     frame_ring,
@@ -178,7 +177,7 @@ def cmd_screen_subspace(args):
     if domain.deg(f) < 1:
         raise ParseError("modulus polynomial must be non-constant")
     basis = tuple(domain.parse_element(_element_text(b)) for b in basis)
-    report = screen_translation_subspace(TranslationSubspace(domain, f, basis))
+    report = screen_translation_subspace(domain, f, basis)
     _emit(report.to_json(), args.format)
     return EXIT_OK
 

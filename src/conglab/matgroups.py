@@ -557,7 +557,7 @@ def cusp_representatives(group):
     return reps
 
 
-def cube_law_check(domain, q, q_sub, ring_cap=None):
+def cube_law_check(domain, q, q_sub, ring_cap=DEFAULT_RING_CAP):
     """Check the congruence-quotient cube law for q >= q_sub >= q^2: True iff
     the image of the level-q kernel modulo q_sub, whose order |q/q_sub|^3
     principal_congruence_image checks, is generated by the images of S(x),
@@ -567,7 +567,7 @@ def cube_law_check(domain, q, q_sub, ring_cap=None):
     q2 = ideal_arith("product", q, q)
     if not q_sub.contains_ideal(q2):
         raise ValueError("q_sub must contain q^2")
-    ring = build_quotient(domain, q_sub, ring_cap or DEFAULT_RING_CAP)
+    ring = build_quotient(domain, q_sub, ring_cap)
     img = principal_congruence_image(ring, q)
     # S, T and R are additive in x (R(x) = I + xN with N^2 = 0), so the
     # images over every x in q generate what those over its generators do

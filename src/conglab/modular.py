@@ -9,7 +9,6 @@ right.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, lcm
@@ -64,12 +63,7 @@ class PermRep:
 
 
 def parse_permrep(data):
-    """Validate a {"n", "S", "T"} mapping (or JSON text) into a PermRep."""
-    if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ParseError(f"bad permrep JSON: {exc}") from exc
+    """Validate a decoded {"n", "S", "T"} mapping into a PermRep."""
     if not isinstance(data, dict) or not {"n", "S", "T"} <= set(data):
         raise ParseError('permrep JSON needs keys "n", "S", "T"')
     n, S, T = data["n"], data["S"], data["T"]
@@ -346,7 +340,7 @@ def coset_permrep(G, subgroup_indices):
 # low-index enumeration
 
 
-def low_index_enumerate(max_index, cap=DEFAULT_ENUM_CAP, up_to_conjugacy=True):
+def low_index_enumerate(max_index):
     """All subgroups of the projective modular group of index <= max_index,
     up to conjugacy, as standardized permutation representations.
 
@@ -354,12 +348,12 @@ def low_index_enumerate(max_index, cap=DEFAULT_ENUM_CAP, up_to_conjugacy=True):
     order-3 generator z = S*T, introducing cosets in scan order so each
     subgroup appears exactly once; a complete table is kept only if it is
     canonical, the least over its rebasings, which leaves one per conjugacy
-    class (pass up_to_conjugacy=False for the raw subgroup list).
+    class.
     """
     if max_index < 1:
         raise ValueError(f"max index must be at least 1, got {max_index}")
-    if max_index > cap:
-        raise CapExceeded(f"enumeration index {max_index} above cap {cap}")
+    if max_index > DEFAULT_ENUM_CAP:
+        raise CapExceeded(f"enumeration index {max_index} above cap {DEFAULT_ENUM_CAP}")
     out = []
     sx = [-1] * max_index
     sy = [-1] * max_index
@@ -402,7 +396,7 @@ def low_index_enumerate(max_index, cap=DEFAULT_ENUM_CAP, up_to_conjugacy=True):
         slot = first_slot(ncos)
         if slot is None:
             x, z = sx[:ncos], sy[:ncos]
-            if not up_to_conjugacy or _is_canonical(x, z):
+            if _is_canonical(x, z):
                 # T = x * z; x^2 = z^3 = 1 and the table is connected, so no check
                 out.append(PermRep._built(ncos, tuple(x), tuple(z[j] for j in x)))
             return
@@ -466,45 +460,33 @@ def _is_canonical(sx, sy):
 # screen driver
 
 
+def _screens(rep, split, cap, screens):
+    """Run the screens in order, each adding its entries to screens, and yield
+    each one's verdict if it fails (None if it passes); a generator, so a screen
+    runs only when the one before it has been read."""
+    larcher = larcher_check(split)
+    screens["larcher"] = larcher.passed
+    yield None if larcher.passed else f"non-congruence (larcher {larcher.failure()})"
+    il = index_level_checks(rep, split, cap)
+    screens["index_at_least_level"] = il.index_at_least_level
+    yield None if il.index_at_least_level else "non-congruence (index below level)"
+    screens["index_divides_kernel_index"] = il.index_divides_order
+    screens["kernel_index"] = il.projective_order
+    yield None if il.index_divides_order else "non-congruence (index does not divide kernel index)"
+    exact = exact_congruence_test(rep, split, cap)
+    screens["exact"] = exact.congruence
+    yield None if exact.congruence else "non-congruence (exact test)"
+
+
 def screen_permrep(rep, run_all=False, cap=DEFAULT_GROUP_CAP):
     """Run the screens in order; stops at the first failure unless run_all."""
     split = cusp_split(rep)
-    out = {
-        "index": rep.n,
-        "cusp_split": list(split.lengths),
-        "level": split.level,
-        "screens": {},
-    }
-    screens = out["screens"]
-    larcher = larcher_check(split)
-    screens["larcher"] = larcher.passed
+    out = {"index": rep.n, "cusp_split": list(split.lengths), "level": split.level, "screens": {}}
     verdict = None
-    if not larcher.passed:
-        verdict = f"non-congruence (larcher {larcher.failure()})"
-        if not run_all:
-            out["verdict"] = verdict
-            return out
-    il = index_level_checks(rep, split, cap)
-    screens["index_at_least_level"] = il.index_at_least_level
-    if verdict is None and not il.index_at_least_level:
-        verdict = "non-congruence (index below level)"
-        if not run_all:
-            out["verdict"] = verdict
-            return out
-    screens["index_divides_kernel_index"] = il.index_divides_order
-    screens["kernel_index"] = il.projective_order
-    if verdict is None and not il.index_divides_order:
-        verdict = "non-congruence (index does not divide kernel index)"
-        if not run_all:
-            out["verdict"] = verdict
-            return out
-    exact = exact_congruence_test(rep, split, cap)
-    screens["exact"] = exact.congruence
-    if verdict is None:
-        verdict = (
-            f"congruence, level {exact.level}"
-            if exact.congruence
-            else "non-congruence (exact test)"
-        )
-    out["verdict"] = verdict
+    for failure in _screens(rep, split, cap, out["screens"]):
+        if failure and verdict is None:
+            verdict = failure
+            if not run_all:
+                break
+    out["verdict"] = verdict or f"congruence, level {split.level}"
     return out

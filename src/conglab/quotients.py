@@ -323,8 +323,6 @@ def ideal_image(ring, ideal):
 
 @dataclass
 class LocalFactor:
-    prime: Ideal
-    exponent: int
     ring: QuotientRing
     projection: list  # R index -> factor index
 
@@ -343,7 +341,7 @@ def local_decompose(ring):
         local_modulus = ideal_pow(p, e)
         local = build_quotient(ring.domain, local_modulus, ring_cap=ring.size)
         proj = [local.reduce(ring.lift(i)) for i in range(ring.size)]
-        factors.append(LocalFactor(p, e, local, proj))
+        factors.append(LocalFactor(local, proj))
     images = {tuple(f.projection[i] for f in factors) for i in range(ring.size)}
     if len(images) != ring.size:
         raise InternalCheckError("CRT tuple map is not injective")

@@ -192,19 +192,18 @@ def _classes(G, extensions):
     return reps, seen
 
 
-def _cyclic_extensions(G, zuppos, H, gens, normaliser=None, known=None):
+def _cyclic_extensions(G, zuppos, H, gens, normaliser, known):
     """<H, g> for each zuppo g normalising H with gH of prime order p, that
     is g not in H and g^p in H. If |K/H| = p, K = <H, g> for g the p-part of
     any element of K outside H, so the zuppos reach every such K.
 
-    The optional inputs only spare work: <H, g>/H lies in N_G(H)/H, so p
-    divides |N_G(H) : H| for normaliser = |N_G(H)|; and a known S of order
-    p|H| holding H and g holds <H, g> when g normalises H, which has its
-    order, so S = <H, g>. When p is also the least prime dividing |S|, H
-    has index p in S, so it is normal there and g needs no test."""
+    normaliser and known only spare work (0 and {} spare none): <H, g>/H lies
+    in N_G(H)/H, so p divides |N_G(H) : H| for normaliser = |N_G(H)|; and a
+    known S of order p|H| holding H and g holds <H, g> when g normalises H,
+    which has its order, so S = <H, g>. When p is also the least prime
+    dividing |S|, H has index p in S, so it is normal there and g needs no test."""
     covered = set(H)
-    index = normaliser // len(H) if normaliser else 0  # 0: every p divides it
-    known = {} if known is None else known  # filled as the search goes on
+    index = normaliser // len(H)  # 0: every p divides it
     least = next(iter(_factor_int(len(H))), 0)  # least prime dividing |H|; 0: H is trivial, no gens
     products, size, kernel, inv = G.products, G.size, G.kernel, G.inv
 

@@ -463,42 +463,36 @@ def suite_examples(caps, seed, families=None):
 # exhaustive subgroup-survey suites
 
 
-def suite_amplitude_extrema(caps, seed, families=None):
-    res = SuiteResult("amplitude_extrema")
-    for family in pick_families(families):
-        for frame in exhaustive_frames(family, caps):
-            def one(frame=frame):
-                amplitude_extrema_check(frame)
-                cusp_split_check(frame)
-
-            res.run_guarded(f"{family} frame of order {frame.group.order}", one)
+def _frame_survey(name, caps, families, check):
+    """check(frame) on every exhaustive frame of each family, one guarded check each."""
+    res = SuiteResult(name)
+    for family in families:
+        for F in exhaustive_frames(family, caps):
+            res.run_guarded(f"{family} frame of order {F.group.order}", lambda F=F: check(F))
     return res
+
+
+def suite_amplitude_extrema(caps, seed, families=None):
+    def check(frame):
+        amplitude_extrema_check(frame)
+        cusp_split_check(frame)
+
+    return _frame_survey("amplitude_extrema", caps, pick_families(families), check)
 
 
 def suite_level_divisibility(caps, seed, families=None):
-    res = SuiteResult("level_divisibility")
-    for family in pick_families(families):
-        for frame in exhaustive_frames(family, caps):
-            def one(frame=frame):
-                level_chain(frame)
-                quasi_level_ideal_check(frame)
-                level_index_divisibility_check(frame)
-                index_level_inequality_check(frame)
+    def check(frame):
+        level_chain(frame)
+        quasi_level_ideal_check(frame)
+        level_index_divisibility_check(frame)
+        index_level_inequality_check(frame)
 
-            res.run_guarded(f"{family} frame of order {frame.group.order}", one)
-    return res
+    return _frame_survey("level_divisibility", caps, pick_families(families), check)
 
 
 def suite_square_unit_closure(caps, seed, families=None):
-    res = SuiteResult("square_unit_closure")
     use = pick_families(families) if families else ("Z/6", "Z/8", "F3[t]/(t^2)")
-    for family in use:
-        for frame in exhaustive_frames(family, caps):
-            res.run_guarded(
-                f"{family} frame of order {frame.group.order}",
-                lambda F=frame: unit_square_closure_check(F),
-            )
-    return res
+    return _frame_survey("square_unit_closure", caps, use, unit_square_closure_check)
 
 
 def _join_every_cusp_pair(frame):
@@ -509,11 +503,7 @@ def _join_every_cusp_pair(frame):
 
 
 def suite_amplitude_join(caps, seed, families=None):
-    res = SuiteResult("amplitude_join")
-    for frame in exhaustive_frames("Z/6", caps):
-        res.run_guarded(
-            f"Z/6 frame of order {frame.group.order}", lambda F=frame: _join_every_cusp_pair(F)
-        )
+    res = _frame_survey("amplitude_join", caps, ("Z/6",), _join_every_cusp_pair)
     # sampled subgroups of a larger frame
     Z = parse_domain("Z")
     q0 = Z.parse_ideal("(30)")
@@ -668,7 +658,7 @@ def suite_subspace_screen(caps, seed, families=None):
                     continue
                 if deg == 2 and f[1] == 0:
                     continue
-                report = screen_translation_subspace(standard_screen_subspace(D, f))
+                report = screen_translation_subspace(D, f, standard_screen_subspace(D, f))
                 res.check(
                     report.level == D.principal_ideal(f),
                     f"level not (f) for {D.element_str(f)} over F{q}",

@@ -75,7 +75,7 @@ def test_c2_icosahedral_function_field_frame():
         )
         gamma = make_generator("Tdiag", ring, zeta, ring.zero_idx)
         assert (
-            quasi_amplitude_at(F, gamma).elements
+            quasi_amplitude_at(F, gamma.code).elements
             != quasi_amplitude_at(F, ops.identity).elements
         )
 

@@ -14,7 +14,6 @@ from conglab.analyzer import (
     FramedSubgroup,
     InternalCheckError,
     quasi_level,
-    TranslationSubspace,
     amplitude_at,
     amplitude_extrema_check,
     amplitude_join_search,
@@ -201,7 +200,7 @@ def test_example_icosahedral_quasi_amplitudes_differ():
     )
     gamma = make_generator("Tdiag", ring, zeta, ring.zero_idx)
     b_id = quasi_amplitude_at(F, ops.identity)
-    b_gamma = quasi_amplitude_at(F, gamma)
+    b_gamma = quasi_amplitude_at(F, gamma.code)
     assert b_gamma.elements != b_id.elements
     zsq = ring.mul(zeta, zeta)
     scaled = {ring.mul(zsq, x) for x in b_id.elements}
@@ -547,10 +546,10 @@ def test_amplitude_join_search():
     cs = cusps(F)
     # join of the two example amplitudes: (t) + (1) = (1), attained at a cusp
     rep = amplitude_join_search(
-        F, identity, cs[1].rep, F3T.parse_ideal("(t)"), cs[1].amplitude
+        F, identity, cs[1].code, F3T.parse_ideal("(t)"), cs[1].amplitude
     )
-    assert amplitude_at(F, rep).is_unit_ideal() or str(
-        amplitude_at(F, rep)
+    assert amplitude_at(F, rep.code).is_unit_ideal() or str(
+        amplitude_at(F, rep.code)
     ) == "(1)"
     with pytest.raises(ValueError):
         amplitude_join_search(F, identity, identity, F3T.zero_ideal(), F3T.parse_ideal("(t)"))
@@ -645,8 +644,7 @@ def test_analyze_inequality_tight_example():
 def test_screen_example_f2_cubic():
     D = parse_domain("Fq[t] q=2")
     f = D.parse_element("t^3+t+1")
-    ts = standard_screen_subspace(D, f)
-    report = screen_translation_subspace(ts)
+    report = screen_translation_subspace(D, f, standard_screen_subspace(D, f))
     assert report.level == D.principal_ideal(f)
     assert report.ql_codim == 1
     assert report.congruence_possible is False
@@ -661,7 +659,7 @@ def test_screen_whole_space_inconclusive():
     basis = tuple(
         D.parse_element(s) for s in ("1", "t", "t^2")
     )
-    report = screen_translation_subspace(TranslationSubspace(D, f, basis))
+    report = screen_translation_subspace(D, f, basis)
     assert report.level.is_unit_ideal()
     assert report.ql_codim == 0
     assert report.congruence_possible is None
@@ -670,8 +668,7 @@ def test_screen_whole_space_inconclusive():
 def test_screen_f3_quadratic():
     D = parse_domain("Fq[t] q=3")
     f = D.parse_element("t^2+1")
-    ts = standard_screen_subspace(D, f)
-    report = screen_translation_subspace(ts)
+    report = screen_translation_subspace(D, f, standard_screen_subspace(D, f))
     # f(0) = 1 != 0 but f'(0) = 0: the screen stays inconclusive
     assert report.level == D.principal_ideal(f)
     assert report.ql_codim == 1
@@ -681,7 +678,7 @@ def test_screen_f3_quadratic():
 def test_screen_f3_quadratic_with_linear_term():
     D = parse_domain("Fq[t] q=3")
     f = D.parse_element("t^2+t+1")
-    report = screen_translation_subspace(standard_screen_subspace(D, f))
+    report = screen_translation_subspace(D, f, standard_screen_subspace(D, f))
     assert report.level == D.principal_ideal(f)
     assert report.congruence_possible is False
 

@@ -436,8 +436,9 @@ def test_screen_perm_group_cap_exit_code(capsys, tmp_path):
         json.dumps({"n": 0, "S": [], "T": []}),
         json.dumps({"n": 2.7, "S": [1, 0], "T": [1.9, 0]}),
         "[" * 100_000,
+        "{not json",
     ],
-    ids=["zero-points", "float-fields", "deep-nesting"],
+    ids=["zero-points", "float-fields", "deep-nesting", "not-json"],
 )
 def test_screen_perm_out_of_contract_exits_2(capsys, tmp_path, text):
     path = tmp_path / "rep.json"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conglab import modular
 from conglab.analyzer import frame_from_group
 from conglab.analyzer import level as frame_level
 from conglab.domains import CapExceeded, InternalCheckError, ParseError, parse_domain
@@ -44,6 +45,14 @@ def perm_mul(p, q):
     return tuple(q[i] for i in p)
 
 
+def raw_coset_tables(max_index):
+    """Every subgroup of index <= max_index, conjugates included: the coset
+    tables low_index_enumerate reaches, with its canonical filter keeping all."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modular, "_is_canonical", lambda sx, sy: True)
+        return low_index_enumerate(max_index)
+
+
 # ---------------------------------------------------------------------------
 # validation
 
@@ -62,8 +71,6 @@ def test_parse_permrep_rejects_bad_relations():
         parse_permrep({"n": 2, "S": [0, 1], "T": [0, 1]})  # intransitive
     with pytest.raises(ParseError):
         parse_permrep({"n": 3, "S": [0, 0, 1], "T": [0, 1, 2]})  # not a permutation
-    with pytest.raises(ParseError):
-        parse_permrep("{not json")
 
 
 @pytest.mark.parametrize(
@@ -78,11 +85,6 @@ def test_parse_permrep_rejects_bad_relations():
 def test_parse_permrep_refuses_non_integers(data):
     with pytest.raises(ParseError):
         parse_permrep(data)
-
-
-def test_parse_permrep_refuses_deep_nesting():
-    with pytest.raises(ParseError):
-        parse_permrep("[" * 100_000)
 
 
 def test_permrep_refuses_zero_points():
@@ -152,7 +154,7 @@ def test_built_permreps_pass_every_public_check():
     # coset_permrep and low_index_enumerate build permreps without
     # PermRep's checks, which hold by construction; the public
     # constructor re-runs all of them as the oracle
-    reps = low_index_enumerate(12) + low_index_enumerate(12, up_to_conjugacy=False)
+    reps = low_index_enumerate(12) + raw_coset_tables(12)
     for n in SOUNDNESS_LEVELS:
         P, _, seen = psl_subgroups(n)
         reps += [coset_permrep(P, subgroup) for subgroup in all_subgroups(seen)]
@@ -438,7 +440,7 @@ def percall_exact_test(rep):
 
 
 def test_exact_test_matches_the_per_call_oracle():
-    reps = low_index_enumerate(12) + low_index_enumerate(12, up_to_conjugacy=False)
+    reps = low_index_enumerate(12) + raw_coset_tables(12)
     for n in SOUNDNESS_LEVELS:
         P, _, seen = psl_subgroups(n)
         reps += [coset_permrep(P, subgroup) for subgroup in all_subgroups(seen)]
@@ -663,7 +665,7 @@ def test_enumeration_matches_brute_force(n):
 def test_canonical_test_matches_the_rebased_minimum():
     # every raw coset table of index <= 12, read back as (x, z = x^-1 T)
     kept = 0
-    for rep in low_index_enumerate(12, up_to_conjugacy=False):
+    for rep in raw_coset_tables(12):
         table = (rep.S, perm_mul(rep.S, rep.T))
         canonical = _is_canonical(*table)
         assert canonical == (_rebased_minimum(*table) == table)
@@ -754,7 +756,7 @@ def test_subgroup_counts_match_transitive_action_recurrence():
     assert all(
         transitive[n] % math.factorial(n - 1) == 0 for n in range(1, N + 1)
     )
-    reps = low_index_enumerate(N, up_to_conjugacy=False)
+    reps = raw_coset_tables(N)
     counts = {}
     for rep in reps:
         counts[rep.n] = counts.get(rep.n, 0) + 1

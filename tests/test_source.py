@@ -55,6 +55,28 @@ def test_no_unicode_digit_class_in_library_regexes():
     assert found == []
 
 
+def test_only_the_cli_decodes_json_text():
+    # the library takes decoded values; cli._load_json_file is the one JSON
+    # reader, which turns unreadable, malformed or over-deep files into exit 2
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            where = f"{path.name}:{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "json" for a in node.names):
+                    found.append(f"{where} imports json")
+                elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json":
+                    found.append(f"{where} imports from json")
+                elif (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "json"
+                    and node.attr in {"load", "loads", "JSONDecoder", "decoder"}
+                ):
+                    found.append(f"{where} decodes")
+    assert found == ["cli.py:<module> imports json", "cli.py:_load_json_file decodes"]
+
+
 def test_matgroups_closes_no_group():
     # a matrix group's order, membership and elements come from its column
     # chain; Dimino's closure lives in subgroups, for the dense groups

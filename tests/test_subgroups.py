@@ -330,7 +330,7 @@ def test_cyclic_extensions_are_the_normal_overgroups_of_prime_index(name):
     reps, seen = subgroup_classes(G)
     zuppos = G.zuppos
     for H, gens in reps:
-        found = [K for K, _ in subgroups._cyclic_extensions(G, zuppos, H, gens)]
+        found = [K for K, _ in subgroups._cyclic_extensions(G, zuppos, H, gens, 0, {})]
         oracle = {
             K
             for K in seen
@@ -358,7 +358,7 @@ def test_pruned_cyclic_extensions_yield_what_the_unpruned_path_yields(name, monk
     joins, closure = [], subgroups.extend_closure
     monkeypatch.setattr(subgroups, "extend_closure", lambda *a: joins.append(a) or closure(*a))
     for cid, (H, gens) in enumerate(reps):
-        unpruned = list(subgroups._cyclic_extensions(G, zuppos, H, gens))
+        unpruned = list(subgroups._cyclic_extensions(G, zuppos, H, gens, 0, {}))
         normaliser = G.size // class_size[cid]
         joins.clear()
         pruned = list(subgroups._cyclic_extensions(G, zuppos, H, gens, normaliser, known))

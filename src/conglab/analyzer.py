@@ -305,12 +305,7 @@ class AmplitudeExtremaVerdict:
 def amplitude_extrema_check(frame):
     """Intersection and sum of all cusp amplitudes must be attained, and the
     intersection must be the level (Theorem A)."""
-    amplitudes = []
-    seen = set()
-    for c in cusps(frame):
-        if c.amplitude.data not in seen:
-            seen.add(c.amplitude.data)
-            amplitudes.append(c.amplitude)
+    amplitudes = list(dict.fromkeys(c.amplitude for c in cusps(frame)))
     c_min = amplitudes[0]
     c_max = amplitudes[0]
     for a in amplitudes[1:]:
@@ -817,9 +812,8 @@ def _monic_divisors(D, f):
     pf = factor_ideal(D.principal_ideal(f))
     divisors = [D.one()]
     for p, e in pf.pairs:
-        divisors = [
-            D.mul(dv, _power(p.data, k, D.mul, D.one())) for dv in divisors for k in range(e + 1)
-        ]
+        (g,) = p.generators()
+        divisors = [D.mul(dv, _power(g, k, D.mul, D.one())) for dv in divisors for k in range(e + 1)]
     return divisors
 
 

@@ -347,8 +347,10 @@ class Domain:
     ideal_one, the data of (0) and (1); ideal_from_gens; and the hooks that
     Ideal and the module-level ideal functions call on that data:
     ideal_generators, ideal_contains, ideal_str, ideal_sum, ideal_product,
-    ideal_intersect, ideal_bezout, ideal_norm and ideal_factors.  It names
-    the class of its quotient rings and their additive generators.
+    ideal_intersect, ideal_bezout, ideal_norm and ideal_factors.  Its
+    residues(data) gives, for q with that data, the residues of D/q in
+    index order, the map from D to their indices and elements of D whose
+    images span D/q additively: all a quotient ring needs of its kind.
     """
 
     field_degree = None  # of the fraction field over Q; None for F_q[t]
@@ -379,10 +381,6 @@ class Domain:
 
     def __repr__(self):
         return f"<Domain {self}>"
-
-
-def _nonzero_images(ring, elements):
-    return tuple(sorted({ring.reduce(x) for x in elements} - {ring.zero_idx}))
 
 
 class _EuclideanDomain(Domain):
@@ -482,12 +480,8 @@ class IntegerDomain(_EuclideanDomain):
     def ideal_factors(self, n, cap):
         return [(Ideal(self, p), e) for p, e in sorted(_factor_int(n, cap).items())]
 
-    def quotient_class(self):
-        from .quotients import _IntQuotient  # quotients imports this module
-        return _IntQuotient
-
-    def additive_generators(self, ring, modulus):
-        return _nonzero_images(ring, [1])
+    def residues(self, n):
+        return range(n), lambda x: x % n, [1]
 
     def __str__(self):
         return "Z"
@@ -713,15 +707,18 @@ class PolynomialDomain(_EuclideanDomain):
             d += 1
         return pairs
 
-    def quotient_class(self):
-        from .quotients import _PolyQuotient  # quotients imports this module
-        return _PolyQuotient
-
-    def additive_generators(self, ring, modulus):
-        # p^i is u^i in F_q: t^j u^i for j < deg f and i < e
-        d = self.deg(modulus.data)
+    def residues(self, f):
+        """Residues of degree < deg f, indexed by their coefficients read as
+        base-q digits, low degree first; p^i is u^i in F_q, so the t^j u^i,
+        j < deg f and i < e, span."""
+        q, d = self.q, self.deg(f)
+        places = [q ** k for k in range(d)]
         basis = [(0,) * j + (self.p ** i,) for j in range(d) for i in range(self.e)]
-        return _nonzero_images(ring, basis)
+        return (
+            [self._norm(i // place % q for place in places) for i in range(q ** d)],
+            lambda x: sum(map(operator.mul, self.divmod(x, f)[1], places)),
+            basis,
+        )
 
     def __str__(self):
         if self.e == 1:
@@ -932,12 +929,15 @@ class QuadraticDomain(Domain):
         pairs.sort(key=lambda pe: (self.ideal_norm(pe[0].data), pe[0].data))
         return pairs
 
-    def quotient_class(self):
-        from .quotients import _QuadQuotient  # quotients imports this module
-        return _QuadQuotient
+    def residues(self, data):
+        """u + v*w, 0 <= u < a and 0 <= v < c, at index u*c + v."""
+        a, b, c = data
 
-    def additive_generators(self, ring, modulus):
-        return _nonzero_images(ring, [(1, 0), (0, 1)])
+        def reduce(x):
+            u, v = x
+            return u % a * c + (v - u // a * b) % c
+
+        return [divmod(i, c) for i in range(a * c)], reduce, [(1, 0), (0, 1)]
 
     def __str__(self):
         return f"Q(sqrt({self.m})) maximal"

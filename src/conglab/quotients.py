@@ -1,10 +1,11 @@
 """Finite quotient rings R = D/q and their additive subgroups.
 
-Elements of a quotient are referenced by dense integer indices; the ring
-holds the canonical-representative scheme (residues 0..n-1, polynomials
-of degree < deg f, or HNF-box coordinate pairs) and transports elements
-between D and R via lift/reduce.  The domain names the ring's class and
-its additive generators, so nothing here switches on the kind.  A ring's
+Elements of a quotient are referenced by dense integer indices.  The
+domain's `residues` lists the ring's canonical representatives in index
+order (residues 0..n-1, polynomials of degree < deg f, or HNF-box
+coordinate pairs), with its reduce map and an additive basis, so one
+ring class serves every kind and nothing here reads an ideal's data.
+lift reads the stored list and reduce is the domain's map.  A ring's
 add/mul/neg tables are built with it and are its only arithmetic, so a
 ring of more than 2048 elements is refused before anything is listed.
 The add and mul tables come by additive recursion: a breadth-first walk
@@ -25,7 +26,6 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import mul
 
 from .domains import (
     DEFAULT_RING_CAP,
@@ -44,19 +44,41 @@ _Z = IntegerDomain()
 
 
 class QuotientRing:
-    """The finite ring D/q with element enumeration and table arithmetic; the
-    subclass the domain names as its quotient_class supplies lift and reduce."""
+    """The finite ring D/q, built whole: its residues, units and add/mul/neg
+    tables. Its domain lists the residues (lift reads them) and gives
+    reduce and an additive basis; the additive generators are the basis's
+    nonzero images."""
 
-    def __init__(self, domain, modulus, size):
+    def __init__(self, domain, modulus):
         self.domain = domain
         self.modulus = modulus
-        self.size = size
+        self.size = n = residue_norm(modulus)
+        self._residues, self.reduce, basis = domain.residues(modulus.data)
+        if len(self._residues) != n:
+            raise InternalCheckError(f"{domain} lists {len(self._residues)} residues of a ring of {n}")
         # kept for matgroups, each filled on first use
         self._sl2_order = None
         self._full_sl2 = None
         self._matops = None
         self._columns = None
         self.memo = defaultdict(dict)  # kind -> input -> result
+        self.zero_idx = self.reduce(domain.zero())
+        self.one_idx = self.reduce(domain.one())
+        self.additive_generators = tuple(sorted({self.reduce(x) for x in basis} - {self.zero_idx}))
+        self.add_t, self.mul_t = _tables(self, self._residues)
+        self.neg_t = [self.reduce(domain.neg(x)) for x in self._residues]
+        # units by ideal sums, independent of the tables
+        self.units = tuple(
+            i
+            for i, x in enumerate(self._residues)
+            if ideal_arith("sum", domain.principal_ideal(x), modulus).is_unit_ideal()
+        )
+        self._unit_set = frozenset(self.units)
+        self.domain_unit_image = tuple(sorted({self.reduce(u) for u in domain.units}))
+        self.domain_unit_squares_image = tuple(sorted({self.reduce(u) for u in domain.unit_squares}))
+
+    def lift(self, idx):
+        return self._residues[idx]
 
     # -- arithmetic on indices: reads of the flat tables built with the ring --
 
@@ -100,42 +122,6 @@ class QuotientRing:
         return f"<QuotientRing {self.domain}/{self.modulus}, {self.size} elements>"
 
 
-class _IntQuotient(QuotientRing):
-    def lift(self, idx):
-        return idx
-
-    def reduce(self, value):
-        return value % self.size
-
-
-class _PolyQuotient(QuotientRing):
-    """Residues of degree < deg f, indexed by their coefficients read as
-    base-q digits, low degree first."""
-
-    def __init__(self, domain, modulus, size):
-        super().__init__(domain, modulus, size)
-        self._places = [domain.q ** k for k in range(domain.deg(modulus.data))]
-
-    def lift(self, idx):
-        return self.domain._norm(idx // place % self.domain.q for place in self._places)
-
-    def reduce(self, value):
-        return sum(map(mul, self.domain.divmod(value, self.modulus.data)[1], self._places))
-
-
-class _QuadQuotient(QuotientRing):
-    def __init__(self, domain, modulus, size):
-        super().__init__(domain, modulus, size)
-        self._a, self._b, self._c = modulus.data
-
-    def lift(self, idx):
-        return divmod(idx, self._c)
-
-    def reduce(self, value):
-        u, v = value
-        return u % self._a * self._c + (v - u // self._a * self._b) % self._c
-
-
 def quotient_size(modulus, ring_cap):
     """|D/q| once q is nonzero and |D/q| is at most ring_cap: the first check
     of every ring build, made before q is factored or any ring is listed."""
@@ -170,27 +156,10 @@ def integer_quotient(n, ring_cap=DEFAULT_RING_CAP):
 
 @lru_cache(maxsize=32)
 def _quotient(domain, data):
-    """The ring D/q, keyed by the canonical data of q: equal ideals have
-    equal data, so the key is as fine as the ideal itself and cheaper to hash."""
-    modulus = Ideal(domain, data)
-    n = residue_norm(modulus)
-    ring = domain.quotient_class()(domain, modulus, n)
-    ring.zero_idx = ring.reduce(domain.zero())
-    ring.one_idx = ring.reduce(domain.one())
-    ring.additive_generators = domain.additive_generators(ring, modulus)
-    lifts = [ring.lift(i) for i in range(n)]
-    ring.add_t, ring.mul_t = _tables(ring, lifts)
-    ring.neg_t = [ring.reduce(domain.neg(x)) for x in lifts]
-    # units by ideal sums, independent of the tables
-    ring.units = tuple(
-        i
-        for i, x in enumerate(lifts)
-        if ideal_arith("sum", domain.principal_ideal(x), modulus).is_unit_ideal()
-    )
-    ring._unit_set = frozenset(ring.units)
-    ring.domain_unit_image = tuple(sorted({ring.reduce(u) for u in domain.units}))
-    ring.domain_unit_squares_image = tuple(sorted({ring.reduce(u) for u in domain.unit_squares}))
-    return ring
+    """The interned ring D/q, keyed by the canonical data of q: equal ideals
+    have equal data, so the key is as fine as the ideal itself and cheaper
+    to hash."""
+    return QuotientRing(domain, Ideal(domain, data))
 
 
 def _tables(ring, lifts):

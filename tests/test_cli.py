@@ -696,13 +696,16 @@ matgroups.additive_closure = short
 sys.exit(cli.main(["analyze", "--domain", "Z", "--modulus", "(6)", "--gens", sys.argv[1]]))
 """
 
-# Z[w]/(4), w = (1+sqrt(-7))/2, with its first additive generator only:
-# the walk that builds the tables reaches 4 of its 16 elements
+# Z[w]/(4), w = (1+sqrt(-7))/2, with the first element of its additive basis
+# only: the walk that builds the tables reaches 4 of its 16 elements
 PATCHED_GENERATORS = """
 import sys
 from conglab import cli, domains, quotients
-real = domains.QuadraticDomain.additive_generators
-domains.QuadraticDomain.additive_generators = lambda self, ring, modulus: real(self, ring, modulus)[:1]
+real = domains.QuadraticDomain.residues
+def truncated(self, data):
+    residues, reduce, basis = real(self, data)
+    return residues, reduce, basis[:1]
+domains.QuadraticDomain.residues = truncated
 D = domains.parse_domain("Q(sqrt(-7)) maximal")
 try:
     quotients.build_quotient(D, D.parse_ideal("(4)"))

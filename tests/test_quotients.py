@@ -1,4 +1,5 @@
 import random
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings
@@ -25,7 +26,7 @@ from conglab.quotients import (
     largest_ideal_inside,
     local_decompose,
 )
-from conglab.suites import _RANDOM_DOMAINS, DEFAULT_SUITE_NAMES, run_suite
+from conglab.suites import DEFAULT_SUITE_NAMES, SURVEY_FAMILIES, run_suite
 
 
 Z = parse_domain("Z")
@@ -204,26 +205,55 @@ def test_additive_generators_span():
         assert len(span) == R.size
 
 
-def pairwise_tables(R):
-    """The oracle: the add and mul tables from one domain add and mul on
-    lifts per pair of elements, n^2/2 of each."""
+def oracle_codec(D, data):
+    """The oracle: lift, reduce and the additive generators of D/q, q with
+    the given data, written per kind from that data."""
+    if isinstance(D, IntegerDomain):
+        lift, reduce, basis = (lambda i: i), (lambda x: x % data), [1]
+    elif isinstance(D, PolynomialDomain):
+        places = [D.q ** k for k in range(D.deg(data))]
+        lift = lambda i: D._norm(i // place % D.q for place in places)
+        reduce = lambda x: sum(map(mul, D.divmod(x, data)[1], places))
+        # p^i is u^i in F_q: t^j u^i for j < deg f and i < e
+        basis = [(0,) * j + (D.p ** i,) for j in range(len(places)) for i in range(D.e)]
+    else:
+        a, b, c = data
+        lift = lambda i: divmod(i, c)
+        reduce = lambda x: x[0] % a * c + (x[1] - x[0] // a * b) % c
+        basis = [(1, 0), (0, 1)]
+    return lift, reduce, tuple(sorted({reduce(x) for x in basis} - {reduce(D.zero())}))
+
+
+def random_element(D, rng):
+    if isinstance(D, IntegerDomain):
+        return rng.randrange(-10 ** 6, 10 ** 6)
+    if isinstance(D, PolynomialDomain):
+        return D._norm(rng.randrange(D.q) for _ in range(rng.randrange(12)))
+    return rng.randrange(-10 ** 4, 10 ** 4), rng.randrange(-10 ** 4, 10 ** 4)
+
+
+def assert_ring_matches_the_oracle(R):
+    """R's lifts, its reduce on random elements of D, its additive generators
+    and its tables against the oracle codec; the tables from one domain add,
+    mul and neg on lifts per pair or element, n^2/2 of each."""
     D, n = R.domain, R.size
-    lifts = [R.lift(i) for i in range(n)]
+    lift, reduce, gens = oracle_codec(D, R.modulus.data)
+    lifts = [lift(i) for i in range(n)]
+    assert [R.lift(i) for i in range(n)] == lifts, f"lifts of {R}"
+    rng = random.Random(str(R))
+    for x in (random_element(D, rng) for _ in range(200)):
+        assert R.reduce(x) == reduce(x), f"reduce of {x} in {R}"
+    assert R.additive_generators == gens, f"additive generators of {R}"
     add_t = [0] * (n * n)
     mul_t = [0] * (n * n)
     for i in range(n):
         for j in range(i, n):
-            add_t[i * n + j] = add_t[j * n + i] = R.reduce(D.add(lifts[i], lifts[j]))
-            mul_t[i * n + j] = mul_t[j * n + i] = R.reduce(D.mul(lifts[i], lifts[j]))
-    return add_t, mul_t
-
-
-def assert_tables_match_the_oracle(R):
-    add_t, mul_t = pairwise_tables(R)
+            add_t[i * n + j] = add_t[j * n + i] = reduce(D.add(lifts[i], lifts[j]))
+            mul_t[i * n + j] = mul_t[j * n + i] = reduce(D.mul(lifts[i], lifts[j]))
     assert R.add_t == add_t, f"add table of {R}"
     assert R.mul_t == mul_t, f"mul table of {R}"
+    assert R.neg_t == [reduce(D.neg(x)) for x in lifts], f"neg table of {R}"
     # units come from ideal sums; the tables must agree with them
-    n = R.size
     assert set(R.units) == {i for i in range(n) if R.one_idx in R.mul_t[i * n:(i + 1) * n]}
 
 
@@ -248,6 +278,8 @@ def test_tables_of_every_suite_example_and_frame_ring_match_the_oracle(monkeypat
         return real(domain, data)
 
     monkeypatch.setattr(quotients, "_quotient", record)
+    for name in ("amplitude_extrema", "level_divisibility"):
+        run_suite(name, families=SURVEY_FAMILIES)
     for name in DEFAULT_SUITE_NAMES:
         run_suite(name)
     for name in EXAMPLE_NAMES:
@@ -256,16 +288,29 @@ def test_tables_of_every_suite_example_and_frame_ring_match_the_oracle(monkeypat
         D = parse_domain(spec)
         build_quotient(D, D.parse_ideal(text))
     assert (F9T, F9T.parse_ideal("(t^2)").data) in built
+    assert (F3T, F3T.parse_ideal("(t^2)").data) in built
     assert len(built) >= 30
     for domain, data in built:
-        assert_tables_match_the_oracle(real(domain, data))
+        assert_ring_matches_the_oracle(real(domain, data))
+
+
+ORACLE_DOMAINS = (
+    "Z",
+    "Fq[t] q=2",
+    "Fq[t] q=3",
+    "Fq[t] q=5",
+    "Fq[t] q=4",
+    "Fq[t] q=9 mod=u^2+1",
+    *(f"Q(sqrt({m})) maximal" for m in (-1, -2, -3, -7, -13)),
+)
 
 
 @st.composite
 def small_moduli(draw):
-    """A nonzero ideal of one of the random suites' domains; |D/q| <= 256 over
-    Z and F_q[t], and mostly so over the quadratic orders."""
-    D = parse_domain(draw(st.sampled_from(_RANDOM_DOMAINS)))
+    """A nonzero ideal of Z, of F_q[t] over a prime or a prime-power field,
+    or of a quadratic order; |D/q| <= 256 over Z and F_q[t], and mostly so
+    over the quadratic orders."""
+    D = parse_domain(draw(st.sampled_from(ORACLE_DOMAINS)))
     if isinstance(D, IntegerDomain):
         return D.principal_ideal(draw(st.integers(1, 256)))
     if isinstance(D, PolynomialDomain):
@@ -279,21 +324,36 @@ def small_moduli(draw):
     return ideal
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(small_moduli())
 def test_tables_of_random_rings_match_the_oracle(modulus):
     assume(residue_norm(modulus) <= 256)
-    assert_tables_match_the_oracle(build_quotient(modulus.domain, modulus))
+    assert_ring_matches_the_oracle(build_quotient(modulus.domain, modulus))
 
 
 def test_generators_that_miss_part_of_the_ring_are_an_internal_check_error(monkeypatch):
-    real = QuadraticDomain.additive_generators
-    monkeypatch.setattr(
-        QuadraticDomain, "additive_generators", lambda self, ring, modulus: real(self, ring, modulus)[:1]
-    )
+    real = QuadraticDomain.residues
+
+    def truncated(self, data):
+        residues, reduce, basis = real(self, data)
+        return residues, reduce, basis[:1]
+
+    monkeypatch.setattr(QuadraticDomain, "residues", truncated)
     with pytest.raises(InternalCheckError, match="additive generators reach 6 of 36 elements"):
         ring_of(ZSQ2, "(6)")
     assert quotients._quotient.cache_info().currsize == 0
+
+
+def test_a_kind_that_lists_too_few_residues_is_an_internal_check_error(monkeypatch):
+    real = IntegerDomain.residues
+
+    def short(self, n):
+        residues, reduce, basis = real(self, n)
+        return residues[1:], reduce, basis
+
+    monkeypatch.setattr(IntegerDomain, "residues", short)
+    with pytest.raises(InternalCheckError, match="Z lists 11 residues of a ring of 12"):
+        ring_of(Z, "(12)")
 
 
 # ---------------------------------------------------------------------------

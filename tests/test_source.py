@@ -140,9 +140,14 @@ def test_only_quotients_builds_ring_tables():
             ):
                 found.append(f"{path.name}:{node.lineno} stores {node.attr}")
     assert found == []
-    from conglab.quotients import _IntQuotient
-
-    assert sorted(k for k in vars(_IntQuotient) if not k.startswith("__")) == ["lift", "reduce"]
+    subclasses = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ClassDef)
+        and any(getattr(base, "id", getattr(base, "attr", None)) == "QuotientRing" for base in node.bases)
+    ]
+    assert subclasses == []
 
 
 def kind_comparisons(node):
@@ -173,9 +178,36 @@ def test_domains_ideal_layer_never_switches_on_kind():
 
 
 def test_quotients_never_switches_on_kind():
-    # each domain class names its quotient class and its additive generators
+    # each domain class lists its quotients' residues, with their reduce map
+    # and an additive basis, so one ring class serves every kind
     path = SRC / "quotients.py"
     assert kind_comparisons(ast.parse(path.read_text(), str(path))) == []
+
+
+def is_data(node):
+    return isinstance(node, ast.Attribute) and node.attr == "data"
+
+
+def test_quotients_reads_no_ideal_data():
+    # an ideal's data is read by its domain alone: quotients passes it to
+    # the domain's residues and keys rings by it, and never indexes, unpacks
+    # or iterates it, nor reaches into a kind's own attributes or hooks
+    path = SRC / "quotients.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Attribute) and node.attr in {"_norm", "q", "quotient_class"}:
+            found.append(f"names .{node.attr}:{node.lineno}")
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "additive_generators":
+            found.append(f"calls additive_generators:{node.lineno}")
+        elif isinstance(node, (ast.Subscript, ast.Starred)) and is_data(node.value):
+            found.append(f"indexes or unpacks .data:{node.lineno}")
+        elif isinstance(node, (ast.For, ast.comprehension)) and is_data(node.iter):
+            found.append(f"iterates .data:{node.iter.lineno}")
+        elif isinstance(node, ast.Assign) and is_data(node.value) and any(
+            isinstance(target, (ast.Tuple, ast.List)) for target in node.targets
+        ):
+            found.append(f"unpacks .data:{node.lineno}")
+    assert found == []
 
 
 def test_index_level_inequality_check_never_switches_on_kind():
@@ -190,8 +222,8 @@ def test_index_level_inequality_check_never_switches_on_kind():
 
 
 def test_no_module_reads_a_domain_kind():
-    # each domain class names its quotient class, additive generators and
-    # field degree; code that needs a domain's class asks isinstance
+    # each domain class lists its quotients' residues and names its field
+    # degree; code that needs a domain's class asks isinstance
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
